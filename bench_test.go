@@ -326,47 +326,6 @@ func BenchmarkAblationIngressMode(b *testing.B) {
 
 // --- Substrate micro-benchmarks -------------------------------------
 
-// BenchmarkEventQueue measures raw discrete-event throughput.
-func BenchmarkEventQueue(b *testing.B) {
-	sim := des.New()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			sim.After(0.001, tick)
-		}
-	}
-	b.ResetTimer()
-	sim.At(0, tick)
-	if err := sim.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkForwarding measures per-packet forwarding cost over a
-// 10-hop path.
-func BenchmarkForwarding(b *testing.B) {
-	sim := des.New()
-	tr := topology.NewString(sim, 10, 1, topology.LinkClass{Bandwidth: 1e9, Delay: 0.0001})
-	received := 0
-	tr.Servers[0].Handler = func(p *netsim.Packet, in *netsim.Port) { received++ }
-	host := tr.Leaves[0]
-	dst := tr.Servers[0].ID
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.At(sim.Now(), func() {
-			host.Send(&netsim.Packet{Src: host.ID, TrueSrc: host.ID, Dst: dst, Size: 500, Type: netsim.Data})
-		})
-		if err := sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if received != b.N {
-		b.Fatalf("received %d of %d", received, b.N)
-	}
-}
-
 // BenchmarkHashChain measures chain generation (1000 epochs).
 func BenchmarkHashChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -75,8 +75,8 @@ type EmbeddedIntraAS struct {
 	// uses the attacker's own Rate, matching the inter-AS flood.
 	PacketRate float64
 	// Routing selects the route-table representation of the generated
-	// intra-AS networks (netsim.RouteMode); the zero value keeps the
-	// historical dense tables.
+	// intra-AS networks (netsim.RouteMode); the zero value, RouteAuto,
+	// compresses them (they are trees).
 	Routing netsim.RouteMode
 
 	owner *Defense

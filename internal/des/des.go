@@ -375,7 +375,7 @@ func (s *Simulator) SetInterrupt(every uint64, check func() error) {
 // Run dispatches events until the queue is empty, Stop is called, or
 // the event limit is hit.
 //
-//hbplint:hotpath event-dispatch core; BenchmarkHotPathFig8/EventQueue measure this loop
+//hbplint:hotpath event-dispatch core; hbpbench tree-defense and des.closure_event_ns/typed_event_ns measure this loop
 func (s *Simulator) Run() error {
 	return s.RunUntil(math.Inf(1))
 }

@@ -51,8 +51,8 @@ type ForestConfig struct {
 	// after that many dispatched events (summed over all shards).
 	EventLimit uint64
 	// Routing selects the cluster's route-table representation
-	// (netsim.RouteMode); the zero value keeps the historical dense
-	// table.
+	// (netsim.RouteMode); the zero value, RouteAuto, picks dense once
+	// the root ring closes a cycle (three or more parts).
 	Routing netsim.RouteMode
 }
 

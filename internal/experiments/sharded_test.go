@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/des"
@@ -99,6 +101,41 @@ func TestForestValidate(t *testing.T) {
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, cfg)
+		}
+	}
+}
+
+// TestForestGoldenFingerprint pins the forest to recorded values, so a
+// change to how parts are built (topology.GrowTree: node IDs, port
+// order, link order) or routed cannot move a single event unnoticed —
+// the across-shards test would not see it, both sides moving together.
+func TestForestGoldenFingerprint(t *testing.T) {
+	for _, want := range []struct {
+		seed     int64
+		events   uint64
+		captures int
+		digest   string
+	}{
+		{1, 5935477, 22, "5b51f930d3ecd0b6be644fc604a85827ddf8b66970320a36fe119bac346dae3b"},
+		{7, 6017092, 17, "43d098a7797324a38933af0ad06725bf238c1d0243825a13c6cbd84a3d566df9"},
+	} {
+		cfg := DefaultForestConfig()
+		cfg.Parts = 8
+		cfg.LeavesPerPart = 16
+		cfg.AttackersPerPart = 3
+		cfg.Duration = 20
+		cfg.AttackStart = 2
+		cfg.AttackEnd = 18
+		cfg.Shards = 2
+		cfg.Seed = want.seed
+		res, err := RunShardedForest(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Fingerprint())))
+		if res.EventsFired != want.events || res.Captures != want.captures || digest != want.digest {
+			t.Errorf("seed %d: %d events, %d captures, sha256 %s; want %d, %d, %s",
+				want.seed, res.EventsFired, res.Captures, digest, want.events, want.captures, want.digest)
 		}
 	}
 }

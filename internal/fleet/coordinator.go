@@ -222,7 +222,10 @@ func (c *Coordinator) CreateSuite(name string) (*scenario.Suite, error) {
 	c.suites[s.ID] = s
 	c.mu.Unlock()
 	if err := c.cfg.Journal.Record(Entry{Type: EntrySuite, Time: time.Now(), Suite: s.ID, SuiteName: name}); err != nil {
-		return nil, err
+		c.mu.Lock()
+		delete(c.suites, s.ID)
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%w: %w", errJournal, err)
 	}
 	return s, nil
 }
@@ -267,7 +270,10 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 		Type: EntrySubmitted, Time: run.SubmittedAt,
 		Suite: suiteID, Run: run.ID, Spec: &spec,
 	}); err != nil {
-		return RunStatus{}, err
+		// Admitted in memory but unknown to a restart: withdraw the
+		// run rather than let it dispatch unrecorded.
+		c.cancel(run.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
+		return RunStatus{}, fmt.Errorf("%w: %w", errJournal, err)
 	}
 	return status, nil
 }
@@ -279,6 +285,12 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 // acknowledged cancel survives a coordinator restart instead of the
 // run silently re-executing. Cancelling a terminal run is a no-op.
 func (c *Coordinator) Cancel(runID string) error {
+	return c.cancel(runID, "cancelled while queued")
+}
+
+// cancel is Cancel with the message a still-queued run is finalized
+// under.
+func (c *Coordinator) cancel(runID, whyQueued string) error {
 	c.mu.Lock()
 	rec := c.runs[runID]
 	if rec == nil {
@@ -292,7 +304,7 @@ func (c *Coordinator) Cancel(runID string) error {
 	if rec.worker == "" { // queued
 		entry := c.finalizeLocked(rec, Outcome{
 			State: scenario.StateCancelled,
-			Error: &scenario.RunError{Kind: scenario.ErrCancelled, Message: "cancelled while queued"},
+			Error: &scenario.RunError{Kind: scenario.ErrCancelled, Message: whyQueued},
 		}, "")
 		c.mu.Unlock()
 		return c.cfg.Journal.Record(entry)

@@ -55,6 +55,10 @@ var ErrQueueFull = errors.New("fleet: submission queue full")
 // ErrDraining rejects submissions and leases during shutdown.
 var ErrDraining = errors.New("fleet: coordinator is draining")
 
+// errJournal rejects an admission whose journal record could not be
+// written; the admission is withdrawn and the client may retry.
+var errJournal = errors.New("fleet: journal write failed")
+
 // ErrUnknownWorker tells a worker its registration is gone — the
 // coordinator restarted or evicted it — and it must re-register.
 var ErrUnknownWorker = errors.New("fleet: unknown worker")

@@ -80,7 +80,7 @@ func (s *Server) createSuite(w http.ResponseWriter, req *http.Request) {
 	}
 	suite, err := s.coord.CreateSuite(spec.Name)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		reject(w, err)
 		return
 	}
 	for i := range spec.Cases {
@@ -115,10 +115,7 @@ func (s *Server) submitCase(w http.ResponseWriter, req *http.Request) {
 	}
 	status, err := s.coord.Submit(req.PathValue("id"), spec)
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, statusFor(err), err)
+		reject(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, status)
@@ -237,10 +234,19 @@ func (s *Server) complete(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// reject answers a refused admission; backpressure and a failing
+// journal also tell the client when to try again.
+func reject(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, errJournal) {
+		w.Header().Set("Retry-After", "1")
+	}
+	httpError(w, statusFor(err), err)
+}
+
 // statusFor maps coordinator errors to HTTP statuses.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrFleetFull):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrFleetFull), errors.Is(err, errJournal):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownWorker), errors.Is(err, ErrUnknownRun):
 		return http.StatusGone

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -164,5 +166,69 @@ func TestServerWorkerRoutes(t *testing.T) {
 	// Unknown worker leasing: 410 surfaces as an error.
 	if _, err := rc.Lease("w-404"); err == nil {
 		t.Fatal("unknown worker leased")
+	}
+}
+
+// TestServerJournalFailure: an admission whose journal record cannot
+// be written is withdrawn, not left as a ghost — the run is finalized
+// cancelled so no worker can lease it, the suite is not registered,
+// the accounting stays balanced, and the client is told to retry (503
+// + Retry-After).
+func TestServerJournalFailure(t *testing.T) {
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "fleet.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg()
+	cfg.Journal = j
+	c := NewCoordinator(cfg, nil)
+	ts := httptest.NewServer(NewServer(c))
+	defer ts.Close()
+	suite, err := c.CreateSuite("journaled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, post := range []struct {
+		url  string
+		body any
+	}{
+		{ts.URL + "/suites/" + suite.ID + "/cases", quickCase("ghost", 1)},
+		{ts.URL + "/suites", scenario.SuiteSpec{Name: "ghost-suite"}},
+	} {
+		b, err := json.Marshal(post.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(post.url, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("POST %s on a closed journal = %d (Retry-After %q), want 503 + Retry-After",
+				post.url, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	_, runs, _ := c.GetSuite(suite.ID)
+	if len(runs) != 1 || runs[0].State != scenario.StateCancelled || runs[0].Dispatches != 0 ||
+		runs[0].Error == nil || runs[0].Error.Kind != scenario.ErrCancelled {
+		t.Fatalf("unjournaled run was not withdrawn: %+v", runs)
+	}
+	if suites := c.Suites(); len(suites) != 1 {
+		t.Fatalf("unjournaled suite stayed registered: %+v", suites)
+	}
+	if s := c.Stats(); s.Admitted != 1 || s.Completed != 1 {
+		t.Fatalf("withdrawn admission unbalanced the accounting: %+v", s)
+	}
+	id, err := c.Register(WorkerInfo{Name: "w", Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := c.Lease(id); a != nil || err != nil {
+		t.Fatalf("withdrawn run was leased: %+v, %v", a, err)
 	}
 }

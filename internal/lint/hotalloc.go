@@ -16,8 +16,9 @@ import (
 //
 //	//hbplint:hotpath <reason>
 //
-// The roots are the entry points the BenchmarkHotPath* family measures
-// (des.Simulator.Run, the netsim forwarding entries); hotalloc closes
+// The roots are the entry points hbpbench measures (des.Simulator.Run,
+// the netsim forwarding entries; TestHotPathRootsExercised names the
+// workload or row for each); hotalloc closes
 // them under the package's static call graph and requires the whole
 // region to stay allocation-free, keeping PR 2's 0 allocs/hop true by
 // construction rather than by benchmark vigilance.

@@ -29,8 +29,8 @@ type Cluster struct {
 	Sim *des.ShardedSimulator
 
 	// Routing selects the route-table representation ComputeRoutes
-	// builds (see RouteMode); the zero value keeps small clusters on
-	// the historical dense table.
+	// builds (see RouteMode); the zero value, RouteAuto, compresses
+	// pure forests and keeps the dense table for chorded graphs.
 	Routing RouteMode
 
 	parts   []*Network

@@ -16,8 +16,8 @@ type Network struct {
 	ControlPriority bool
 
 	// Routing selects the route-table representation ComputeRoutes
-	// builds (see RouteMode). The zero value, RouteAuto, keeps small
-	// networks on the historical dense table.
+	// builds (see RouteMode). The zero value, RouteAuto, compresses
+	// pure forests and keeps the dense table for chorded graphs.
 	Routing RouteMode
 
 	nodes []*Node

@@ -5,9 +5,9 @@ package netsim
 // a single RouteTable shared by every node. Two implementations exist:
 //
 //   - denseTable: one next-hop row per node, indexed by destination ID.
-//     O(N²) pointers. This is the historical representation and stays
-//     the default for small networks, so every pre-existing scenario's
-//     event fingerprint is bit-identical to the pre-RouteTable code.
+//     O(N²) pointers and O(N²) build time. RouteAuto uses it only on
+//     graphs with chords; it is also the reference the equivalence
+//     tests and the benchmark's dense rows compare against.
 //
 //   - treeRoutes: a struct-of-arrays Euler-tour-interval labeling for
 //     tree (forest) topologies. Each node carries a preorder interval
@@ -36,23 +36,17 @@ type RouteTable interface {
 type RouteMode int
 
 const (
-	// RouteAuto keeps the dense table unless the topology is a pure
-	// forest of at least autoCompressMin nodes, where the compressed
-	// table is chosen (and provably identical, paths being unique).
+	// RouteAuto picks the compressed table on a pure forest (provably
+	// identical to dense, paths being unique) and the dense table when
+	// the graph has chords.
 	RouteAuto RouteMode = iota
-	// RouteDense forces the historical dense per-node rows.
+	// RouteDense forces the dense per-node rows.
 	RouteDense
 	// RouteCompressed forces the Euler-interval table; non-tree edges
 	// get the exact sparse overlay (which costs a dense build at
 	// ComputeRoutes time — meant for topologies with few chords).
 	RouteCompressed
 )
-
-// autoCompressMin is the node count at which RouteAuto switches a pure
-// forest to the compressed table. Below it the dense table is small
-// enough not to matter and stays byte-for-byte what earlier releases
-// computed.
-const autoCompressMin = 4096
 
 // portFar abstracts "the far side of this port": peer for intra-network
 // links, Far for clusters whose cut edges have no local peer.
@@ -68,16 +62,17 @@ func buildRoutes(mode RouteMode, nodes []*Node, bound int, far portFar) RouteTab
 		return buildDense(nodes, bound, far)
 	}
 	t, pure := buildTree(nodes, bound, far)
-	switch {
-	case mode == RouteAuto && (!pure || len(nodes) < autoCompressMin):
-		return buildDense(nodes, bound, far)
-	case !pure:
-		t.addOverlay(nodes, bound, far)
+	if pure {
+		return t
 	}
+	if mode == RouteAuto {
+		return buildDense(nodes, bound, far)
+	}
+	t.addOverlay(nodes, bound, far)
 	return t
 }
 
-// denseTable is the historical representation: rows[src][dst] is src's
+// denseTable is the per-node-row representation: rows[src][dst] is src's
 // next hop toward dst. Rows exist only for live IDs.
 type denseTable struct {
 	rows [][]*Port
@@ -85,7 +80,7 @@ type denseTable struct {
 
 // NextHop returns the precomputed next hop toward dst.
 //
-//hbplint:hotpath dense route lookup; every forwarded packet on a small topology resolves its next hop here
+//hbplint:hotpath dense route lookup; every forwarded packet on a chorded topology resolves its next hop here
 func (t *denseTable) NextHop(n *Node, dst NodeID) *Port {
 	if dst < 0 || int(dst) >= len(t.rows) {
 		return nil
@@ -107,8 +102,7 @@ func (t *denseTable) Kind() string { return "dense" }
 
 // buildDense runs the classic per-destination BFS (hop count; ties
 // broken by discovery order, which follows node-creation and
-// port-attachment order). It is byte-for-byte the route computation the
-// pre-RouteTable code performed.
+// port-attachment order).
 func buildDense(nodes []*Node, bound int, far portFar) *denseTable {
 	t := &denseTable{rows: make([][]*Port, bound)}
 	for _, n := range nodes {
@@ -174,7 +168,7 @@ type treeRoutes struct {
 // node's own interval means "toward the parent"; inside means "toward
 // the child whose interval nests dst".
 //
-//hbplint:hotpath compressed route lookup; every forwarded packet on a large topology resolves its next hop here
+//hbplint:hotpath compressed route lookup; every forwarded packet on a tree or forest resolves its next hop here
 func (t *treeRoutes) NextHop(n *Node, dst NodeID) *Port {
 	if dst < 0 || int(dst) >= len(t.in) || dst == n.ID {
 		return nil

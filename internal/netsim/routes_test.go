@@ -88,28 +88,24 @@ func TestCompressedOverlayEqualsDenseWithChords(t *testing.T) {
 
 func TestRouteAutoSelection(t *testing.T) {
 	rng := des.NewRNG(17)
-	small := randomForest(rng.Split(1), 64, 1)
-	small.ComputeRoutes()
-	if small.RouteKind() != "dense" {
-		t.Fatalf("small tree under RouteAuto got %q, want dense", small.RouteKind())
-	}
-	big := randomForest(rng.Split(2), autoCompressMin, 1)
-	big.ComputeRoutes()
-	if big.RouteKind() != "compressed" {
-		t.Fatalf("%d-node tree under RouteAuto got %q, want compressed", autoCompressMin, big.RouteKind())
-	}
-	if big.RouteBytes() >= int64(64*autoCompressMin) {
-		t.Fatalf("compressed table costs %d bytes for %d nodes; want O(N)", big.RouteBytes(), autoCompressMin)
-	}
-	// A topology with chords must fall back to dense under Auto even at
-	// scale: the overlay is exact but costs a dense build, so it is
-	// opt-in via RouteCompressed only.
-	chord := randomForest(rng.Split(3), autoCompressMin, 1)
-	ns := chord.Nodes()
-	chord.Connect(ns[1], ns[len(ns)-1], 1e9, 0.001)
-	chord.ComputeRoutes()
-	if chord.RouteKind() != "dense" {
-		t.Fatalf("chorded graph under RouteAuto got %q, want dense", chord.RouteKind())
+	for _, n := range []int{64, 4096} {
+		nw := randomForest(rng.Split(int64(n)), n, 1)
+		nw.ComputeRoutes()
+		if nw.RouteKind() != "compressed" {
+			t.Fatalf("%d-node tree under RouteAuto got %q, want compressed", n, nw.RouteKind())
+		}
+		if nw.RouteBytes() >= int64(64*n) {
+			t.Fatalf("compressed table costs %d bytes for %d nodes; want O(N)", nw.RouteBytes(), n)
+		}
+		// One chord and Auto must fall back to dense, at any size: the
+		// overlay is exact but costs a dense build, so it is opt-in via
+		// RouteCompressed only.
+		ns := nw.Nodes()
+		nw.Connect(ns[1], ns[n-1], 1e9, 0.001)
+		nw.ComputeRoutes()
+		if nw.RouteKind() != "dense" {
+			t.Fatalf("%d-node chorded graph under RouteAuto got %q, want dense", n, nw.RouteKind())
+		}
 	}
 }
 

@@ -69,6 +69,10 @@ var ErrQueueFull = errors.New("scenario: submission queue full")
 // ErrDraining rejects submissions during shutdown.
 var ErrDraining = errors.New("scenario: runner is draining")
 
+// errJournal rejects an admission whose journal record could not be
+// written; the admission is withdrawn and the client may retry.
+var errJournal = errors.New("scenario: journal write failed")
+
 // Suite groups runs for reporting.
 type Suite struct {
 	ID   string   `json:"id"`
@@ -159,7 +163,10 @@ func (r *Runner) CreateSuite(name string) (*Suite, error) {
 	r.suites[s.ID] = s
 	r.mu.Unlock()
 	if err := r.cfg.Journal.Record(Entry{Type: EntrySuite, Time: time.Now(), Suite: s.ID, SuiteName: name}); err != nil {
-		return nil, err
+		r.mu.Lock()
+		delete(r.suites, s.ID)
+		r.mu.Unlock()
+		return nil, fmt.Errorf("%w: %w", errJournal, err)
 	}
 	return s, nil
 }
@@ -201,7 +208,10 @@ func (r *Runner) Submit(suiteID string, spec CaseSpec) (*Run, error) {
 		Type: EntrySubmitted, Time: run.SubmittedAt,
 		Suite: suiteID, Run: run.ID, Spec: &spec,
 	}); err != nil {
-		return nil, err
+		// Admitted in memory but unknown to a restart: withdraw the
+		// run rather than let it execute unrecorded.
+		r.cancel(run.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
+		return nil, fmt.Errorf("%w: %w", errJournal, err)
 	}
 	select {
 	case r.wake <- struct{}{}:
@@ -227,6 +237,12 @@ func (r *Runner) Resubmit(runID string) (*Run, error) {
 // get their context cancelled and finish as StateCancelled at the
 // next checkpoint. Cancelling a terminal run is a no-op.
 func (r *Runner) Cancel(runID string) error {
+	return r.cancel(runID, "cancelled while queued")
+}
+
+// cancel is Cancel with the message a still-queued run is finalized
+// under.
+func (r *Runner) cancel(runID, whyQueued string) error {
 	r.mu.Lock()
 	run := r.runs[runID]
 	if run == nil {
@@ -236,7 +252,7 @@ func (r *Runner) Cancel(runID string) error {
 	switch run.State {
 	case StateQueued:
 		run.State = StateCancelled
-		run.Error = &RunError{Kind: ErrCancelled, Message: "cancelled while queued"}
+		run.Error = &RunError{Kind: ErrCancelled, Message: whyQueued}
 		run.FinishedAt = time.Now()
 		r.mu.Unlock()
 		return r.cfg.Journal.Record(Entry{

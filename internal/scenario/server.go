@@ -69,7 +69,7 @@ func (s *Server) createSuite(w http.ResponseWriter, req *http.Request) {
 	}
 	suite, err := s.runner.CreateSuite(spec.Name)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		reject(w, err)
 		return
 	}
 	for i := range spec.Cases {
@@ -106,10 +106,7 @@ func (s *Server) submitCase(w http.ResponseWriter, req *http.Request) {
 	}
 	run, err := s.runner.Submit(req.PathValue("id"), spec)
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, statusFor(err), err)
+		reject(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.runner.snapshot(run))
@@ -136,10 +133,7 @@ func (s *Server) cancelRun(w http.ResponseWriter, req *http.Request) {
 func (s *Server) resubmitRun(w http.ResponseWriter, req *http.Request) {
 	run, err := s.runner.Resubmit(req.PathValue("id"))
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, statusFor(err), err)
+		reject(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.runner.snapshot(run))
@@ -167,11 +161,21 @@ func (s *Server) readyz(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, code, h)
 }
 
-// statusFor maps runner errors to HTTP statuses: backpressure and
-// shutdown are 503 (retryable), bad specs are 400.
+// reject answers a refused admission; backpressure and a failing
+// journal also tell the client when to try again.
+func reject(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, errJournal) {
+		w.Header().Set("Retry-After", "1")
+	}
+	httpError(w, statusFor(err), err)
+}
+
+// statusFor maps runner errors to HTTP statuses: backpressure,
+// shutdown and a failing journal are 503 (retryable), bad specs are
+// 400.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, errJournal):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -248,5 +249,48 @@ func TestServerNotFound(t *testing.T) {
 	}
 	if resp := getJSON(t, srv.URL+"/runs/r-999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET unknown run = %d", resp.StatusCode)
+	}
+}
+
+// TestServerJournalFailure: an admission whose journal record cannot
+// be written is withdrawn, not left as a ghost — the run is finalized
+// cancelled and never executes, the suite is not registered, and the
+// client is told to retry (503 + Retry-After).
+func TestServerJournalFailure(t *testing.T) {
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, r := newTestServer(t, Config{Workers: 1, Journal: j})
+	resp, body := postJSON(t, srv.URL+"/suites", SuiteSpec{Name: "journaled"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create suite = %d: %s", resp.StatusCode, body)
+	}
+	var created SuiteStatus
+	json.Unmarshal(body, &created) //nolint:errcheck
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, post := range []struct {
+		url  string
+		body any
+	}{
+		{fmt.Sprintf("%s/suites/%s/cases", srv.URL, created.Suite.ID), CaseSpec{Name: "ghost", Tree: quickTree(1)}},
+		{srv.URL + "/suites", SuiteSpec{Name: "ghost-suite"}},
+	} {
+		resp, body = postJSON(t, post.url, post.body)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("POST %s on a closed journal = %d (Retry-After %q): %s, want 503 + Retry-After",
+				post.url, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+	_, runs, _ := r.GetSuite(created.Suite.ID)
+	if len(runs) != 1 || runs[0].State != StateCancelled || runs[0].Attempts != 0 ||
+		runs[0].Error == nil || runs[0].Error.Kind != ErrCancelled {
+		t.Fatalf("unjournaled run was not withdrawn: %+v", runs)
+	}
+	if suites := r.Suites(); len(suites) != 1 {
+		t.Fatalf("unjournaled suite stayed registered: %+v", suites)
 	}
 }

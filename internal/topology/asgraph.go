@@ -273,8 +273,8 @@ type InternetParams struct {
 	LeafLink   LinkClass
 
 	// Routing selects the route-table representation. The default
-	// RouteAuto picks the compressed table automatically: the AS graph
-	// is a pure tree above autoCompressMin nodes.
+	// RouteAuto picks the compressed table: the AS graph is a pure
+	// tree.
 	Routing netsim.RouteMode
 }
 

@@ -146,8 +146,8 @@ func TestBuildInternetSmall(t *testing.T) {
 	if len(it.Hosts) != 240 || len(it.Servers) != 3 || len(it.Routers) != 60 {
 		t.Fatalf("counts: %d hosts, %d servers, %d routers", len(it.Hosts), len(it.Servers), len(it.Routers))
 	}
-	if got := it.Cluster.RouteKind(); got != "dense" {
-		t.Fatalf("small internet should route dense under auto, got %q", got)
+	if got := it.Cluster.RouteKind(); got != "compressed" {
+		t.Fatalf("the internet is a pure tree and should route compressed under auto, got %q", got)
 	}
 	for _, h := range it.Hosts {
 		if !it.IsHost(h) || it.IsRouter(h) {

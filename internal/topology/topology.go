@@ -60,9 +60,9 @@ type Params struct {
 	Seed int64
 
 	// Routing selects the route-table representation (netsim.RouteMode)
-	// the built network computes. The zero value, RouteAuto, keeps
-	// small trees on the historical dense table; equivalence tests
-	// force RouteCompressed.
+	// the built network computes. The zero value, RouteAuto, gives a
+	// tree the compressed table; equivalence tests force RouteDense as
+	// the reference.
 	Routing netsim.RouteMode
 }
 
@@ -181,6 +181,30 @@ func NewString(sim *des.Simulator, hops, servers int, link LinkClass) *Tree {
 // router. The realized hop-count and degree histograms are exposed via
 // HopCountHistogram and DegreeHistogram for the Fig. 7 regeneration.
 func NewTree(sim *des.Simulator, p Params) *Tree {
+	nw := netsim.New(sim)
+	nw.Routing = p.Routing
+	t := growTree(nw, nw.AddNode, p)
+	nw.ComputeRoutes()
+	return t
+}
+
+// GrowTree builds a whole Params tree inside one part of a cluster —
+// the building block of forest workloads, where each part hosts an
+// independent tree and only deliberately added links (sinks, ring
+// links) cross part boundaries. RNG draws, node order and link order
+// are exactly those of a sequential NewTree; node IDs are offset by
+// the cluster's node count at the call. The caller is responsible for
+// route computation (Cluster.ComputeRoutes, after all parts and cross
+// links exist).
+func GrowTree(cl *netsim.Cluster, part int, p Params) *Tree {
+	return growTree(cl.Part(part), func(name string) *netsim.Node { return cl.AddNode(part, name) }, p)
+}
+
+// growTree is the one tree generator. Nodes come from addNode, so a
+// cluster part numbers them cluster-globally; links are all internal
+// to the tree and go straight onto nw, which is also what
+// Cluster.Connect does for same-part endpoints.
+func growTree(nw *netsim.Network, addNode func(name string) *netsim.Node, p Params) *Tree {
 	if p.Leaves < 1 || p.Servers < 1 {
 		panic("topology: need at least one leaf and one server")
 	}
@@ -188,8 +212,6 @@ func NewTree(sim *des.Simulator, p Params) *Tree {
 		panic("topology: empty hop distribution")
 	}
 	rng := des.NewRNG(p.Seed)
-	nw := netsim.New(sim)
-	nw.Routing = p.Routing
 	t := &Tree{
 		Net:    nw,
 		access: map[netsim.NodeID]*netsim.Node{},
@@ -197,14 +219,14 @@ func NewTree(sim *des.Simulator, p Params) *Tree {
 		hosts:  map[netsim.NodeID]bool{},
 	}
 
-	t.Root = nw.AddNode("root")
-	t.ServerGW = nw.AddNode("server-gw")
+	t.Root = addNode("root")
+	t.ServerGW = addNode("server-gw")
 	t.Bottleneck = nw.Connect(t.Root, t.ServerGW, p.Bottleneck.Bandwidth, p.Bottleneck.Delay)
 	t.Routers = append(t.Routers, t.Root, t.ServerGW)
 	t.depth[t.Root.ID] = 0
 
 	for i := 0; i < p.Servers; i++ {
-		s := nw.AddNode(fmt.Sprintf("server%d", i))
+		s := addNode(fmt.Sprintf("server%d", i))
 		nw.Connect(t.ServerGW, s, p.ServerLink.Bandwidth, p.ServerLink.Delay)
 		t.Servers = append(t.Servers, s)
 		t.hosts[s.ID] = true
@@ -238,20 +260,19 @@ func NewTree(sim *des.Simulator, p Params) *Tree {
 				cur = des.Pick(rng, kids)
 				continue
 			}
-			r := nw.AddNode(fmt.Sprintf("r%d.%d", level, len(t.Routers)))
+			r := addNode(fmt.Sprintf("r%d.%d", level, len(t.Routers)))
 			nw.Connect(cur, r, p.CoreLink.Bandwidth, p.CoreLink.Delay)
 			children[cur.ID] = append(children[cur.ID], r)
 			t.Routers = append(t.Routers, r)
 			t.depth[r.ID] = level
 			cur = r
 		}
-		leaf := nw.AddNode(fmt.Sprintf("h%d", i))
+		leaf := addNode(fmt.Sprintf("h%d", i))
 		nw.Connect(cur, leaf, p.LeafLink.Bandwidth, p.LeafLink.Delay)
 		t.Leaves = append(t.Leaves, leaf)
 		t.hosts[leaf.ID] = true
 		t.access[leaf.ID] = cur
 	}
-	nw.ComputeRoutes()
 	return t
 }
 

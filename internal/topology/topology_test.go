@@ -272,3 +272,86 @@ func TestHostWeightsConsistency(t *testing.T) {
 		t.Fatalf("root ingress weights sum %v, want %d", sum, p.Leaves)
 	}
 }
+
+// TestGrowTreeMatchesNewTree pins the one-generator contract: growing
+// a tree inside a cluster part yields NewTree's tree with every node
+// ID offset by the part's base — same names, same links and ports in
+// the same order, same access/depth/host bookkeeping.
+func TestGrowTreeMatchesNewTree(t *testing.T) {
+	p := DefaultParams()
+	p.Leaves = 60
+	p.Seed = 9
+	ref := NewTree(des.New(), p)
+
+	cl := netsim.NewCluster(des.NewSharded(1, 2), []int{0, 1})
+	cl.AddNode(0, "pad0")
+	cl.AddNode(1, "pad1")
+	cl.AddNode(0, "pad2")
+	base := netsim.NodeID(len(cl.Nodes()))
+	got := GrowTree(cl, 1, p)
+	if got.Net != cl.Part(1) {
+		t.Fatal("grown tree is not bound to its part network")
+	}
+
+	refNodes, gotNodes := ref.Net.Nodes(), cl.Nodes()[base:]
+	if len(gotNodes) != len(refNodes) {
+		t.Fatalf("grew %d nodes, NewTree built %d", len(gotNodes), len(refNodes))
+	}
+	for i, rn := range refNodes {
+		gn := gotNodes[i]
+		if gn.ID != rn.ID+base || gn.Name != rn.Name || gn.Degree() != rn.Degree() {
+			t.Fatalf("node %d: got %v (degree %d), want %v offset by %d (degree %d)", i, gn, gn.Degree(), rn, base, rn.Degree())
+		}
+		for j, pt := range rn.Ports() {
+			if far := gn.Ports()[j].Peer().Node().ID; far != pt.Peer().Node().ID+base {
+				t.Fatalf("node %v port %d leads to %d, want %d", gn, j, far, pt.Peer().Node().ID+base)
+			}
+		}
+		if got.IsHost(gn) != ref.IsHost(rn) {
+			t.Fatalf("node %v: IsHost %v, want %v", gn, got.IsHost(gn), ref.IsHost(rn))
+		}
+	}
+	refLinks, gotLinks := ref.Net.Links(), got.Net.Links()
+	if len(gotLinks) != len(refLinks) {
+		t.Fatalf("grew %d links, NewTree built %d", len(gotLinks), len(refLinks))
+	}
+	for i, rl := range refLinks {
+		gl := gotLinks[i]
+		if gl.A().Node().ID != rl.A().Node().ID+base || gl.B().Node().ID != rl.B().Node().ID+base ||
+			gl.Bandwidth != rl.Bandwidth || gl.Delay != rl.Delay {
+			t.Fatalf("link %d: got %v, want %v offset by %d", i, gl, rl, base)
+		}
+	}
+
+	sameNodes := func(what string, g, r []*netsim.Node) {
+		t.Helper()
+		if len(g) != len(r) {
+			t.Fatalf("%s: %d nodes, want %d", what, len(g), len(r))
+		}
+		for i := range r {
+			if g[i].ID != r[i].ID+base {
+				t.Fatalf("%s[%d] = %v, want %v offset by %d", what, i, g[i], r[i], base)
+			}
+		}
+	}
+	sameNodes("root/gateway", []*netsim.Node{got.Root, got.ServerGW}, []*netsim.Node{ref.Root, ref.ServerGW})
+	sameNodes("servers", got.Servers, ref.Servers)
+	sameNodes("leaves", got.Leaves, ref.Leaves)
+	sameNodes("routers", got.Routers, ref.Routers)
+	if got.Bottleneck != got.Root.PortTo(got.ServerGW).Link() {
+		t.Fatal("bottleneck is not the root/gateway link")
+	}
+	for i, leaf := range ref.Leaves {
+		if acc := got.AccessRouter(got.Leaves[i]); acc.ID != ref.AccessRouter(leaf).ID+base {
+			t.Fatalf("leaf %d: access router %v, want %v offset by %d", i, acc, ref.AccessRouter(leaf), base)
+		}
+	}
+	if len(got.depth) != len(ref.depth) {
+		t.Fatalf("depth recorded for %d routers, want %d", len(got.depth), len(ref.depth))
+	}
+	for id, d := range ref.depth {
+		if gd, ok := got.depth[id+base]; !ok || gd != d {
+			t.Fatalf("router %d: depth %d (present %v), want %d", id+base, gd, ok, d)
+		}
+	}
+}
