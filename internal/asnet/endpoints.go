@@ -2,7 +2,6 @@ package asnet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hashchain"
 	"repro/internal/hbp"
@@ -76,48 +75,32 @@ func (s *Schedule) StartTime(epoch int) float64 { return float64(epoch) * s.M }
 // HoneypotProbability returns p = (N-K)/N.
 func (s *Schedule) HoneypotProbability() float64 { return float64(s.N-s.K) / float64(s.N) }
 
-// Server is the defended server: it follows its schedule, counts
-// honeypot traffic, drives inter-AS session setup/teardown, and runs
-// the progressive intermediate-AS list.
+// Server is the defended server: it follows its schedule and drives
+// inter-AS session setup/teardown. The victim-side algorithm —
+// activation threshold, watchdog, progressive intermediate-AS list —
+// is the embedded hbp.Controller shared with the router plane.
 type Server struct {
+	hbp.Controller[ASID]
+
 	Home  *AS
 	Sched *Schedule
 
 	d *Defense
-
-	windowOpen bool
-	epoch      int
-	hpCount    int
-	requested  bool
-
-	intermediates map[ASID]*asIntermediate
-
-	// wd is the shared stall detector (internal/hbp): progress observed
-	// at the last check plus the pending tick.
-	wd hbp.Watchdog
-
-	// Stats
-	RequestsSent       int64
-	CancelsSent        int64
-	DirectRequestsSent int64
-	ReportsReceived    int64
-	WatchdogReseeds    int64
-}
-
-type asIntermediate struct {
-	id            ASID
-	tdist         float64
-	consecutive   int
-	armedEpoch    int
-	reportedEpoch int
-	armPending    bool
 }
 
 // NewServer creates the defended server in its home AS and starts its
 // window timers (the schedule begins at simulation time 0).
 func NewServer(d *Defense, home *AS, sched *Schedule) *Server {
-	s := &Server{Home: home, Sched: sched, d: d, epoch: -1, intermediates: map[ASID]*asIntermediate{},
-		wd: hbp.Watchdog{Interval: d.Cfg.WatchdogInterval, EventName: "asnet-watchdog"}}
+	s := &Server{Home: home, Sched: sched, d: d}
+	s.Controller = hbp.NewController[ASID](d.g.Sim, asPlane{s}, hbp.ControllerConfig{
+		ActivationThreshold: d.Cfg.ActivationThreshold,
+		Progressive:         d.Cfg.Progressive,
+		Rho:                 d.Cfg.Rho,
+		Tau:                 d.Cfg.Tau,
+		Watchdog:            d.Cfg.Watchdog,
+		WatchdogInterval:    d.Cfg.WatchdogInterval,
+		EventPrefix:         "asnet",
+	})
 	d.servers = append(d.servers, s)
 	d.ensureChain(sched.Epochs())
 	sim := d.g.Sim
@@ -126,180 +109,51 @@ func NewServer(d *Defense, home *AS, sched *Schedule) *Server {
 			continue
 		}
 		e := e
-		sim.AtNamed(sched.StartTime(e)+sched.Guard, "asnet-window-open", func() { s.windowOpenAt(e) })
-		sim.AtNamed(sched.StartTime(e)+sched.M-sched.Guard, "asnet-window-close", func() { s.windowCloseAt(e) })
+		sim.AtNamed(sched.StartTime(e)+sched.Guard, "asnet-window-open", func() { s.OpenWindow(e) })
+		sim.AtNamed(sched.StartTime(e)+sched.M-sched.Guard, "asnet-window-close", func() { s.CloseWindow(e) })
 	}
 	return s
 }
 
-// Intermediates returns the current intermediate-AS list size.
-func (s *Server) Intermediates() int { return len(s.intermediates) }
+// asPlane is the controller's AS-plane transport: the tree root is the
+// home AS's HSM, intermediates are HSMs of other ASes, and windows
+// come from the server's schedule.
+type asPlane struct{ *Server }
 
-func (s *Server) windowOpenAt(epoch int) {
-	s.windowOpen = true
-	s.epoch = epoch
-	s.hpCount = 0
-	s.requested = false
-	if s.d.Cfg.Watchdog {
-		s.wd.Arm(s.d.g.Sim, 0, s.d.CaptureCount(), s.watchdogTick)
+// send delivers one authenticated open/close to the HSM of an AS. A
+// non-deploying AS has no HSM to address: nothing leaves.
+func (s asPlane) send(to ASID, op ctrlOp, epoch int) bool {
+	target := s.d.g.AS(to)
+	if target == nil || !target.Deployed() {
+		return false
 	}
-	// Rule 1 stale sweep: armed earlier, never reported -> the AS
-	// propagated upstream (or the report was lost); drop it.
-	for id, e := range s.intermediates {
-		if e.armedEpoch >= 0 && e.armedEpoch < epoch && e.reportedEpoch < e.armedEpoch {
-			delete(s.intermediates, id)
-		}
-	}
+	m := &ctrlMsg{op: op, server: s.Server, epoch: epoch, origin: s.Home.ID}
+	s.d.sendAuthed(s.Home.ID, to, m, target.hsm.handleCtrl)
+	return true
 }
 
-func (s *Server) windowCloseAt(epoch int) {
-	s.windowOpen = false
-	s.wd.Disarm(s.d.g.Sim)
-	if s.requested && s.Home.Deployed() {
-		hsm := s.Home.hsm
-		s.CancelsSent++
-		cm := &ctrlMsg{op: opClose, server: s, epoch: epoch, origin: s.Home.ID}
-		s.d.sendAuthed(s.Home.ID, s.Home.ID, cm, hsm.handleCtrl)
+func (s asPlane) Request(epoch int, reseed bool) bool {
+	if reseed {
+		s.d.Sec.WatchdogReseeds++
 	}
-	// Direct cancels go out in sorted AS order so authentication
-	// sequence numbers stay reproducible (watchdogTick re-seeds the
-	// same way; core's windowClose sorts router IDs identically).
-	ids := make([]ASID, 0, len(s.intermediates))
-	for id, e := range s.intermediates {
-		if e.armedEpoch == epoch {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		target := s.d.g.AS(id)
-		if target == nil || !target.Deployed() {
-			continue
-		}
-		hsm := target.hsm
-		s.CancelsSent++
-		cm := &ctrlMsg{op: opClose, server: s, epoch: epoch, origin: s.Home.ID}
-		s.d.sendAuthed(s.Home.ID, id, cm, hsm.handleCtrl)
-	}
+	return s.send(s.Home.ID, opOpen, epoch)
 }
 
-// watchdogTick checks once per WatchdogInterval whether propagation
-// has stalled: the honeypot keeps drawing attack traffic yet no new
-// capture landed since the last check (budget pressure or a fault
-// evicted sessions mid-tree). The cure is to re-seed the tree — a
-// fresh request to the home HSM plus fresh direct requests to every
-// intermediate already armed for this epoch.
-func (s *Server) watchdogTick() {
-	if !s.windowOpen {
-		return
-	}
-	d := s.d
-	if s.wd.Stalled(s.requested, s.hpCount, d.CaptureCount()) {
-		d.Sec.WatchdogReseeds++
-		s.WatchdogReseeds++
-		if s.Home.Deployed() {
-			hsm := s.Home.hsm
-			m := &ctrlMsg{op: opOpen, server: s, epoch: s.epoch, origin: s.Home.ID}
-			d.sendAuthed(s.Home.ID, s.Home.ID, m, hsm.handleCtrl)
-			s.RequestsSent++
-		}
-		// Re-arm the progressive frontier, sorted for determinism.
-		ids := make([]ASID, 0, len(s.intermediates))
-		for id, e := range s.intermediates {
-			if e.armedEpoch == s.epoch {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			target := d.g.AS(id)
-			if target == nil || !target.Deployed() {
-				continue
-			}
-			hsm := target.hsm
-			m := &ctrlMsg{op: opOpen, server: s, epoch: s.epoch, origin: s.Home.ID}
-			d.sendAuthed(s.Home.ID, id, m, hsm.handleCtrl)
-			s.DirectRequestsSent++
-		}
-	}
-	s.wd.Observe(s.hpCount, d.CaptureCount())
-	s.wd.Rearm(d.g.Sim, s.watchdogTick)
-}
+func (s asPlane) Cancel(epoch int) bool { return s.send(s.Home.ID, opClose, epoch) }
 
-// receive handles one attack packet arriving at the server while it
-// may be acting as a honeypot.
-func (s *Server) receive() {
-	if !s.windowOpen {
-		return
-	}
-	s.hpCount++
-	if s.hpCount >= s.d.Cfg.ActivationThreshold && !s.requested && s.Home.Deployed() {
-		s.requested = true
-		hsm := s.Home.hsm
-		s.RequestsSent++
-		m := &ctrlMsg{op: opOpen, server: s, epoch: s.epoch, origin: s.Home.ID}
-		s.d.sendAuthed(s.Home.ID, s.Home.ID, m, hsm.handleCtrl)
-	}
-}
+func (s asPlane) DirectRequest(to ASID, epoch int) bool { return s.send(to, opOpen, epoch) }
 
-// handleReport processes a progressive frontier report (Sec. 6).
-func (s *Server) handleReport(origin ASID, epoch int, sentAt float64) {
-	if !s.d.Cfg.Progressive {
-		return
-	}
-	s.ReportsReceived++
-	now := s.d.g.Sim.Now()
-	e, ok := s.intermediates[origin]
-	if !ok {
-		e = &asIntermediate{id: origin, armedEpoch: -1, reportedEpoch: -1}
-		s.intermediates[origin] = e
-	}
-	if epoch > e.reportedEpoch {
-		e.consecutive++
-		e.reportedEpoch = epoch
-	}
-	e.tdist = now - sentAt
-	if e.tdist < 0 {
-		e.tdist = 0
-	}
-	if e.consecutive >= s.d.Cfg.Rho {
-		delete(s.intermediates, origin)
-		return
-	}
-	s.scheduleArm(e, epoch)
-}
+func (s asPlane) DirectCancel(to ASID, epoch int) bool { return s.send(to, opClose, epoch) }
 
-func (s *Server) scheduleArm(e *asIntermediate, afterEpoch int) {
-	if e.armPending {
-		return
-	}
-	next := s.Sched.NextHoneypotEpoch(afterEpoch + 1)
+func (s asPlane) NextWindow(from int) (int, float64, bool) {
+	next := s.Sched.NextHoneypotEpoch(from)
 	if next < 0 {
-		return
+		return 0, 0, false
 	}
-	open := s.Sched.StartTime(next) + s.Sched.Guard
-	at := open - e.tdist - s.d.Cfg.Tau
-	sim := s.d.g.Sim
-	if at < sim.Now() {
-		at = sim.Now()
-	}
-	e.armPending = true
-	sim.AtNamed(at, "asnet-progressive-arm", func() {
-		e.armPending = false
-		if s.intermediates[e.id] != e {
-			return
-		}
-		target := s.d.g.AS(e.id)
-		if target == nil || !target.Deployed() {
-			return
-		}
-		hsm := target.hsm
-		s.DirectRequestsSent++
-		m := &ctrlMsg{op: opOpen, server: s, epoch: next, origin: s.Home.ID}
-		s.d.sendAuthed(s.Home.ID, e.id, m, hsm.handleCtrl)
-		e.armedEpoch = next
-	})
+	return next, s.Sched.StartTime(next) + s.Sched.Guard, true
 }
+
+func (s asPlane) CaptureCount() int { return s.d.CaptureCount() }
 
 // Attacker is a zombie in a stub AS flooding the server. Rate is in
 // packets/s; on-off bursting optional.
@@ -376,7 +230,7 @@ func (a *Attacker) emit() {
 	var step func(i int)
 	step = func(i int) {
 		if i >= len(a.path) {
-			a.Server.receive()
+			a.Server.HoneypotPacket()
 			return
 		}
 		cur := a.path[i]
@@ -388,7 +242,7 @@ func (a *Attacker) emit() {
 	}
 	if len(a.path) == 1 {
 		// Attacker and server share the AS; delivery is local.
-		sim.After(a.d.g.DataDelay, func() { a.Server.receive() })
+		sim.After(a.d.g.DataDelay, func() { a.Server.HoneypotPacket() })
 		return
 	}
 	sim.After(a.d.g.DataDelay, func() { step(1) })

@@ -50,8 +50,9 @@ func fullTopoFingerprint(t *testing.T, sim *des.Simulator, runUntil func(float64
 // the way the tree experiments already do: two fixed-seed runs over a
 // generated full topology (not just a chain) must agree bit-for-bit on
 // the capture sequence and every counter. This is the regression net
-// under the sorted-iteration fixes in closeSession/windowCloseAt — a
-// reintroduced map-order leak shows up here as a flaky diff.
+// under the sorted iteration in closeSession and the shared
+// hbp.Controller's close/sweep/re-seed fan-outs — a reintroduced
+// map-order leak shows up here as a flaky diff.
 func TestFullTopologyFingerprint(t *testing.T) {
 	sim1, sim2 := des.New(), des.New()
 	a := fullTopoFingerprint(t, sim1, sim1.RunUntil)

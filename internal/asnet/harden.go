@@ -173,7 +173,7 @@ func (s *Server) handleCtrl(m *ctrlMsg) {
 	if m.op != opReport {
 		return
 	}
-	s.handleReport(m.origin, m.epoch, m.sentAt)
+	s.Report(m.origin, m.epoch, m.sentAt)
 }
 
 // weakerHSMSession is the eviction order (the same shared hbp order as

@@ -24,7 +24,7 @@ func TestAuthRejectsForgedControl(t *testing.T) {
 		at := 0.5 + float64(i)*0.1
 		sim.At(at, func() {
 			for _, a := range path {
-				adv.ForgeCancel(a, srv, srv.epoch)
+				adv.ForgeCancel(a, srv, srv.Epoch())
 				adv.ForgeOpen(a, srv, 7)
 			}
 		})
@@ -62,7 +62,7 @@ func TestForgedCancelKillsUnauthenticatedDefense(t *testing.T) {
 		at := 0.5 + float64(i)*0.1
 		sim.At(at, func() {
 			for _, a := range path {
-				adv.ForgeCancel(a, srv, srv.epoch)
+				adv.ForgeCancel(a, srv, srv.Epoch())
 			}
 		})
 	}

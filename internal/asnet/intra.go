@@ -330,7 +330,7 @@ func (s *IntraASNet) onCapture(c core.Capture) {
 // baseline (the cross-plane leak invariant).
 func (s *IntraASNet) teardown(job *traceJob) {
 	job.flood.Stop()
-	s.sink.CloseWindow()
+	s.sink.CloseWindow(s.epochSeq)
 	s.cur = nil
 }
 

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/bounded"
-	"repro/internal/des"
 	"repro/internal/hbp"
 	"repro/internal/netsim"
 	"repro/internal/roaming"
@@ -12,65 +9,30 @@ import (
 )
 
 // ServerDefense drives honeypot back-propagation from one server of
-// the roaming pool: it triggers session setup when the server's
-// honeypot window collects enough attack packets, tears sessions down
-// at window end, and — in progressive mode — maintains the
-// intermediate-router list of Sec. 6 with the paper's two retention
-// rules (the miss rule and the ρ consecutive-report rule).
+// the roaming pool. The victim-side algorithm — session setup at the
+// activation threshold, teardown at window end, the watchdog and the
+// progressive scheme's intermediate-router list — is the embedded
+// hbp.Controller shared with the AS plane; this type adds control
+// message intake and the router-plane transport.
 type ServerDefense struct {
+	hbp.Controller[netsim.NodeID]
+
 	d *Defense
 	// node is the defended server's node. It usually belongs to a
 	// roaming ServerAgent; sink servers (AttachSink) have no agent and
 	// drive their windows explicitly.
 	node *netsim.Node
 
-	windowOpen bool
-	epoch      int
-	hpCount    int
-	requested  bool
-
-	intermediates map[netsim.NodeID]*intermediate
-
 	// replay is the anti-replay window for incoming reports/acks,
 	// allocated on first use under EpochAuth.
 	replay *bounded.ReplayWindow
-	// wd is the shared stall detector (internal/hbp): progress observed
-	// at the last check plus the pending tick.
-	wd hbp.Watchdog
-
-	// Stats
-	RequestsSent       int64
-	CancelsSent        int64
-	DirectRequestsSent int64
-	ReportsReceived    int64
-	Rule1Removals      int64
-	RhoRemovals        int64
-}
-
-// intermediate is one entry of the progressive scheme's
-// intermediate-router list.
-type intermediate struct {
-	id netsim.NodeID
-	// tdist is the measured one-way time distance t_A from the router
-	// to the server.
-	tdist float64
-	// consecutive counts consecutive honeypot epochs with a report;
-	// reaching ρ removes the entry.
-	consecutive int
-	// armedEpoch is the last honeypot epoch we sent a direct request
-	// for (-1 if never).
-	armedEpoch int
-	// reportedEpoch is the last honeypot epoch the router reported
-	// for (-1 if never).
-	reportedEpoch int
-	armEvent      des.Event
 }
 
 func newServerDefense(d *Defense, sa *roaming.ServerAgent) *ServerDefense {
 	s := newServerCore(d, sa.Node)
-	sa.OnHoneypotStart = s.onWindowOpen
-	sa.OnHoneypotEnd = s.onWindowClose
-	sa.OnHoneypotPacket = s.onHoneypotPacket
+	sa.OnHoneypotStart = s.OpenWindow
+	sa.OnHoneypotEnd = s.CloseWindow
+	sa.OnHoneypotPacket = func(*netsim.Packet, *netsim.Port) { s.HoneypotPacket() }
 	return s
 }
 
@@ -78,8 +40,16 @@ func newServerDefense(d *Defense, sa *roaming.ServerAgent) *ServerDefense {
 // and intercepts defense control messages before any previous handler
 // (the roaming agent's, say) counts them as (honeypot) traffic.
 func newServerCore(d *Defense, node *netsim.Node) *ServerDefense {
-	s := &ServerDefense{d: d, node: node, epoch: -1, intermediates: map[netsim.NodeID]*intermediate{}}
-	s.wd = hbp.Watchdog{Interval: d.Cfg.WatchdogInterval, EventName: "hbp-watchdog"}
+	s := &ServerDefense{d: d, node: node}
+	s.Controller = hbp.NewController[netsim.NodeID](d.sim, routerPlane{s}, hbp.ControllerConfig{
+		ActivationThreshold: d.Cfg.ActivationThreshold,
+		Progressive:         d.Cfg.Progressive,
+		Rho:                 d.Cfg.Rho,
+		Tau:                 d.Cfg.Tau,
+		Watchdog:            d.Cfg.Watchdog,
+		WatchdogInterval:    d.Cfg.WatchdogInterval,
+		EventPrefix:         "hbp",
+	})
 	prev := node.Handler
 	node.Handler = func(p *netsim.Packet, in *netsim.Port) {
 		if m, ok := p.Payload.(*Message); ok && p.Type == netsim.Control {
@@ -93,77 +63,60 @@ func newServerCore(d *Defense, node *netsim.Node) *ServerDefense {
 	return s
 }
 
-// Intermediates returns the current intermediate-list size.
-func (s *ServerDefense) Intermediates() int { return len(s.intermediates) }
+// routerPlane is the controller's router-plane transport: the tree
+// root is the server's first-hop router, intermediates are routers
+// addressed directly, and windows come from the roaming pool.
+type routerPlane struct{ *ServerDefense }
 
-func (s *ServerDefense) firstHop() netsim.NodeID {
+func (s routerPlane) firstHop() netsim.NodeID {
 	return s.node.Ports()[0].Peer().Node().ID
 }
 
-func (s *ServerDefense) onWindowOpen(epoch int) {
-	s.windowOpen = true
-	s.epoch = epoch
-	s.hpCount = 0
-	s.requested = false
-	if s.d.Cfg.Watchdog {
-		s.wd.Arm(s.d.sim, 0, s.d.CaptureCount(), s.watchdogTick)
+// send emits one Request or Cancel from the server, hop-by-hop to the
+// first-hop router or directly to an intermediate. A router-plane send
+// always leaves.
+func (s routerPlane) send(kind MsgKind, to netsim.NodeID, epoch int, direct bool) bool {
+	m := &Message{Kind: kind, Server: s.node.ID, Epoch: epoch, Direct: direct}
+	if kind == Request {
+		m.Lease = s.d.Cfg.SessionLifetime
 	}
-	// Stale-entry sweep: an entry armed for an earlier epoch that
-	// never reported back has propagated (or its report was lost);
-	// rule 1 removes it. Sorted so the arm-event cancellations hit
-	// the event heap in a deterministic order.
-	stale := make([]netsim.NodeID, 0, len(s.intermediates))
-	for id, e := range s.intermediates {
-		if e.armedEpoch >= 0 && e.armedEpoch < epoch && e.reportedEpoch < e.armedEpoch {
-			stale = append(stale, id)
-		}
-	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-	for _, id := range stale {
-		s.removeIntermediate(id, s.intermediates[id])
-		s.Rule1Removals++
-	}
+	s.d.sendReliable(s.node, to, m, direct, s.node.ID)
+	return true
 }
 
-func (s *ServerDefense) onWindowClose(epoch int) {
-	s.windowOpen = false
-	s.wd.Disarm(s.d.sim)
-	if s.requested {
-		// Tear down the session tree rooted at our first-hop router.
-		s.d.rec(trace.CancelSent, int(s.node.ID), int(s.firstHop()), int(s.node.ID), "")
-		s.d.sendReliable(s.node, s.firstHop(), &Message{Kind: Cancel, Server: s.node.ID, Epoch: epoch}, false, s.node.ID)
-		s.CancelsSent++
+func (s routerPlane) Request(epoch int, reseed bool) bool {
+	kind, why := trace.RequestSent, ""
+	if reseed {
+		s.d.Sec.WatchdogReseeds++
+		kind, why = trace.WatchdogReseeded, "stalled propagation"
 	}
-	// Direct cancels to intermediates armed for this epoch, so their
-	// pre-seeded sessions close and emit frontier reports. Sorted by
-	// router ID so sequence numbering is reproducible.
-	ids := make([]netsim.NodeID, 0, len(s.intermediates))
-	for id, e := range s.intermediates {
-		if e.armedEpoch == epoch {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		cm := &Message{Kind: Cancel, Server: s.node.ID, Epoch: epoch, Direct: true}
-		s.d.sendReliable(s.node, id, cm, true, s.node.ID)
-		s.CancelsSent++
-	}
+	s.d.rec(kind, int(s.node.ID), int(s.firstHop()), int(s.node.ID), why)
+	return s.send(Request, s.firstHop(), epoch, false)
 }
 
-func (s *ServerDefense) onHoneypotPacket(p *netsim.Packet, in *netsim.Port) {
-	if !s.windowOpen {
-		return
-	}
-	s.hpCount++
-	if s.hpCount >= s.d.Cfg.ActivationThreshold && !s.requested {
-		s.requested = true
-		s.d.rec(trace.RequestSent, int(s.node.ID), int(s.firstHop()), int(s.node.ID), "")
-		m := &Message{Kind: Request, Server: s.node.ID, Epoch: s.epoch, Lease: s.d.Cfg.SessionLifetime}
-		s.d.sendReliable(s.node, s.firstHop(), m, false, s.node.ID)
-		s.RequestsSent++
-	}
+func (s routerPlane) Cancel(epoch int) bool {
+	s.d.rec(trace.CancelSent, int(s.node.ID), int(s.firstHop()), int(s.node.ID), "")
+	return s.send(Cancel, s.firstHop(), epoch, false)
 }
+
+func (s routerPlane) DirectRequest(to netsim.NodeID, epoch int) bool {
+	return s.send(Request, to, epoch, true)
+}
+
+func (s routerPlane) DirectCancel(to netsim.NodeID, epoch int) bool {
+	return s.send(Cancel, to, epoch, true)
+}
+
+func (s routerPlane) NextWindow(from int) (int, float64, bool) {
+	pool := s.d.pool
+	next := pool.NextHoneypotEpoch(s.node.ID, from)
+	if next < 0 {
+		return 0, 0, false // chain exhausted
+	}
+	return next, pool.EpochStartTime(next) + pool.Config().Guard, true
+}
+
+func (s routerPlane) CaptureCount() int { return s.d.CaptureCount() }
 
 // handleControl processes defense control messages addressed to the
 // server: progressive reports and, under the reliable control plane,
@@ -209,102 +162,5 @@ func (s *ServerDefense) handleControl(m *Message, p *netsim.Packet, in *netsim.P
 		return
 	}
 	s.d.maybeAck(s.node, m, p)
-	if !s.d.Cfg.Progressive {
-		return
-	}
-	s.ReportsReceived++
-	now := s.d.sim.Now()
-	e, ok := s.intermediates[m.Origin]
-	if !ok {
-		e = &intermediate{id: m.Origin, armedEpoch: -1, reportedEpoch: -1}
-		s.intermediates[m.Origin] = e
-	}
-	if m.Epoch > e.reportedEpoch {
-		e.consecutive++
-		e.reportedEpoch = m.Epoch
-	}
-	e.tdist = now - m.Timestamp
-	if e.tdist < 0 {
-		e.tdist = 0
-	}
-	// Rule 2 (ρ): a router that keeps reporting without progress is
-	// dropped to bound the list.
-	if e.consecutive >= s.d.Cfg.Rho {
-		s.removeIntermediate(m.Origin, e)
-		s.RhoRemovals++
-		return
-	}
-	s.scheduleArm(e, m.Epoch)
-}
-
-// scheduleArm plans a direct request to the intermediate so that its
-// session is live t_A + τ before the server's next honeypot window
-// opens (Sec. 6).
-func (s *ServerDefense) scheduleArm(e *intermediate, afterEpoch int) {
-	if e.armEvent.Pending() {
-		return
-	}
-	pool := s.d.pool
-	next := pool.NextHoneypotEpoch(s.node.ID, afterEpoch+1)
-	if next < 0 {
-		return // chain exhausted
-	}
-	open := pool.EpochStartTime(next) + pool.Config().Guard
-	at := open - e.tdist - s.d.Cfg.Tau
-	now := s.d.sim.Now()
-	if at < now {
-		at = now
-	}
-	e.armEvent = s.d.sim.AtNamed(at, "hbp-progressive-arm", func() {
-		if s.intermediates[e.id] != e {
-			return // removed meanwhile
-		}
-		rm := &Message{Kind: Request, Server: s.node.ID, Epoch: next, Direct: true, Lease: s.d.Cfg.SessionLifetime}
-		s.d.sendReliable(s.node, e.id, rm, true, s.node.ID)
-		s.DirectRequestsSent++
-		e.armedEpoch = next
-	})
-}
-
-// watchdogTick checks once per WatchdogInterval whether back-propagation
-// has stalled: the honeypot keeps drawing attack packets (so attackers
-// are still out there) yet no new capture landed since the last check.
-// That happens when budget pressure or a crash evicted a session
-// mid-tree. The cure is to re-seed: re-send the request to the first
-// hop and re-arm every intermediate already requested for this epoch,
-// rebuilding the evicted parts of the session tree.
-func (s *ServerDefense) watchdogTick() {
-	if !s.windowOpen {
-		return
-	}
-	d := s.d
-	if s.wd.Stalled(s.requested, s.hpCount, d.CaptureCount()) {
-		d.Sec.WatchdogReseeds++
-		d.rec(trace.WatchdogReseeded, int(s.node.ID), int(s.firstHop()), int(s.node.ID), "stalled propagation")
-		m := &Message{Kind: Request, Server: s.node.ID, Epoch: s.epoch, Lease: d.Cfg.SessionLifetime}
-		d.sendReliable(s.node, s.firstHop(), m, false, s.node.ID)
-		s.RequestsSent++
-		// Re-arm the progressive frontier: every intermediate already
-		// requested for this epoch gets a fresh direct request (sorted
-		// for reproducible sequence numbering).
-		ids := make([]netsim.NodeID, 0, len(s.intermediates))
-		for id, e := range s.intermediates {
-			if e.armedEpoch == s.epoch {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			rm := &Message{Kind: Request, Server: s.node.ID, Epoch: s.epoch, Direct: true, Lease: d.Cfg.SessionLifetime}
-			d.sendReliable(s.node, id, rm, true, s.node.ID)
-			s.DirectRequestsSent++
-		}
-	}
-	s.wd.Observe(s.hpCount, d.CaptureCount())
-	s.wd.Rearm(d.sim, s.watchdogTick)
-}
-
-func (s *ServerDefense) removeIntermediate(id netsim.NodeID, e *intermediate) {
-	s.d.sim.Cancel(e.armEvent)
-	delete(s.intermediates, id)
+	s.Report(m.Origin, m.Epoch, m.Timestamp)
 }

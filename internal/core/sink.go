@@ -6,10 +6,11 @@ import (
 
 // AttachSink hooks the defense into a bare capture sink: a server node
 // with no roaming agent whose honeypot windows are driven explicitly
-// via OpenWindow/CloseWindow. The AS plane's embedded intra-AS model
-// uses this to run router-level tracebacks inside a stub AS — the HSM
-// session, not a roaming schedule, decides when the sink is "the
-// honeypot" (see DESIGN.md, "Plane unification").
+// via the controller's OpenWindow/CloseWindow. The AS plane's embedded
+// intra-AS model uses this to run router-level tracebacks inside a
+// stub AS — the HSM session, not a roaming schedule, decides when the
+// sink is "the honeypot" (see DESIGN.md, "Plane unification"). Epochs
+// label sessions exactly as the roaming schedule's epochs do.
 func (d *Defense) AttachSink(n *netsim.Node) *ServerDefense {
 	if s, ok := d.servers[n.ID]; ok {
 		return s
@@ -20,24 +21,10 @@ func (d *Defense) AttachSink(n *netsim.Node) *ServerDefense {
 	prev := n.Handler
 	n.Handler = func(p *netsim.Packet, in *netsim.Port) {
 		prev(p, in)
-		if p.Type != netsim.Control && s.windowOpen {
-			s.onHoneypotPacket(p, in)
+		if p.Type != netsim.Control {
+			s.HoneypotPacket()
 		}
 	}
 	d.servers[n.ID] = s
 	return s
-}
-
-// OpenWindow starts a honeypot window on a sink server: packets
-// arriving from now on count toward the activation threshold and
-// trigger back-propagation. Epochs label sessions exactly as the
-// roaming schedule's epochs do.
-func (s *ServerDefense) OpenWindow(epoch int) {
-	s.onWindowOpen(epoch)
-}
-
-// CloseWindow ends the sink's honeypot window, tearing down the
-// session tree it seeded.
-func (s *ServerDefense) CloseWindow() {
-	s.onWindowClose(s.epoch)
 }

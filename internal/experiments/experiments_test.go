@@ -146,6 +146,31 @@ func TestValidationCaptureTimeScalesWithP(t *testing.T) {
 	}
 }
 
+// TestValidationRejectsBadConfig: both validation entry points refuse a
+// config that cannot produce a measurement, instead of returning a
+// zero mean and no error.
+func TestValidationRejectsBadConfig(t *testing.T) {
+	entries := map[string]func(ValidationConfig) (*ValidationResult, error){
+		"basic":       RunValidation,
+		"progressive": RunValidationProgressive,
+	}
+	bad := map[string]func(*ValidationConfig){
+		"no hops":       func(c *ValidationConfig) { c.Hops = 0 },
+		"zero epoch":    func(c *ValidationConfig) { c.EpochLen = 0 },
+		"negative rate": func(c *ValidationConfig) { c.RatePPS = -1 },
+		"no runs":       func(c *ValidationConfig) { c.Runs = 0 },
+	}
+	for entry, run := range entries {
+		for name, mutate := range bad {
+			cfg := DefaultValidationConfig()
+			mutate(&cfg)
+			if res, err := run(cfg); err == nil {
+				t.Errorf("%s, %s: accepted (result %+v)", entry, name, res)
+			}
+		}
+	}
+}
+
 func TestFig5Table(t *testing.T) {
 	tab := Fig5()
 	if len(tab.Rows) < 20 {

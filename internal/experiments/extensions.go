@@ -171,49 +171,32 @@ type FollowerResult struct {
 // d_follow after each honeypot epoch begins — Sec. 7.3) on a string
 // topology with progressive back-propagation, and evaluates Eq. (12).
 func RunFollower(hops int, dfollow float64, seed int64) (*FollowerResult, error) {
-	sim := des.New()
-	tr := topology.NewString(sim, hops, 2, topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
-	pcfg := roaming.Config{
-		N: 2, K: 1, EpochLen: 10, Guard: 0.2, Epochs: 600,
-		ChainSeed: []byte(fmt.Sprintf("follower-%d", seed)),
+	const (
+		epochLen = 10.0
+		ratePPS  = 25.0
+	)
+	rig := captureRig{
+		hops: hops, poolSize: 2, k: 1, epochLen: epochLen, epochs: 600,
+		chainSeed: fmt.Sprintf("follower-%d", seed),
+		defense:   core.Config{Progressive: true, Rho: 8},
 	}
-	pool, err := roaming.NewPool(sim, tr.Servers, pcfg)
+	ct, captured, err := rig.run(
+		func(host *netsim.Node, _ netsim.NodeID, pool *roaming.Pool) starter {
+			return traffic.NewFollower(host, pool, traffic.AttackerConfig{
+				Rate: ratePPS * 500 * 8, Size: 500,
+				SpoofSpace: []netsim.NodeID{9001, 9002, 9003},
+			}, dfollow, des.NewRNG(seed))
+		},
+		func() float64 { return 0.5 })
 	if err != nil {
 		return nil, err
 	}
-	def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{Progressive: true, Rho: 8})
-	if err != nil {
-		return nil, err
-	}
-	var agents []*roaming.ServerAgent
-	for _, s := range tr.Servers {
-		agents = append(agents, roaming.NewServerAgent(pool, s))
-	}
-	def.DeployAll(agents)
-
-	const ratePPS = 25.0
-	rng := des.NewRNG(seed)
-	follower := traffic.NewFollower(tr.Leaves[0], pool, traffic.AttackerConfig{
-		Rate: ratePPS * 500 * 8, Size: 500,
-		SpoofSpace: []netsim.NodeID{9001, 9002, 9003},
-	}, dfollow, rng)
-
-	res := &FollowerResult{Dfollow: dfollow, MeasuredCT: -1}
-	attackStart := 0.5
-	def.OnCapture = func(c core.Capture) {
-		if !res.Captured {
-			res.Captured = true
-			res.MeasuredCT = c.Time - attackStart
-		}
-		sim.Stop()
-	}
-	pool.Start()
-	sim.At(attackStart, func() { follower.Start() })
-	if err := sim.RunUntil(float64(pcfg.Epochs) * pcfg.EpochLen); err != nil {
-		return nil, err
+	res := &FollowerResult{Dfollow: dfollow, MeasuredCT: -1, Captured: captured}
+	if captured {
+		res.MeasuredCT = ct
 	}
 	res.Model = analysis.ProgressiveFollower(analysis.Params{
-		M: pcfg.EpochLen, P: 0.5, R: ratePPS, H: hops + 1, Tau: 0.01,
+		M: epochLen, P: 0.5, R: ratePPS, H: hops + 1, Tau: 0.01,
 	}, dfollow)
 	return res, nil
 }
@@ -438,51 +421,22 @@ func RunOnOffValidation(ton, toff float64, runs int, seed int64) (measured float
 	)
 	var cts []float64
 	for run := 0; run < runs; run++ {
-		sim := des.New()
-		tr := topology.NewString(sim, hops, 2, topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
-		pcfg := roaming.Config{
-			N: 2, K: 1, EpochLen: epochLen, Guard: 0.2, Epochs: 600,
-			ChainSeed: []byte(fmt.Sprintf("onoffv-%d-%d", seed, run)),
+		rig := captureRig{
+			hops: hops, poolSize: 2, k: 1, epochLen: epochLen, epochs: 600,
+			chainSeed: fmt.Sprintf("onoffv-%d-%d", seed, run),
 		}
-		pool, perr := roaming.NewPool(sim, tr.Servers, pcfg)
-		if perr != nil {
-			return 0, 0, model, perr
-		}
-		def, derr := core.New(tr.Net, pool, tr.IsHost, core.Config{})
-		if derr != nil {
-			return 0, 0, model, derr
-		}
-		var agents []*roaming.ServerAgent
-		for _, s := range tr.Servers {
-			agents = append(agents, roaming.NewServerAgent(pool, s))
-		}
-		def.DeployAll(agents)
 		rng := des.NewRNG(seed*777 + int64(run))
-		target := tr.Servers[0].ID
-		burst := &traffic.OnOff{
-			CBR: &traffic.CBR{
-				Node: tr.Leaves[0], Rate: ratePPS * 500 * 8, Size: 500,
-				Dest:   func() netsim.NodeID { return target },
-				Source: func() netsim.NodeID { return netsim.NodeID(rng.Intn(4096) + 30000) },
+		ct, ok, rerr := rig.run(
+			func(host *netsim.Node, target netsim.NodeID, _ *roaming.Pool) starter {
+				return &traffic.OnOff{CBR: spoofingCBR(host, target, ratePPS, 500, rng, 30000), Ton: ton, Toff: toff}
 			},
-			Ton: ton, Toff: toff,
-		}
-		capAt := -1.0
-		def.OnCapture = func(c core.Capture) {
-			if capAt < 0 {
-				capAt = c.Time
-			}
-			sim.Stop()
-		}
-		pool.Start()
-		start := rng.Float64() * epochLen
-		sim.At(start, func() { burst.Start() })
-		if rerr := sim.RunUntil(6000); rerr != nil {
+			func() float64 { return rng.Float64() * epochLen })
+		if rerr != nil {
 			return 0, 0, model, rerr
 		}
-		if capAt >= 0 {
+		if ok {
 			captured++
-			cts = append(cts, capAt-start)
+			cts = append(cts, ct)
 		}
 	}
 	model = analysis.BasicOnOff(analysis.Params{

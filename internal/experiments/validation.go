@@ -76,6 +76,22 @@ type ValidationResult struct {
 // RunValidation measures average capture time on the string topology
 // and evaluates Eq. (3) for comparison.
 func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
+	return runValidation(cfg, core.Config{}, analysis.BasicContinuous, "validate", 1000)
+}
+
+// RunValidationProgressive is the Eq. (4) analogue of RunValidation:
+// progressive back-propagation against a continuous attacker whose
+// rate is low enough that a single epoch cannot cover the whole path,
+// so capture time scales with h (unlike basic's epoch-dominated
+// bound).
+func RunValidationProgressive(cfg ValidationConfig) (*ValidationResult, error) {
+	return runValidation(cfg, core.Config{Progressive: true, Rho: 8}, analysis.ProgressiveContinuous, "validate-prog", 4000)
+}
+
+// runValidation averages capture time over cfg.Runs runs of one scheme
+// (its defense config and closed form). label and seedMul keep each
+// scheme's hash chains and RNG streams apart.
+func runValidation(cfg ValidationConfig, defense core.Config, model func(analysis.Params) analysis.Result, label string, seedMul int64) (*ValidationResult, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 10
 	}
@@ -94,21 +110,33 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	}
 
 	var cts []float64
-	captured := 0
 	for run := 0; run < cfg.Runs; run++ {
-		ct, ok, err := oneValidationRun(cfg, k, run)
+		rig := captureRig{
+			hops: cfg.Hops, poolSize: cfg.PoolSize, k: k,
+			epochLen: cfg.EpochLen, epochs: cfg.MaxEpochs,
+			chainSeed: fmt.Sprintf("%s-%d-%d", label, cfg.Seed, run),
+			defense:   defense,
+			ctx:       cfg.Context,
+		}
+		rng := des.NewRNG(cfg.Seed*seedMul + int64(run))
+		ct, ok, err := rig.run(
+			func(host *netsim.Node, target netsim.NodeID, _ *roaming.Pool) starter {
+				return spoofingCBR(host, target, cfg.RatePPS, cfg.PacketSize, rng, 10000)
+			},
+			// Randomize the attack phase within one epoch so the
+			// average is not locked to the schedule.
+			func() float64 { return rng.Float64() * cfg.EpochLen })
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			captured++
 			cts = append(cts, ct)
 		}
 	}
-	res := &ValidationResult{Config: cfg, Captured: captured}
+	res := &ValidationResult{Config: cfg, Captured: len(cts)}
 	res.MeanCT = mean(cts)
 	res.StdCT = std(cts)
-	res.Model = analysis.BasicContinuous(analysis.Params{
+	res.Model = model(analysis.Params{
 		M:   cfg.EpochLen,
 		P:   float64(cfg.PoolSize-k) / float64(cfg.PoolSize),
 		R:   cfg.RatePPS,
@@ -118,129 +146,45 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	return res, nil
 }
 
-// oneValidationRun returns the capture time of a single run.
-func oneValidationRun(cfg ValidationConfig, k, run int) (float64, bool, error) {
-	sim := des.New()
-	if cfg.Context != nil {
-		sim.SetInterrupt(0, cfg.Context.Err)
-	}
-	tr := topology.NewString(sim, cfg.Hops, cfg.PoolSize,
-		topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
-	pcfg := roaming.Config{
-		N: cfg.PoolSize, K: k, EpochLen: cfg.EpochLen, Guard: 0.2,
-		Epochs:    cfg.MaxEpochs,
-		ChainSeed: []byte(fmt.Sprintf("validate-%d-%d", cfg.Seed, run)),
-	}
-	pool, err := roaming.NewPool(sim, tr.Servers, pcfg)
-	if err != nil {
-		return 0, false, err
-	}
-	def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{})
-	if err != nil {
-		return 0, false, err
-	}
-	var agents []*roaming.ServerAgent
-	for _, s := range tr.Servers {
-		agents = append(agents, roaming.NewServerAgent(pool, s))
-	}
-	def.DeployAll(agents)
-
-	// Continuous attacker against a fixed server, spoofing sources.
-	target := tr.Servers[0].ID
-	rng := des.NewRNG(cfg.Seed*1000 + int64(run))
-	host := tr.Leaves[0]
-	atk := &traffic.CBR{
-		Node: host,
-		Rate: cfg.RatePPS * float64(cfg.PacketSize) * 8,
-		Size: cfg.PacketSize,
-		Dest: func() netsim.NodeID { return target },
-		Source: func() netsim.NodeID {
-			return netsim.NodeID(rng.Intn(4096) + 10000)
-		},
-	}
-
-	capturedAt := -1.0
-	def.OnCapture = func(c core.Capture) {
-		if capturedAt < 0 {
-			capturedAt = c.Time
-		}
-		sim.Stop()
-	}
-	pool.Start()
-	// Randomize the attack phase within one epoch so the average is
-	// not locked to the schedule.
-	attackStart := rng.Float64() * cfg.EpochLen
-	sim.At(attackStart, func() { atk.Start() })
-	if err := sim.RunUntil(float64(cfg.MaxEpochs) * cfg.EpochLen); err != nil {
-		return 0, false, err
-	}
-	if capturedAt < 0 {
-		return 0, false, nil
-	}
-	return capturedAt - attackStart, true, nil
+// captureRig is the validation set-up of Sec. 7/8: one attacker at the
+// end of a string of routers, a fully deployed defense, and a roaming
+// pool of poolSize servers with k active. A run ends at the first
+// capture or after epochs epochs.
+type captureRig struct {
+	hops, poolSize, k int
+	epochLen          float64
+	epochs            int
+	chainSeed         string
+	defense           core.Config
+	// ctx, when non-nil, installs the cooperative cancellation
+	// checkpoint of TreeConfig.Context.
+	ctx context.Context
 }
 
-// RunValidationProgressive is the Eq. (4) analogue of RunValidation:
-// progressive back-propagation against a continuous attacker whose
-// rate is low enough that a single epoch cannot cover the whole path,
-// so capture time scales with h (unlike basic's epoch-dominated
-// bound).
-func RunValidationProgressive(cfg ValidationConfig) (*ValidationResult, error) {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 10
+// starter is the attack source a rig run launches.
+type starter interface{ Start() }
+
+// run builds the rig, asks attack for the source (on the string's one
+// leaf, against the pool's first server) and measures the time from
+// the attack's start to its capture. startAt is called after the pool
+// has started and before the source emits — the order the callers' RNG
+// streams were recorded in.
+func (r captureRig) run(attack func(host *netsim.Node, target netsim.NodeID, pool *roaming.Pool) starter, startAt func() float64) (ct float64, captured bool, err error) {
+	sim := des.New()
+	if r.ctx != nil {
+		sim.SetInterrupt(0, r.ctx.Err)
 	}
-	if cfg.MaxEpochs <= 0 {
-		cfg.MaxEpochs = 400
-	}
-	k := int(float64(cfg.PoolSize)*(1-cfg.HoneypotProb) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k >= cfg.PoolSize {
-		k = cfg.PoolSize - 1
-	}
-	var cts []float64
-	captured := 0
-	for run := 0; run < cfg.Runs; run++ {
-		ct, ok, err := oneProgressiveRun(cfg, k, run)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			captured++
-			cts = append(cts, ct)
-		}
-	}
-	res := &ValidationResult{Config: cfg, Captured: captured}
-	res.MeanCT = mean(cts)
-	res.StdCT = std(cts)
-	res.Model = analysis.ProgressiveContinuous(analysis.Params{
-		M:   cfg.EpochLen,
-		P:   float64(cfg.PoolSize-k) / float64(cfg.PoolSize),
-		R:   cfg.RatePPS,
-		H:   cfg.Hops + 1,
-		Tau: 0.01,
+	tr := topology.NewString(sim, r.hops, r.poolSize,
+		topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
+	pool, err := roaming.NewPool(sim, tr.Servers, roaming.Config{
+		N: r.poolSize, K: r.k, EpochLen: r.epochLen, Guard: 0.2,
+		Epochs:    r.epochs,
+		ChainSeed: []byte(r.chainSeed),
 	})
-	return res, nil
-}
-
-func oneProgressiveRun(cfg ValidationConfig, k, run int) (float64, bool, error) {
-	sim := des.New()
-	if cfg.Context != nil {
-		sim.SetInterrupt(0, cfg.Context.Err)
-	}
-	tr := topology.NewString(sim, cfg.Hops, cfg.PoolSize,
-		topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
-	pcfg := roaming.Config{
-		N: cfg.PoolSize, K: k, EpochLen: cfg.EpochLen, Guard: 0.2,
-		Epochs:    cfg.MaxEpochs,
-		ChainSeed: []byte(fmt.Sprintf("validate-prog-%d-%d", cfg.Seed, run)),
-	}
-	pool, err := roaming.NewPool(sim, tr.Servers, pcfg)
 	if err != nil {
 		return 0, false, err
 	}
-	def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{Progressive: true, Rho: 8})
+	def, err := core.New(tr.Net, pool, tr.IsHost, r.defense)
 	if err != nil {
 		return 0, false, err
 	}
@@ -249,19 +193,8 @@ func oneProgressiveRun(cfg ValidationConfig, k, run int) (float64, bool, error) 
 		agents = append(agents, roaming.NewServerAgent(pool, s))
 	}
 	def.DeployAll(agents)
+	atk := attack(tr.Leaves[0], tr.Servers[0].ID, pool)
 
-	target := tr.Servers[0].ID
-	rng := des.NewRNG(cfg.Seed*4000 + int64(run))
-	host := tr.Leaves[0]
-	atk := &traffic.CBR{
-		Node: host,
-		Rate: cfg.RatePPS * float64(cfg.PacketSize) * 8,
-		Size: cfg.PacketSize,
-		Dest: func() netsim.NodeID { return target },
-		Source: func() netsim.NodeID {
-			return netsim.NodeID(rng.Intn(4096) + 10000)
-		},
-	}
 	capturedAt := -1.0
 	def.OnCapture = func(c core.Capture) {
 		if capturedAt < 0 {
@@ -270,15 +203,27 @@ func oneProgressiveRun(cfg ValidationConfig, k, run int) (float64, bool, error) 
 		sim.Stop()
 	}
 	pool.Start()
-	attackStart := rng.Float64() * cfg.EpochLen
-	sim.At(attackStart, func() { atk.Start() })
-	if err := sim.RunUntil(float64(cfg.MaxEpochs) * cfg.EpochLen); err != nil {
+	start := startAt()
+	sim.At(start, atk.Start)
+	if err := sim.RunUntil(float64(r.epochs) * r.epochLen); err != nil {
 		return 0, false, err
 	}
 	if capturedAt < 0 {
 		return 0, false, nil
 	}
-	return capturedAt - attackStart, true, nil
+	return capturedAt - start, true, nil
+}
+
+// spoofingCBR is a constant-rate attacker against a fixed server that
+// spoofs each packet's source from 4096 addresses above spoofBase.
+func spoofingCBR(host *netsim.Node, target netsim.NodeID, ratePPS float64, size int, rng *des.RNG, spoofBase int) *traffic.CBR {
+	return &traffic.CBR{
+		Node:   host,
+		Rate:   ratePPS * float64(size) * 8,
+		Size:   size,
+		Dest:   func() netsim.NodeID { return target },
+		Source: func() netsim.NodeID { return netsim.NodeID(rng.Intn(4096) + spoofBase) },
+	}
 }
 
 func mean(xs []float64) float64 {

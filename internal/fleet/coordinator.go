@@ -3,12 +3,11 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/bounded"
+	"repro/internal/jsonl"
 	"repro/internal/scenario"
 )
 
@@ -127,9 +126,15 @@ func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 		workers: map[string]*workerRec{},
 	}
 	suiteNames, runs := recoverEntries(recoveredEntries)
+	for _, e := range recoveredEntries {
+		// Worker IDs stay unique across generations: a survivor's
+		// stale ID must draw ErrUnknownWorker, never alias a worker
+		// that registers after the restart.
+		jsonl.BumpCounter(&c.nextWorker, e.Worker)
+	}
 	for id, name := range suiteNames {
 		c.suites[id] = &scenario.Suite{ID: id, Name: name}
-		bumpCounter(&c.nextSuite, id)
+		jsonl.BumpCounter(&c.nextSuite, id)
 	}
 	for _, rec := range runs {
 		rr := &runRec{run: rec.run, dispatches: rec.dispatches, seedAttempt: rec.seedAttempt, cancelReq: rec.cancelReq}
@@ -140,7 +145,7 @@ func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 		if s := c.suites[rec.run.Suite]; s != nil {
 			s.Runs = append(s.Runs, rec.run.ID)
 		}
-		bumpCounter(&c.nextRun, rec.run.ID)
+		jsonl.BumpCounter(&c.nextRun, rec.run.ID)
 		if !rec.run.State.Terminal() {
 			// Orphaned: the previous coordinator died holding it.
 			// Requeue rather than mark interrupted — the exactly-once
@@ -155,16 +160,6 @@ func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 		}
 	}
 	return c
-}
-
-// bumpCounter advances an ID counter past a recovered "x-<n>" ID so
-// new IDs never collide with journaled ones.
-func bumpCounter(ctr *int, id string) {
-	if i := strings.LastIndexByte(id, '-'); i >= 0 {
-		if n, err := strconv.Atoi(id[i+1:]); err == nil && n > *ctr {
-			*ctr = n
-		}
-	}
 }
 
 // Start launches the lease sweeper.
@@ -225,7 +220,7 @@ func (c *Coordinator) CreateSuite(name string) (*scenario.Suite, error) {
 		c.mu.Lock()
 		delete(c.suites, s.ID)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", errJournal, err)
+		return nil, fmt.Errorf("%w: %w", scenario.ErrJournal, err)
 	}
 	return s, nil
 }
@@ -273,7 +268,7 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 		// Admitted in memory but unknown to a restart: withdraw the
 		// run rather than let it dispatch unrecorded.
 		c.cancel(run.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
-		return RunStatus{}, fmt.Errorf("%w: %w", errJournal, err)
+		return RunStatus{}, fmt.Errorf("%w: %w", scenario.ErrJournal, err)
 	}
 	return status, nil
 }
@@ -467,7 +462,7 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 		Spec:        rec.run.Spec,
 		Dispatch:    rec.dispatch,
 		SeedAttempt: rec.seedAttempt,
-		BaseSeed:    baseSeed(&rec.run.Spec),
+		BaseSeed:    rec.run.Spec.BaseSeed(),
 		LeaseMillis: c.cfg.LeaseDuration.Milliseconds(),
 	}
 	entry := Entry{
@@ -588,7 +583,7 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 		c.releaseLeaseLocked(rec)
 		rec.seedAttempt++
 		rec.run.State = scenario.StateQueued
-		rec.notBefore = time.Now().Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, baseSeed(&rec.run.Spec), rec.seedAttempt))
+		rec.notBefore = time.Now().Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.seedAttempt))
 		c.requeue = append(c.requeue, rec.run.ID)
 		c.stats.InfraRetries++
 		entry := Entry{
@@ -678,7 +673,7 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 			worker := rec.worker
 			c.releaseLeaseLocked(rec)
 			rec.run.State = scenario.StateQueued
-			rec.notBefore = now.Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, baseSeed(&rec.run.Spec), rec.dispatches))
+			rec.notBefore = now.Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.dispatches))
 			c.requeue = append(c.requeue, rec.run.ID)
 			c.stats.Redispatches++
 			entries = append(entries, Entry{
@@ -724,13 +719,4 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-}
-
-// baseSeed resolves a spec's base scenario seed, the same rule the
-// local runner applies.
-func baseSeed(spec *scenario.CaseSpec) int64 {
-	if spec.Tree != nil && spec.Tree.Seed != 0 {
-		return spec.Tree.Seed
-	}
-	return 1
 }

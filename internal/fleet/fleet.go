@@ -48,16 +48,14 @@ import (
 	"repro/internal/scenario"
 )
 
-// ErrQueueFull is the admission-control rejection: the submission
-// queue is at capacity; the HTTP layer maps it to 503 + Retry-After.
-var ErrQueueFull = errors.New("fleet: submission queue full")
-
-// ErrDraining rejects submissions and leases during shutdown.
-var ErrDraining = errors.New("fleet: coordinator is draining")
-
-// errJournal rejects an admission whose journal record could not be
-// written; the admission is withdrawn and the client may retry.
-var errJournal = errors.New("fleet: journal write failed")
+// The admission rejections are the scenario service's own sentinels,
+// so both daemons' client routes map them to 503 (+ Retry-After) with
+// one rule: a full submission queue, and submissions, registrations
+// and leases refused during shutdown.
+var (
+	ErrQueueFull = scenario.ErrQueueFull
+	ErrDraining  = scenario.ErrDraining
+)
 
 // ErrUnknownWorker tells a worker its registration is gone — the
 // coordinator restarted or evicted it — and it must re-register.

@@ -68,10 +68,14 @@ func (r *RemoteCoord) Register(info WorkerInfo) (string, error) {
 	return out.ID, nil
 }
 
-// Lease implements Coord; a 204 means no work right now.
+// Lease implements Coord; a 204 means no work right now, and a 410 is
+// the coordinator no longer knowing the worker.
 func (r *RemoteCoord) Lease(workerID string) (*Assignment, error) {
 	var a Assignment
 	code, err := r.post("/fleet/workers/"+workerID+"/lease", struct{}{}, &a)
+	if code == http.StatusGone {
+		return nil, fmt.Errorf("fleet: lease as %s: %w", workerID, ErrUnknownWorker)
+	}
 	if err != nil {
 		return nil, err
 	}

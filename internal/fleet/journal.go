@@ -66,37 +66,14 @@ type Entry struct {
 	Fingerprint string             `json:"fingerprint,omitempty"`
 }
 
-// Journal is the coordinator's append-only JSONL ledger.
-type Journal struct {
-	log *jsonl.Log[Entry]
-}
+// Journal is the coordinator's append-only JSONL ledger; a nil journal
+// discards records.
+type Journal = jsonl.Log[Entry]
 
 // OpenJournal opens (creating if needed) the journal at path, reading
 // back every intact record for recovery; damaged tails are truncated,
 // not errors.
-func OpenJournal(path string) (*Journal, []Entry, error) {
-	log, entries, err := jsonl.Open[Entry](path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Journal{log: log}, entries, nil
-}
-
-// Record appends one entry durably.
-func (j *Journal) Record(e Entry) error {
-	if j == nil {
-		return nil
-	}
-	return j.log.Record(e)
-}
-
-// Close flushes and closes the underlying file.
-func (j *Journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.log.Close()
-}
+func OpenJournal(path string) (*Journal, []Entry, error) { return jsonl.Open[Entry](path) }
 
 // recovered is one run's reconstructed state after a journal replay.
 type recovered struct {

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -314,5 +318,113 @@ func TestFleetJournalDuplicateCompletion(t *testing.T) {
 	}
 	if s := c.Stats(); s.Completed != 1 {
 		t.Fatalf("stats count the run twice: %+v", s)
+	}
+}
+
+// TestWorkerReregistersAfterCoordinatorRestart: a worker process that
+// outlives its coordinator must rejoin the next generation by itself.
+// Over the wire, the successor answers the survivor's stale ID with
+// 410; the worker registers again — under an ID no journaled lease ever
+// carried — and drains the requeued orphan plus fresh work with
+// solo-identical fingerprints, without being restarted.
+func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.jsonl")
+	journal, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg()
+	cfg.Journal = journal
+	cfg.LeaseDuration = time.Minute // the orphan's lease must outlive generation 1
+	c1 := NewCoordinator(cfg, nil)
+	c1.Start()
+
+	// One listener for both generations: the daemon restarts behind
+	// the address the worker was started with.
+	var current atomic.Pointer[Server]
+	current.Store(NewServer(c1))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	suite, err := c1.CreateSuite("generations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// w-1 wedges holding the orphan.
+	startWorker(t, c1, WorkerConfig{Name: "wedged", Faults: &faults.WorkerPlan{Seed: 4, HangProb: 1}})
+	orphan, err := c1.Submit(suite.ID, quickCase("orphaned", 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJournaled(t, path, EntryDispatched, orphan.ID)
+
+	// w-2, the survivor, joins over HTTP and proves itself on a case
+	// only it can take. Its two slots will both trip over the dead ID.
+	survivor := NewWorker(WorkerConfig{Name: "survivor", Capacity: 2, PollInterval: 10 * time.Millisecond}, NewRemoteCoord(ts.URL))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		survivor.Run(ctx) //nolint:errcheck // stopped via cancel
+	}()
+	defer func() { cancel(); <-done }()
+	first, err := c1.Submit(suite.ID, quickCase("finished", 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, c1, first.ID); st.State != scenario.StatePassed {
+		t.Fatalf("first run: %s (%+v)", st.State, st.Error)
+	}
+	gen1ID := survivor.ID()
+
+	// Generation 1 crashes; generation 2 replays its journal behind
+	// the same address.
+	c1.Stop()
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal2, entries, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal2.Close()
+	cfg2 := fastCfg()
+	cfg2.Journal = journal2
+	c2 := NewCoordinator(cfg2, entries)
+	c2.Start()
+	defer c2.Stop()
+	current.Store(NewServer(c2))
+
+	client := scenario.NewClient(ts.URL)
+	cctx, ccancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer ccancel()
+	fresh, err := client.CreateSuite(cctx, scenario.SuiteSpec{
+		Name:  "after-restart",
+		Cases: []scenario.CaseSpec{quickCase("fresh", 33)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, seed := range map[string]int64{orphan.ID: 31, fresh.Runs[0].ID: 33} {
+		run, err := client.WaitRun(cctx, id, 20*time.Millisecond)
+		if err != nil {
+			t.Fatalf("run %s never finished on the surviving worker: %v", id, err)
+		}
+		if run.State != scenario.StatePassed {
+			t.Fatalf("run %s: %s (%+v)", id, run.State, run.Error)
+		}
+		if want := soloFingerprint(t, run.Spec, seed); run.Result.Fingerprint != want {
+			t.Fatalf("run %s: fingerprint %s != solo %s", id, run.Result.Fingerprint, want)
+		}
+	}
+	if h := c2.Health(); h.Workers != 1 {
+		t.Fatalf("generation 2 has %d workers, want the one survivor", h.Workers)
+	}
+	// Both generation-1 IDs carried a journaled lease; the survivor's
+	// new ID must be neither.
+	if id := survivor.ID(); id == gen1ID || id == "w-1" || id == "w-2" {
+		t.Fatalf("survivor re-registered as %s (was %s): worker IDs must be unique across generations", id, gen1ID)
 	}
 }

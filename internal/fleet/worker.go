@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +65,9 @@ type Worker struct {
 	cfg   WorkerConfig
 	coord Coord
 
-	id      string
+	mu sync.Mutex
+	id string // guarded by mu: slots replace it when the coordinator forgets the worker
+
 	crashed chan struct{} // closed by an injected crash; stops the whole worker
 	once    sync.Once
 }
@@ -74,9 +77,31 @@ func NewWorker(cfg WorkerConfig, coord Coord) *Worker {
 	return &Worker{cfg: cfg.withDefaults(), coord: coord, crashed: make(chan struct{})}
 }
 
-// ID returns the coordinator-assigned worker ID ("" before Run
+// ID returns the current coordinator-assigned worker ID ("" before Run
 // registers).
-func (w *Worker) ID() string { return w.id }
+func (w *Worker) ID() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.id
+}
+
+// register obtains a worker ID. stale is the ID the caller found
+// rejected ("" for the first registration): every slot of a worker
+// trips over the same dead ID after a coordinator restart, and only the
+// first to arrive registers — mu is held across the call so the others
+// wait for its answer instead of registering a second time.
+func (w *Worker) register(stale string) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.id != stale {
+		return nil
+	}
+	id, err := w.coord.Register(WorkerInfo{Name: w.cfg.Name, Capacity: w.cfg.Capacity})
+	if err == nil {
+		w.id = id
+	}
+	return err
+}
 
 // crash simulates the process dying: every loop in this worker stops
 // at its next check, nothing further is sent.
@@ -99,11 +124,9 @@ func (w *Worker) dead(ctx context.Context) bool {
 // crash kills the worker. Each capacity slot polls for leases
 // independently.
 func (w *Worker) Run(ctx context.Context) error {
-	id, err := w.coord.Register(WorkerInfo{Name: w.cfg.Name, Capacity: w.cfg.Capacity})
-	if err != nil {
+	if err := w.register(""); err != nil {
 		return err
 	}
-	w.id = id
 	var wg sync.WaitGroup
 	for i := 0; i < w.cfg.Capacity; i++ {
 		wg.Add(1)
@@ -124,10 +147,17 @@ func (w *Worker) slot(ctx context.Context) {
 		if w.dead(ctx) {
 			return
 		}
-		a, err := w.coord.Lease(w.id)
+		id := w.ID()
+		a, err := w.coord.Lease(id)
 		if err == nil && a != nil {
-			w.execute(ctx, a)
+			w.execute(ctx, id, a)
 			continue // immediately ask for more work
+		}
+		if errors.Is(err, ErrUnknownWorker) {
+			// The coordinator restarted (its journal replay requeued
+			// our generation's orphans) or evicted us: join again. A
+			// failed attempt is retried by the next poll.
+			w.register(id) //nolint:errcheck // the next poll retries
 		}
 		select {
 		case <-ctx.Done():
@@ -139,13 +169,14 @@ func (w *Worker) slot(ctx context.Context) {
 	}
 }
 
-// execute runs one assignment under its lease: a heartbeat loop keeps
-// the lease alive (and watches for DirectiveAbort), the deterministic
-// executor does the work, and the outcome is reported once. Injected
-// faults divert the flow: crash kills the worker before execution,
-// hang holds the lease forever without heartbeats, slow withholds the
-// completion past the lease.
-func (w *Worker) execute(ctx context.Context, a *Assignment) {
+// execute runs one assignment under its lease, which worker ID id
+// holds: a heartbeat loop keeps the lease alive (and watches for
+// DirectiveAbort), the deterministic executor does the work, and the
+// outcome is reported once — all under id, even if the worker has
+// re-registered since. Injected faults divert the flow: crash kills
+// the worker before execution, hang holds the lease forever without
+// heartbeats, slow withholds the completion past the lease.
+func (w *Worker) execute(ctx context.Context, id string, a *Assignment) {
 	fault := w.cfg.Faults.Draw(w.cfg.Name, a.Run, a.Dispatch)
 	switch fault.Kind {
 	case faults.WorkerCrash:
@@ -186,7 +217,7 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 				cancel()
 				return
 			case <-t.C:
-				d, err := w.coord.Heartbeat(w.id, a.Run, a.Dispatch)
+				d, err := w.coord.Heartbeat(id, a.Run, a.Dispatch)
 				if err == nil && d == DirectiveAbort {
 					aborted.Store(true)
 					cancel()
@@ -196,24 +227,10 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 		}
 	}()
 
-	seed := scenario.AttemptSeed(a.BaseSeed, a.SeedAttempt)
-	maxEvents := a.Spec.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = w.cfg.MaxEvents
-	}
-	var res *scenario.CaseResult
-	var err error
-	if (faults.InfraCrash{Prob: a.Spec.InfraCrashProb}).Roll(seed) {
-		// The same per-seed infrastructure-crash roll the local runner
-		// makes, so fleet execution reports the identical infra faults
-		// a solo run would hit — and the coordinator's seed-advancing
-		// retry takes over from there.
-		err = faults.ErrInfraCrash
-	} else {
-		attemptCtx, attemptCancel := context.WithTimeout(runCtx, a.Spec.WallDeadline(w.cfg.WallDeadline))
-		res, err = scenario.ExecuteAttempt(attemptCtx, &a.Spec, seed, maxEvents)
-		attemptCancel()
-	}
+	// The local runner's attempt envelope: a reported infra fault is
+	// the one the same seed would hit solo, and the coordinator's
+	// seed-advancing retry takes over from there.
+	res, err := scenario.SupervisedAttempt(runCtx, &a.Spec, a.BaseSeed, a.SeedAttempt, w.cfg.WallDeadline, w.cfg.MaxEvents)
 	cancel()
 	hbWG.Wait()
 
@@ -245,7 +262,7 @@ func (w *Worker) execute(ctx context.Context, a *Assignment) {
 	if w.dead(ctx) {
 		return
 	}
-	w.coord.Complete(w.id, a.Run, a.Dispatch, out) //nolint:errcheck // a failed report is a lost message; the lease recovers it
+	w.coord.Complete(id, a.Run, a.Dispatch, out) //nolint:errcheck // a failed report is a lost message; the lease recovers it
 }
 
 // FaultyCoord decorates a Coord with deterministic message loss from a

@@ -14,6 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -47,6 +49,16 @@ func Parse[E any](raw []byte) (entries []E, valid int64) {
 		raw = raw[nl+1:]
 	}
 	return entries, valid
+}
+
+// BumpCounter advances an ID counter past a replayed "x-<n>" ID, so
+// IDs minted after a restart never collide with journaled ones.
+func BumpCounter(ctr *int, id string) {
+	if i := strings.LastIndexByte(id, '-'); i >= 0 {
+		if n, err := strconv.Atoi(id[i+1:]); err == nil && n > *ctr {
+			*ctr = n
+		}
+	}
 }
 
 // Log is an append-only JSONL file of E records.

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faults"
 )
 
 // panicError carries a recovered executor panic to the supervisor.
@@ -29,12 +31,23 @@ func runAttempt(ctx context.Context, spec *CaseSpec, seed int64, maxEvents uint6
 	return executeCase(ctx, spec, seed, maxEvents)
 }
 
-// ExecuteAttempt runs one panic-isolated attempt of a case — the unit
-// a fleet worker executes on behalf of a coordinator. The caller owns
-// the supervision envelope (context deadline, seed derivation, retry
-// policy); ExecuteAttempt only guarantees a panicking executor comes
-// back as a typed error instead of taking the worker process down.
-func ExecuteAttempt(ctx context.Context, spec *CaseSpec, seed int64, maxEvents uint64) (*CaseResult, error) {
+// SupervisedAttempt is the attempt envelope the local runner and fleet
+// workers share: derive the attempt's seed, make the per-seed
+// infrastructure-crash roll (so every supervisor reports the infra
+// faults a solo run of that seed would hit), then run the
+// panic-isolated executor under the spec's wall and event deadlines,
+// falling back to the caller's defaults. Classifying the error and
+// deciding on a retry stay with the caller.
+func SupervisedAttempt(ctx context.Context, spec *CaseSpec, baseSeed int64, attempt int, wallDeadline time.Duration, maxEvents uint64) (*CaseResult, error) {
+	seed := AttemptSeed(baseSeed, attempt)
+	if (faults.InfraCrash{Prob: spec.InfraCrashProb}).Roll(seed) {
+		return nil, faults.ErrInfraCrash
+	}
+	if spec.MaxEvents != 0 {
+		maxEvents = spec.MaxEvents
+	}
+	ctx, cancel := context.WithTimeout(ctx, spec.WallDeadline(wallDeadline))
+	defer cancel()
 	return runAttempt(ctx, spec, seed, maxEvents)
 }
 

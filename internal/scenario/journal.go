@@ -44,41 +44,18 @@ type Entry struct {
 	Fingerprint string    `json:"fingerprint,omitempty"`
 }
 
-// Journal is the run lifecycle's append-only JSONL ledger, a typed
-// face over internal/jsonl: every write is flushed and synced before
-// Record returns, and after a crash the journal may miss at most the
-// transition in flight, never hold a torn prefix of one.
-type Journal struct {
-	log *jsonl.Log[Entry]
-}
+// Journal is the run lifecycle's append-only JSONL ledger
+// (internal/jsonl): every write is flushed and synced before Record
+// returns, and after a crash the journal may miss at most the
+// transition in flight, never hold a torn prefix of one. A nil
+// journal discards records.
+type Journal = jsonl.Log[Entry]
 
 // OpenJournal opens (creating if needed) the journal at path, first
 // reading back every intact record for recovery. A damaged or torn
 // tail — the write the previous process died inside — is dropped, not
 // an error.
-func OpenJournal(path string) (*Journal, []Entry, error) {
-	log, entries, err := jsonl.Open[Entry](path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Journal{log: log}, entries, nil
-}
-
-// Record appends one entry durably.
-func (j *Journal) Record(e Entry) error {
-	if j == nil {
-		return nil
-	}
-	return j.log.Record(e)
-}
-
-// Close flushes and closes the underlying file.
-func (j *Journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.log.Close()
-}
+func OpenJournal(path string) (*Journal, []Entry, error) { return jsonl.Open[Entry](path) }
 
 // Recover reconstructs run records from journal entries: terminal runs
 // come back as journaled, and any run submitted or started but never

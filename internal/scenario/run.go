@@ -122,17 +122,17 @@ type CaseResult struct {
 // TreeCaseResult is the deterministic summary of one tree run — the
 // numbers cmd/hbpsim prints, minus anything wall-clock.
 type TreeCaseResult struct {
-	MeanBefore        float64              `json:"mean_before"`
-	MeanDuringAttack  float64              `json:"mean_during_attack"`
-	AttackersCaptured int                  `json:"attackers_captured"`
-	CollateralBlocks  int                  `json:"collateral_blocks"`
-	CaptureTimes      []float64            `json:"capture_times,omitempty"`
-	CtrlMessages      int64                `json:"ctrl_messages"`
-	Ctrl              metrics.ControlStats `json:"ctrl"`
-	Sec               metrics.SecurityStats `json:"sec"`
-	OpenSessionsAtEnd int                  `json:"open_sessions_at_end"`
-	QueueDrops        int64                `json:"queue_drops"`
-	EventsFired       uint64               `json:"events_fired"`
+	MeanBefore        float64                `json:"mean_before"`
+	MeanDuringAttack  float64                `json:"mean_during_attack"`
+	AttackersCaptured int                    `json:"attackers_captured"`
+	CollateralBlocks  int                    `json:"collateral_blocks"`
+	CaptureTimes      []float64              `json:"capture_times,omitempty"`
+	CtrlMessages      int64                  `json:"ctrl_messages"`
+	Ctrl              metrics.ControlStats   `json:"ctrl"`
+	Sec               metrics.SecurityStats  `json:"sec"`
+	OpenSessionsAtEnd int                    `json:"open_sessions_at_end"`
+	QueueDrops        int64                  `json:"queue_drops"`
+	EventsFired       uint64                 `json:"events_fired"`
 	Leak              experiments.LeakReport `json:"leak"`
 	// Throughput is the sampled legitimate-goodput series.
 	Throughput *metrics.Series `json:"throughput,omitempty"`

@@ -4,14 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/bounded"
 	"repro/internal/des"
 	"repro/internal/faults"
+	"repro/internal/jsonl"
 )
 
 // Config tunes the runner's supervision defaults; each case can
@@ -69,9 +68,9 @@ var ErrQueueFull = errors.New("scenario: submission queue full")
 // ErrDraining rejects submissions during shutdown.
 var ErrDraining = errors.New("scenario: runner is draining")
 
-// errJournal rejects an admission whose journal record could not be
+// ErrJournal rejects an admission whose journal record could not be
 // written; the admission is withdrawn and the client may retry.
-var errJournal = errors.New("scenario: journal write failed")
+var ErrJournal = errors.New("scenario: journal write failed")
 
 // Suite groups runs for reporting.
 type Suite struct {
@@ -118,26 +117,16 @@ func NewRunner(cfg Config, recovered []Entry) *Runner {
 	suiteNames, runs := Recover(recovered)
 	for id, name := range suiteNames {
 		r.suites[id] = &Suite{ID: id, Name: name}
-		r.bumpCounter(&r.nextSuite, id)
+		jsonl.BumpCounter(&r.nextSuite, id)
 	}
 	for _, run := range runs {
 		r.runs[run.ID] = run
 		if s := r.suites[run.Suite]; s != nil {
 			s.Runs = append(s.Runs, run.ID)
 		}
-		r.bumpCounter(&r.nextRun, run.ID)
+		jsonl.BumpCounter(&r.nextRun, run.ID)
 	}
 	return r
-}
-
-// bumpCounter advances an ID counter past a recovered "x-<n>" ID so
-// new IDs never collide with journaled ones.
-func (r *Runner) bumpCounter(ctr *int, id string) {
-	if i := strings.LastIndexByte(id, '-'); i >= 0 {
-		if n, err := strconv.Atoi(id[i+1:]); err == nil && n > *ctr {
-			*ctr = n
-		}
-	}
 }
 
 // Start launches the worker pool.
@@ -166,27 +155,27 @@ func (r *Runner) CreateSuite(name string) (*Suite, error) {
 		r.mu.Lock()
 		delete(r.suites, s.ID)
 		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", errJournal, err)
+		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	return s, nil
 }
 
-// Submit validates and enqueues one case under the suite. A full
-// queue returns ErrQueueFull — the HTTP layer maps it to 503 +
-// Retry-After.
-func (r *Runner) Submit(suiteID string, spec CaseSpec) (*Run, error) {
+// Submit validates and enqueues one case under the suite, returning
+// the run's snapshot at admission. A full queue returns ErrQueueFull —
+// the HTTP layer maps it to 503 + Retry-After.
+func (r *Runner) Submit(suiteID string, spec CaseSpec) (Run, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return Run{}, err
 	}
 	r.mu.Lock()
 	if r.draining {
 		r.mu.Unlock()
-		return nil, ErrDraining
+		return Run{}, ErrDraining
 	}
 	s := r.suites[suiteID]
 	if s == nil {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("scenario: no suite %q", suiteID)
+		return Run{}, fmt.Errorf("scenario: no suite %q", suiteID)
 	}
 	run := &Run{
 		ID:          fmt.Sprintf("r-%d", r.nextRun+1),
@@ -197,36 +186,37 @@ func (r *Runner) Submit(suiteID string, spec CaseSpec) (*Run, error) {
 	}
 	if !r.queue.Push(run) {
 		r.mu.Unlock()
-		return nil, ErrQueueFull
+		return Run{}, ErrQueueFull
 	}
 	r.nextRun++
 	r.runs[run.ID] = run
 	s.Runs = append(s.Runs, run.ID)
+	snap := run.Snapshot()
 	r.mu.Unlock()
 
 	if err := r.cfg.Journal.Record(Entry{
-		Type: EntrySubmitted, Time: run.SubmittedAt,
-		Suite: suiteID, Run: run.ID, Spec: &spec,
+		Type: EntrySubmitted, Time: snap.SubmittedAt,
+		Suite: suiteID, Run: snap.ID, Spec: &spec,
 	}); err != nil {
 		// Admitted in memory but unknown to a restart: withdraw the
 		// run rather than let it execute unrecorded.
-		r.cancel(run.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
-		return nil, fmt.Errorf("%w: %w", errJournal, err)
+		r.cancel(snap.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
+		return Run{}, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	select {
 	case r.wake <- struct{}{}:
 	default:
 	}
-	return run, nil
+	return snap, nil
 }
 
 // Resubmit re-queues a recovered interrupted run as a fresh run.
-func (r *Runner) Resubmit(runID string) (*Run, error) {
+func (r *Runner) Resubmit(runID string) (Run, error) {
 	r.mu.Lock()
 	old := r.runs[runID]
 	if old == nil || old.State != StateInterrupted {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("scenario: run %q is not an interrupted run", runID)
+		return Run{}, fmt.Errorf("scenario: run %q is not an interrupted run", runID)
 	}
 	suite, spec := old.Suite, old.Spec
 	r.mu.Unlock()
@@ -270,15 +260,6 @@ func (r *Runner) cancel(runID, whyQueued string) error {
 		r.mu.Unlock()
 		return nil
 	}
-}
-
-// snapshot copies a run under the runner's lock. Handlers need it for
-// runs returned by Submit/Resubmit: by the time the HTTP response is
-// encoded, a worker may already be flipping the run to StateRunning.
-func (r *Runner) snapshot(run *Run) Run {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return run.Snapshot()
 }
 
 // GetRun returns a snapshot of the run.
@@ -470,15 +451,7 @@ func (r *Runner) execute(run *Run) {
 	if maxAttempts <= 0 {
 		maxAttempts = r.cfg.MaxAttempts
 	}
-	maxEvents := spec.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = r.cfg.MaxEvents
-	}
-	wallDeadline := spec.WallDeadline(r.cfg.WallDeadline)
-	baseSeed := int64(1)
-	if spec.Tree != nil && spec.Tree.Seed != 0 {
-		baseSeed = spec.Tree.Seed
-	}
+	baseSeed := spec.BaseSeed()
 
 	for attempt := 1; ; attempt++ {
 		r.mu.Lock()
@@ -489,22 +462,12 @@ func (r *Runner) execute(run *Run) {
 			Suite: run.Suite, Run: run.ID, Attempt: attempt,
 		})
 
-		seed := AttemptSeed(baseSeed, attempt)
-		var result *CaseResult
-		var err error
-		if (faults.InfraCrash{Prob: spec.InfraCrashProb}).Roll(seed) {
-			err = faults.ErrInfraCrash
-		} else {
-			attemptCtx, attemptCancel := context.WithTimeout(baseCtx, wallDeadline)
-			result, err = runAttempt(attemptCtx, &spec, seed, maxEvents)
-			attemptCancel()
-		}
-
+		result, err := SupervisedAttempt(baseCtx, &spec, baseSeed, attempt, r.cfg.WallDeadline, r.cfg.MaxEvents)
 		if err == nil {
 			r.finish(run, StatePassed, nil, result)
 			return
 		}
-		re := classify(err, attempt, baseCtx)
+		re := ClassifyError(err, attempt, baseCtx.Err() != nil)
 		if re.Kind == ErrInfra && attempt < maxAttempts {
 			if !r.backoff(baseCtx, baseSeed, attempt) {
 				r.finish(run, StateCancelled,
@@ -540,19 +503,11 @@ func (r *Runner) finish(run *Run, state State, re *RunError, result *CaseResult)
 	r.cfg.Journal.Record(e) //nolint:errcheck // the in-memory state is already terminal
 }
 
-// classify maps an executor error to its RunError kind. baseCtx
-// distinguishes a client cancel (the run's own context was cancelled)
-// from an attempt deadline (only the per-attempt timeout fired).
-func classify(err error, attempt int, baseCtx context.Context) *RunError {
-	return ClassifyError(err, attempt, baseCtx.Err() != nil)
-}
-
 // ClassifyError maps an executor error to its typed RunError.
 // cancelled reports whether the run's own (not per-attempt) context
 // was cancelled, which distinguishes a client/drain cancel from an
-// attempt wall deadline. Exported for fleet workers, which supervise
-// attempts themselves but must report the same error taxonomy the
-// local runner records.
+// attempt wall deadline. The local runner and fleet workers both
+// report this taxonomy.
 func ClassifyError(err error, attempt int, cancelled bool) *RunError {
 	var pe *panicError
 	var le *leakError

@@ -330,7 +330,7 @@ func TestRunnerQueueBackpressure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Submit queued %d: %v", i, err)
 		}
-		queued = append(queued, run)
+		queued = append(queued, &run)
 	}
 	if _, err := r.Submit(s.ID, CaseSpec{Name: "overflow", Tree: quickTree(30)}); err != ErrQueueFull {
 		t.Fatalf("overflow submit err = %v, want ErrQueueFull", err)

@@ -26,12 +26,7 @@ type Server struct {
 // NewServer wires the routes.
 func NewServer(r *Runner) *Server {
 	s := &Server{runner: r, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /suites", s.createSuite)
-	s.mux.HandleFunc("GET /suites", s.listSuites)
-	s.mux.HandleFunc("GET /suites/{id}", s.getSuite)
-	s.mux.HandleFunc("POST /suites/{id}/cases", s.submitCase)
-	s.mux.HandleFunc("GET /runs/{id}", s.getRun)
-	s.mux.HandleFunc("DELETE /runs/{id}", s.cancelRun)
+	MountClientRoutes[Run](s.mux, r)
 	s.mux.HandleFunc("POST /runs/{id}/resubmit", s.resubmitRun)
 	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /readyz", s.readyz)
@@ -42,17 +37,48 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	s.mux.ServeHTTP(w, req)
 }
 
-// SuiteStatus is the GET /suites/{id} (and POST /suites) body: the
-// suite plus snapshots of its runs.
-type SuiteStatus struct {
-	Suite Suite `json:"suite"`
-	Runs  []Run `json:"runs"`
+// Backend is the supervisor behind the suite/case client routes: the
+// local Runner, or a fleet coordinator. S is its run snapshot type —
+// Run, or a struct embedding it, so Client decodes either daemon's
+// bodies.
+type Backend[S any] interface {
+	CreateSuite(name string) (*Suite, error)
+	Submit(suiteID string, spec CaseSpec) (S, error)
+	Cancel(runID string) error
+	GetRun(id string) (S, bool)
+	GetSuite(id string) (Suite, []S, bool)
+	Suites() []Suite
 }
 
-func (s *Server) createSuite(w http.ResponseWriter, req *http.Request) {
+// SuiteStatusOf is the GET /suites/{id} (and POST /suites) body: the
+// suite plus snapshots of its runs.
+type SuiteStatusOf[S any] struct {
+	Suite Suite `json:"suite"`
+	Runs  []S   `json:"runs"`
+}
+
+// SuiteStatus is the body as Client decodes it.
+type SuiteStatus = SuiteStatusOf[Run]
+
+// MountClientRoutes registers the six client routes of the suite/case
+// API (the first six of Server's route table) on mux, served from b.
+// Both daemons mount them, so one client speaks to either.
+func MountClientRoutes[S any](mux *http.ServeMux, b Backend[S]) {
+	h := clientRoutes[S]{b}
+	mux.HandleFunc("POST /suites", h.createSuite)
+	mux.HandleFunc("GET /suites", h.listSuites)
+	mux.HandleFunc("GET /suites/{id}", h.getSuite)
+	mux.HandleFunc("POST /suites/{id}/cases", h.submitCase)
+	mux.HandleFunc("GET /runs/{id}", h.getRun)
+	mux.HandleFunc("DELETE /runs/{id}", h.cancelRun)
+}
+
+type clientRoutes[S any] struct{ b Backend[S] }
+
+func (h clientRoutes[S]) createSuite(w http.ResponseWriter, req *http.Request) {
 	var spec SuiteSpec
 	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	// A bare {"name": ...} creates an empty suite for incremental
@@ -60,74 +86,74 @@ func (s *Server) createSuite(w http.ResponseWriter, req *http.Request) {
 	// up front.
 	if len(spec.Cases) > 0 {
 		if err := spec.Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 	} else if spec.Name == "" {
-		httpError(w, http.StatusBadRequest, errors.New("suite has no name"))
+		HTTPError(w, http.StatusBadRequest, errors.New("suite has no name"))
 		return
 	}
-	suite, err := s.runner.CreateSuite(spec.Name)
+	suite, err := h.b.CreateSuite(spec.Name)
 	if err != nil {
 		reject(w, err)
 		return
 	}
 	for i := range spec.Cases {
-		if _, err := s.runner.Submit(suite.ID, spec.Cases[i]); err != nil {
+		if _, err := h.b.Submit(suite.ID, spec.Cases[i]); err != nil {
 			// Partial admission is visible in the suite state; report
 			// the stall so the client can resubmit the remainder.
 			w.Header().Set("Retry-After", "1")
-			httpError(w, statusFor(err), err)
+			HTTPError(w, StatusFor(err), err)
 			return
 		}
 	}
-	got, runs, _ := s.runner.GetSuite(suite.ID)
-	writeJSON(w, http.StatusCreated, SuiteStatus{Suite: got, Runs: runs})
+	got, runs, _ := h.b.GetSuite(suite.ID)
+	WriteJSON(w, http.StatusCreated, SuiteStatusOf[S]{Suite: got, Runs: runs})
 }
 
-func (s *Server) listSuites(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, s.runner.Suites())
+func (h clientRoutes[S]) listSuites(w http.ResponseWriter, req *http.Request) {
+	WriteJSON(w, http.StatusOK, h.b.Suites())
 }
 
-func (s *Server) getSuite(w http.ResponseWriter, req *http.Request) {
-	suite, runs, ok := s.runner.GetSuite(req.PathValue("id"))
+func (h clientRoutes[S]) getSuite(w http.ResponseWriter, req *http.Request) {
+	suite, runs, ok := h.b.GetSuite(req.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("no such suite"))
+		HTTPError(w, http.StatusNotFound, errors.New("no such suite"))
 		return
 	}
-	writeJSON(w, http.StatusOK, SuiteStatus{Suite: suite, Runs: runs})
+	WriteJSON(w, http.StatusOK, SuiteStatusOf[S]{Suite: suite, Runs: runs})
 }
 
-func (s *Server) submitCase(w http.ResponseWriter, req *http.Request) {
+func (h clientRoutes[S]) submitCase(w http.ResponseWriter, req *http.Request) {
 	var spec CaseSpec
 	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	run, err := s.runner.Submit(req.PathValue("id"), spec)
+	run, err := h.b.Submit(req.PathValue("id"), spec)
 	if err != nil {
 		reject(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.runner.snapshot(run))
+	WriteJSON(w, http.StatusAccepted, run)
 }
 
-func (s *Server) getRun(w http.ResponseWriter, req *http.Request) {
-	run, ok := s.runner.GetRun(req.PathValue("id"))
+func (h clientRoutes[S]) getRun(w http.ResponseWriter, req *http.Request) {
+	run, ok := h.b.GetRun(req.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("no such run"))
+		HTTPError(w, http.StatusNotFound, errors.New("no such run"))
 		return
 	}
-	writeJSON(w, http.StatusOK, run)
+	WriteJSON(w, http.StatusOK, run)
 }
 
-func (s *Server) cancelRun(w http.ResponseWriter, req *http.Request) {
-	if err := s.runner.Cancel(req.PathValue("id")); err != nil {
-		httpError(w, http.StatusNotFound, err)
+func (h clientRoutes[S]) cancelRun(w http.ResponseWriter, req *http.Request) {
+	if err := h.b.Cancel(req.PathValue("id")); err != nil {
+		HTTPError(w, http.StatusNotFound, err)
 		return
 	}
-	run, _ := s.runner.GetRun(req.PathValue("id"))
-	writeJSON(w, http.StatusOK, run)
+	run, _ := h.b.GetRun(req.PathValue("id"))
+	WriteJSON(w, http.StatusOK, run)
 }
 
 func (s *Server) resubmitRun(w http.ResponseWriter, req *http.Request) {
@@ -136,12 +162,12 @@ func (s *Server) resubmitRun(w http.ResponseWriter, req *http.Request) {
 		reject(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.runner.snapshot(run))
+	WriteJSON(w, http.StatusAccepted, run)
 }
 
 func (s *Server) healthz(w http.ResponseWriter, req *http.Request) {
 	depth, capacity := s.runner.QueueDepth()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"queue":     depth,
 		"queue_cap": capacity,
@@ -158,36 +184,38 @@ func (s *Server) readyz(w http.ResponseWriter, req *http.Request) {
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 // reject answers a refused admission; backpressure and a failing
 // journal also tell the client when to try again.
 func reject(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, errJournal) {
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrJournal) {
 		w.Header().Set("Retry-After", "1")
 	}
-	httpError(w, statusFor(err), err)
+	HTTPError(w, StatusFor(err), err)
 }
 
-// statusFor maps runner errors to HTTP statuses: backpressure,
-// shutdown and a failing journal are 503 (retryable), bad specs are
-// 400.
-func statusFor(err error) int {
+// StatusFor maps admission errors to HTTP statuses: backpressure,
+// shutdown and a failing journal are 503 (retryable), anything else —
+// a bad spec, an unknown suite — is 400.
+func StatusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, errJournal):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrJournal):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with a JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// HTTPError answers with the {"error": ...} body every route shares.
+func HTTPError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

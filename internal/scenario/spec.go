@@ -189,6 +189,16 @@ func (c *CaseSpec) WallDeadline(def time.Duration) time.Duration {
 	return def
 }
 
+// BaseSeed resolves the case's base scenario seed: the tree spec's
+// seed when it sets one, else 1. Attempt seeds (AttemptSeed) and retry
+// backoff jitter derive from it on every supervisor.
+func (c *CaseSpec) BaseSeed() int64 {
+	if c.Tree != nil && c.Tree.Seed != 0 {
+		return c.Tree.Seed
+	}
+	return 1
+}
+
 // Config translates the spec into a validated experiments.TreeConfig,
 // the exact mapping cmd/hbpsim applies to its flags.
 func (t TreeSpec) Config() (experiments.TreeConfig, error) {

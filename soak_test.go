@@ -177,7 +177,7 @@ func TestSoakScenarioSupervisor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %s: %v", spec.Name, err)
 		}
-		return run
+		return &run
 	}
 	var healthy []*scenario.Run
 	for _, seed := range healthySeeds {
