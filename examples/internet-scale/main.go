@@ -36,8 +36,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("routing: %s table, %.1f bytes/node over %d nodes\n",
-		res.RouteKind, res.BytesPerNode, res.Hosts+res.ASes)
+	fmt.Printf("routing: %s table, %.1f bytes per addressable ID; %d of %d hosts ever built\n",
+		res.RouteKind, res.BytesPerNode, res.Endpoints, res.Hosts)
 	fmt.Printf("goodput: %.3f before the attack, %.3f during it\n", res.MeanBefore, res.MeanDuringAttack)
 	fmt.Printf("captures: %d of %d zombies", res.Captures, cfg.Zombies)
 	if n := len(res.CaptureTimes); n > 0 {

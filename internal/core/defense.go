@@ -155,6 +155,11 @@ type Defense struct {
 	routers map[netsim.NodeID]*RouterAgent
 	legacy  map[netsim.NodeID]*LegacyAgent
 	servers map[netsim.NodeID]*ServerDefense
+	// openSessions is the number of live sessions over all routers,
+	// kept current where a session table changes (open, budget shed,
+	// close, crash) so StateSize does not walk every router each time a
+	// session opens.
+	openSessions int
 	// CaptureLog records captures in time order and fires the promoted
 	// OnCapture hook; StateMeter tracks the promoted PeakState
 	// high-water mark of StateSize() over the run. Both are shared with
@@ -304,13 +309,15 @@ func (d *Defense) CrashRouter(n *netsim.Node) {
 
 // RestartRouter brings a crashed router back with a clean agent: the
 // paper's session state lives in RAM, so a power cycle re-registers an
-// empty RouterAgent (cumulative stats carry over for accounting).
+// empty RouterAgent (cumulative stats carry over for accounting). A
+// router restarted without a crash first loses its RAM all the same.
 func (d *Defense) RestartRouter(n *netsim.Node) {
 	n.SetDown(false)
 	old, ok := d.routers[n.ID]
 	if !ok {
 		return
 	}
+	d.Ctrl.SessionsLostToCrash += int64(old.crash())
 	a := newRouterAgent(d, n)
 	a.SessionsCreated = old.SessionsCreated
 	a.SessionsClosed = old.SessionsClosed
@@ -351,14 +358,7 @@ func (d *Defense) Close() {
 
 // OpenSessions counts live honeypot sessions across all deployed
 // routers — a leak indicator when measured after the last epoch.
-func (d *Defense) OpenSessions() int {
-	open := 0
-	//hbplint:ignore determinism commutative sum of a pure per-router getter; the total is order-independent.
-	for _, a := range d.routers {
-		open += a.ActiveSessions()
-	}
-	return open
-}
+func (d *Defense) OpenSessions() int { return d.openSessions }
 
 // Router returns the agent deployed on node id, or nil.
 func (d *Defense) Router(id netsim.NodeID) *RouterAgent { return d.routers[id] }

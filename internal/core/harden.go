@@ -136,10 +136,7 @@ func weakerSession(a, b *session) bool {
 // experiments sample it to show overload shedding keeps the sum under
 // StateBudget for the whole run.
 func (d *Defense) StateSize() int {
-	n := len(d.pending)
-	for _, a := range d.routers {
-		n += len(a.sessions)
-	}
+	n := len(d.pending) + d.openSessions
 	//hbplint:ignore determinism commutative sum of a pure size getter; the total is order-independent.
 	for _, l := range d.legacy {
 		n += l.seen.Len()

@@ -160,9 +160,11 @@ func TestCrashWipesSessionsRestartStartsClean(t *testing.T) {
 	if !h.def.Router(far.ID).HasSession(server.ID) {
 		t.Fatal("session not opened before crash")
 	}
+	checkSessionCount(t, h.def)
 	if err := h.sim.RunUntil(1.5); err != nil {
 		t.Fatal(err)
 	}
+	checkSessionCount(t, h.def)
 	if h.def.Router(far.ID).ActiveSessions() != 0 {
 		t.Fatal("crash left sessions behind")
 	}
@@ -187,6 +189,19 @@ func TestCrashWipesSessionsRestartStartsClean(t *testing.T) {
 	}
 	if h.def.Ctrl.GiveUps != 0 {
 		t.Fatalf("GiveUps = %d, want 0", h.def.Ctrl.GiveUps)
+	}
+	checkSessionCount(t, h.def)
+
+	// A restart with no crash before it is still a power cycle: the
+	// live agent's session goes with its RAM.
+	before := h.def.OpenSessions()
+	h.def.RestartRouter(far)
+	checkSessionCount(t, h.def)
+	if h.def.Router(far.ID) == ra || ra.ActiveSessions() != 0 || h.def.OpenSessions() != before-1 {
+		t.Fatalf("restart over a live agent kept its session: %d open, %d before", h.def.OpenSessions(), before)
+	}
+	if h.def.Ctrl.SessionsLostToCrash != 2 {
+		t.Fatalf("SessionsLostToCrash = %d, want 2", h.def.Ctrl.SessionsLostToCrash)
 	}
 }
 

@@ -121,6 +121,7 @@ func (a *RouterAgent) openSession(m *Message) {
 				return
 			}
 			evicted.Drop(a.d.sim)
+			a.d.openSessions--
 			a.d.Sec.SessionEvictions++
 			a.d.rec(trace.SessionEvicted, int(a.Node.ID), -1, int(evicted.server), "budget")
 		}
@@ -131,6 +132,7 @@ func (a *RouterAgent) openSession(m *Message) {
 			requested:   map[*netsim.Port]bool{},
 		}
 		a.sessions[m.Server] = s
+		a.d.openSessions++
 		a.SessionsCreated++
 		a.d.rec(trace.SessionOpened, int(a.Node.ID), -1, int(m.Server), "")
 		a.d.noteState()
@@ -166,6 +168,7 @@ func (a *RouterAgent) closeSession(m *Message, propagate bool) {
 		return
 	}
 	delete(a.sessions, m.Server)
+	a.d.openSessions--
 	a.SessionsClosed++
 	a.d.rec(trace.SessionClosed, int(a.Node.ID), -1, int(m.Server), "")
 	s.Drop(a.d.sim)
@@ -225,6 +228,7 @@ func (a *RouterAgent) closeSession(m *Message, propagate bool) {
 // the number of sessions lost.
 func (a *RouterAgent) crash() int {
 	lost := len(a.sessions)
+	a.d.openSessions -= lost
 	// Sorted teardown: Cancel mutates the event heap, so wipe
 	// sessions in a deterministic order.
 	servers := make([]netsim.NodeID, 0, len(a.sessions))

@@ -53,7 +53,9 @@ func TestSessionTableExhaustion(t *testing.T) {
 
 	// Two forged servers (IDs no node has) fill the table.
 	ra.openSession(&Message{Kind: Request, Server: 9001, Epoch: 0, Lease: 100})
+	checkSessionCount(t, h.def)
 	ra.openSession(&Message{Kind: Request, Server: 9002, Epoch: 0, Lease: 100})
+	checkSessionCount(t, h.def)
 	if got := len(ra.sessions); got != 2 {
 		t.Fatalf("sessions after fill = %d, want 2", got)
 	}
@@ -62,6 +64,7 @@ func TestSessionTableExhaustion(t *testing.T) {
 	// unroutable, so the weakest (higher server ID, 9002) goes first.
 	real := h.tr.Servers[0].ID
 	ra.openSession(&Message{Kind: Request, Server: real, Epoch: 0, Lease: 100})
+	checkSessionCount(t, h.def)
 	if len(ra.sessions) != 2 {
 		t.Fatalf("sessions after real admission = %d, want 2 (budget)", len(ra.sessions))
 	}
@@ -77,6 +80,7 @@ func TestSessionTableExhaustion(t *testing.T) {
 
 	// Another forged request ranks below every resident: refused.
 	ra.openSession(&Message{Kind: Request, Server: 9003, Epoch: 0, Lease: 100})
+	checkSessionCount(t, h.def)
 	if ra.HasSession(9003) {
 		t.Fatal("forged session admitted past a stronger table")
 	}
@@ -90,8 +94,34 @@ func TestSessionTableExhaustion(t *testing.T) {
 	// The second real server outranks the remaining forged resident.
 	real2 := h.tr.Servers[1].ID
 	ra.openSession(&Message{Kind: Request, Server: real2, Epoch: 0, Lease: 100})
+	checkSessionCount(t, h.def)
 	if !ra.HasSession(real2) || ra.HasSession(9001) {
 		t.Fatal("second real server did not displace the forged resident")
+	}
+
+	// A cancel closes one; teardown wipes the rest.
+	ra.closeSession(&Message{Kind: Cancel, Server: real, Epoch: 0}, false)
+	checkSessionCount(t, h.def)
+	if got := h.def.OpenSessions(); got != 1 {
+		t.Fatalf("OpenSessions after one close = %d, want 1", got)
+	}
+	h.def.Close()
+	checkSessionCount(t, h.def)
+	if got := h.def.StateSize(); got != 0 {
+		t.Fatalf("StateSize after Close = %d, want 0", got)
+	}
+}
+
+// checkSessionCount compares Defense's running session count with the
+// sum over every router's table it replaced in StateSize.
+func checkSessionCount(t *testing.T, d *Defense) {
+	t.Helper()
+	sum := 0
+	for _, a := range d.routers {
+		sum += len(a.sessions)
+	}
+	if d.openSessions != sum {
+		t.Fatalf("running session count %d, routers hold %d", d.openSessions, sum)
 	}
 }
 

@@ -101,6 +101,12 @@ func InternetConfigFor(zombies int, seed int64) InternetConfig {
 // Validate reports configuration errors.
 func (c InternetConfig) Validate() error {
 	switch {
+	case c.Topology.Graph.ASes < 2:
+		return fmt.Errorf("experiments: an AS graph needs at least 2 ASes, got %d", c.Topology.Graph.ASes)
+	case c.Topology.Graph.Gamma != 0 && c.Topology.Graph.Gamma <= 2:
+		// 0 means the generator's default; anything else at or below 2
+		// is not realizable by linear preferential attachment.
+		return fmt.Errorf("experiments: degree exponent Gamma=%v must exceed 2", c.Topology.Graph.Gamma)
 	case c.Zombies < 1 || c.Zombies > c.Topology.Hosts:
 		return fmt.Errorf("experiments: %d zombies among %d hosts", c.Zombies, c.Topology.Hosts)
 	case c.AttackRate <= 0 || c.LegitFraction < 0:
@@ -124,8 +130,15 @@ type InternetResult struct {
 	Config InternetConfig
 	// Hosts/ASes/Parts echo the materialized topology.
 	Hosts, ASes, Parts int
+	// Endpoints counts the hosts that became simulated nodes because a
+	// packet reached them; the other Hosts−Endpoints stayed reserved IDs
+	// for the whole run.
+	Endpoints int
 	// RouteKind / RouteBytes / BytesPerNode report the routing-state
-	// footprint (the compressed-table gauge of the memory model).
+	// footprint (the compressed-table gauge of the memory model):
+	// the route table over routers and servers plus the hosts'
+	// reservation arrays, divided over every addressable ID — routers,
+	// gateway, servers and hosts, built or not.
 	RouteKind    string
 	RouteBytes   int64
 	BytesPerNode float64
@@ -236,14 +249,14 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	it := topology.BuildInternet(ss, cfg.Topology)
 	cl := it.Cluster
 
+	nh := len(it.HostAS)
+	eager := len(cl.Nodes())
 	res := &InternetResult{
 		Config: cfg,
-		Hosts:  len(it.Hosts), ASes: len(it.Routers), Parts: it.Parts,
-		RouteKind:  cl.RouteKind(),
-		RouteBytes: cl.RouteBytes(),
-	}
-	if n := len(cl.Nodes()); n > 0 {
-		res.BytesPerNode = float64(cl.RouteBytes()) / float64(n)
+		Hosts:  nh, ASes: len(it.Routers), Parts: it.Parts,
+		RouteKind:    cl.RouteKind(),
+		RouteBytes:   cl.RouteBytes(),
+		BytesPerNode: float64(cl.RouteBytes()) / float64(eager+nh),
 	}
 
 	poolCfg := roaming.Config{
@@ -254,19 +267,18 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	// Zombie selection: even stride over the host population, which
 	// spreads the attack across stub ASes (maximum dispersion, the
 	// paper's hardest case) and is independent of partitioning.
-	nh := len(it.Hosts)
 	isZombie := make([]bool, nh)
 	for j := 0; j < cfg.Zombies; j++ {
 		isZombie[j*nh/cfg.Zombies] = true
 	}
 	atkMembers := make([][]netsim.NodeID, it.Parts)
 	legitMembers := make([][]netsim.NodeID, it.Parts)
-	for i, h := range it.Hosts {
-		part := int(it.PartOf[it.HostAS[i]])
+	for i, as := range it.HostAS {
+		part := int(it.PartOf[as])
 		if isZombie[i] {
-			atkMembers[part] = append(atkMembers[part], h.ID)
+			atkMembers[part] = append(atkMembers[part], it.HostID(i))
 		} else {
-			legitMembers[part] = append(legitMembers[part], h.ID)
+			legitMembers[part] = append(legitMembers[part], it.HostID(i))
 		}
 	}
 	totalLegit := 0
@@ -329,7 +341,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 				Size:    cfg.PacketSize,
 				Dest:    func() netsim.NodeID { return target },
 				Source: func(netsim.NodeID) netsim.NodeID {
-					return it.Hosts[spoofRNG.Intn(nh)].ID
+					return it.HostID(spoofRNG.Intn(nh))
 				},
 				Oracle: oracle, FlowID: 1,
 				Jitter: prng.Split(2), Poisson: prng.Split(3),
@@ -416,6 +428,10 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	}
 	sort.Float64s(capAt)
 	res.CaptureTimes = metrics.CaptureTimes(capAt, cfg.AttackStart)
+	res.Endpoints = -eager
+	for part := 0; part < it.Parts; part++ {
+		res.Endpoints += len(cl.Part(part).Nodes())
+	}
 	res.QueueDrops = cl.TotalQueueDrops()
 	res.EventsFired = ss.Fired()
 	cl.Drain()
@@ -458,7 +474,8 @@ func InternetSweep(maxZombies int, ctx context.Context) (*Table, error) {
 		Title: "Internet-scale sweep: capture dynamics vs zombie dispersion",
 		Note: "One power-law AS tree per point (hosts = 2x zombies), fixed aggregate " +
 			"attack rate; macro-flows expand per-packet only from the honeypot-armed " +
-			"frontier. route B/node is the compressed table's footprint.",
+			"frontier. B/node is the routing state (route table plus the hosts' " +
+			"reservation arrays) per addressable ID, hosts built or not.",
 		Headers: []string{"zombies", "hosts", "ASes", "route", "B/node", "captures",
 			"first-cap(s)", "median-cap(s)", "goodput", "ctrl-msgs", "peak-state", "events", "wall(s)"},
 	}

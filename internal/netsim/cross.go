@@ -19,7 +19,10 @@ import (
 //
 // Node IDs are allocated cluster-globally in creation order, so a
 // packet's Src/Dst addressing and the routing tables span the whole
-// cluster exactly as they span a single Network.
+// cluster exactly as they span a single Network. End hosts that may
+// never see a packet can be reserved instead of created (AddLeaves):
+// their IDs follow the last created node and each becomes a real node
+// on first use.
 //
 // Build rules for determinism: create nodes and links in a fixed order
 // that does not depend on the placement, and give every cross-part
@@ -35,8 +38,11 @@ type Cluster struct {
 
 	parts   []*Network
 	shardOf []int
-	nodes   []*Node // cluster-global ID order
+	nodes   []*Node // the eager nodes, in cluster-global ID order
 	rt      RouteTable
+	// leaves is the directory of reserved endpoint IDs, shared with
+	// every part; nil until the first AddLeaves.
+	leaves *leafDir
 }
 
 // NewCluster returns a cluster with one empty part network per entry
@@ -68,21 +74,36 @@ func (cl *Cluster) Part(i int) *Network { return cl.parts[i] }
 func (cl *Cluster) ShardOf(i int) int { return cl.shardOf[i] }
 
 // AddNode creates a node on the given part with a cluster-global ID.
+// It panics once AddLeaves has reserved the IDs that follow.
 func (cl *Cluster) AddNode(part int, name string) *Node {
+	if cl.leaves != nil {
+		panic("netsim: AddNode after AddLeaves: reserved endpoint IDs follow the last created node")
+	}
 	n := cl.parts[part].addNodeWithID(NodeID(len(cl.nodes)), name)
 	cl.nodes = append(cl.nodes, n)
 	return n
 }
 
-// Nodes returns every node in the cluster, indexed by NodeID.
+// Nodes returns every node created with AddNode, indexed by NodeID.
+// Endpoints reserved with AddLeaves are not listed, materialised or
+// not; a materialised one appears in its part's Nodes().
 func (cl *Cluster) Nodes() []*Node { return cl.nodes }
 
-// Node returns the node with the given cluster-global ID, or nil.
+// Node returns the node with the given cluster-global ID, or nil. A
+// reserved endpoint ID resolves only once something has materialised
+// the endpoint (its router's NextHop towards it does); the lookup reads
+// the owning part's state, so it is for use while no shard is running.
 func (cl *Cluster) Node(id NodeID) *Node {
-	if id < 0 || int(id) >= len(cl.nodes) {
+	if id < 0 {
 		return nil
 	}
-	return cl.nodes[int(id)]
+	if int(id) < len(cl.nodes) {
+		return cl.nodes[id]
+	}
+	if owner, ok := cl.leaves.ownerOf(id); ok {
+		return cl.nodes[owner].leafNode(id)
+	}
+	return nil
 }
 
 // partOf returns the part index owning n.
@@ -138,20 +159,33 @@ func (cl *Cluster) Connect(a, b *Node, bandwidth, delay float64) {
 // representation follows cl.Routing. Call it instead of the per-part
 // ComputeRoutes, after the topology is final. The table is read-only
 // after this call, so shards on different cores share it safely.
+// Reserved endpoints get no row: NextHop resolves them to their owner
+// before it consults the table.
 func (cl *Cluster) ComputeRoutes() {
-	cl.rt = buildRoutes(cl.Routing, cl.nodes, len(cl.nodes), farOf)
+	far := farOf
+	if d := cl.leaves; d != nil {
+		// A recompute must not walk into endpoints materialised since.
+		far = func(pt *Port) *Port {
+			if f := pt.Far(); f != nil && f.node.ID < d.min {
+				return f
+			}
+			return nil
+		}
+	}
+	cl.rt = buildRoutes(cl.Routing, cl.nodes, len(cl.nodes), far)
 	for _, n := range cl.nodes {
 		n.rt = cl.rt
 	}
 }
 
-// RouteBytes estimates the memory held by the cluster-wide route table
-// (0 before ComputeRoutes).
+// RouteBytes estimates the memory held by the cluster-wide routing
+// state: the route table over the eager nodes plus the directory and
+// port slots of the reserved endpoints (0 before ComputeRoutes).
 func (cl *Cluster) RouteBytes() int64 {
 	if cl.rt == nil {
 		return 0
 	}
-	return cl.rt.RouteBytes()
+	return cl.rt.RouteBytes() + cl.leaves.bytes()
 }
 
 // RouteKind names the route-table representation in use ("dense" or
@@ -164,7 +198,9 @@ func (cl *Cluster) RouteKind() string {
 }
 
 // PathHops returns the hop count from a to b across the cluster
-// (0 for a==b, -1 if unreachable). Routes must be computed.
+// (0 for a==b, -1 if unreachable). Routes must be computed. A reserved
+// endpoint is a fine destination — the last hop materialises it — but
+// not a source until something has: there is no node to start from.
 func (cl *Cluster) PathHops(a, b NodeID) int {
 	if a == b {
 		return 0
@@ -178,7 +214,9 @@ func (cl *Cluster) PathHops(a, b NodeID) int {
 		}
 		cur = next.farNode()
 		hops++
-		if hops > len(cl.nodes) {
+		// Loop guard: a path visits each eager node at most once, plus
+		// an endpoint at either end.
+		if hops > len(cl.nodes)+2 {
 			return -1
 		}
 	}

@@ -76,7 +76,7 @@ type Port struct {
 	node  *Node
 	link  *Link
 	peer  *Port
-	q     *outQueue
+	q     outQueue
 	busy  bool
 	index int // position in node.ports, cached at attachment
 

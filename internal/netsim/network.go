@@ -37,6 +37,9 @@ type Network struct {
 	// rt is the route table shared by every node, built by
 	// ComputeRoutes.
 	rt RouteTable
+	// leaves is the owning Cluster's directory of reserved endpoint IDs;
+	// nil on a standalone network and on a cluster that reserved none.
+	leaves *leafDir
 
 	// pktFree is the packet pool's free list. It is per-network (not
 	// global) so concurrent simulations in separate goroutines — the
@@ -145,17 +148,27 @@ func (nw *Network) addNodeWithID(id NodeID, name string) *Node {
 	return n
 }
 
-// Nodes returns all nodes, indexed by NodeID.
+// Nodes returns all nodes in creation order — indexed by NodeID on a
+// standalone network. A Cluster part lists its own nodes only, the
+// endpoints materialised so far (Cluster.AddLeaves) after the eager
+// ones.
 func (nw *Network) Nodes() []*Node { return nw.nodes }
 
 // Node returns the node with the given ID, or nil. For a Cluster part
-// this resolves only locally owned nodes; remote IDs return nil.
+// this resolves only locally owned nodes; remote IDs and reserved
+// endpoints nothing has materialised yet return nil.
 func (nw *Network) Node(id NodeID) *Node {
 	if id < 0 {
 		return nil
 	}
 	if int(id) < len(nw.idIndex) {
 		return nw.idIndex[id]
+	}
+	if owner, ok := nw.leaves.ownerOf(id); ok {
+		if o := nw.Node(owner); o != nil {
+			return o.leafNode(id)
+		}
+		return nil
 	}
 	return nw.idSpill[id]
 }

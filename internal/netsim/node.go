@@ -95,6 +95,9 @@ type Node struct {
 	// rt is the shared route table built by ComputeRoutes; nil until
 	// routes are computed.
 	rt RouteTable
+	// leaves holds the endpoint reservations this node owns
+	// (Cluster.AddLeaves); nil on every other node.
+	leaves []leafRun
 
 	// Handler receives locally addressed packets.
 	Handler Handler
@@ -157,10 +160,16 @@ type hookEntry struct{ h ForwardHook }
 // NextHop returns the port used to reach dst, or nil if unreachable.
 // Routes must have been computed (Network.ComputeRoutes or
 // Cluster.ComputeRoutes); the representation behind the lookup is the
-// network's RouteTable.
+// network's RouteTable. On a cluster with reserved endpoints
+// (Cluster.AddLeaves) a reserved destination first resolves to the
+// router owning it, so the table never learns about endpoints — and
+// asking the owner itself materialises the endpoint.
 func (n *Node) NextHop(dst NodeID) *Port {
 	if n.rt == nil {
 		return nil
+	}
+	if d := n.net.leaves; d != nil && (dst >= d.min || n.ID >= d.min) {
+		return n.leafHop(d, dst)
 	}
 	return n.rt.NextHop(n, dst)
 }

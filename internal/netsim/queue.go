@@ -79,8 +79,11 @@ const DefaultDataQueueLimit = 50
 // must not be lost to its own lane under normal operation.
 const DefaultCtrlQueueLimit = 1000
 
-func newOutQueue() *outQueue {
-	return &outQueue{dataLimit: DefaultDataQueueLimit, ctrlLimit: DefaultCtrlQueueLimit}
+// newOutQueue returns an empty queue with the default lane limits. A
+// Port embeds the value, so a link's queues cost no allocation of their
+// own and enqueue reaches them without a pointer chase.
+func newOutQueue() outQueue {
+	return outQueue{dataLimit: DefaultDataQueueLimit, ctrlLimit: DefaultCtrlQueueLimit}
 }
 
 // push enqueues p, honouring lane limits. It reports whether the

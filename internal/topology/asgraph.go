@@ -304,8 +304,10 @@ type Internet struct {
 	Root     *netsim.Node
 	ServerGW *netsim.Node
 	Servers  []*netsim.Node
-	// Hosts holds every end host; HostAS names each host's stub AS.
-	Hosts  []*netsim.Node
+	// HostAS names each end host's stub AS, in host-index order; its
+	// length is the host count. Hosts are reserved on the cluster, not
+	// built (netsim.Cluster.AddLeaves): host i is the ID HostID(i) until
+	// a packet — or Host(i) — makes it a node.
 	HostAS []int32
 	// PartOf is the per-AS part assignment (hosts follow their AS;
 	// the victim pool is part 0).
@@ -318,13 +320,13 @@ type Internet struct {
 	serverSet map[netsim.NodeID]bool
 }
 
-// BuildInternet materializes the AS graph, victim pool and end hosts
-// onto a cluster over the given sharded simulator. Creation order —
-// AS routers in AS order, then the victim pool, then hosts grouped by
-// stub AS — fixes cluster-global IDs and channel creation order
-// independent of shard count, keeping sharded runs fingerprint-equal
-// at every width. Parts are placed on shards by LPT greedy over host
-// counts.
+// BuildInternet materializes the AS graph and victim pool onto a
+// cluster over the given sharded simulator and reserves the end hosts
+// behind their AS routers. Creation order — AS routers in AS order,
+// then the victim pool, then the host IDs grouped by stub AS — fixes
+// cluster-global IDs and channel creation order independent of shard
+// count, keeping sharded runs fingerprint-equal at every width. Parts
+// are placed on shards by LPT greedy over host counts.
 func BuildInternet(ss *des.ShardedSimulator, p InternetParams) *Internet {
 	if p.Servers < 1 {
 		panic("topology: internet build needs at least one server")
@@ -379,19 +381,6 @@ func BuildInternet(ss *des.ShardedSimulator, p InternetParams) *Internet {
 		it.Servers = append(it.Servers, s)
 		it.serverSet[s.ID] = true
 	}
-	// Hosts last, so their IDs are one contiguous range — IsHost is a
-	// single comparison, no per-host map at 10^6 scale. They carry no
-	// name: a million fmt.Sprintf strings would double the build's
-	// footprint for debug labels nobody reads.
-	it.hostMin = netsim.NodeID(p.Graph.ASes + 1 + p.Servers)
-	for as := 0; as < p.Graph.ASes; as++ {
-		for k := int32(0); k < hosts[as]; k++ {
-			h := cl.AddNode(int(partOf[as]), "")
-			it.Hosts = append(it.Hosts, h)
-			it.HostAS = append(it.HostAS, int32(as))
-		}
-	}
-
 	for i := 1; i < p.Graph.ASes; i++ {
 		cl.Connect(it.Routers[g.Parent[i]], it.Routers[i], p.CoreLink.Bandwidth, p.CoreLink.Delay)
 	}
@@ -399,8 +388,19 @@ func BuildInternet(ss *des.ShardedSimulator, p InternetParams) *Internet {
 	for _, s := range it.Servers {
 		cl.Connect(it.ServerGW, s, p.ServerLink.Bandwidth, p.ServerLink.Delay)
 	}
-	for i, h := range it.Hosts {
-		cl.Connect(it.Routers[it.HostAS[i]], h, p.LeafLink.Bandwidth, p.LeafLink.Delay)
+	// Hosts last, so their IDs are one contiguous range — IsHost is a
+	// single comparison, no per-host map at 10^6 scale — and reserved,
+	// not built: an endpoint becomes a node, an access link and two
+	// ports only when a packet first needs its router's port towards it.
+	it.hostMin = netsim.NodeID(p.Graph.ASes + 1 + p.Servers)
+	for as := 0; as < p.Graph.ASes; as++ {
+		if hosts[as] == 0 {
+			continue
+		}
+		cl.AddLeaves(it.Routers[as], int(hosts[as]), p.LeafLink.Bandwidth, p.LeafLink.Delay)
+		for k := int32(0); k < hosts[as]; k++ {
+			it.HostAS = append(it.HostAS, int32(as))
+		}
 	}
 	cl.ComputeRoutes()
 	it.Bottleneck = it.Root.PortTo(it.ServerGW).Link()
@@ -413,16 +413,27 @@ func (it *Internet) IsHost(n *netsim.Node) bool {
 	return n.ID >= it.hostMin || it.serverSet[n.ID]
 }
 
-// HostIndex returns the index into Hosts (and HostAS) of the host
-// with the given ID, or -1 if the ID does not name an end host.
-// Hosts occupy one contiguous ID range, so this is arithmetic — no
-// per-host map at 10^6 scale.
+// HostIndex returns the index into HostAS of the host with the given
+// ID, or -1 if the ID does not name an end host. Hosts occupy one
+// contiguous ID range, so this is arithmetic — no per-host map at 10^6
+// scale.
 func (it *Internet) HostIndex(id netsim.NodeID) int {
 	i := int(id - it.hostMin)
-	if i < 0 || i >= len(it.Hosts) {
+	if i < 0 || i >= len(it.HostAS) {
 		return -1
 	}
 	return i
+}
+
+// HostID is the inverse of HostIndex: the node ID of host i.
+func (it *Internet) HostID(i int) netsim.NodeID { return it.hostMin + netsim.NodeID(i) }
+
+// Host returns host i as a node, materialising the endpoint if no
+// packet has yet. It mutates the host's part network, so it is for
+// tests and tools inspecting a topology, not for code running beside
+// the shards.
+func (it *Internet) Host(i int) *netsim.Node {
+	return it.Routers[it.HostAS[i]].NextHop(it.HostID(i)).Far().Node()
 }
 
 // IsRouter reports whether a node is an AS router or the server

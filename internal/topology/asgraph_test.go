@@ -143,15 +143,22 @@ func TestBuildInternetSmall(t *testing.T) {
 	ss := des.NewSharded(1, 2)
 	it := BuildInternet(ss, p)
 
-	if len(it.Hosts) != 240 || len(it.Servers) != 3 || len(it.Routers) != 60 {
-		t.Fatalf("counts: %d hosts, %d servers, %d routers", len(it.Hosts), len(it.Servers), len(it.Routers))
+	if len(it.HostAS) != 240 || len(it.Servers) != 3 || len(it.Routers) != 60 {
+		t.Fatalf("counts: %d hosts, %d servers, %d routers", len(it.HostAS), len(it.Servers), len(it.Routers))
 	}
 	if got := it.Cluster.RouteKind(); got != "compressed" {
 		t.Fatalf("the internet is a pure tree and should route compressed under auto, got %q", got)
 	}
-	for _, h := range it.Hosts {
+	for i := range it.HostAS {
+		h := it.Host(i)
 		if !it.IsHost(h) || it.IsRouter(h) {
 			t.Fatalf("host %v misclassified", h)
+		}
+		if h.ID != it.HostID(i) || it.HostIndex(h.ID) != i || it.Cluster.Node(h.ID) != h || it.Host(i) != h {
+			t.Fatalf("host %d is %v: ID, index and lookup disagree", i, h)
+		}
+		if up := h.Ports()[0].Peer().Node(); up != it.Routers[it.HostAS[i]] {
+			t.Fatalf("host %v hangs off %v, want AS %d's router", h, up, it.HostAS[i])
 		}
 	}
 	for _, s := range it.Servers {
@@ -168,7 +175,8 @@ func TestBuildInternetSmall(t *testing.T) {
 		t.Fatal("server gateway not classified as router")
 	}
 	// Every host reaches every server through the bottleneck head.
-	for _, h := range it.Hosts[:10] {
+	for i := 0; i < 10; i++ {
+		h := it.Host(i)
 		hops := it.Cluster.PathHops(h.ID, it.Servers[0].ID)
 		if hops < 3 {
 			t.Fatalf("host %v -> server path has %d hops", h, hops)
@@ -176,6 +184,30 @@ func TestBuildInternetSmall(t *testing.T) {
 	}
 	if it.Bottleneck == nil {
 		t.Fatal("bottleneck link not resolved")
+	}
+}
+
+// TestBuildInternetAllocsIndependentOfHosts pins the point of reserving
+// hosts: on one AS graph, a build with a thousand times the hosts makes
+// no more allocations — only larger ones (the reservation arrays, whose
+// growth by doubling is the small constant).
+func TestBuildInternetAllocsIndependentOfHosts(t *testing.T) {
+	build := func(hosts int) float64 {
+		p := DefaultInternetParams()
+		p.Graph = ASGraphParams{ASes: 400, Gamma: 2.1, Seed: 11}
+		p.Hosts = hosts
+		p.Parts = 4
+		return testing.AllocsPerRun(1, func() {
+			it := BuildInternet(des.NewSharded(1, 2), p)
+			if len(it.HostAS) != hosts || len(it.Cluster.Nodes()) != 400+1+p.Servers {
+				t.Fatalf("built %d hosts and %d nodes", len(it.HostAS), len(it.Cluster.Nodes()))
+			}
+		})
+	}
+	small, large := build(1000), build(1000000)
+	t.Logf("allocations per build: %.0f at 10³ hosts, %.0f at 10⁶", small, large)
+	if large > small+64 {
+		t.Fatalf("10⁶-host build made %.0f allocations, 10³-host build %.0f: hosts are being built, not reserved", large, small)
 	}
 }
 
@@ -190,18 +222,27 @@ func TestBuildInternetCompressedAuto(t *testing.T) {
 	if got := it.Cluster.RouteKind(); got != "compressed" {
 		t.Fatalf("internet-scale pure tree should auto-compress, got %q", got)
 	}
-	n := int64(len(it.Cluster.Nodes()))
+	n := int64(len(it.Cluster.Nodes()) + len(it.HostAS))
 	if rb := it.Cluster.RouteBytes(); rb > 64*n {
-		t.Fatalf("compressed route table %d bytes for %d nodes exceeds 64 B/node", rb, n)
+		t.Fatalf("routing state %d bytes for %d addressable IDs exceeds 64 B each", rb, n)
 	}
 	// Spot-check reachability across parts in both directions.
-	if hops := it.Cluster.PathHops(it.Hosts[0].ID, it.Servers[1].ID); hops < 3 {
+	if hops := it.Cluster.PathHops(it.Host(0).ID, it.Servers[1].ID); hops < 3 {
 		t.Fatalf("host -> server hops = %d", hops)
 	}
-	if hops := it.Cluster.PathHops(it.Servers[1].ID, it.Hosts[len(it.Hosts)-1].ID); hops < 3 {
+	// The walk from the server materialises the far host when it asks
+	// the host's own router for the last hop.
+	last := it.HostID(len(it.HostAS) - 1)
+	if it.Cluster.Node(last) != nil {
+		t.Fatalf("host %d exists before anything reached it", last)
+	}
+	if hops := it.Cluster.PathHops(it.Servers[1].ID, last); hops < 3 {
 		t.Fatalf("server -> host hops = %d", hops)
 	}
-	if id := it.Hosts[0].ID; !it.IsHost(it.Cluster.Node(id)) {
+	if id := it.HostID(0); !it.IsHost(it.Cluster.Node(id)) {
 		t.Fatal("cluster-global lookup lost a host")
+	}
+	if got := it.Cluster.Node(last); got == nil || got.ID != last {
+		t.Fatalf("cluster-global lookup of the walked-to host returned %v", got)
 	}
 }
