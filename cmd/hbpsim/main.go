@@ -53,7 +53,6 @@ func main() {
 	watchdog := flag.Bool("watchdog", false, "enable the stall watchdog that re-seeds evicted session trees (hbp only)")
 	byzantine := flag.Int("byzantine", 0, "number of subverted routers forging/replaying/amplifying control frames (hbp only)")
 	byzRate := flag.Float64("byz-rate", 2, "hostile frames per second per subverted router")
-	shards := flag.Int("shards", 0, "event-engine shards (0 or 1 sequential; N>1 hosts the run on a sharded engine, bit-identical results)")
 	server := flag.String("server", "", "submit to a running hbpsimd at this base URL instead of executing locally")
 	fleetURL := flag.String("fleet", "", "submit to a hbpfleet coordinator at this base URL (same API as -server; the fleet picks a worker)")
 	scale := flag.String("scale", "", "run a scale sweep instead of one scenario: 'internet' sweeps the zombie population 10^3..10^6 over power-law AS topologies")
@@ -84,7 +83,6 @@ func main() {
 		Watchdog:    *watchdog,
 		Byzantine:   *byzantine,
 		ByzRate:     *byzRate,
-		Shards:      *shards,
 	}
 	cfg, err := spec.Config()
 	if err != nil {

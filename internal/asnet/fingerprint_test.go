@@ -11,11 +11,10 @@ import (
 // fullTopoFingerprint runs one fixed-seed scenario on a generated
 // full topology (meshed transit core, stubs, several dispersed
 // attackers, progressive mode) and folds everything observable into a
-// string: the exact capture sequence and every defense counter. The
-// engine is injected so the hosted-sharded variant can drive the same
-// model: sim is where the model lives, runUntil drives the run.
-func fullTopoFingerprint(t *testing.T, sim *des.Simulator, runUntil func(float64) error) string {
+// string: the exact capture sequence and every defense counter.
+func fullTopoFingerprint(t *testing.T) string {
 	t.Helper()
+	sim := des.New()
 	g := NewGraph(sim)
 	_, stubs, err := GenerateTopology(g, TopoParams{Transits: 10, Stubs: 16, ExtraLinks: 5, Seed: 7})
 	if err != nil {
@@ -37,7 +36,7 @@ func fullTopoFingerprint(t *testing.T, sim *des.Simulator, runUntil func(float64
 		start := 0.5 + 0.7*float64(i)
 		sim.At(start, func() { atk.Start() })
 	}
-	if err := runUntil(1200); err != nil {
+	if err := sim.RunUntil(1200); err != nil {
 		t.Fatal(err)
 	}
 	fp += fmt.Sprintf("msg=%d ingress=%d lease=%d peak=%d reports=%d sec=%+v",
@@ -54,28 +53,12 @@ func fullTopoFingerprint(t *testing.T, sim *des.Simulator, runUntil func(float64
 // hbp.Controller's close/sweep/re-seed fan-outs — a reintroduced
 // map-order leak shows up here as a flaky diff.
 func TestFullTopologyFingerprint(t *testing.T) {
-	sim1, sim2 := des.New(), des.New()
-	a := fullTopoFingerprint(t, sim1, sim1.RunUntil)
-	b := fullTopoFingerprint(t, sim2, sim2.RunUntil)
+	a := fullTopoFingerprint(t)
+	b := fullTopoFingerprint(t)
 	if a != b {
 		t.Fatalf("same seed produced different runs:\n%s\nvs\n%s", a, b)
 	}
 	if !strings.Contains(a, "cap as=") {
 		t.Fatalf("scenario captured nothing; fingerprint pins too little: %s", a)
-	}
-}
-
-// TestFullTopologyFingerprintHosted pins the hosted-sharded seam: the
-// same model built on shard 0 of a multi-shard conservative engine
-// (idle peer shards, windowed driver loop) must reproduce the
-// sequential engine's fingerprint bit for bit.
-func TestFullTopologyFingerprintHosted(t *testing.T) {
-	seq := des.New()
-	ref := fullTopoFingerprint(t, seq, seq.RunUntil)
-	for _, shards := range []int{2, 8} {
-		ss := des.NewSharded(7, shards)
-		if got := fullTopoFingerprint(t, ss.Shard(0), ss.RunUntil); got != ref {
-			t.Fatalf("hosted on %d shards diverged from the sequential engine:\n%s\nvs\n%s", shards, ref, got)
-		}
 	}
 }

@@ -74,10 +74,6 @@ type EmbeddedIntraAS struct {
 	// PacketRate overrides the intra-AS flood rate in packets/s; 0
 	// uses the attacker's own Rate, matching the inter-AS flood.
 	PacketRate float64
-	// Routing selects the route-table representation of the generated
-	// intra-AS networks (netsim.RouteMode); the zero value, RouteAuto,
-	// compresses them (they are trees).
-	Routing netsim.RouteMode
 
 	owner *Defense
 	subs  map[ASID]*IntraASNet
@@ -147,7 +143,6 @@ func (e *EmbeddedIntraAS) params(as ASID) topology.Params {
 		MinDepth:    1,
 		Reuse:       0.6,
 		MaxChildren: 4,
-		Routing:     e.Routing,
 		Seed:        e.Seed*1_000_003 + int64(as) + 1,
 	}
 }

@@ -42,7 +42,6 @@ type ByzantineAdapter struct {
 	ring    [byzRingSize]byzFrame
 	ringLen int
 	ringPos int
-	removes []func()
 
 	// Injected counts frames actually put on the wire (amplification
 	// counts each copy).
@@ -63,14 +62,13 @@ func NewByzantineAdapter(d *Defense, servers []netsim.NodeID) *ByzantineAdapter 
 
 // Tap installs passive capture on the given subverted nodes: every
 // control frame they forward or receive lands in the replay ring.
-// Call before the simulation starts; Untap removes the taps.
+// Call before the simulation starts.
 func (a *ByzantineAdapter) Tap(nodes ...*netsim.Node) {
 	for _, n := range nodes {
-		rm := n.AddHook(netsim.ForwardFunc(func(_ *netsim.Node, p *netsim.Packet, in, out *netsim.Port) bool {
+		n.AddHook(netsim.ForwardFunc(func(_ *netsim.Node, p *netsim.Packet, in, out *netsim.Port) bool {
 			a.capture(p)
 			return true
 		}))
-		a.removes = append(a.removes, rm)
 		prev := n.Handler
 		n.Handler = func(p *netsim.Packet, in *netsim.Port) {
 			a.capture(p)
@@ -79,15 +77,6 @@ func (a *ByzantineAdapter) Tap(nodes ...*netsim.Node) {
 			}
 		}
 	}
-}
-
-// Untap removes the forwarding taps installed by Tap (the handler
-// wrappers stay; they are passive).
-func (a *ByzantineAdapter) Untap() {
-	for _, rm := range a.removes {
-		rm()
-	}
-	a.removes = nil
 }
 
 func (a *ByzantineAdapter) capture(p *netsim.Packet) {

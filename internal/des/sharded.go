@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // message is one buffered cross-shard send.
@@ -73,15 +72,6 @@ type Channel struct {
 	seq       uint32
 	queue     []message
 }
-
-// Lookahead returns the channel's declared minimum delay.
-func (c *Channel) Lookahead() float64 { return c.lookahead }
-
-// Src and Dst return the endpoint shard indices.
-func (c *Channel) Src() int { return c.src }
-
-// Dst returns the destination shard index.
-func (c *Channel) Dst() int { return c.dst }
 
 // Send buffers the typed event fn(a, b, kind) for delivery on the
 // destination shard at the source shard's now + delay. delay must be
@@ -108,13 +98,14 @@ func (c *Channel) Send(delay float64, fn TypedFunc, a, b any, kind uint8) {
 }
 
 // ShardedSimulator drives K per-shard Simulators in conservative
-// lookahead windows. It mirrors the single Simulator's driver surface
-// (Run/RunUntil, Stop, SetInterrupt, EventLimit, Reset, DrainPending,
-// Now/Fired/Pending); model code schedules on its own shard's
-// Simulator exactly as before. With one shard and no channels it
-// degenerates to the ordinary sequential engine.
+// lookahead windows. It mirrors the single Simulator's run-driver
+// surface (Run/RunUntil, SetInterrupt, EventLimit, DrainPending,
+// Now/Fired/Pending) but schedules nothing itself: model code
+// schedules on its own shard's Simulator (Shard(i)), and a handler
+// that wants the run to end calls that Simulator's Stop. With one
+// shard and no channels it degenerates to the ordinary sequential
+// engine.
 type ShardedSimulator struct {
-	seed   int64
 	shards []*Simulator
 	rngs   []*RNG
 	chans  []*Channel
@@ -123,15 +114,15 @@ type ShardedSimulator struct {
 	lookahead float64
 
 	// EventLimit, when non-zero, bounds the total events fired across
-	// all shards. The check is exact at window barriers; within one
-	// window each shard stops after at most the remaining budget, so
-	// the overshoot before the abort is bounded by one window per
-	// shard. With the whole model on one shard it is exact, matching
-	// the sequential engine.
+	// all shards: a run that would dispatch more returns ErrEventLimit.
+	// The check is exact at window barriers; within one window each
+	// shard stops after at most the remaining budget, so the overshoot
+	// before the abort is bounded by one window per shard. With the
+	// whole model on one shard it is exact, matching the sequential
+	// engine.
 	EventLimit uint64
 
 	interrupt func() error
-	stopflag  atomic.Bool
 }
 
 // NewSharded returns a sharded simulator with n empty shards. Shard
@@ -140,7 +131,7 @@ func NewSharded(seed int64, n int) *ShardedSimulator {
 	if n < 1 {
 		panic("des: need at least one shard")
 	}
-	ss := &ShardedSimulator{seed: seed, lookahead: math.Inf(1)}
+	ss := &ShardedSimulator{lookahead: math.Inf(1)}
 	ss.shards = make([]*Simulator, n)
 	ss.rngs = make([]*RNG, n)
 	for i := range ss.shards {
@@ -225,55 +216,16 @@ func (ss *ShardedSimulator) Pending() int {
 	return n
 }
 
-// Stop makes the run return at the next window barrier. It is safe to
-// call from any shard's event handler (or from outside the run); model
-// code wanting the sequential engine's stop-after-current-event
-// behavior on its own shard can call its shard Simulator's Stop, which
-// additionally ends that shard's current window immediately.
-func (ss *ShardedSimulator) Stop() { ss.stopflag.Store(true) }
-
 // SetInterrupt installs a cooperative cancellation checkpoint polled
-// once per window barrier (the `every` cadence of the sequential
-// engine does not apply — barriers are the natural safe points). Pass
-// nil to remove it.
-func (ss *ShardedSimulator) SetInterrupt(every uint64, check func() error) {
-	_ = every
+// once per window barrier — barriers are the engine's natural safe
+// points, so there is no per-event cadence to choose. Pass nil to
+// remove it.
+func (ss *ShardedSimulator) SetInterrupt(check func() error) {
 	ss.interrupt = check
 }
 
-// At, AtNamed, After, AfterNamed, ScheduleTyped and Every delegate to
-// shard 0, making the ShardedSimulator a drop-in Simulator surface for
-// drivers that schedule global control actions (attack start/stop,
-// shutdown). Anything placed on other shards schedules via Shard(i).
-
-// At schedules h on shard 0 at absolute time t.
-func (ss *ShardedSimulator) At(t float64, h Handler) Event { return ss.shards[0].At(t, h) }
-
-// AtNamed is At with a debug label.
-func (ss *ShardedSimulator) AtNamed(t float64, name string, h Handler) Event {
-	return ss.shards[0].AtNamed(t, name, h)
-}
-
-// After schedules h on shard 0 at shard 0's now + d.
-func (ss *ShardedSimulator) After(d float64, h Handler) Event { return ss.shards[0].After(d, h) }
-
-// AfterNamed is After with a debug label.
-func (ss *ShardedSimulator) AfterNamed(d float64, name string, h Handler) Event {
-	return ss.shards[0].AfterNamed(d, name, h)
-}
-
-// ScheduleTyped schedules a typed event on shard 0.
-func (ss *ShardedSimulator) ScheduleTyped(t float64, fn TypedFunc, a, b any, kind uint8) Event {
-	return ss.shards[0].ScheduleTyped(t, fn, a, b, kind)
-}
-
-// Every schedules a periodic handler on shard 0.
-func (ss *ShardedSimulator) Every(start, period float64, h Handler) (stop func()) {
-	return ss.shards[0].Every(start, period, h)
-}
-
-// Run dispatches until every shard is idle, Stop is called, or the
-// event limit is hit.
+// Run dispatches until every shard is idle, a shard's Stop is called,
+// or the event limit is hit.
 func (ss *ShardedSimulator) Run() error { return ss.RunUntil(math.Inf(1)) }
 
 // RunUntil dispatches events with time <= end across all shards in
@@ -281,7 +233,6 @@ func (ss *ShardedSimulator) Run() error { return ss.RunUntil(math.Inf(1)) }
 // result — which events fire, at what logical times, in what
 // causality-relevant order — is bit-identical for any shard count.
 func (ss *ShardedSimulator) RunUntil(end float64) error {
-	ss.stopflag.Store(false)
 	for _, s := range ss.shards {
 		s.stopped = false
 	}
@@ -295,22 +246,12 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 		// setup, before the run) so window sizing sees them as pending
 		// events.
 		ss.inject()
-		stopped := ss.stopflag.Load()
+		stopped := false
 		for _, s := range ss.shards {
 			stopped = stopped || s.stopped
 		}
 		if stopped {
 			break
-		}
-		if ss.EventLimit > 0 {
-			fired := ss.Fired()
-			if fired >= ss.EventLimit {
-				return ErrEventLimit
-			}
-			remaining := ss.EventLimit - fired
-			for _, s := range ss.shards {
-				s.EventLimit = s.fired + remaining
-			}
 		}
 		t := math.Inf(1)
 		for _, s := range ss.shards {
@@ -320,6 +261,19 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 		}
 		if math.IsInf(t, 1) || t > end {
 			break
+		}
+		if ss.EventLimit > 0 {
+			// Like the sequential engine, fail only when another event
+			// is due: a run that fires exactly the budget and then goes
+			// idle succeeds.
+			fired := ss.Fired()
+			if fired >= ss.EventLimit {
+				return ErrEventLimit
+			}
+			remaining := ss.EventLimit - fired
+			for _, s := range ss.shards {
+				s.EventLimit = s.fired + remaining
+			}
 		}
 		bound, inclusive := t+ss.lookahead, false
 		if bound > end || math.IsInf(bound, 1) {
@@ -404,14 +358,6 @@ func (ss *ShardedSimulator) DrainPending(visit func(DrainedEvent)) {
 	for _, s := range ss.shards {
 		s.DrainPending(visit)
 	}
-	ss.DrainMessages(visit)
-}
-
-// DrainMessages drains only the buffered, not yet injected channel
-// messages. Network teardown uses it after per-shard drains: a message
-// in cut-edge transit carries resources whose ownership already left
-// the source shard.
-func (ss *ShardedSimulator) DrainMessages(visit func(DrainedEvent)) {
 	for _, c := range ss.chans {
 		for i := range c.queue {
 			m := &c.queue[i]
@@ -422,25 +368,4 @@ func (ss *ShardedSimulator) DrainMessages(visit func(DrainedEvent)) {
 		}
 		c.queue = c.queue[:0]
 	}
-}
-
-// Reset rewinds every shard (clearing their interrupt hooks, per the
-// Simulator.Reset contract), discards buffered messages, zeroes
-// channel sequences and removes the coordinator's interrupt hook.
-// EventLimit is preserved as configuration. Like the sequential Reset
-// it drops payload references without visiting them — DrainPending
-// first when events may hold pooled resources.
-func (ss *ShardedSimulator) Reset() {
-	for _, s := range ss.shards {
-		s.Reset()
-	}
-	for _, c := range ss.chans {
-		for i := range c.queue {
-			c.queue[i] = message{}
-		}
-		c.queue = c.queue[:0]
-		c.seq = 0
-	}
-	ss.interrupt = nil
-	ss.stopflag.Store(false)
 }

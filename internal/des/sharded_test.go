@@ -168,15 +168,14 @@ func TestShardedEventLimit(t *testing.T) {
 
 func TestShardedStopAndInterrupt(t *testing.T) {
 	ss := NewSharded(1, 2)
-	ch := ss.NewChannel(0, 1, 0.01)
-	_ = ch
+	ss.NewChannel(0, 1, 0.01)
 	sim := ss.Shard(1)
 	fired := 0
 	var loop func()
 	loop = func() {
 		fired++
 		if fired == 10 {
-			ss.Stop()
+			sim.Stop()
 		}
 		sim.After(0.001, loop)
 	}
@@ -184,23 +183,27 @@ func TestShardedStopAndInterrupt(t *testing.T) {
 	if err := ss.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if fired < 10 {
-		t.Fatalf("stopped after %d events, want >= 10", fired)
+	// A shard's Stop ends its window after the current event and the
+	// run at the next barrier.
+	if fired != 10 {
+		t.Fatalf("stopped after %d events, want 10", fired)
 	}
 
-	ss.Reset()
 	boom := errors.New("cancelled")
-	ss.SetInterrupt(0, func() error { return boom })
-	ss.Shard(0).At(1, func() {})
+	ss.SetInterrupt(func() error { return boom })
 	if err := ss.Run(); !errors.Is(err, boom) {
 		t.Fatalf("want interrupt error, got %v", err)
 	}
-	// Reset must clear the coordinator checkpoint (mirroring the
-	// per-shard Simulator.Reset contract).
-	ss.Reset()
-	ss.Shard(0).At(1, func() {})
-	if err := ss.Run(); err != nil {
-		t.Fatalf("stale interrupt survived Reset: %v", err)
+	if fired != 10 {
+		t.Fatalf("an event fired after the interrupt: %d", fired)
+	}
+	// Removing the checkpoint lets the run resume.
+	ss.SetInterrupt(nil)
+	if err := ss.RunUntil(0.1); err != nil {
+		t.Fatalf("run after removing the interrupt: %v", err)
+	}
+	if fired <= 10 {
+		t.Fatal("run did not resume after the interrupt was removed")
 	}
 }
 
@@ -220,17 +223,13 @@ func TestShardedDrainAndReset(t *testing.T) {
 	if got := ss.Pending(); got != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", got)
 	}
-
-	ch.Send(0.02, ringDeliver, nil, &ringMsg{depth: 1}, 0)
-	ss.Reset()
-	if got := ss.Pending(); got != 0 {
-		t.Fatalf("Pending after reset = %d, want 0", got)
+	// The engine stays usable: a drained channel delivers again.
+	ch.Send(0.02, func(any, any, uint8) { drained++ }, nil, nil, 0)
+	if err := ss.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if ch.seq != 0 {
-		t.Fatalf("channel sequence %d not reset", ch.seq)
-	}
-	if now := ss.Now(); now != 0 {
-		t.Fatalf("Now after reset = %v, want 0", now)
+	if drained != 3 {
+		t.Fatalf("post-drain delivery did not fire (count %d)", drained)
 	}
 }
 

@@ -117,41 +117,6 @@ func TestByzantineRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestByzantineHostedMatchesSequential pins TreeConfig.Shards as a
-// pure engine knob: the full byzantine scenario — the most
-// state-coupled tree run we have — hosted on shard 0 of an 8-shard
-// conservative engine must reproduce the sequential run's capture
-// schedule, security counters, drop count and event count exactly.
-func TestByzantineHostedMatchesSequential(t *testing.T) {
-	seq := byzPoint(t, true)
-	cfg := ByzantineTreeConfig(QuickScale().treeConfig(), 4, 20, true)
-	cfg.Shards = 8
-	hosted, err := RunTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hosted.Sec != seq.Sec {
-		t.Fatalf("security counters differ:\n%+v\n%+v", hosted.Sec, seq.Sec)
-	}
-	if hosted.ByzantineInjected != seq.ByzantineInjected {
-		t.Fatalf("injected %d vs %d", hosted.ByzantineInjected, seq.ByzantineInjected)
-	}
-	if hosted.QueueDrops != seq.QueueDrops {
-		t.Fatalf("queue drops %d vs %d", hosted.QueueDrops, seq.QueueDrops)
-	}
-	if hosted.EventsFired != seq.EventsFired {
-		t.Fatalf("events fired %d vs %d", hosted.EventsFired, seq.EventsFired)
-	}
-	if len(hosted.CaptureTimes) != len(seq.CaptureTimes) {
-		t.Fatalf("capture counts differ: %d vs %d", len(hosted.CaptureTimes), len(seq.CaptureTimes))
-	}
-	for i := range hosted.CaptureTimes {
-		if hosted.CaptureTimes[i] != seq.CaptureTimes[i] {
-			t.Fatalf("capture %d at %v vs %v", i, hosted.CaptureTimes[i], seq.CaptureTimes[i])
-		}
-	}
-}
-
 // TestHardeningOffPreservesBaseline pins the compatibility criterion:
 // with the adversarial layer disabled (no auth, no watchdog, no
 // byzantine nodes), the always-on state budgets never bind in the

@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -62,8 +63,16 @@ type OnOffSpec struct {
 	Ton, Toff float64
 }
 
+// valid reports whether the attackers can run this timing: a positive
+// burst and a non-negative silence, both finite. NaN fails every
+// comparison, so it is rejected too.
+func (o OnOffSpec) valid() bool {
+	return o.Ton > 0 && o.Toff >= 0 && !math.IsInf(o.Ton, 1) && !math.IsInf(o.Toff, 1)
+}
+
 // TreeConfig is a full tree-scenario specification (Figs. 8, 10, 11,
-// 12).
+// 12). A tree scenario runs on the sequential engine: its defense
+// couples every router, so the model cannot be cut across shards.
 type TreeConfig struct {
 	// Topology generates the tree (leaves, link classes, seed).
 	Topology topology.Params
@@ -170,17 +179,6 @@ type TreeConfig struct {
 	// scenarios in a long-lived service, complementing the wall-clock
 	// deadline the Context carries.
 	EventLimit uint64
-
-	// Shards selects the event engine. 0 or 1 runs the sequential
-	// engine. N > 1 hosts the run on shard 0 of an N-shard
-	// conservative-lookahead engine (des.ShardedSimulator): the model
-	// itself stays on one shard — the full defense stack couples every
-	// router, so this scenario family cannot be cut — making the knob
-	// a determinism regression net for the sharded driver rather than
-	// a speedup. A fixed seed must produce bit-identical results at
-	// every value. Genuinely parallel workloads live in the sharded
-	// forest figures (RunShardedForest).
-	Shards int
 }
 
 // DefaultTreeConfig returns the Fig. 9-style baseline scenario:
@@ -231,8 +229,8 @@ func (c TreeConfig) Validate() error {
 		return fmt.Errorf("experiments: bad run timing (%v, %v, %v)", c.Duration, c.AttackStart, c.AttackEnd)
 	case c.Faults != nil && (c.Faults.Loss.Prob < 0 || c.Faults.Loss.Prob >= 1):
 		return fmt.Errorf("experiments: fault loss probability %v out of [0,1)", c.Faults.Loss.Prob)
-	case c.Shards < 0:
-		return fmt.Errorf("experiments: negative shard count %d", c.Shards)
+	case c.OnOff != nil && !c.OnOff.valid():
+		return fmt.Errorf("experiments: on-off timing (%v, %v) needs a positive Ton and a non-negative Toff, both finite", c.OnOff.Ton, c.OnOff.Toff)
 	}
 	return c.Pool.Validate()
 }

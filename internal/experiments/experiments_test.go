@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -22,21 +23,32 @@ func TestTreeConfigValidate(t *testing.T) {
 	if err := DefaultTreeConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultTreeConfig()
-	bad.NumAttackers = bad.Topology.Leaves
-	if bad.Validate() == nil {
-		t.Fatal("attackers == leaves accepted")
+	onoff := func(ton, toff float64) func(*TreeConfig) {
+		return func(c *TreeConfig) { c.OnOff = &OnOffSpec{Ton: ton, Toff: toff} }
 	}
-	bad = DefaultTreeConfig()
-	bad.Pool.N = 7
-	if bad.Validate() == nil {
-		t.Fatal("pool/topology server mismatch accepted")
+	for _, tc := range []struct {
+		name string
+		mut  func(*TreeConfig)
+	}{
+		{"attackers == leaves", func(c *TreeConfig) { c.NumAttackers = c.Topology.Leaves }},
+		{"pool/topology server mismatch", func(c *TreeConfig) { c.Pool.N = 7 }},
+		{"inverted attack window", func(c *TreeConfig) { c.AttackStart, c.AttackEnd = 90, 50 }},
+		// traffic.OnOff would panic on each of these at attack start.
+		{"on-off 0,0", onoff(0, 0)},
+		{"on-off -1,5", onoff(-1, 5)},
+		{"on-off 5,-1", onoff(5, -1)},
+		{"on-off NaN", onoff(math.NaN(), 1)},
+	} {
+		bad := DefaultTreeConfig()
+		tc.mut(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	bad = DefaultTreeConfig()
-	bad.AttackStart = 90
-	bad.AttackEnd = 50
-	if bad.Validate() == nil {
-		t.Fatal("inverted attack window accepted")
+	ok := DefaultTreeConfig()
+	onoff(0.5, 0)(&ok)
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("on-off 0.5,0 rejected: %v", err)
 	}
 }
 

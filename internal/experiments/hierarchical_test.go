@@ -9,15 +9,16 @@ import (
 	"repro/internal/des"
 )
 
-// hierarchicalFingerprint runs one fixed-seed unified hierarchical
-// scenario — generated AS graph, embedded per-stub-AS router-level
-// intra-AS model, dispersed attackers — and folds everything
+// hierarchicalRun runs one fixed-seed unified hierarchical scenario —
+// generated AS graph, embedded per-stub-AS router-level intra-AS
+// model, dispersed attackers — for until seconds and folds everything
 // observable into a string: the exact inter-AS capture sequence, every
 // embedded sub-network's counters and residual state, and the outer
-// defense counters. The engine is injected so the hosted-sharded
-// variant can drive the same model.
-func hierarchicalFingerprint(t *testing.T, sim *des.Simulator, runUntil func(float64) error) string {
+// defense counters. It also returns the embedded model, whose per-AS
+// networks exist once a traceback has reached them.
+func hierarchicalRun(t *testing.T, until float64) (string, *asnet.EmbeddedIntraAS) {
 	t.Helper()
+	sim := des.New()
 	g := asnet.NewGraph(sim)
 	_, stubs, err := asnet.GenerateTopology(g, asnet.TopoParams{Transits: 6, Stubs: 10, ExtraLinks: 3, Seed: 11})
 	if err != nil {
@@ -41,7 +42,7 @@ func hierarchicalFingerprint(t *testing.T, sim *des.Simulator, runUntil func(flo
 		start := 0.5 + 0.7*float64(i)
 		sim.At(start, func() { atk.Start() })
 	}
-	if err := runUntil(600); err != nil {
+	if err := sim.RunUntil(until); err != nil {
 		t.Fatal(err)
 	}
 	for _, sub := range em.Subs() {
@@ -50,7 +51,7 @@ func hierarchicalFingerprint(t *testing.T, sim *des.Simulator, runUntil func(flo
 	}
 	fp += fmt.Sprintf("msg=%d ingress=%d peak=%d reports=%d",
 		def.MsgSent, def.IngressLookups, def.PeakState, srv.ReportsReceived)
-	return fp
+	return fp, em
 }
 
 // TestHierarchicalFingerprint pins determinism on the unified run:
@@ -59,9 +60,8 @@ func hierarchicalFingerprint(t *testing.T, sim *des.Simulator, runUntil func(flo
 // or in the coupling between them — shows up as a flaky diff here.
 // Also exercised under -race in CI.
 func TestHierarchicalFingerprint(t *testing.T) {
-	sim1, sim2 := des.New(), des.New()
-	a := hierarchicalFingerprint(t, sim1, sim1.RunUntil)
-	b := hierarchicalFingerprint(t, sim2, sim2.RunUntil)
+	a, _ := hierarchicalRun(t, 600)
+	b, _ := hierarchicalRun(t, 600)
 	if a != b {
 		t.Fatalf("same seed produced different runs:\n%s\nvs\n%s", a, b)
 	}
@@ -70,20 +70,6 @@ func TestHierarchicalFingerprint(t *testing.T) {
 	}
 	if !strings.Contains(a, "sub as=") {
 		t.Fatalf("no embedded intra-AS network was instantiated: %s", a)
-	}
-}
-
-// TestHierarchicalFingerprintHosted checks the unified hierarchical
-// scenario on the hosted-sharded seam: both planes on shard 0 of a
-// multi-shard engine must match the sequential fingerprint exactly.
-func TestHierarchicalFingerprintHosted(t *testing.T) {
-	seq := des.New()
-	ref := hierarchicalFingerprint(t, seq, seq.RunUntil)
-	for _, shards := range []int{2, 8} {
-		ss := des.NewSharded(11, shards)
-		if got := hierarchicalFingerprint(t, ss.Shard(0), ss.RunUntil); got != ref {
-			t.Fatalf("hosted on %d shards diverged from the sequential engine:\n%s\nvs\n%s", shards, ref, got)
-		}
 	}
 }
 

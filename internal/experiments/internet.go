@@ -375,17 +375,9 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 
 	mon := metrics.NewBottleneckMonitor(cl.Part(0).Sim, it.Bottleneck, it.ServerGW, 1)
 
-	if cfg.EventLimit > 0 || cfg.Context != nil {
-		lim, ctx := cfg.EventLimit, cfg.Context
-		ss.SetInterrupt(0, func() error {
-			if lim > 0 && ss.Fired() > lim {
-				return des.ErrEventLimit
-			}
-			if ctx != nil {
-				return ctx.Err()
-			}
-			return nil
-		})
+	ss.EventLimit = cfg.EventLimit
+	if cfg.Context != nil {
+		ss.SetInterrupt(cfg.Context.Err)
 	}
 
 	start := time.Now() //hbplint:ignore determinism wall clock only times the host's execution for the sweep report; it never feeds simulation state.

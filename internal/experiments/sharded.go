@@ -50,10 +50,6 @@ type ForestConfig struct {
 	// EventLimit, when non-zero, aborts the run with des.ErrEventLimit
 	// after that many dispatched events (summed over all shards).
 	EventLimit uint64
-	// Routing selects the cluster's route-table representation
-	// (netsim.RouteMode); the zero value, RouteAuto, picks dense once
-	// the root ring closes a cycle (three or more parts).
-	Routing netsim.RouteMode
 }
 
 // DefaultForestConfig returns a 4-tree forest sized so unit tests and
@@ -168,7 +164,6 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		place[i] = i % shards
 	}
 	cl := netsim.NewCluster(ss, place)
-	cl.Routing = cfg.Routing
 
 	// Phase 1: topology. Each part grows its own paper-style tree plus
 	// a sink host for inbound cross traffic.
@@ -293,15 +288,7 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		})
 	}
 
-	if cfg.EventLimit > 0 {
-		lim := cfg.EventLimit
-		ss.SetInterrupt(0, func() error {
-			if ss.Fired() > lim {
-				return des.ErrEventLimit
-			}
-			return nil
-		})
-	}
+	ss.EventLimit = cfg.EventLimit
 
 	start := time.Now() //hbplint:ignore determinism wall clock only times the host's execution for the speedup report; it never feeds simulation state.
 	if err := ss.RunUntil(cfg.Duration); err != nil {

@@ -101,22 +101,9 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		cfg.SampleInterval = 1
 	}
 	sim := des.New()
-	runUntil := sim.RunUntil
-	if cfg.Shards > 1 {
-		// Hosted sharded mode: the whole model binds to shard 0 of an
-		// N-shard engine, so the event limit and cancellation
-		// checkpoint stay on that shard's Simulator and behave exactly
-		// as in the sequential engine; only the driver loop differs.
-		ss := des.NewSharded(cfg.Seed, cfg.Shards)
-		sim = ss.Shard(0)
-		runUntil = ss.RunUntil
-	}
-	if cfg.EventLimit > 0 {
-		sim.EventLimit = cfg.EventLimit
-	}
+	sim.EventLimit = cfg.EventLimit
 	if cfg.Context != nil {
-		ctx := cfg.Context
-		sim.SetInterrupt(0, ctx.Err)
+		sim.SetInterrupt(0, cfg.Context.Err)
 	}
 	tr := topology.NewTree(sim, cfg.Topology)
 	rng := des.NewRNG(cfg.Seed)
@@ -383,7 +370,7 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 			a.Stop()
 		}
 	})
-	if err := runUntil(cfg.Duration); err != nil {
+	if err := sim.RunUntil(cfg.Duration); err != nil {
 		// Cancelled and event-limited runs still release their pooled
 		// resources before reporting the abort: the scenario service
 		// reuses the process for the next run.

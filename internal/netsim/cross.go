@@ -33,7 +33,8 @@ type Cluster struct {
 
 	// Routing selects the route-table representation ComputeRoutes
 	// builds (see RouteMode); the zero value, RouteAuto, compresses
-	// pure forests and keeps the dense table for chorded graphs.
+	// pure forests and keeps the dense table for chorded graphs; only
+	// tests and benchmarks force a mode.
 	Routing RouteMode
 
 	parts   []*Network

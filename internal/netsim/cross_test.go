@@ -137,7 +137,7 @@ func TestClusterDrainReclaimsCrossTransit(t *testing.T) {
 		h := h
 		h.n.Network().Sim.At(0.001, func() { h.sendLoop(1.0) })
 	}
-	ss.SetInterrupt(0, func() error {
+	ss.SetInterrupt(func() error {
 		if ss.Fired() > 500 {
 			return boom
 		}

@@ -51,14 +51,6 @@ func (l *Link) A() *Port { return l.a }
 // B returns the port on the second-connected node.
 func (l *Link) B() *Port { return l.b }
 
-// Other returns the far endpoint node relative to n.
-func (l *Link) Other(n *Node) *Node {
-	if l.a.node == n {
-		return l.a.farNode()
-	}
-	return l.a.node
-}
-
 // TxTime returns the serialization delay of a packet of size bytes.
 func (l *Link) TxTime(size int) float64 {
 	return float64(size*8) / l.Bandwidth

@@ -17,7 +17,8 @@ type Network struct {
 
 	// Routing selects the route-table representation ComputeRoutes
 	// builds (see RouteMode). The zero value, RouteAuto, compresses
-	// pure forests and keeps the dense table for chorded graphs.
+	// pure forests and keeps the dense table for chorded graphs; only
+	// tests and benchmarks force a mode.
 	Routing RouteMode
 
 	nodes []*Node

@@ -6,7 +6,7 @@ package netsim
 //
 //   - denseTable: one next-hop row per node, indexed by destination ID.
 //     O(N²) pointers and O(N²) build time. RouteAuto uses it only on
-//     graphs with chords; it is also the reference the equivalence
+//     graphs with chords; it is also the reference the route oracle
 //     tests and the benchmark's dense rows compare against.
 //
 //   - treeRoutes: a struct-of-arrays Euler-tour-interval labeling for
@@ -15,12 +15,11 @@ package netsim
 //     nests dst's, or the parent port when dst lies outside the node's
 //     own interval. O(1) lookup (binary search over a node's children),
 //     O(N) total memory — ~30 bytes/node instead of 8N bytes/node.
-//     A sparse overlay map repairs the few (src,dst) pairs whose
-//     shortest path uses a non-tree chord, built by diffing against the
-//     dense BFS, so compressed == dense by construction even off-tree.
+//     It exists only for forests.
 //
-// On a pure tree no overlay is needed and equality with the dense table
-// is automatic: paths are unique, so there is nothing to tie-break.
+// On a forest, equality with the dense table is automatic: paths are
+// unique, so there is nothing to tie-break. The topology's shape alone
+// picks the table.
 type RouteTable interface {
 	// NextHop returns n's egress port toward dst, or nil when dst is n
 	// itself or unreachable.
@@ -42,9 +41,8 @@ const (
 	RouteAuto RouteMode = iota
 	// RouteDense forces the dense per-node rows.
 	RouteDense
-	// RouteCompressed forces the Euler-interval table; non-tree edges
-	// get the exact sparse overlay (which costs a dense build at
-	// ComputeRoutes time — meant for topologies with few chords).
+	// RouteCompressed forces the Euler-interval table. It is for
+	// forests only: ComputeRoutes panics on a graph with chords.
 	RouteCompressed
 )
 
@@ -65,11 +63,10 @@ func buildRoutes(mode RouteMode, nodes []*Node, bound int, far portFar) RouteTab
 	if pure {
 		return t
 	}
-	if mode == RouteAuto {
-		return buildDense(nodes, bound, far)
+	if mode == RouteCompressed {
+		panic("netsim: RouteCompressed needs a forest, but the graph has chords")
 	}
-	t.addOverlay(nodes, bound, far)
-	return t
+	return buildDense(nodes, bound, far)
 }
 
 // denseTable is the per-node-row representation: rows[src][dst] is src's
@@ -137,12 +134,6 @@ func buildDense(nodes []*Node, bound int, far portFar) *denseTable {
 	return t
 }
 
-// excKey addresses one overlay override: the (source node, destination)
-// pairs whose shortest path leaves the spanning tree.
-type excKey struct {
-	src, dst NodeID
-}
-
 // treeRoutes is the compressed representation: Euler-tour (preorder)
 // intervals over a BFS spanning forest, struct-of-arrays, all indexed
 // by NodeID.
@@ -158,10 +149,6 @@ type treeRoutes struct {
 	childIn   []int32
 	childPort []*Port
 	childOff  []int32
-
-	// exc overrides the tree next hop for the few pairs whose shortest
-	// path uses a non-tree chord. nil on pure forests.
-	exc map[excKey]*Port
 }
 
 // NextHop resolves the next hop from the interval labels: outside the
@@ -172,11 +159,6 @@ type treeRoutes struct {
 func (t *treeRoutes) NextHop(n *Node, dst NodeID) *Port {
 	if dst < 0 || int(dst) >= len(t.in) || dst == n.ID {
 		return nil
-	}
-	if t.exc != nil {
-		if pt, ok := t.exc[excKey{n.ID, dst}]; ok {
-			return pt
-		}
 	}
 	s := n.ID
 	if t.comp[dst] < 0 || t.comp[dst] != t.comp[s] {
@@ -203,10 +185,8 @@ func (t *treeRoutes) NextHop(n *Node, dst NodeID) *Port {
 
 // RouteBytes estimates the table's memory footprint.
 func (t *treeRoutes) RouteBytes() int64 {
-	total := int64(4*(len(t.in)+len(t.out)+len(t.comp)+len(t.childIn)+len(t.childOff)) +
+	return int64(4*(len(t.in)+len(t.out)+len(t.comp)+len(t.childIn)+len(t.childOff)) +
 		8*(len(t.parent)+len(t.childPort)))
-	total += int64(40 * len(t.exc))
-	return total
 }
 
 // Kind names the representation.
@@ -215,8 +195,9 @@ func (t *treeRoutes) Kind() string { return "compressed" }
 // buildTree constructs the Euler-interval table over a BFS spanning
 // forest (lowest-creation-order component roots, port order — the same
 // discovery order as the dense BFS). pure reports whether the topology
-// had no edges beyond the forest; when it did, callers needing dense
-// equivalence must addOverlay.
+// had no edges beyond the forest; when it did, the table is wrong for
+// the pairs whose shortest path takes a chord, and callers must build
+// the dense table instead.
 func buildTree(nodes []*Node, bound int, far portFar) (t *treeRoutes, pure bool) {
 	t = &treeRoutes{
 		in:       make([]int32, bound),
@@ -331,27 +312,4 @@ func buildTree(nodes []*Node, bound int, far portFar) (t *treeRoutes, pure bool)
 		t.childIn[i] = t.in[far(pt).node.ID]
 	}
 	return t, pure
-}
-
-// addOverlay makes the compressed table exactly equal to the dense BFS
-// on a non-tree topology: it builds the dense table once, records every
-// (src,dst) pair whose tree-path next hop differs, and stores the dense
-// answer. Cost is one dense build plus an N×N sweep — acceptable for
-// the moderate-N, few-chord topologies RouteCompressed is forced on;
-// internet-scale graphs are pure trees and never get here.
-func (t *treeRoutes) addOverlay(nodes []*Node, bound int, far portFar) {
-	dense := buildDense(nodes, bound, far)
-	t.exc = make(map[excKey]*Port)
-	for _, n := range nodes {
-		row := dense.rows[n.ID]
-		for dst := 0; dst < bound; dst++ {
-			want := row[dst]
-			if want != t.NextHop(n, NodeID(dst)) {
-				t.exc[excKey{n.ID, NodeID(dst)}] = want
-			}
-		}
-	}
-	if len(t.exc) == 0 {
-		t.exc = nil
-	}
 }

@@ -66,24 +66,33 @@ func TestCompressedEqualsDenseOnForests(t *testing.T) {
 	compareTables(t, randomForest(rng.Split(1), 120, 4))
 }
 
+// TestCompressedOverlayEqualsDenseWithChords pins what a graph with
+// chords gets: RouteAuto builds the dense table, and forcing
+// RouteCompressed is a build error. The compressed table carries no
+// overlay, so it would be wrong for the pairs a chord shortens.
 func TestCompressedOverlayEqualsDenseWithChords(t *testing.T) {
 	rng := des.NewRNG(13)
-	for trial := 0; trial < 5; trial++ {
-		nw := randomForest(rng.Split(int64(trial)), 80, 1)
-		// Add a few non-tree chords; the overlay must repair exactly the
-		// pairs whose shortest path uses them.
-		nodes := nw.Nodes()
-		added := 0
-		for added < 6 {
-			a, b := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
-			if a == b || a.PortTo(b) != nil {
-				continue
-			}
-			nw.Connect(a, b, 1e9, 0.001)
-			added++
+	nw := randomForest(rng.Split(1), 80, 1)
+	nodes := nw.Nodes()
+	for added := 0; added < 6; {
+		a, b := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+		if a == b || a.PortTo(b) != nil {
+			continue
 		}
-		compareTables(t, nw)
+		nw.Connect(a, b, 1e9, 0.001)
+		added++
 	}
+	nw.ComputeRoutes()
+	if kind := nw.RouteKind(); kind != "dense" {
+		t.Fatalf("chorded graph under RouteAuto got %q, want dense", kind)
+	}
+	nw.Routing = RouteCompressed
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RouteCompressed on a chorded graph did not panic")
+		}
+	}()
+	nw.ComputeRoutes()
 }
 
 func TestRouteAutoSelection(t *testing.T) {
@@ -98,8 +107,7 @@ func TestRouteAutoSelection(t *testing.T) {
 			t.Fatalf("compressed table costs %d bytes for %d nodes; want O(N)", nw.RouteBytes(), n)
 		}
 		// One chord and Auto must fall back to dense, at any size: the
-		// overlay is exact but costs a dense build, so it is opt-in via
-		// RouteCompressed only.
+		// compressed table only describes forests.
 		ns := nw.Nodes()
 		nw.Connect(ns[1], ns[n-1], 1e9, 0.001)
 		nw.ComputeRoutes()

@@ -171,6 +171,7 @@ func TestServerValidation(t *testing.T) {
 		{Name: "bad2", Cases: []CaseSpec{{Name: "x", Kind: "figure"}}},
 		{Name: "bad3", Cases: []CaseSpec{{Name: "x", Figure: &FigureSpec{Fig: "99"}}}},
 		{Name: "dup", Cases: []CaseSpec{{Name: "x", Tree: quickTree(1)}, {Name: "x", Tree: quickTree(2)}}},
+		{Name: "onoff", Cases: []CaseSpec{{Name: "x", Tree: &TreeSpec{OnOff: "0,0"}}}},
 	}
 	for i, spec := range cases {
 		if resp, body := postJSON(t, srv.URL+"/suites", spec); resp.StatusCode != http.StatusBadRequest {

@@ -71,7 +71,10 @@ type CaseSpec struct {
 }
 
 // TreeSpec mirrors cmd/hbpsim's flag set as a JSON document. Zero
-// values mean "the default", exactly as an omitted flag does.
+// values mean "the default", exactly as an omitted flag does. A tree
+// run always uses the sequential engine. Decoding ignores fields the
+// spec no longer has, so an older document that still names an engine
+// width runs unchanged, with the same fingerprint.
 type TreeSpec struct {
 	Defense     string  `json:"defense,omitempty"`   // hbp, pushback, pushback-levelk, stackpi, none
 	Leaves      int     `json:"leaves,omitempty"`    // default 200
@@ -92,10 +95,6 @@ type TreeSpec struct {
 	Watchdog    bool    `json:"watchdog,omitempty"`
 	Byzantine   int     `json:"byzantine,omitempty"`
 	ByzRate     float64 `json:"byz_rate,omitempty"`
-	// Shards selects the event engine width (experiments.TreeConfig's
-	// Shards knob): 0 or 1 sequential, N > 1 hosted on a sharded
-	// engine. Results are bit-identical at every value.
-	Shards int `json:"shards,omitempty"`
 }
 
 // FigureSpec names one cmd/figures generator and a scale.
@@ -245,11 +244,6 @@ func (t TreeSpec) Config() (experiments.TreeConfig, error) {
 	if t.ByzRate > 0 {
 		cfg.ByzantineRate = t.ByzRate
 	}
-	if t.Shards < 0 {
-		return cfg, fmt.Errorf("negative shard count %d", t.Shards)
-	}
-	cfg.Shards = t.Shards
-
 	switch t.Defense {
 	case "", "hbp":
 		cfg.Defense = experiments.HBP

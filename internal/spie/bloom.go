@@ -65,9 +65,6 @@ func (b *Bloom) Contains(digest uint64) bool {
 // Len returns the number of inserted elements.
 func (b *Bloom) Len() int { return b.counts }
 
-// Bits returns the filter size in bits.
-func (b *Bloom) Bits() int { return int(b.m) }
-
 // Reset clears the filter for reuse.
 func (b *Bloom) Reset() {
 	for i := range b.bits {

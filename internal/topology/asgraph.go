@@ -26,7 +26,7 @@ type ASGraphParams struct {
 
 // ASGraph is a generated AS-level topology in struct-of-arrays form:
 // a preferential-attachment tree (m = 1), so it is routable by the
-// compressed Euler-interval table with no overlay and costs O(ASes)
+// compressed Euler-interval table and costs O(ASes)
 // to store regardless of scale. Leaf ASes are stubs (they host
 // endpoints); interior ASes are transit.
 type ASGraph struct {
@@ -119,16 +119,6 @@ func GenerateASGraph(p ASGraphParams) *ASGraph {
 // Transit reports whether AS i is a transit AS (interior; AS 0 is
 // always transit). Stub ASes — the leaves — host endpoints.
 func (g *ASGraph) Transit(i int) bool { return i == 0 || g.Degree[i] > 1 }
-
-// TransitMask returns the per-AS transit flags, the form the asnet
-// plane's converter consumes.
-func (g *ASGraph) TransitMask() []bool {
-	m := make([]bool, len(g.Parent))
-	for i := range m {
-		m[i] = g.Transit(i)
-	}
-	return m
-}
 
 // Stubs counts stub ASes.
 func (g *ASGraph) Stubs() int {
@@ -271,11 +261,6 @@ type InternetParams struct {
 	ServerLink LinkClass
 	CoreLink   LinkClass
 	LeafLink   LinkClass
-
-	// Routing selects the route-table representation. The default
-	// RouteAuto picks the compressed table: the AS graph is a pure
-	// tree.
-	Routing netsim.RouteMode
 }
 
 // DefaultInternetParams mirrors the Fig. 9 link classes at AS scale.
@@ -363,7 +348,6 @@ func BuildInternet(ss *des.ShardedSimulator, p InternetParams) *Internet {
 	}
 
 	cl := netsim.NewCluster(ss, place)
-	cl.Routing = p.Routing
 	it := &Internet{
 		Params: p, Graph: g, Cluster: cl,
 		Routers: make([]*netsim.Node, p.Graph.ASes),

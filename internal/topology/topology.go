@@ -58,12 +58,6 @@ type Params struct {
 	// Seed drives the generator; identical Params produce identical
 	// topologies.
 	Seed int64
-
-	// Routing selects the route-table representation (netsim.RouteMode)
-	// the built network computes. The zero value, RouteAuto, gives a
-	// tree the compressed table; equivalence tests force RouteDense as
-	// the reference.
-	Routing netsim.RouteMode
 }
 
 // DefaultParams returns the Fig. 9-style configuration. The paper's
@@ -182,7 +176,6 @@ func NewString(sim *des.Simulator, hops, servers int, link LinkClass) *Tree {
 // HopCountHistogram and DegreeHistogram for the Fig. 7 regeneration.
 func NewTree(sim *des.Simulator, p Params) *Tree {
 	nw := netsim.New(sim)
-	nw.Routing = p.Routing
 	t := growTree(nw, nw.AddNode, p)
 	nw.ComputeRoutes()
 	return t
