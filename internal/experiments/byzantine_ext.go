@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+
+	"repro/internal/metrics"
 )
 
 // ByzantineTreeConfig builds the capture-under-byzantine-faults
@@ -56,11 +58,7 @@ func ExtByzantine(scale Scale) (*Table, error) {
 			}
 			meanCT := "-"
 			if len(r.CaptureTimes) > 0 {
-				var s float64
-				for _, ct := range r.CaptureTimes {
-					s += ct
-				}
-				meanCT = fmt.Sprintf("%.1f", s/float64(len(r.CaptureTimes)))
+				meanCT = fmt.Sprintf("%.1f", metrics.Mean(r.CaptureTimes))
 			}
 			t.AddRow(
 				nodes,

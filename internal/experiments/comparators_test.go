@@ -1,15 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
 func TestStackPiAccuracyDegrades(t *testing.T) {
-	few, err := RunStackPi(120, 6, 4)
+	few, err := RunStackPi(context.Background(), 120, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunStackPi(120, 60, 4)
+	many, err := RunStackPi(context.Background(), 120, 60, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +29,11 @@ func TestStackPiAccuracyDegrades(t *testing.T) {
 }
 
 func TestSPIEStorageAccuracyTradeoff(t *testing.T) {
-	small, err := RunSPIE(80, 10, 1<<9, 4)
+	small, err := RunSPIE(context.Background(), 80, 10, 1<<9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RunSPIE(80, 10, 1<<16, 4)
+	large, err := RunSPIE(context.Background(), 80, 10, 1<<16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,6 +214,7 @@ func DefaultTreeConfig() TreeConfig {
 
 // Validate reports configuration errors.
 func (c TreeConfig) Validate() error {
+	timing := checkTiming(c.Duration, c.AttackStart, c.AttackEnd)
 	switch {
 	case c.NumAttackers < 0 || c.NumAttackers >= c.Topology.Leaves:
 		return fmt.Errorf("experiments: %d attackers among %d leaves", c.NumAttackers, c.Topology.Leaves)
@@ -225,12 +226,21 @@ func (c TreeConfig) Validate() error {
 		return fmt.Errorf("experiments: legit fraction %v out of range", c.LegitFraction)
 	case c.PacketSize <= 0:
 		return fmt.Errorf("experiments: non-positive packet size")
-	case c.Duration <= 0 || c.AttackStart < 0 || c.AttackEnd > c.Duration || c.AttackStart >= c.AttackEnd:
-		return fmt.Errorf("experiments: bad run timing (%v, %v, %v)", c.Duration, c.AttackStart, c.AttackEnd)
+	case timing != nil:
+		return timing
 	case c.Faults != nil && (c.Faults.Loss.Prob < 0 || c.Faults.Loss.Prob >= 1):
 		return fmt.Errorf("experiments: fault loss probability %v out of [0,1)", c.Faults.Loss.Prob)
 	case c.OnOff != nil && !c.OnOff.valid():
 		return fmt.Errorf("experiments: on-off timing (%v, %v) needs a positive Ton and a non-negative Toff, both finite", c.OnOff.Ton, c.OnOff.Toff)
 	}
 	return c.Pool.Validate()
+}
+
+// checkTiming is the run-timing rule of every scenario config: a
+// positive duration holding a non-empty attack window.
+func checkTiming(duration, attackStart, attackEnd float64) error {
+	if duration <= 0 || attackStart < 0 || attackEnd > duration || attackStart >= attackEnd {
+		return fmt.Errorf("experiments: bad run timing (%v, %v, %v)", duration, attackStart, attackEnd)
+	}
+	return nil
 }

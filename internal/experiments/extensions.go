@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
 	"repro/internal/asnet"
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/roaming"
 	"repro/internal/tcp"
@@ -27,20 +29,8 @@ func ExtLevelK(scale Scale) (*Table, error) {
 			"but stays far below HBP — the paper's Sec. 2 characterization",
 		Headers: []string{"placement", "hbp %", "pushback %", "pushback-levelk %", "no-defense %"},
 	}
-	placements := []topology.Placement{topology.Even, topology.Close}
-	cells, err := sweep(base, len(placements), []DefenseKind{HBP, Pushback, PushbackLevelK, NoDefense},
-		func(cfg *TreeConfig, row int) { cfg.Placement = placements[row] })
-	if err != nil {
-		return nil, err
-	}
-	for i, pl := range placements {
-		row := []string{pl.String()}
-		for _, r := range cells[i] {
-			row = append(row, fmt.Sprintf("%.1f", 100*r.MeanDuringAttack))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return placementSweep(t, base, []topology.Placement{topology.Even, topology.Close},
+		[]DefenseKind{HBP, Pushback, PushbackLevelK, NoDefense})
 }
 
 // ExtLoad sweeps the legitimate load (the paper notes "similar
@@ -57,65 +47,25 @@ func ExtLoad(scale Scale) (*Table, error) {
 		Headers: []string{"legit load (of bottleneck)", "hbp %", "pushback %", "no-defense %"},
 	}
 	loads := []float64{0.5, 0.7, 0.9}
-	cells, err := sweep(base, len(loads), []DefenseKind{HBP, Pushback, NoDefense},
-		func(cfg *TreeConfig, row int) { cfg.LegitFraction = loads[row] })
-	if err != nil {
-		return nil, err
-	}
+	labels := make([]string, len(loads))
 	for i, load := range loads {
-		row := []string{fmt.Sprintf("%.0f%%", 100*load)}
-		for _, r := range cells[i] {
-			retained := 0.0
-			if r.MeanBefore > 0 {
-				retained = 100 * r.MeanDuringAttack / r.MeanBefore
-			}
-			row = append(row, fmt.Sprintf("%.1f", retained))
-		}
-		t.Rows = append(t.Rows, row)
+		labels[i] = fmt.Sprintf("%.0f%%", 100*load)
 	}
-	return t, nil
+	return defenseSweep(t, base, labels, paperDefenses,
+		func(cfg *TreeConfig, row int) { cfg.LegitFraction = loads[row] },
+		func(r *TreeResult) float64 {
+			if r.MeanBefore > 0 {
+				return 100 * r.MeanDuringAttack / r.MeanBefore
+			}
+			return 0
+		})
 }
 
 // RunInterAS measures inter-AS capture time on a transit chain of the
-// given length, with the chosen ingress-identification mode.
-func RunInterAS(transits int, mode asnet.IngressMode, seed int64) (float64, bool, error) {
-	sim := des.New()
-	g := asnet.NewGraph(sim)
-	serverAS := g.AddAS(false)
-	prev := serverAS
-	for i := 0; i < transits; i++ {
-		tr := g.AddAS(true)
-		g.Connect(prev, tr)
-		prev = tr
-	}
-	attackerAS := g.AddAS(false)
-	g.Connect(prev, attackerAS)
-	g.ComputeRoutes()
-	def := asnet.NewDefense(g, 10, asnet.Config{Mode: mode})
-	def.DeployAll()
-	sched, err := asnet.NewSchedule([]byte(fmt.Sprintf("ia-%d", seed)), 2, 1, 0, 10, 0.2, 200)
-	if err != nil {
-		return 0, false, err
-	}
-	srv := asnet.NewServer(def, serverAS, sched)
-	atk := asnet.NewAttacker(def, attackerAS, srv, 25)
-	capAt := -1.0
-	def.OnCapture = func(c asnet.Capture) {
-		if capAt < 0 {
-			capAt = c.Time
-		}
-		sim.Stop()
-	}
-	rng := des.NewRNG(seed)
-	start := rng.Float64() * 10
-	sim.At(start, func() { atk.Start() })
-	if err := sim.RunUntil(2000); err != nil {
-		return 0, false, err
-	}
-	if capAt < 0 {
-		return 0, false, nil
-	}
-	return capAt - start, true, nil
+// given length, with the chosen ingress-identification mode (-1 and
+// false when the attacker escapes).
+func RunInterAS(ctx context.Context, transits int, mode asnet.IngressMode, seed int64) (float64, bool, error) {
+	return runTransitChain(ctx, transits, asnet.Config{Mode: mode}, "ia", seed, 0)
 }
 
 // ExtInterAS reports inter-AS capture time versus AS-hop distance for
@@ -129,16 +79,13 @@ func ExtInterAS(scale Scale) (*Table, error) {
 			"AS hops", "marking E[CT] (s)", "tunneling E[CT] (s)", "captured",
 		},
 	}
-	runs := scale.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := scale.runsAtLeast(1)
 	for _, transits := range []int{2, 4, 6, 8} {
 		var byMode [2][]float64
 		captured := 0
 		for _, mode := range []asnet.IngressMode{asnet.Marking, asnet.Tunneling} {
 			for r := 0; r < runs; r++ {
-				ct, ok, err := RunInterAS(transits, mode, int64(r+1))
+				ct, ok, err := RunInterAS(scale.Ctx, transits, mode, int64(r+1))
 				if err != nil {
 					return nil, err
 				}
@@ -150,8 +97,8 @@ func ExtInterAS(scale Scale) (*Table, error) {
 		}
 		t.AddRow(
 			transits+1,
-			fmt.Sprintf("%.1f", mean(byMode[int(asnet.Marking)])),
-			fmt.Sprintf("%.1f", mean(byMode[int(asnet.Tunneling)])),
+			fmt.Sprintf("%.1f", metrics.Mean(byMode[int(asnet.Marking)])),
+			fmt.Sprintf("%.1f", metrics.Mean(byMode[int(asnet.Tunneling)])),
 			fmt.Sprintf("%d/%d", captured, 2*runs),
 		)
 	}
@@ -170,7 +117,7 @@ type FollowerResult struct {
 // adversary that has learned the roaming schedule and stops sending
 // d_follow after each honeypot epoch begins — Sec. 7.3) on a string
 // topology with progressive back-propagation, and evaluates Eq. (12).
-func RunFollower(hops int, dfollow float64, seed int64) (*FollowerResult, error) {
+func RunFollower(ctx context.Context, hops int, dfollow float64, seed int64) (*FollowerResult, error) {
 	const (
 		epochLen = 10.0
 		ratePPS  = 25.0
@@ -179,6 +126,7 @@ func RunFollower(hops int, dfollow float64, seed int64) (*FollowerResult, error)
 		hops: hops, poolSize: 2, k: 1, epochLen: epochLen, epochs: 600,
 		chainSeed: fmt.Sprintf("follower-%d", seed),
 		defense:   core.Config{Progressive: true, Rho: 8},
+		ctx:       ctx,
 	}
 	ct, captured, err := rig.run(
 		func(host *netsim.Node, _ netsim.NodeID, pool *roaming.Pool) starter {
@@ -191,10 +139,7 @@ func RunFollower(hops int, dfollow float64, seed int64) (*FollowerResult, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &FollowerResult{Dfollow: dfollow, MeasuredCT: -1, Captured: captured}
-	if captured {
-		res.MeasuredCT = ct
-	}
+	res := &FollowerResult{Dfollow: dfollow, MeasuredCT: ct, Captured: captured}
 	res.Model = analysis.ProgressiveFollower(analysis.Params{
 		M: epochLen, P: 0.5, R: ratePPS, H: hops + 1, Tau: 0.01,
 	}, dfollow)
@@ -215,16 +160,13 @@ func ExtFollower(scale Scale) (*Table, error) {
 	// Delays chosen inside the multi-epoch regime: at 25 pkt/s the
 	// per-hop cost is ~0.04 s, so these concede 2-11 hops per epoch
 	// against an 11-hop path.
+	runs := scale.runsAtLeast(1)
 	for _, df := range []float64{0.1, 0.2, 0.3, 0.5} {
 		var cts []float64
 		captured := 0
 		model := analysis.Result{}
-		runs := scale.Runs
-		if runs < 1 {
-			runs = 1
-		}
 		for r := 0; r < runs; r++ {
-			res, err := RunFollower(10, df, int64(r+1))
+			res, err := RunFollower(scale.Ctx, 10, df, int64(r+1))
 			if err != nil {
 				return nil, err
 			}
@@ -236,7 +178,7 @@ func ExtFollower(scale Scale) (*Table, error) {
 		}
 		measured := "-"
 		if len(cts) > 0 {
-			measured = fmt.Sprintf("%.1f", mean(cts))
+			measured = fmt.Sprintf("%.1f", metrics.Mean(cts))
 		}
 		t.AddRow(
 			fmt.Sprintf("%.1f", df),
@@ -253,7 +195,7 @@ func ExtFollower(scale Scale) (*Table, error) {
 // TCP client vs a static one.
 func ExtRoamingOverhead(scale Scale) (*Table, error) {
 	goodput := func(roam bool, seed int64) (int64, int64, error) {
-		sim := des.New()
+		sim := newSim(scale.Ctx)
 		tr := topology.NewString(sim, 3, 5, topology.LinkClass{Bandwidth: 2e6, Delay: 0.005})
 		pcfg := roaming.Config{
 			N: 5, K: 3, EpochLen: 10, Guard: 0.3, Epochs: 100,
@@ -269,28 +211,26 @@ func ExtRoamingOverhead(scale Scale) (*Table, error) {
 		}
 		host := tr.Leaves[0]
 		e := tcp.NewEndpoint(host)
-		rng := des.NewRNG(seed)
+		var s *tcp.Sender
+		var start func()
 		if roam {
 			sub, err := pool.Issue(99)
 			if err != nil {
 				return 0, 0, err
 			}
-			c := tcp.NewRoamingClient(e, sub, tr.Servers, 1, tcp.SenderConfig{}, rng)
-			pool.Start()
-			sim.At(0.01, func() { c.Start(pcfg.EpochLen) })
-			if err := sim.RunUntil(600); err != nil {
-				return 0, 0, err
-			}
-			return c.Sender.GoodputBytes(), c.Sender.Stats.Migrations, nil
+			c := tcp.NewRoamingClient(e, sub, tr.Servers, 1, tcp.SenderConfig{}, des.NewRNG(seed))
+			s, start = c.Sender, func() { c.Start(pcfg.EpochLen) }
+		} else {
+			s = e.NewSender(tr.Servers[0].ID, 1, tcp.SenderConfig{})
+			start = s.Start
+			tcp.NewEndpoint(tr.Servers[0]) // plain always-on server
 		}
-		s := e.NewSender(tr.Servers[0].ID, 1, tcp.SenderConfig{})
-		tcp.NewEndpoint(tr.Servers[0]) // plain always-on server
 		pool.Start()
-		sim.At(0.01, func() { s.Start() })
+		sim.At(0.01, start)
 		if err := sim.RunUntil(600); err != nil {
 			return 0, 0, err
 		}
-		return s.GoodputBytes(), 0, nil
+		return s.GoodputBytes(), s.Stats.Migrations, nil
 	}
 	static, _, err := goodput(false, 1)
 	if err != nil {
@@ -354,14 +294,12 @@ func ExtEq4(scale Scale) (*Table, error) {
 			"hops", "measured E[CT] (s)", "std (s)", "Eq.(4) E[CT] (s)", "captured",
 		},
 	}
-	runs := scale.Runs
-	if runs < 2 {
-		runs = 2
-	}
+	runs := scale.runsAtLeast(2)
 	for _, h := range []int{5, 10, 20} {
 		cfg := ValidationConfig{
 			Hops: h, EpochLen: 10, HoneypotProb: 0.5, PoolSize: 10,
 			RatePPS: 0.5, PacketSize: 500, Runs: runs, Seed: 9, MaxEpochs: 400,
+			Context: scale.Ctx,
 		}
 		r, err := RunValidationProgressive(cfg)
 		if err != nil {
@@ -413,46 +351,30 @@ func ExtDeployment(scale Scale) (*Table, error) {
 // on-off attacker, for comparison with Eqs. (5), (7) and (10). The
 // burst must be long enough that one overlapped epoch traces the
 // whole path (the basic scheme's applicability condition).
-func RunOnOffValidation(ton, toff float64, runs int, seed int64) (measured float64, captured int, model analysis.Result, err error) {
+func RunOnOffValidation(ctx context.Context, ton, toff float64, runs int, seed int64) (measured float64, captured int, model analysis.Result, err error) {
 	const (
 		hops     = 6
 		epochLen = 10.0
 		ratePPS  = 25.0
 	)
-	var cts []float64
-	for run := 0; run < runs; run++ {
-		rig := captureRig{
-			hops: hops, poolSize: 2, k: 1, epochLen: epochLen, epochs: 600,
-			chainSeed: fmt.Sprintf("onoffv-%d-%d", seed, run),
-		}
-		rng := des.NewRNG(seed*777 + int64(run))
-		ct, ok, rerr := rig.run(
-			func(host *netsim.Node, target netsim.NodeID, _ *roaming.Pool) starter {
-				return &traffic.OnOff{CBR: spoofingCBR(host, target, ratePPS, 500, rng, 30000), Ton: ton, Toff: toff}
-			},
-			func() float64 { return rng.Float64() * epochLen })
-		if rerr != nil {
-			return 0, 0, model, rerr
-		}
-		if ok {
-			captured++
-			cts = append(cts, ct)
-		}
+	rig := captureRig{hops: hops, poolSize: 2, k: 1, epochLen: epochLen, epochs: 600, ctx: ctx}
+	cts, err := rig.repeat(runs, "onoffv", seed, 777, func(host *netsim.Node, target netsim.NodeID, rng *des.RNG) starter {
+		return &traffic.OnOff{CBR: spoofingCBR(host, target, ratePPS, 500, rng, 30000), Ton: ton, Toff: toff}
+	})
+	if err != nil {
+		return 0, 0, model, err
 	}
 	model = analysis.BasicOnOff(analysis.Params{
 		M: epochLen, P: 0.5, R: ratePPS, H: hops + 1, Tau: 0.01,
 	}, ton, toff)
-	return mean(cts), captured, model, nil
+	return metrics.Mean(cts), len(cts), model, nil
 }
 
 // ExtOnOffValidation compares measured basic-scheme capture times for
 // on-off attacks against the Sec. 7.3 closed forms across the three
 // regimes.
 func ExtOnOffValidation(scale Scale) (*Table, error) {
-	runs := scale.Runs
-	if runs < 2 {
-		runs = 2
-	}
+	runs := scale.runsAtLeast(2)
 	t := &Table{
 		Title: "Extension — validation of the on-off equations (basic scheme, m=10s, p=0.5, 25 pkt/s, h=7)",
 		Note:  "bursts long enough for a full single-epoch trace; the closed forms are conservative expectations",
@@ -465,7 +387,7 @@ func ExtOnOffValidation(scale Scale) (*Table, error) {
 		{12, 10}, // case 2: ton/2 < m <= ton+toff
 		{4, 3},   // case 3: m > ton+toff
 	} {
-		measured, captured, model, err := RunOnOffValidation(pt.ton, pt.toff, runs, 11)
+		measured, captured, model, err := RunOnOffValidation(scale.Ctx, pt.ton, pt.toff, runs, 11)
 		if err != nil {
 			return nil, err
 		}

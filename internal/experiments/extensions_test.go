@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,11 +12,11 @@ import (
 func TestFollowerShape(t *testing.T) {
 	// Eq. (12) shape: slower reactions (larger d_follow) concede more
 	// hops per honeypot epoch, so capture is faster.
-	slow, err := RunFollower(10, 0.3, 1)
+	slow, err := RunFollower(context.Background(), 10, 0.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := RunFollower(10, 1.0, 1)
+	fast, err := RunFollower(context.Background(), 10, 1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestFollowerShape(t *testing.T) {
 func TestFollowerInsideGuardInvisible(t *testing.T) {
 	// A follower faster than the guard never sends inside a honeypot
 	// window: untraceable (but also harmless during honeypot epochs).
-	r, err := RunFollower(8, 0.1, 2) // guard is 0.2 s
+	r, err := RunFollower(context.Background(), 8, 0.1, 2) // guard is 0.2 s
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestExtLevelKTableQuick(t *testing.T) {
 }
 
 func TestThresholdTradeoff(t *testing.T) {
-	low, err := RunThreshold(1, 10, 1.0, 5)
+	low, err := RunThreshold(context.Background(), 1, 10, 1.0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := RunThreshold(50, 10, 1.0, 5)
+	high, err := RunThreshold(context.Background(), 50, 10, 1.0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestOnOffEquationsAreBounds(t *testing.T) {
 	for _, pt := range []struct{ ton, toff float64 }{
 		{30, 5}, {12, 10}, {4, 3},
 	} {
-		measured, captured, model, err := RunOnOffValidation(pt.ton, pt.toff, 3, 11)
+		measured, captured, model, err := RunOnOffValidation(context.Background(), pt.ton, pt.toff, 3, 11)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 )
 
 // FaultTreeConfig builds the capture-under-faults scenario: the
@@ -51,21 +52,6 @@ func ControlLossPlan(seed int64, prob float64) *faults.Plan {
 // counters) holds for every offset; see TestFaultRunsAreDeterministic.
 const faultSeedOffset = 1002
 
-// FaultCrashConfig layers random router crash/restart cycles on top of
-// a loss scenario: n distinct routers crash at seeded times inside the
-// attack window and come back restartAfter seconds later.
-func FaultCrashConfig(base TreeConfig, lossProb float64, reliable bool, crashes int, restartAfter float64) TreeConfig {
-	cfg := FaultTreeConfig(base, lossProb, reliable)
-	if crashes <= 0 {
-		return cfg
-	}
-	// Crash times and victims are drawn inside RunTree, which knows the
-	// topology's router IDs.
-	cfg.FaultCrashes = crashes
-	cfg.FaultRestartAfter = restartAfter
-	return cfg
-}
-
 // ExtFaults is the capture-time-under-faults experiment: sweep
 // control-message loss for both control planes and report capture
 // completeness plus the reliability counters. The fire-and-forget rows
@@ -92,11 +78,7 @@ func ExtFaults(scale Scale) (*Table, error) {
 			}
 			meanCT := "-"
 			if len(r.CaptureTimes) > 0 {
-				var s float64
-				for _, ct := range r.CaptureTimes {
-					s += ct
-				}
-				meanCT = fmt.Sprintf("%.1f", s/float64(len(r.CaptureTimes)))
+				meanCT = fmt.Sprintf("%.1f", metrics.Mean(r.CaptureTimes))
 			}
 			t.AddRow(
 				fmt.Sprintf("%.0f", loss*100),

@@ -95,7 +95,9 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 // into the reliable run: the defense must still capture every attacker
 // and count the sessions lost to crashes.
 func TestCrashRestartSelfHealsInTree(t *testing.T) {
-	cfg := FaultCrashConfig(faultQuickTree(), 0.01, true, 8, 5)
+	cfg := FaultTreeConfig(faultQuickTree(), 0.01, true)
+	cfg.FaultCrashes = 8
+	cfg.FaultRestartAfter = 5
 	r, err := RunTree(cfg)
 	if err != nil {
 		t.Fatal(err)

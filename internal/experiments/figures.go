@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/des"
 	"repro/internal/topology"
 )
 
@@ -20,10 +19,13 @@ type Scale struct {
 	TimeFactor float64
 	// Runs is the per-point repetition count for validation sweeps.
 	Runs int
-	// Ctx, when non-nil, threads cooperative cancellation into every
-	// run a figure generator launches (see TreeConfig.Context). The
-	// figure drivers set it from their signal context so a ^C aborts
-	// the current run instead of waiting out a full sweep.
+	// Ctx, when non-nil, bounds every simulation a figure generator
+	// starts (see TreeConfig.Context): the generators build each engine
+	// through newSim or newSharded, which install it. The figure
+	// drivers set it from their signal context so a ^C aborts the
+	// current run instead of waiting out a full sweep, and the scenario
+	// service sets it so an attempt's deadline and cancel reach figure
+	// cases.
 	Ctx context.Context
 }
 
@@ -36,6 +38,9 @@ func QuickScale() Scale { return Scale{Leaves: 60, TimeFactor: 1, Runs: 2} }
 // DefaultScale balances fidelity and runtime for cmd/figures.
 func DefaultScale() Scale { return Scale{Leaves: 200, TimeFactor: 1, Runs: 5} }
 
+// runsAtLeast is the per-point repetition count, raised to n.
+func (s Scale) runsAtLeast(n int) int { return max(s.Runs, n) }
+
 func (s Scale) treeConfig() TreeConfig {
 	cfg := DefaultTreeConfig()
 	cfg.Topology.Leaves = s.Leaves
@@ -46,10 +51,7 @@ func (s Scale) treeConfig() TreeConfig {
 	// The paper's 25 attackers, shrunk only when the tree is tiny; the
 	// total attack volume (25 x 0.1 Mb/s) is preserved across scales
 	// so reduced runs stay meaningful.
-	cfg.NumAttackers = 25
-	if max := s.Leaves / 3; cfg.NumAttackers > max {
-		cfg.NumAttackers = max
-	}
+	cfg.NumAttackers = min(25, s.Leaves/3)
 	cfg.AttackRate = 2.5e6 / float64(cfg.NumAttackers)
 	cfg.Context = s.Ctx
 	return cfg
@@ -140,7 +142,7 @@ func Fig6(scale Scale) (*Table, error) {
 func Fig7(scale Scale) *Table {
 	p := topology.DefaultParams()
 	p.Leaves = scale.Leaves
-	tr := topology.NewTree(des.New(), p)
+	tr := topology.NewTree(newSim(scale.Ctx), p)
 	t := &Table{
 		Title:   "Fig. 7 — hop count and node degree distributions of the simulated tree",
 		Headers: []string{"metric", "value", "frequency"},
@@ -168,14 +170,13 @@ func Fig8(scale Scale) (*Table, error) {
 			base.AttackRate/1e6, base.Topology.Bottleneck.Bandwidth/1e6),
 		Headers: []string{"time(s)", "hbp %", "pushback %", "no-defense %"},
 	}
-	defenses := []DefenseKind{HBP, Pushback, NoDefense}
-	cells, err := sweep(base, 1, defenses, func(cfg *TreeConfig, row int) {})
+	cells, err := sweep(base, 1, paperDefenses, func(cfg *TreeConfig, row int) {})
 	if err != nil {
 		return nil, err
 	}
 	series := map[DefenseKind][]float64{}
 	var times []float64
-	for i, d := range defenses {
+	for i, d := range paperDefenses {
 		r := cells[0][i]
 		series[d] = r.Throughput.Values
 		if times == nil {
@@ -220,28 +221,52 @@ func Fig9(scale Scale) *Table {
 	return t
 }
 
-// Fig10 sweeps attacker placement (close / even / far) for the three
-// schemes, reporting mean legitimate throughput during the attack.
-func Fig10(scale Scale) (*Table, error) {
-	base := scale.treeConfig()
-	t := &Table{
-		Title:   "Fig. 10 — effect of attacker location (client throughput % during attack)",
-		Headers: []string{"placement", "hbp %", "pushback %", "no-defense %"},
-	}
-	placements := []topology.Placement{topology.Far, topology.Even, topology.Close}
-	cells, err := sweep(base, len(placements), []DefenseKind{HBP, Pushback, NoDefense},
-		func(cfg *TreeConfig, row int) { cfg.Placement = placements[row] })
+// paperDefenses are the three schemes of the paper's Sec. 8 figures.
+var paperDefenses = []DefenseKind{HBP, Pushback, NoDefense}
+
+// duringAttackPct is the cell of Figs. 10–12: client throughput during
+// the attack, in percent of the bottleneck.
+func duringAttackPct(r *TreeResult) float64 { return 100 * r.MeanDuringAttack }
+
+// defenseSweep fills t with one row per label and one cell per defense:
+// set applies row's setting to the base scenario, and cell reduces each
+// run to the number printed.
+func defenseSweep(t *Table, base TreeConfig, labels []string, defenses []DefenseKind,
+	set func(cfg *TreeConfig, row int), cell func(*TreeResult) float64) (*Table, error) {
+	cells, err := sweep(base, len(labels), defenses, set)
 	if err != nil {
 		return nil, err
 	}
-	for i, pl := range placements {
-		row := []string{pl.String()}
+	for i, label := range labels {
+		row := []string{label}
 		for _, r := range cells[i] {
-			row = append(row, fmt.Sprintf("%.1f", 100*r.MeanDuringAttack))
+			row = append(row, fmt.Sprintf("%.1f", cell(r)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// placementSweep is defenseSweep over attacker placements, reporting
+// throughput during the attack.
+func placementSweep(t *Table, base TreeConfig, placements []topology.Placement, defenses []DefenseKind) (*Table, error) {
+	labels := make([]string, len(placements))
+	for i, pl := range placements {
+		labels[i] = pl.String()
+	}
+	return defenseSweep(t, base, labels, defenses,
+		func(cfg *TreeConfig, row int) { cfg.Placement = placements[row] }, duringAttackPct)
+}
+
+// Fig10 sweeps attacker placement (close / even / far) for the three
+// schemes, reporting mean legitimate throughput during the attack.
+func Fig10(scale Scale) (*Table, error) {
+	t := &Table{
+		Title:   "Fig. 10 — effect of attacker location (client throughput % during attack)",
+		Headers: []string{"placement", "hbp %", "pushback %", "no-defense %"},
+	}
+	return placementSweep(t, scale.treeConfig(),
+		[]topology.Placement{topology.Far, topology.Even, topology.Close}, paperDefenses)
 }
 
 // Fig11 sweeps the number of (evenly placed) attackers.
@@ -255,47 +280,30 @@ func Fig11(scale Scale) (*Table, error) {
 		Headers: []string{"attackers", "hbp %", "pushback %", "no-defense %"},
 	}
 	var counts []int
+	var labels []string
 	for _, n := range []int{scale.Leaves / 16, scale.Leaves / 8, scale.Leaves / 4, scale.Leaves / 2} {
 		if n >= 1 {
 			counts = append(counts, n)
+			labels = append(labels, fmt.Sprint(n))
 		}
 	}
-	cells, err := sweep(base, len(counts), []DefenseKind{HBP, Pushback, NoDefense},
-		func(cfg *TreeConfig, row int) { cfg.NumAttackers = counts[row] })
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range counts {
-		row := []string{fmt.Sprint(n)}
-		for _, r := range cells[i] {
-			row = append(row, fmt.Sprintf("%.1f", 100*r.MeanDuringAttack))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return defenseSweep(t, base, labels, paperDefenses,
+		func(cfg *TreeConfig, row int) { cfg.NumAttackers = counts[row] }, duringAttackPct)
 }
 
 // Fig12 sweeps the per-attacker rate with evenly placed attackers.
 func Fig12(scale Scale) (*Table, error) {
-	base := scale.treeConfig()
 	t := &Table{
 		Title:   "Fig. 12 — effect of per-attacker rate (client throughput % during attack)",
 		Headers: []string{"rate (Mb/s)", "hbp %", "pushback %", "no-defense %"},
 	}
 	rates := []float64{0.025e6, 0.05e6, 0.1e6, 0.2e6, 0.5e6}
-	cells, err := sweep(base, len(rates), []DefenseKind{HBP, Pushback, NoDefense},
-		func(cfg *TreeConfig, row int) { cfg.AttackRate = rates[row] })
-	if err != nil {
-		return nil, err
-	}
+	labels := make([]string, len(rates))
 	for i, rate := range rates {
-		row := []string{fmt.Sprintf("%.3f", rate/1e6)}
-		for _, r := range cells[i] {
-			row = append(row, fmt.Sprintf("%.1f", 100*r.MeanDuringAttack))
-		}
-		t.Rows = append(t.Rows, row)
+		labels[i] = fmt.Sprintf("%.3f", rate/1e6)
 	}
-	return t, nil
+	return defenseSweep(t, scale.treeConfig(), labels, paperDefenses,
+		func(cfg *TreeConfig, row int) { cfg.AttackRate = rates[row] }, duringAttackPct)
 }
 
 func sortedKeys(m map[int]int) []int {

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
 	"repro/internal/asnet"
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/metrics"
 )
 
 // HierarchicalResult is one end-to-end hierarchical capture
@@ -34,8 +36,44 @@ type HierarchicalResult struct {
 // inter-AS honeypot sessions walk HSM-to-HSM to the attack-hosting
 // stub AS, then the intra-AS phase (a fixed delay, or an embedded
 // router-level traceback on the same clock) locates the zombie.
-func RunHierarchical(transits int, embedded bool, seed int64) (*HierarchicalResult, error) {
-	sim := des.New()
+func RunHierarchical(ctx context.Context, transits int, embedded bool, seed int64) (*HierarchicalResult, error) {
+	cfg := asnet.Config{Mode: asnet.Marking}
+	var em *asnet.EmbeddedIntraAS
+	if embedded {
+		em = &asnet.EmbeddedIntraAS{Seed: seed}
+		cfg.IntraAS = em
+	}
+	// Let the embedded cancel wave drain before stopping: session
+	// teardown crosses the sub-AS routers hop by hop.
+	ct, captured, err := runTransitChain(ctx, transits, cfg, "hier", seed, 2)
+	if err != nil {
+		return nil, err
+	}
+	res := &HierarchicalResult{CT: ct, Captured: captured, StateClean: true}
+	if em != nil {
+		res.AtAccess = res.Captured
+		for _, sub := range em.Subs() {
+			res.IntraTracebacks += sub.Tracebacks
+			res.StateClean = res.StateClean && sub.Def.StateSize() == sub.Baseline()
+			res.AtAccess = res.AtAccess && len(sub.Def.Captures()) > 0
+			for _, c := range sub.Def.Captures() {
+				res.AtAccess = res.AtAccess && capturedAtAccess(sub, c)
+			}
+		}
+	}
+	return res, nil
+}
+
+// runTransitChain is the AS-level capture rig: a server AS, transits
+// transit ASes and an attacker AS in a chain, the AS-level defense on
+// every AS, a pool of two servers with one active and 10 s epochs
+// (hash chain label-seed), and a 25 pkt/s attacker starting at a seeded
+// random phase of the first epoch. The run ends linger seconds after
+// the first capture (at once for 0) or at 2000 s. ct is the capture
+// time relative to the attack start, -1 without a capture.
+func runTransitChain(ctx context.Context, transits int, cfg asnet.Config, label string, seed int64, linger float64) (ct float64, captured bool, err error) {
+	ct = -1
+	sim := newSim(ctx)
 	g := asnet.NewGraph(sim)
 	serverAS := g.AddAS(false)
 	prev := serverAS
@@ -47,55 +85,31 @@ func RunHierarchical(transits int, embedded bool, seed int64) (*HierarchicalResu
 	attackerAS := g.AddAS(false)
 	g.Connect(prev, attackerAS)
 	g.ComputeRoutes()
-	cfg := asnet.Config{Mode: asnet.Marking}
-	var em *asnet.EmbeddedIntraAS
-	if embedded {
-		em = &asnet.EmbeddedIntraAS{Seed: seed}
-		cfg.IntraAS = em
-	}
 	def := asnet.NewDefense(g, 10, cfg)
 	def.DeployAll()
-	sched, err := asnet.NewSchedule([]byte(fmt.Sprintf("hier-%d", seed)), 2, 1, 0, 10, 0.2, 200)
+	sched, err := asnet.NewSchedule([]byte(fmt.Sprintf("%s-%d", label, seed)), 2, 1, 0, 10, 0.2, 200)
 	if err != nil {
-		return nil, err
+		return 0, false, err
 	}
 	srv := asnet.NewServer(def, serverAS, sched)
 	atk := asnet.NewAttacker(def, attackerAS, srv, 25)
-	res := &HierarchicalResult{CT: -1, StateClean: true}
-	rng := des.NewRNG(seed)
-	start := rng.Float64() * 10
+	start := des.NewRNG(seed).Float64() * 10
 	def.OnCapture = func(c asnet.Capture) {
-		if res.Captured {
+		if captured {
 			return
 		}
-		res.Captured = true
-		res.CT = c.Time - start
-		// Let the embedded cancel wave drain before stopping: session
-		// teardown crosses the sub-AS routers hop by hop.
-		sim.After(2, sim.Stop)
+		captured, ct = true, c.Time-start
+		if linger > 0 {
+			sim.After(linger, sim.Stop)
+		} else {
+			sim.Stop()
+		}
 	}
 	sim.At(start, func() { atk.Start() })
 	if err := sim.RunUntil(2000); err != nil {
-		return nil, err
+		return 0, false, err
 	}
-	if em != nil {
-		res.AtAccess = res.Captured
-		for _, sub := range em.Subs() {
-			res.IntraTracebacks += sub.Tracebacks
-			if sub.Def.StateSize() != sub.Baseline() {
-				res.StateClean = false
-			}
-			for _, c := range sub.Def.Captures() {
-				if !capturedAtAccess(sub, c) {
-					res.AtAccess = false
-				}
-			}
-			if len(sub.Def.Captures()) == 0 {
-				res.AtAccess = false
-			}
-		}
-	}
-	return res, nil
+	return ct, captured, nil
 }
 
 // capturedAtAccess reports whether the embedded capture blocked the
@@ -124,21 +138,18 @@ func ExtHierarchical(scale Scale) (*Table, error) {
 			"captured", "at access", "state clean",
 		},
 	}
-	runs := scale.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := scale.runsAtLeast(1)
 	for _, transits := range []int{2, 4, 6} {
 		var abs, emb []float64
 		captured := 0
 		atAccess, stateClean := true, true
 		for r := 0; r < runs; r++ {
 			seed := int64(r + 1)
-			ra, err := RunHierarchical(transits, false, seed)
+			ra, err := RunHierarchical(scale.Ctx, transits, false, seed)
 			if err != nil {
 				return nil, err
 			}
-			re, err := RunHierarchical(transits, true, seed)
+			re, err := RunHierarchical(scale.Ctx, transits, true, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -158,8 +169,8 @@ func ExtHierarchical(scale Scale) (*Table, error) {
 		})
 		t.AddRow(
 			transits+1,
-			fmt.Sprintf("%.1f", mean(abs)),
-			fmt.Sprintf("%.1f", mean(emb)),
+			fmt.Sprintf("%.1f", metrics.Mean(abs)),
+			fmt.Sprintf("%.1f", metrics.Mean(emb)),
 			fmt.Sprintf("%.1f", model.ECT+0.5),
 			fmt.Sprintf("%d/%d", captured, 2*runs),
 			fmt.Sprint(atAccess),

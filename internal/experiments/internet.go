@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -54,9 +52,6 @@ type InternetConfig struct {
 	PoolK    int
 	// Seed drives every stream; derived per part with des.DeriveSeed.
 	Seed int64
-	// EventLimit, when non-zero, aborts the run after that many
-	// dispatched events (summed over shards).
-	EventLimit uint64
 	// Context, when non-nil, cancels the run cooperatively.
 	Context context.Context
 }
@@ -65,17 +60,8 @@ type InternetConfig struct {
 // population scales with the zombie count (zombies stay a constant
 // fraction of endpoints) while the aggregate rates stay fixed.
 func InternetConfigFor(zombies int, seed int64) InternetConfig {
-	hosts := 2 * zombies
-	if hosts < 2000 {
-		hosts = 2000
-	}
-	ases := hosts / 50
-	if ases < 100 {
-		ases = 100
-	}
-	if ases > 20000 {
-		ases = 20000
-	}
+	hosts := max(2*zombies, 2000)
+	ases := min(max(hosts/50, 100), 20000)
 	tp := topology.DefaultInternetParams()
 	tp.Graph = topology.ASGraphParams{ASes: ases, Gamma: 2.1, Seed: des.DeriveSeed(seed, 17)}
 	tp.Hosts = hosts
@@ -100,6 +86,7 @@ func InternetConfigFor(zombies int, seed int64) InternetConfig {
 
 // Validate reports configuration errors.
 func (c InternetConfig) Validate() error {
+	timing := checkTiming(c.Duration, c.AttackStart, c.AttackEnd)
 	switch {
 	case c.Topology.Graph.ASes < 2:
 		return fmt.Errorf("experiments: an AS graph needs at least 2 ASes, got %d", c.Topology.Graph.ASes)
@@ -113,8 +100,8 @@ func (c InternetConfig) Validate() error {
 		return fmt.Errorf("experiments: bad rates (attack %v, legit fraction %v)", c.AttackRate, c.LegitFraction)
 	case c.PacketSize <= 0:
 		return fmt.Errorf("experiments: non-positive packet size")
-	case c.Duration <= 0 || c.AttackStart < 0 || c.AttackEnd > c.Duration || c.AttackStart >= c.AttackEnd:
-		return fmt.Errorf("experiments: bad run timing (%v, %v, %v)", c.Duration, c.AttackStart, c.AttackEnd)
+	case timing != nil:
+		return timing
 	case c.EpochLen <= 0 || c.Epochs < 2:
 		return fmt.Errorf("experiments: bad pool timing (%v, %d)", c.EpochLen, c.Epochs)
 	case c.PoolK < 1 || c.PoolK >= c.Topology.Servers:
@@ -142,17 +129,13 @@ type InternetResult struct {
 	RouteKind    string
 	RouteBytes   int64
 	BytesPerNode float64
-	// Captures counts zombies captured; CaptureTimes are relative to
-	// the attack start, ascending.
-	Captures     int
+	// CaptureTimes are relative to the attack start, ascending; every
+	// capture names a zombie.
 	CaptureTimes []float64
 	// MeanBefore / MeanDuringAttack are the bottleneck's legitimate
 	// goodput fractions.
 	MeanBefore       float64
 	MeanDuringAttack float64
-	// CtrlMessages sums the per-part defenses' control overhead —
-	// the control-cost axis of the sweep.
-	CtrlMessages int64
 	// PeakState / StateBudget sum the per-part defense-state
 	// high-water marks and ceilings — the state-budget axis.
 	PeakState   int
@@ -162,24 +145,10 @@ type InternetResult struct {
 	AttackSent    int64
 	AttackSkipped int64
 	LegitSent     int64
-	// QueueDrops is the cluster-wide drop-tail loss count.
-	QueueDrops int64
-	// EventsFired sums dispatched events over all shards; identical
-	// at every shard count.
-	EventsFired uint64
-	// Wall is the wall-clock run time.
-	Wall time.Duration
-	// Leak is the post-teardown resource audit.
-	Leak LeakReport
-
-	partFPs []string
-}
-
-// Fingerprint is the determinism digest: per-part capture schedules
-// and flow counters plus cluster-wide drops. Runs of one config at
-// different shard counts must produce byte-identical fingerprints.
-func (r *InternetResult) Fingerprint() string {
-	return strings.Join(r.partFPs, "\n") + fmt.Sprintf("\ndrops=%d", r.QueueDrops)
+	// The capture count, control overhead (the control-cost axis of
+	// the sweep), drops, events, wall time and leak audit; the
+	// fingerprint lines carry each part's macro-flow counters.
+	shardedRun
 }
 
 // armedFrontierOracle expands a member's packets at the deepest
@@ -220,13 +189,10 @@ func (o *armedFrontierOracle) Expand(member, dst netsim.NodeID) (*netsim.Node, *
 
 // internetPart is the per-part state of an internet run.
 type internetPart struct {
-	pool   *roaming.Pool
-	def    *core.Defense
-	atk    *traffic.MacroFlow
-	legit  *traffic.MacroFlow
-	agents []*roaming.ServerAgent
-	capFP  []string
-	capAt  []float64
+	partDefense
+	atk   *traffic.MacroFlow
+	legit *traffic.MacroFlow
+	capAt []float64
 }
 
 // RunInternet executes one internet-scale scenario end to end on the
@@ -241,12 +207,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	ss := des.NewSharded(cfg.Seed, shards)
-	it := topology.BuildInternet(ss, cfg.Topology)
+	it := topology.BuildInternet(newSharded(cfg.Context, cfg.Seed, cfg.Shards), cfg.Topology)
 	cl := it.Cluster
 
 	nh := len(it.HostAS)
@@ -281,55 +242,41 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 			legitMembers[part] = append(legitMembers[part], it.HostID(i))
 		}
 	}
-	totalLegit := 0
-	for _, m := range legitMembers {
-		totalLegit += len(m)
-	}
+	totalLegit := nh - cfg.Zombies
 
 	parts := make([]*internetPart, it.Parts)
+	defs := make([]*partDefense, it.Parts)
 	for part := 0; part < it.Parts; part++ {
-		part := part
 		sim := cl.Part(part).Sim
 		pool, err := roaming.NewPool(sim, it.Servers, poolCfg)
 		if err != nil {
 			return nil, err
 		}
-		def, err := core.New(cl.Part(part), pool, it.IsHost, core.Config{})
+		pt := &internetPart{}
+		parts[part], defs[part] = pt, &pt.partDefense
+		var servers []*netsim.Node
+		if part == 0 {
+			servers = it.Servers
+		}
+		// A capture fires on the captured zombie's own part/shard: its
+		// access port is shut, so its share of the local attack flow is
+		// gone.
+		pt.def, _, err = deployHBP(cl.Part(part), pool, servers, it.IsHost, core.Config{}, func(c core.Capture) {
+			pt.record(c)
+			pt.capAt = append(pt.capAt, c.Time)
+			if pt.atk != nil {
+				pt.atk.RemoveMember(c.Attacker)
+			}
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
 		// Remote nodes a control walk reaches are deployed exactly when
 		// they are AS routers — a pure topology read, never remote
 		// defense state.
-		def.RemoteDeployed = it.IsRouter
-		pt := &internetPart{pool: pool, def: def}
-		parts[part] = pt
-		if part == 0 {
-			for _, s := range it.Servers {
-				pt.agents = append(pt.agents, roaming.NewServerAgent(pool, s))
-			}
-		}
-		def.DeployAll(pt.agents)
-		def.OnCapture = func(c core.Capture) {
-			pt.capFP = append(pt.capFP, fmt.Sprintf("%.9f:%d>%d", c.Time, c.Router, c.Attacker))
-			pt.capAt = append(pt.capAt, c.Time)
-			// Stop the captured host's contribution: its access port is
-			// shut, so its flow share is gone. The capture fires on the
-			// host's own part/shard, so this touches only local flows.
-			idx := it.HostIndex(c.Attacker)
-			if idx < 0 {
-				return
-			}
-			if isZombie[idx] {
-				if pt.atk != nil {
-					pt.atk.RemoveMember(c.Attacker)
-				}
-			} else if pt.legit != nil {
-				pt.legit.RemoveMember(c.Attacker)
-			}
-		}
+		pt.def.RemoteDeployed = it.IsRouter
 
-		oracle := &armedFrontierOracle{it: it, def: def}
+		oracle := &armedFrontierOracle{it: it, def: pt.def}
 		prng := des.NewRNG(des.DeriveSeed(cfg.Seed, int64(3000+part)))
 		if len(atkMembers[part]) > 0 {
 			target := it.Servers[prng.Intn(len(it.Servers))].ID
@@ -375,31 +322,10 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 
 	mon := metrics.NewBottleneckMonitor(cl.Part(0).Sim, it.Bottleneck, it.ServerGW, 1)
 
-	ss.EventLimit = cfg.EventLimit
-	if cfg.Context != nil {
-		ss.SetInterrupt(cfg.Context.Err)
-	}
-
-	start := time.Now() //hbplint:ignore determinism wall clock only times the host's execution for the sweep report; it never feeds simulation state.
-	if err := ss.RunUntil(cfg.Duration); err != nil {
-		for _, pt := range parts {
-			pt.def.Close()
-		}
-		cl.Drain()
-		return nil, fmt.Errorf("experiments: internet run aborted at t=%.1fs after %d events: %w",
-			ss.Now(), ss.Fired(), err)
-	}
-	res.Wall = time.Since(start) //hbplint:ignore determinism wall clock only times the host's execution for the sweep report; it never feeds simulation state.
-
-	// Collection and leak-checked teardown.
-	series := mon.Series()
-	res.MeanBefore = series.MeanBetween(1, cfg.AttackStart)
-	res.MeanDuringAttack = series.MeanBetween(cfg.AttackStart, cfg.AttackEnd)
 	var capAt []float64
-	for i, pt := range parts {
-		res.Captures += len(pt.capFP)
+	err := res.run("internet", cl, defs, cfg.Duration, func(i int) string {
+		pt := parts[i]
 		capAt = append(capAt, pt.capAt...)
-		res.CtrlMessages += pt.def.MsgSent
 		res.PeakState += pt.def.PeakState
 		res.StateBudget += pt.def.StateBudget()
 		var as, ask, ls int64
@@ -412,22 +338,20 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 		res.AttackSent += as
 		res.AttackSkipped += ask
 		res.LegitSent += ls
-		res.partFPs = append(res.partFPs, fmt.Sprintf(
-			"part%d caps[%s] atk=%d/%d legit=%d ctrl=%d",
-			i, strings.Join(pt.capFP, ","), as, ask, ls, pt.def.MsgSent))
-		pt.def.Close()
-		res.Leak.DefenseState += pt.def.StateSize()
+		return fmt.Sprintf("atk=%d/%d legit=%d", as, ask, ls)
+	})
+	if err != nil {
+		return nil, err
 	}
+	series := mon.Series()
+	res.MeanBefore = series.MeanBetween(1, cfg.AttackStart)
+	res.MeanDuringAttack = series.MeanBetween(cfg.AttackStart, cfg.AttackEnd)
 	sort.Float64s(capAt)
 	res.CaptureTimes = metrics.CaptureTimes(capAt, cfg.AttackStart)
 	res.Endpoints = -eager
 	for part := 0; part < it.Parts; part++ {
 		res.Endpoints += len(cl.Part(part).Nodes())
 	}
-	res.QueueDrops = cl.TotalQueueDrops()
-	res.EventsFired = ss.Fired()
-	cl.Drain()
-	res.Leak.PacketsOutstanding = cl.PacketsOutstanding()
 	return res, nil
 }
 

@@ -121,3 +121,22 @@ func TestInfraCrashDeterministic(t *testing.T) {
 		t.Fatal("zero-prob InfraCrash crashed")
 	}
 }
+
+// TestFiguresHonourScaleContext: every figure generator that simulates
+// starts its engines bounded by Scale.Ctx, so a cancelled context ends
+// each one with context.Canceled instead of a table. Figures 5, 7 and 9
+// simulate nothing.
+func TestFiguresHonourScaleContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for id, gen := range Figures() {
+		if id == "5" || id == "7" || id == "9" {
+			continue
+		}
+		s := QuickScale()
+		s.Ctx = ctx
+		if _, err := gen(s); !errors.Is(err, context.Canceled) {
+			t.Errorf("figure %s under a cancelled context: err = %v, want context.Canceled", id, err)
+		}
+	}
+}

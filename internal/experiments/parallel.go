@@ -13,13 +13,7 @@ import (
 func RunTrees(cfgs []TreeConfig) ([]*TreeResult, error) {
 	results := make([]*TreeResult, len(cfgs))
 	errs := make([]error, len(cfgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(runtime.GOMAXPROCS(0), len(cfgs)), 1)
 	//hbplint:ignore shardisolation batch-level join over independent runs: the WaitGroup synchronizes driver goroutines, never two shards of one simulation.
 	var wg sync.WaitGroup
 	jobs := make(chan int)
@@ -78,13 +72,8 @@ func sweep(base TreeConfig, rows int, defenses []DefenseKind, customize func(cfg
 		return nil, err
 	}
 	out := make([][]*TreeResult, rows)
-	i := 0
-	for r := 0; r < rows; r++ {
-		out[r] = make([]*TreeResult, len(defenses))
-		for c := range defenses {
-			out[r][c] = flat[i]
-			i++
-		}
+	for r := range out {
+		out[r] = flat[r*len(defenses) : (r+1)*len(defenses)]
 	}
 	return out, nil
 }

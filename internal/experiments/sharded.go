@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -47,9 +47,9 @@ type ForestConfig struct {
 	// derived with des.DeriveSeed under stable labels, so behavior is
 	// a function of the seed and never of part placement.
 	Seed int64
-	// EventLimit, when non-zero, aborts the run with des.ErrEventLimit
-	// after that many dispatched events (summed over all shards).
-	EventLimit uint64
+	// Context, when non-nil, cancels the run cooperatively (see
+	// TreeConfig.Context).
+	Context context.Context `json:"-"`
 }
 
 // DefaultForestConfig returns a 4-tree forest sized so unit tests and
@@ -87,55 +87,30 @@ func (c ForestConfig) Validate() error {
 		return fmt.Errorf("experiments: negative cross-traffic rate")
 	case c.PacketSize <= 0:
 		return fmt.Errorf("experiments: non-positive packet size")
-	case c.Duration <= 0 || c.AttackStart < 0 || c.AttackEnd > c.Duration || c.AttackStart >= c.AttackEnd:
-		return fmt.Errorf("experiments: bad run timing (%v, %v, %v)", c.Duration, c.AttackStart, c.AttackEnd)
 	}
-	return nil
+	return checkTiming(c.Duration, c.AttackStart, c.AttackEnd)
 }
 
-// ForestResult summarizes one sharded forest run.
+// ForestResult summarizes one sharded forest run. Its fingerprint lines
+// carry each part's cross-traffic delivery hash and served bytes
+// besides the capture schedule.
 type ForestResult struct {
 	Config ForestConfig
-	// Captures is the total attacker-capture count over all parts.
-	Captures int
 	// SinkDelivered is the per-part count of cross-traffic packets
 	// delivered to that part's sink.
 	SinkDelivered []int64
 	// ServedBytes sums legitimate payload accepted by all servers.
 	ServedBytes int64
-	// CtrlMessages sums the per-part defenses' control overhead.
-	CtrlMessages int64
-	// QueueDrops is the cluster-wide drop-tail loss count.
-	QueueDrops int64
-	// EventsFired sums dispatched events over all shards; it must be
-	// identical at every shard count.
-	EventsFired uint64
-	// Wall is the wall-clock run time (the speedup numerator).
-	Wall time.Duration
-	// Leak is the post-teardown resource audit (see LeakReport).
-	Leak LeakReport
-
-	partFPs []string
-}
-
-// Fingerprint is the determinism digest of the run: per-part capture
-// schedules (time, router, attacker), cross-traffic delivery hashes,
-// served bytes and control overhead, plus the cluster drop count.
-// Two runs of the same config at different shard counts must produce
-// byte-identical fingerprints.
-func (r *ForestResult) Fingerprint() string {
-	return strings.Join(r.partFPs, "\n") + fmt.Sprintf("\ndrops=%d", r.QueueDrops)
+	shardedRun
 }
 
 // forestPart is the per-tree state of a forest run.
 type forestPart struct {
+	partDefense
 	tree *topology.Tree
 	sink *netsim.Node
-	pool *roaming.Pool
-	def  *core.Defense
 
 	agents    []*roaming.ServerAgent
-	capFP     []string
 	sinkCount int64
 	sinkHash  uint64
 }
@@ -154,20 +129,17 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	ss := des.NewSharded(cfg.Seed, shards)
+	ss := newSharded(cfg.Context, cfg.Seed, cfg.Shards)
 	place := make([]int, cfg.Parts)
 	for i := range place {
-		place[i] = i % shards
+		place[i] = i % ss.Shards()
 	}
 	cl := netsim.NewCluster(ss, place)
 
 	// Phase 1: topology. Each part grows its own paper-style tree plus
 	// a sink host for inbound cross traffic.
 	parts := make([]*forestPart, cfg.Parts)
+	defs := make([]*partDefense, cfg.Parts)
 	for i := range parts {
 		p := topology.DefaultParams()
 		p.Leaves = cfg.LeavesPerPart
@@ -177,6 +149,7 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		sink := cl.AddNode(i, fmt.Sprintf("sink%d", i))
 		cl.Connect(tr.Root, sink, p.ServerLink.Bandwidth, p.ServerLink.Delay)
 		parts[i] = &forestPart{tree: tr, sink: sink}
+		defs[i] = &parts[i].partDefense
 	}
 	// Ring of cross-part links between tree roots. Its delay is the
 	// conservative lookahead, so it is deliberately a long-haul link.
@@ -205,20 +178,11 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt.pool = pool
-		for _, s := range tr.Servers {
-			pt.agents = append(pt.agents, roaming.NewServerAgent(pool, s))
-		}
 		sink := pt.sink
 		isHost := func(n *netsim.Node) bool { return tr.IsHost(n) || n == sink }
-		def, err := core.New(tr.Net, pool, isHost, core.Config{})
+		pt.def, pt.agents, err = deployHBP(tr.Net, pool, tr.Servers, isHost, core.Config{}, pt.record, nil)
 		if err != nil {
 			return nil, err
-		}
-		pt.def = def
-		def.DeployAll(pt.agents)
-		def.OnCapture = func(c core.Capture) {
-			pt.capFP = append(pt.capFP, fmt.Sprintf("%.9f:%d>%d", c.Time, c.Router, c.Attacker))
 		}
 		sink.Handler = func(p *netsim.Packet, in *netsim.Port) {
 			pt.sinkCount++
@@ -230,30 +194,15 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		attackHosts, clientHosts := tr.PlaceAttackers(
 			cfg.AttackersPerPart, topology.Even, des.DeriveSeed(cfg.Seed, int64(600+i)))
 
-		clientRate := 0.9 * tr.Bottleneck.Bandwidth / float64(len(clientHosts))
-		clientCfg := traffic.ClientConfig{Rate: clientRate, Size: cfg.PacketSize}
-		var clients []*traffic.Client
-		for _, h := range clientHosts {
-			sub, err := pool.Issue(63)
-			if err != nil {
-				return nil, err
-			}
-			clients = append(clients, traffic.NewRoamingClient(h, sub, tr.Servers, clientCfg, rng))
-		}
-
-		spoofSpace := make([]netsim.NodeID, len(tr.Leaves))
-		for j, l := range tr.Leaves {
-			spoofSpace[j] = l.ID
-		}
-		atkCfg := traffic.AttackerConfig{Rate: cfg.AttackRate, Size: cfg.PacketSize, SpoofSpace: spoofSpace}
-		var attackers []*traffic.Attacker
-		for _, h := range attackHosts {
-			attackers = append(attackers, traffic.NewAttacker(h, tr.Servers, atkCfg, rng))
+		src, err := newTreeSources(tr, clientHosts, attackHosts, pool,
+			0.9*tr.Bottleneck.Bandwidth, cfg.AttackRate, cfg.PacketSize, nil, rng)
+		if err != nil {
+			return nil, err
 		}
 
 		// Cross traffic: the first few clients also stream to the next
 		// part's sink, keeping the cut links busy for the whole run.
-		var crossFlows []*traffic.CBR
+		var crossFlows []starter
 		if cfg.Parts > 1 && cfg.CrossRate > 0 {
 			dst := parts[(i+1)%cfg.Parts].sink.ID
 			for j := 0; j < 3 && j < len(clientHosts); j++ {
@@ -267,60 +216,22 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		}
 
 		pool.Start()
-		epochLen := pool.Config().EpochLen
-		sim.At(0, func() {
-			for _, c := range clients {
-				c.Start(epochLen)
-			}
-			for _, f := range crossFlows {
-				f.Start()
-			}
-		})
-		sim.At(cfg.AttackStart, func() {
-			for _, a := range attackers {
-				a.Start()
-			}
-		})
-		sim.At(cfg.AttackEnd, func() {
-			for _, a := range attackers {
-				a.Stop()
-			}
-		})
+		src.schedule(sim, pool.Config().EpochLen, cfg.AttackStart, cfg.AttackEnd, crossFlows...)
 	}
 
-	ss.EventLimit = cfg.EventLimit
-
-	start := time.Now() //hbplint:ignore determinism wall clock only times the host's execution for the speedup report; it never feeds simulation state.
-	if err := ss.RunUntil(cfg.Duration); err != nil {
-		for _, pt := range parts {
-			pt.def.Close()
-		}
-		cl.Drain()
-		return nil, fmt.Errorf("experiments: forest run aborted at t=%.1fs after %d events: %w",
-			ss.Now(), ss.Fired(), err)
-	}
-	res.Wall = time.Since(start) //hbplint:ignore determinism wall clock only times the host's execution for the speedup report; it never feeds simulation state.
-
-	// Collection and leak-checked teardown.
-	for i, pt := range parts {
+	err := res.run("forest", cl, defs, cfg.Duration, func(i int) string {
+		pt := parts[i]
 		var served int64
 		for _, sa := range pt.agents {
 			served += sa.Stats.ServedBytes
 		}
-		res.Captures += len(pt.capFP)
 		res.SinkDelivered[i] = pt.sinkCount
 		res.ServedBytes += served
-		res.CtrlMessages += pt.def.MsgSent
-		res.partFPs = append(res.partFPs, fmt.Sprintf(
-			"part%d caps[%s] sink=%d:%016x served=%d ctrl=%d",
-			i, strings.Join(pt.capFP, ","), pt.sinkCount, pt.sinkHash, served, pt.def.MsgSent))
-		pt.def.Close()
-		res.Leak.DefenseState += pt.def.StateSize()
+		return fmt.Sprintf("sink=%d:%016x served=%d", pt.sinkCount, pt.sinkHash, served)
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.QueueDrops = cl.TotalQueueDrops()
-	res.EventsFired = ss.Fired()
-	cl.Drain()
-	res.Leak.PacketsOutstanding = cl.PacketsOutstanding()
 	return res, nil
 }
 
@@ -332,11 +243,9 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 func ExtSharded(s Scale) (*Table, error) {
 	cfg := DefaultForestConfig()
 	cfg.Parts = 8
+	cfg.Context = s.Ctx
 	if s.Leaves > 0 {
-		cfg.LeavesPerPart = s.Leaves / 8
-		if cfg.LeavesPerPart < 10 {
-			cfg.LeavesPerPart = 10
-		}
+		cfg.LeavesPerPart = max(s.Leaves/8, 10)
 	}
 	if s.TimeFactor > 0 && s.TimeFactor != 1 {
 		cfg.Duration *= s.TimeFactor

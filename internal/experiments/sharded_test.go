@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"regexp"
 	"testing"
-
-	"repro/internal/des"
+	"time"
 )
 
 func quickForestConfig() ForestConfig {
@@ -73,15 +73,29 @@ func TestForestFingerprintAcrossShards(t *testing.T) {
 	}
 }
 
-// TestForestEventLimit aborts a sharded run via the cluster-wide event
-// budget and checks the teardown still reclaims every packet.
-func TestForestEventLimit(t *testing.T) {
+// TestForestCancellation aborts a sharded run through its Context — a
+// cancelled one before the first window, an expiring one mid-run — and
+// checks the abort path: a wrapped context error, promptly.
+func TestForestCancellation(t *testing.T) {
 	cfg := quickForestConfig()
 	cfg.Shards = 2
-	cfg.EventLimit = 5000
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Context = ctx
+	if _, err := RunShardedForest(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: want context.Canceled, got %v", err)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	cfg.Context = ctx
+	start := time.Now()
 	_, err := RunShardedForest(cfg)
-	if !errors.Is(err, des.ErrEventLimit) {
-		t.Fatalf("want ErrEventLimit, got %v", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expiring context: want context.DeadlineExceeded, got %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("run took %v to notice its deadline", took)
 	}
 }
 

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/spie"
 	"repro/internal/topology"
@@ -22,8 +22,8 @@ type SPIEPoint struct {
 // RunSPIE traces one spoofed packet per attacker through a tree with
 // background client traffic, for the given per-window filter size,
 // and scores the reconstructions.
-func RunSPIE(leaves, nAttackers, bloomBits int, seed int64) (*SPIEPoint, error) {
-	sim := des.New()
+func RunSPIE(ctx context.Context, leaves, nAttackers, bloomBits int, seed int64) (*SPIEPoint, error) {
+	sim := newSim(ctx)
 	p := topology.DefaultParams()
 	p.Leaves = leaves
 	p.Seed = seed
@@ -99,10 +99,7 @@ func RunSPIE(leaves, nAttackers, bloomBits int, seed int64) (*SPIEPoint, error) 
 // accurate reconstruction needs large per-router digest tables, while
 // honeypot back-propagation keeps only per-session counters.
 func ExtSPIE(scale Scale) (*Table, error) {
-	leaves := scale.Leaves
-	if leaves < 40 {
-		leaves = 40
-	}
+	leaves := max(scale.Leaves, 40)
 	n := leaves / 8
 	t := &Table{
 		Title: "Extension — SPIE single-packet traceback: storage vs accuracy",
@@ -111,7 +108,7 @@ func ExtSPIE(scale Scale) (*Table, error) {
 		Headers: []string{"bloom bits/window", "kbit/router", "correct", "ambiguous", "failed"},
 	}
 	for _, bits := range []int{1 << 9, 1 << 12, 1 << 16, 1 << 19} {
-		pt, err := RunSPIE(leaves, n, bits, 4)
+		pt, err := RunSPIE(scale.Ctx, leaves, n, bits, 4)
 		if err != nil {
 			return nil, err
 		}

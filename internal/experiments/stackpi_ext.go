@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stackpi"
@@ -23,8 +23,8 @@ type StackPiPoint struct {
 // given number of dispersed attackers: train on each attacker's path
 // mark, then evaluate every client path and a second spoofed packet
 // per attacker.
-func RunStackPi(leaves, nAttackers int, seed int64) (*StackPiPoint, error) {
-	sim := des.New()
+func RunStackPi(ctx context.Context, leaves, nAttackers int, seed int64) (*StackPiPoint, error) {
+	sim := newSim(ctx)
 	p := topology.DefaultParams()
 	p.Leaves = leaves
 	p.Seed = seed
@@ -93,10 +93,7 @@ func RunStackPi(leaves, nAttackers int, seed int64) (*StackPiPoint, error) {
 // "deteriorates with a large number of dispersed attackers", in
 // contrast to HBP's exact honeypot signature.
 func ExtStackPi(scale Scale) (*Table, error) {
-	leaves := scale.Leaves
-	if leaves < 40 {
-		leaves = 40
-	}
+	leaves := max(scale.Leaves, 40)
 	t := &Table{
 		Title: "Extension — StackPi victim-side filter accuracy vs dispersed attackers",
 		Note: fmt.Sprintf("%d-leaf tree, 16-bit marks, 2 bits/hop; FP = legitimate traffic wrongly dropped "+
@@ -107,7 +104,7 @@ func ExtStackPi(scale Scale) (*Table, error) {
 		if n < 1 {
 			continue
 		}
-		pt, err := RunStackPi(leaves, n, 4)
+		pt, err := RunStackPi(scale.Ctx, leaves, n, 4)
 		if err != nil {
 			return nil, err
 		}

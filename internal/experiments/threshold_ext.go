@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -29,8 +30,8 @@ type ThresholdPoint struct {
 // (Sec. 5.3): benign scanners probe the pool throughout; a real
 // attacker starts late. Low activation thresholds burn sessions on
 // scanner noise; high thresholds delay (or lose) the real capture.
-func RunThreshold(threshold int, scanners int, scannerGap float64, seed int64) (*ThresholdPoint, error) {
-	sim := des.New()
+func RunThreshold(ctx context.Context, threshold int, scanners int, scannerGap float64, seed int64) (*ThresholdPoint, error) {
+	sim := newSim(ctx)
 	p := topology.DefaultParams()
 	p.Leaves = 40
 	p.Seed = seed
@@ -43,15 +44,16 @@ func RunThreshold(threshold int, scanners int, scannerGap float64, seed int64) (
 	if err != nil {
 		return nil, err
 	}
-	def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{ActivationThreshold: threshold})
+	attackStart := 200.0
+	pt := &ThresholdPoint{Threshold: threshold, CaptureTime: -1}
+	def, _, err := deployHBP(tr.Net, pool, tr.Servers, tr.IsHost, core.Config{ActivationThreshold: threshold}, func(c core.Capture) {
+		if pt.CaptureTime < 0 {
+			pt.CaptureTime = c.Time - attackStart
+		}
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	var agents []*roaming.ServerAgent
-	for _, s := range tr.Servers {
-		agents = append(agents, roaming.NewServerAgent(pool, s))
-	}
-	def.DeployAll(agents)
 
 	rng := des.NewRNG(seed)
 	attackHosts, rest := tr.PlaceAttackers(1, topology.Even, seed)
@@ -60,19 +62,12 @@ func RunThreshold(threshold int, scanners int, scannerGap float64, seed int64) (
 		sim.At(0.1, sc.Start)
 	}
 
-	attackStart := 200.0
 	spoof := []netsim.NodeID{7001, 7002}
 	atk := traffic.NewAttacker(attackHosts[0], tr.Servers,
 		traffic.AttackerConfig{Rate: 2e5, Size: 500, SpoofSpace: spoof}, rng)
 	sim.At(attackStart, atk.Start)
 
 	pool.Start()
-	pt := &ThresholdPoint{Threshold: threshold, CaptureTime: -1}
-	def.OnCapture = func(c core.Capture) {
-		if pt.CaptureTime < 0 {
-			pt.CaptureTime = c.Time - attackStart
-		}
-	}
 	// Snapshot noise-phase overhead just before the attack.
 	sim.At(attackStart-0.001, func() {
 		for _, s := range tr.Servers {
@@ -104,7 +99,7 @@ func ExtThreshold(scale Scale) (*Table, error) {
 		Headers: []string{"threshold", "false activations", "wasted sessions", "capture time (s)"},
 	}
 	for _, thr := range []int{1, 3, 10, 50} {
-		pt, err := RunThreshold(thr, 10, 1.0, 5)
+		pt, err := RunThreshold(scale.Ctx, thr, 10, 1.0, 5)
 		if err != nil {
 			return nil, err
 		}

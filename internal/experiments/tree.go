@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -100,11 +99,8 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 1
 	}
-	sim := des.New()
+	sim := newSim(cfg.Context)
 	sim.EventLimit = cfg.EventLimit
-	if cfg.Context != nil {
-		sim.SetInterrupt(0, cfg.Context.Err)
-	}
 	tr := topology.NewTree(sim, cfg.Topology)
 	rng := des.NewRNG(cfg.Seed)
 
@@ -129,63 +125,47 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	// Server-side agents and the defense under test. hbpDef escapes the
 	// switch so the fault injector can wire crash hooks to it.
 	var hbpDef *core.Defense
-	var serverAgents []*roaming.ServerAgent
 	switch cfg.Defense {
 	case HBP:
-		for _, s := range tr.Servers {
-			serverAgents = append(serverAgents, roaming.NewServerAgent(pool, s))
+		var perAS func(*core.Defense)
+		if cfg.DeployFraction > 0 && cfg.DeployFraction < 1 {
+			perAS = func(def *core.Defense) {
+				asOf := tr.PartitionAS()
+				routersOf := map[int]int{}
+				for _, a := range asOf {
+					routersOf[a]++
+				}
+				ids := sortedKeys(routersOf)[1:] // all but AS 0, the victim network, which always deploys
+				drng := des.NewRNG(cfg.Seed + 97)
+				drng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+				deployed := map[int]bool{0: true}
+				want := int(cfg.DeployFraction*float64(len(ids)) + 0.5)
+				for i := 0; i < want && i < len(ids); i++ {
+					deployed[ids[i]] = true
+				}
+				def.DeployPerAS(tr.Routers, asOf, deployed)
+			}
 		}
-		def, err := core.New(tr.Net, pool, tr.IsHost, core.Config{
+		hbpDef, _, err = deployHBP(tr.Net, pool, tr.Servers, tr.IsHost, core.Config{
 			Progressive: cfg.Progressive, Reliable: cfg.Reliable, SessionLifetime: cfg.SessionLifetime,
 			EpochAuth: cfg.EpochAuth, Watchdog: cfg.Watchdog, Budget: cfg.Budget,
-		})
+		}, func(c core.Capture) { res.Captures = append(res.Captures, c) }, perAS)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.DeployFraction > 0 && cfg.DeployFraction < 1 {
-			asOf := tr.PartitionAS()
-			asIDs := map[int]bool{}
-			for _, a := range asOf {
-				asIDs[a] = true
-			}
-			ids := make([]int, 0, len(asIDs))
-			for a := range asIDs {
-				if a != 0 {
-					ids = append(ids, a)
-				}
-			}
-			sort.Ints(ids)
-			drng := des.NewRNG(cfg.Seed + 97)
-			drng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-			deployed := map[int]bool{0: true}
-			want := int(cfg.DeployFraction*float64(len(ids)) + 0.5)
-			for i := 0; i < want && i < len(ids); i++ {
-				deployed[ids[i]] = true
-			}
-			def.DeployPerAS(tr.Routers, asOf, deployed)
-			for _, sa := range serverAgents {
-				def.AttachServer(sa)
-			}
-		} else {
-			def.DeployAll(serverAgents)
-		}
 		if cfg.TraceCap > 0 {
-			def.Trace = trace.New(cfg.TraceCap)
-			res.Trace = def.Trace
+			hbpDef.Trace = trace.New(cfg.TraceCap)
+			res.Trace = hbpDef.Trace
 		}
-		def.OnCapture = func(c core.Capture) { res.Captures = append(res.Captures, c) }
-		hbpDef = def
 	case Pushback, PushbackLevelK:
-		defended := make([]netsim.NodeID, len(tr.Servers))
-		for i, s := range tr.Servers {
-			defended[i] = s.ID
+		for _, s := range tr.Servers {
 			s.Handler = func(p *netsim.Packet, in *netsim.Port) {}
 		}
 		pbCfg := pushback.Config{TargetUtil: cfg.PushbackTargetUtil}
 		if cfg.Defense == PushbackLevelK {
 			pbCfg.WeightedShares = true
 		}
-		pb, err := pushback.New(tr.Net, defended, pbCfg)
+		pb, err := pushback.New(tr.Net, nodeIDs(tr.Servers), pbCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -204,17 +184,10 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		// marks are filtered at the bottleneck head, the victim ISP's
 		// ingress firewall.
 		marker := &stackpi.Marker{}
-		var marking []*netsim.Node
-		for _, r := range tr.Routers {
-			if r != tr.Root && r != tr.ServerGW {
-				marking = append(marking, r)
-			}
-		}
-		marker.Deploy(marking)
+		marker.Deploy(midTree(tr))
 		filter := stackpi.NewFilter()
 		for _, s := range tr.Servers {
 			sa := roaming.NewServerAgent(pool, s)
-			serverAgents = append(serverAgents, sa)
 			sa.OnHoneypotPacket = func(p *netsim.Packet, in *netsim.Port) {
 				if p.Type == netsim.Data {
 					filter.Learn(p.Mark)
@@ -242,61 +215,42 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 
 	// Fault plan: installed after the defense so router crashes can be
 	// wired into its session cleanup. For non-HBP defenses crashes fall
-	// back to bare node blackholing.
-	if cfg.FaultCrashes > 0 {
+	// back to bare node blackholing. Byzantine routers (HBP only) are
+	// subverted for the attack window. They hold no key material — the
+	// adapter turns their misbehavior ticks into forged/replayed/amplified
+	// control frames, and taps give them real frames to replay.
+	byzantine := cfg.ByzantineNodes > 0 && hbpDef != nil
+	var byzAdapter *core.ByzantineAdapter
+	if cfg.FaultCrashes > 0 || byzantine {
 		plan := faults.Plan{Seed: cfg.Seed + 2000}
 		if cfg.Faults != nil {
 			plan = *cfg.Faults
 		}
-		// Crash mid-tree routers only: the root and the server gateway
+		// Both hit mid-tree routers only: the root and the server gateway
 		// are single points whose loss disconnects the scenario rather
 		// than stressing the defense.
-		var ids []netsim.NodeID
-		for _, r := range tr.Routers {
-			if r != tr.Root && r != tr.ServerGW {
-				ids = append(ids, r.ID)
+		targets := nodeIDs(midTree(tr))
+		if cfg.FaultCrashes > 0 {
+			restart := cfg.FaultRestartAfter
+			if restart <= 0 {
+				restart = 5
+			}
+			plan.Crashes = append(plan.Crashes,
+				faults.RandomCrashes(plan.Seed+7, targets, cfg.FaultCrashes, cfg.AttackStart, cfg.AttackEnd, restart)...)
+		}
+		if byzantine {
+			rate := cfg.ByzantineRate
+			if rate <= 0 {
+				rate = 2
+			}
+			plan.Byzantine = append(plan.Byzantine,
+				faults.RandomByzantine(plan.Seed+11, targets, cfg.ByzantineNodes, rate, cfg.AttackStart, cfg.AttackEnd)...)
+			byzAdapter = core.NewByzantineAdapter(hbpDef, nodeIDs(tr.Servers))
+			for _, b := range plan.Byzantine {
+				byzAdapter.Tap(tr.Net.Node(b.Node))
 			}
 		}
-		restart := cfg.FaultRestartAfter
-		if restart <= 0 {
-			restart = 5
-		}
-		plan.Crashes = append(plan.Crashes,
-			faults.RandomCrashes(plan.Seed+7, ids, cfg.FaultCrashes, cfg.AttackStart, cfg.AttackEnd, restart)...)
 		cfg.Faults = &plan
-	}
-	// Byzantine routers (HBP only): subvert seeded mid-tree routers for
-	// the attack window. They hold no key material — the adapter turns
-	// their misbehavior ticks into forged/replayed/amplified control
-	// frames, and taps give them real frames to replay.
-	var byzAdapter *core.ByzantineAdapter
-	if cfg.ByzantineNodes > 0 && hbpDef != nil {
-		plan := faults.Plan{Seed: cfg.Seed + 2000}
-		if cfg.Faults != nil {
-			plan = *cfg.Faults
-		}
-		var ids []netsim.NodeID
-		for _, r := range tr.Routers {
-			if r != tr.Root && r != tr.ServerGW {
-				ids = append(ids, r.ID)
-			}
-		}
-		rate := cfg.ByzantineRate
-		if rate <= 0 {
-			rate = 2
-		}
-		plan.Byzantine = append(plan.Byzantine,
-			faults.RandomByzantine(plan.Seed+11, ids, cfg.ByzantineNodes, rate, cfg.AttackStart, cfg.AttackEnd)...)
-		cfg.Faults = &plan
-
-		serverIDs := make([]netsim.NodeID, len(tr.Servers))
-		for i, s := range tr.Servers {
-			serverIDs[i] = s.ID
-		}
-		byzAdapter = core.NewByzantineAdapter(hbpDef, serverIDs)
-		for _, b := range plan.Byzantine {
-			byzAdapter.Tap(tr.Net.Node(b.Node))
-		}
 	}
 	var inj *faults.Injector
 	if cfg.Faults != nil && cfg.Faults.Active() {
@@ -311,65 +265,23 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		inj = faults.Apply(sim, tr.Net, *cfg.Faults, hooks)
 	}
 
-	// Legitimate clients: roaming under HBP, uniform-static otherwise
-	// (Sec. 8.3).
-	clientRate := cfg.LegitFraction * cfg.Topology.Bottleneck.Bandwidth / float64(len(clientHosts))
-	clientCfg := traffic.ClientConfig{Rate: clientRate, Size: cfg.PacketSize}
-	var clients []*traffic.Client
-	for _, h := range clientHosts {
-		var c *traffic.Client
-		if cfg.Defense == HBP || cfg.Defense == StackPiFilter {
-			sub, err := pool.Issue(cfg.Pool.Epochs - 1)
-			if err != nil {
-				return nil, err
-			}
-			c = traffic.NewRoamingClient(h, sub, tr.Servers, clientCfg, rng)
-		} else {
-			c = traffic.NewStaticClient(h, tr.Servers, clientCfg, rng)
-		}
-		clients = append(clients, c)
+	// Legitimate clients roam under HBP (and StackPi's online training),
+	// uniform-static otherwise (Sec. 8.3).
+	roam := cfg.Defense == HBP || cfg.Defense == StackPiFilter
+	clientPool := pool
+	if !roam {
+		clientPool = nil
 	}
-
-	// Attackers: spoofed sources drawn from the leaf address space.
-	spoofSpace := make([]netsim.NodeID, len(tr.Leaves))
-	for i, l := range tr.Leaves {
-		spoofSpace[i] = l.ID
+	src, err := newTreeSources(tr, clientHosts, attackHosts, clientPool,
+		cfg.LegitFraction*cfg.Topology.Bottleneck.Bandwidth, cfg.AttackRate, cfg.PacketSize, cfg.OnOff, rng)
+	if err != nil {
+		return nil, err
 	}
-	atkCfg := traffic.AttackerConfig{Rate: cfg.AttackRate, Size: cfg.PacketSize, SpoofSpace: spoofSpace}
-	type startStopper interface {
-		Start()
-		Stop()
-	}
-	var attackers []startStopper
-	for _, h := range attackHosts {
-		if cfg.OnOff != nil {
-			attackers = append(attackers, traffic.NewOnOffAttacker(h, tr.Servers, atkCfg, cfg.OnOff.Ton, cfg.OnOff.Toff, rng))
-		} else {
-			attackers = append(attackers, traffic.NewAttacker(h, tr.Servers, atkCfg, rng))
-		}
-	}
-
 	mon := metrics.NewBottleneckMonitor(sim, tr.Bottleneck, tr.ServerGW, cfg.SampleInterval)
-
-	// Schedule the run.
-	if cfg.Defense == HBP || cfg.Defense == StackPiFilter {
+	if roam {
 		pool.Start()
 	}
-	sim.At(0, func() {
-		for _, c := range clients {
-			c.Start(cfg.Pool.EpochLen)
-		}
-	})
-	sim.At(cfg.AttackStart, func() {
-		for _, a := range attackers {
-			a.Start()
-		}
-	})
-	sim.At(cfg.AttackEnd, func() {
-		for _, a := range attackers {
-			a.Stop()
-		}
-	})
+	src.schedule(sim, cfg.Pool.EpochLen, cfg.AttackStart, cfg.AttackEnd)
 	if err := sim.RunUntil(cfg.Duration); err != nil {
 		// Cancelled and event-limited runs still release their pooled
 		// resources before reporting the abort: the scenario service
@@ -384,23 +296,21 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	res.Throughput = mon.Series()
 	res.MeanBefore = res.Throughput.MeanBetween(1, cfg.AttackStart)
 	res.MeanDuringAttack = res.Throughput.MeanBetween(cfg.AttackStart, cfg.AttackEnd)
-	var capAt []float64
-	for _, c := range res.Captures {
-		capAt = append(capAt, c.Time)
-	}
-	res.CaptureTimes = metrics.CaptureTimes(capAt, cfg.AttackStart)
 	isAtk := make(map[netsim.NodeID]bool, len(attackHosts))
 	for _, h := range attackHosts {
 		isAtk[h.ID] = true
 	}
+	var capAt []float64
 	atkSeen, colSeen := map[netsim.NodeID]bool{}, map[netsim.NodeID]bool{}
 	for _, c := range res.Captures {
+		capAt = append(capAt, c.Time)
 		if isAtk[c.Attacker] {
 			atkSeen[c.Attacker] = true
 		} else {
 			colSeen[c.Attacker] = true
 		}
 	}
+	res.CaptureTimes = metrics.CaptureTimes(capAt, cfg.AttackStart)
 	res.AttackersCaptured = len(atkSeen)
 	res.CollateralBlocks = len(colSeen)
 	res.QueueDrops = tr.Net.TotalQueueDrops()
@@ -429,4 +339,89 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	tr.Net.Drain()
 	res.Leak.PacketsOutstanding = tr.Net.PacketsOutstanding()
 	return res, nil
+}
+
+// treeSources are a tree scenario's traffic sources.
+type treeSources struct {
+	clients   []*traffic.Client
+	attackers []interface {
+		Start()
+		Stop()
+	}
+}
+
+// newTreeSources draws a tree's sources from rng: clients on
+// clientHosts sharing legitBps — roaming on pool tokens when pool is
+// non-nil, static otherwise — then attackers on attackHosts at
+// attackRate bits/s each, spoofing the leaf address space and bursting
+// when onOff is non-nil.
+func newTreeSources(tr *topology.Tree, clientHosts, attackHosts []*netsim.Node, pool *roaming.Pool,
+	legitBps, attackRate float64, size int, onOff *OnOffSpec, rng *des.RNG) (*treeSources, error) {
+	src := &treeSources{}
+	clientCfg := traffic.ClientConfig{Rate: legitBps / float64(len(clientHosts)), Size: size}
+	for _, h := range clientHosts {
+		if pool == nil {
+			src.clients = append(src.clients, traffic.NewStaticClient(h, tr.Servers, clientCfg, rng))
+			continue
+		}
+		sub, err := pool.Issue(pool.Config().Epochs - 1)
+		if err != nil {
+			return nil, err
+		}
+		src.clients = append(src.clients, traffic.NewRoamingClient(h, sub, tr.Servers, clientCfg, rng))
+	}
+	atkCfg := traffic.AttackerConfig{Rate: attackRate, Size: size, SpoofSpace: nodeIDs(tr.Leaves)}
+	for _, h := range attackHosts {
+		if onOff != nil {
+			src.attackers = append(src.attackers, traffic.NewOnOffAttacker(h, tr.Servers, atkCfg, onOff.Ton, onOff.Toff, rng))
+		} else {
+			src.attackers = append(src.attackers, traffic.NewAttacker(h, tr.Servers, atkCfg, rng))
+		}
+	}
+	return src, nil
+}
+
+// schedule starts the clients — then extra — at time 0 and runs the
+// attackers from attackStart to attackEnd.
+func (src *treeSources) schedule(sim *des.Simulator, epochLen, attackStart, attackEnd float64, extra ...starter) {
+	sim.At(0, func() {
+		for _, c := range src.clients {
+			c.Start(epochLen)
+		}
+		for _, f := range extra {
+			f.Start()
+		}
+	})
+	sim.At(attackStart, func() {
+		for _, a := range src.attackers {
+			a.Start()
+		}
+	})
+	sim.At(attackEnd, func() {
+		for _, a := range src.attackers {
+			a.Stop()
+		}
+	})
+}
+
+// nodeIDs lists the nodes' IDs.
+func nodeIDs(nodes []*netsim.Node) []netsim.NodeID {
+	ids := make([]netsim.NodeID, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	return ids
+}
+
+// midTree lists a tree's routers below the root and above the server
+// gateway: the ones whose loss stresses the defense rather than
+// disconnecting the scenario, and that mark as the victim's AS does not.
+func midTree(tr *topology.Tree) []*netsim.Node {
+	var rs []*netsim.Node
+	for _, r := range tr.Routers {
+		if r != tr.Root && r != tr.ServerGW {
+			rs = append(rs, r)
+		}
+	}
+	return rs
 }

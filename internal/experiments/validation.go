@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/roaming"
 	"repro/internal/topology"
@@ -98,44 +98,24 @@ func runValidation(cfg ValidationConfig, defense core.Config, model func(analysi
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 400
 	}
-	k := int(float64(cfg.PoolSize)*(1-cfg.HoneypotProb) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k >= cfg.PoolSize {
-		k = cfg.PoolSize - 1
-	}
+	k := min(max(int(float64(cfg.PoolSize)*(1-cfg.HoneypotProb)+0.5), 1), cfg.PoolSize-1)
 	if cfg.Hops < 1 || cfg.EpochLen <= 0 || cfg.RatePPS <= 0 || cfg.Runs < 1 {
 		return nil, fmt.Errorf("experiments: bad validation config %+v", cfg)
 	}
 
-	var cts []float64
-	for run := 0; run < cfg.Runs; run++ {
-		rig := captureRig{
-			hops: cfg.Hops, poolSize: cfg.PoolSize, k: k,
-			epochLen: cfg.EpochLen, epochs: cfg.MaxEpochs,
-			chainSeed: fmt.Sprintf("%s-%d-%d", label, cfg.Seed, run),
-			defense:   defense,
-			ctx:       cfg.Context,
-		}
-		rng := des.NewRNG(cfg.Seed*seedMul + int64(run))
-		ct, ok, err := rig.run(
-			func(host *netsim.Node, target netsim.NodeID, _ *roaming.Pool) starter {
-				return spoofingCBR(host, target, cfg.RatePPS, cfg.PacketSize, rng, 10000)
-			},
-			// Randomize the attack phase within one epoch so the
-			// average is not locked to the schedule.
-			func() float64 { return rng.Float64() * cfg.EpochLen })
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			cts = append(cts, ct)
-		}
+	rig := captureRig{
+		hops: cfg.Hops, poolSize: cfg.PoolSize, k: k, epochLen: cfg.EpochLen, epochs: cfg.MaxEpochs,
+		defense: defense, ctx: cfg.Context,
+	}
+	cts, err := rig.repeat(cfg.Runs, label, cfg.Seed, seedMul, func(host *netsim.Node, target netsim.NodeID, rng *des.RNG) starter {
+		return spoofingCBR(host, target, cfg.RatePPS, cfg.PacketSize, rng, 10000)
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &ValidationResult{Config: cfg, Captured: len(cts)}
-	res.MeanCT = mean(cts)
-	res.StdCT = std(cts)
+	res.MeanCT = metrics.Mean(cts)
+	res.StdCT = metrics.StdDev(cts)
 	res.Model = model(analysis.Params{
 		M:   cfg.EpochLen,
 		P:   float64(cfg.PoolSize-k) / float64(cfg.PoolSize),
@@ -166,14 +146,11 @@ type starter interface{ Start() }
 
 // run builds the rig, asks attack for the source (on the string's one
 // leaf, against the pool's first server) and measures the time from
-// the attack's start to its capture. startAt is called after the pool
-// has started and before the source emits — the order the callers' RNG
-// streams were recorded in.
+// the attack's start to its capture (-1 without one). startAt is
+// called after the pool has started and before the source emits — the
+// order the callers' RNG streams were recorded in.
 func (r captureRig) run(attack func(host *netsim.Node, target netsim.NodeID, pool *roaming.Pool) starter, startAt func() float64) (ct float64, captured bool, err error) {
-	sim := des.New()
-	if r.ctx != nil {
-		sim.SetInterrupt(0, r.ctx.Err)
-	}
+	sim := newSim(r.ctx)
 	tr := topology.NewString(sim, r.hops, r.poolSize,
 		topology.LinkClass{Bandwidth: 1e7, Delay: 0.002})
 	pool, err := roaming.NewPool(sim, tr.Servers, roaming.Config{
@@ -184,24 +161,16 @@ func (r captureRig) run(attack func(host *netsim.Node, target netsim.NodeID, poo
 	if err != nil {
 		return 0, false, err
 	}
-	def, err := core.New(tr.Net, pool, tr.IsHost, r.defense)
-	if err != nil {
-		return 0, false, err
-	}
-	var agents []*roaming.ServerAgent
-	for _, s := range tr.Servers {
-		agents = append(agents, roaming.NewServerAgent(pool, s))
-	}
-	def.DeployAll(agents)
-	atk := attack(tr.Leaves[0], tr.Servers[0].ID, pool)
-
 	capturedAt := -1.0
-	def.OnCapture = func(c core.Capture) {
+	if _, _, err := deployHBP(tr.Net, pool, tr.Servers, tr.IsHost, r.defense, func(c core.Capture) {
 		if capturedAt < 0 {
 			capturedAt = c.Time
 		}
 		sim.Stop()
+	}, nil); err != nil {
+		return 0, false, err
 	}
+	atk := attack(tr.Leaves[0], tr.Servers[0].ID, pool)
 	pool.Start()
 	start := startAt()
 	sim.At(start, atk.Start)
@@ -209,9 +178,32 @@ func (r captureRig) run(attack func(host *netsim.Node, target netsim.NodeID, poo
 		return 0, false, err
 	}
 	if capturedAt < 0 {
-		return 0, false, nil
+		return -1, false, nil
 	}
 	return capturedAt - start, true, nil
+}
+
+// repeat runs the rig runs times: run i on hash chain label-seed-i with
+// RNG stream seed·seedMul+i, which draws the attack (see attack) and
+// then its start, a random phase of the first epoch so the average is
+// not locked to the schedule. It returns the capture times of the runs
+// that captured.
+func (r captureRig) repeat(runs int, label string, seed, seedMul int64, attack func(host *netsim.Node, target netsim.NodeID, rng *des.RNG) starter) ([]float64, error) {
+	var cts []float64
+	for i := 0; i < runs; i++ {
+		r.chainSeed = fmt.Sprintf("%s-%d-%d", label, seed, i)
+		rng := des.NewRNG(seed*seedMul + int64(i))
+		ct, ok, err := r.run(func(host *netsim.Node, target netsim.NodeID, _ *roaming.Pool) starter {
+			return attack(host, target, rng)
+		}, func() float64 { return rng.Float64() * r.epochLen })
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			cts = append(cts, ct)
+		}
+	}
+	return cts, nil
 }
 
 // spoofingCBR is a constant-rate attacker against a fixed server that
@@ -224,27 +216,4 @@ func spoofingCBR(host *netsim.Node, target netsim.NodeID, ratePPS float64, size 
 		Dest:   func() netsim.NodeID { return target },
 		Source: func() netsim.NodeID { return netsim.NodeID(rng.Intn(4096) + spoofBase) },
 	}
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }

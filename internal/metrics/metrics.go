@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/netsim"
@@ -275,40 +274,4 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Max returns the largest value (0 for empty input); the paper's
-// multi-attacker capture time CT = max_i CT_i.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the q-th percentile (q in [0,100]) by nearest
-// rank; 0 for empty input.
-func Percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(q/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

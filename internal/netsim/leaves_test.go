@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -312,5 +315,218 @@ func TestLeafReservationRules(t *testing.T) {
 	// only extra cost there is that comparison.
 	if other.leaves != nil || other.Part(0).leaves != nil {
 		t.Fatal("cluster without reservations carries a leaf directory")
+	}
+}
+
+// hostCluster is a seeded random cluster whose end hosts are either
+// reserved endpoints (AddLeaves) or eager nodes on ordinary links, with
+// the same IDs and link classes either way. Every router hashes what it
+// forwards and what it receives, so two builds that behave alike agree
+// on the hashes.
+type hostCluster struct {
+	ss      *des.ShardedSimulator
+	cl      *Cluster
+	routers []*Node
+	hosts   []NodeID // every endpoint ID, ascending
+	owner   []*Node  // owner[i] is the router hosts[i] hangs off
+	hash    []uint64 // per router, written only by its own shard
+}
+
+// newHostCluster draws the model from seed alone — a random tree of 12
+// routers over 4 parts, one or two endpoint runs per router, each of a
+// random access-link class — and builds it at the given width.
+func newHostCluster(seed int64, shards int, eager bool) *hostCluster {
+	const parts, routers = 4, 12
+	classes := [][2]float64{{1e6, 0.004}, {2e6, 0.002}, {10e6, 0.001}}
+	rng := des.NewRNG(seed)
+	place := make([]int, parts)
+	for i := range place {
+		place[i] = i % shards
+	}
+	hc := &hostCluster{ss: des.NewSharded(seed, shards)}
+	hc.cl = NewCluster(hc.ss, place)
+	cl := hc.cl
+	for i := 0; i < routers; i++ {
+		r := cl.AddNode(rng.Intn(parts), fmt.Sprintf("r%d", i))
+		if i > 0 {
+			cl.Connect(hc.routers[rng.Intn(i)], r, float64(5+rng.Intn(20))*1e6, 0.001*float64(1+rng.Intn(3)))
+		}
+		hc.routers = append(hc.routers, r)
+	}
+	type run struct {
+		owner *Node
+		n     int
+		class [2]float64
+	}
+	var runs []run
+	for _, r := range hc.routers {
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			runs = append(runs, run{r, 1 + rng.Intn(3), classes[rng.Intn(len(classes))]})
+		}
+	}
+	for _, rn := range runs {
+		if !eager {
+			cl.AddLeaves(rn.owner, rn.n, rn.class[0], rn.class[1])
+		}
+		for k := 0; k < rn.n; k++ {
+			if eager {
+				h := cl.AddNode(cl.partOf(rn.owner), "")
+				cl.Connect(rn.owner, h, rn.class[0], rn.class[1])
+			}
+			hc.hosts = append(hc.hosts, NodeID(routers+len(hc.owner)))
+			hc.owner = append(hc.owner, rn.owner)
+		}
+	}
+	cl.ComputeRoutes()
+	hc.hash = make([]uint64, routers)
+	for i, r := range hc.routers {
+		i := i
+		mix := func(p *Packet, id NodeID) {
+			hc.hash[i] = hc.hash[i]*1099511628211 ^ math.Float64bits(r.Network().Sim.Now()) ^
+				uint64(p.Src)<<40 ^ uint64(id)<<20 ^ uint64(p.Seq)
+		}
+		r.AddHook(ForwardFunc(func(n *Node, p *Packet, in, out *Port) bool {
+			mix(p, out.farNode().ID)
+			return true
+		}))
+		r.Handler = func(p *Packet, in *Port) { mix(p, r.ID) }
+	}
+	return hc
+}
+
+// traffic schedules a seeded burst pattern between from and until: a
+// random half of the hosts send, to routers and to a random half of
+// the hosts, so some endpoints see no packet at all. A host sends
+// through the port its owner has towards it — which is what builds a
+// reserved one.
+func (hc *hostCluster) traffic(seed int64, from, until float64) {
+	rng := des.NewRNG(seed)
+	var dsts []NodeID
+	for _, r := range hc.routers {
+		dsts = append(dsts, r.ID)
+	}
+	for _, h := range hc.hosts {
+		if rng.Intn(2) == 0 {
+			dsts = append(dsts, h)
+		}
+	}
+	for i, h := range hc.hosts {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		i, h, srng := i, h, rng.Split(int64(h))
+		owner := hc.owner[i]
+		sim := owner.Network().Sim
+		var seq int64
+		var send func()
+		send = func() {
+			if sim.Now() >= until {
+				return
+			}
+			node := owner.NextHop(h).farNode()
+			for k := 1 + srng.Intn(6); k > 0; k-- {
+				dst := dsts[srng.Intn(len(dsts))]
+				if dst == h {
+					continue
+				}
+				p := node.NewPacket()
+				seq++
+				p.Src, p.TrueSrc, p.Dst, p.Size, p.Type, p.Seq = h, h, dst, 500, Data, seq
+				node.Send(p)
+			}
+			sim.After(0.002*float64(1+srng.Intn(4)), send)
+		}
+		sim.At(from+0.001*float64(1+srng.Intn(5)), send)
+	}
+}
+
+// state renders what the two builds must agree on: the event count, the
+// cluster's queue drops, every router's hash and every ID's counters
+// (an endpoint nothing built counts as zeros).
+func (hc *hostCluster) state() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fired=%d drops=%d\n", hc.ss.Fired(), hc.cl.TotalQueueDrops())
+	for i, h := range hc.hash {
+		fmt.Fprintf(&b, "r%d %016x\n", i, h)
+	}
+	for id := NodeID(0); id < NodeID(len(hc.routers)+len(hc.hosts)); id++ {
+		var st NodeStats
+		if n := hc.cl.Node(id); n != nil {
+			st = n.Stats
+		}
+		fmt.Fprintf(&b, "%d sent=%d fwd=%d dlv=%d drop=%d\n", id, st.Sent, st.Forwarded, st.Delivered, st.TotalDrops())
+	}
+	return b.String()
+}
+
+// hops renders PathHops for every (router, endpoint) pair both ways and
+// every endpoint pair. Walking to an endpoint builds it, so afterwards
+// every reserved endpoint is real.
+func (hc *hostCluster) hops() string {
+	var b strings.Builder
+	for _, r := range hc.routers {
+		for _, h := range hc.hosts {
+			fmt.Fprintf(&b, "%d>%d=%d %d>%d=%d\n", r.ID, h, hc.cl.PathHops(r.ID, h), h, r.ID, hc.cl.PathHops(h, r.ID))
+		}
+	}
+	for _, a := range hc.hosts {
+		for _, z := range hc.hosts {
+			fmt.Fprintf(&b, "%d>%d=%d\n", a, z, hc.cl.PathHops(a, z))
+		}
+	}
+	return b.String()
+}
+
+// TestReservedEndpointsMatchEagerHosts is the differential check of
+// endpoints on demand: a random cluster whose hosts are reserved IDs
+// must behave exactly as the same cluster with every host built
+// eagerly — same routes to and from every endpoint, same packets
+// delivered and dropped, same forwarding events at the same times —
+// at every engine width, mid-run materialisation included, and again
+// after ComputeRoutes re-runs over the materialised endpoints.
+func TestReservedEndpointsMatchEagerHosts(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		var refHops, refRun, refRerun string
+		for _, shards := range []int{1, 2, 4} {
+			for _, eager := range []bool{true, false} {
+				name := fmt.Sprintf("seed %d, %d shards, eager=%v", seed, shards, eager)
+				hc := newHostCluster(seed, shards, eager)
+				hc.traffic(seed, 0, 0.3)
+				if err := hc.ss.RunUntil(0.4); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				run := hc.state()
+				hops := hc.hops()
+				hc.cl.ComputeRoutes()
+				if again := hc.hops(); again != hops {
+					t.Fatalf("%s: ComputeRoutes over the built endpoints moved a route", name)
+				}
+				hc.traffic(seed+100, 0.4, 0.7)
+				if err := hc.ss.RunUntil(0.8); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				rerun := hc.state()
+				hc.cl.Drain()
+				if out := hc.cl.PacketsOutstanding(); out != 0 {
+					t.Fatalf("%s: %d packets leaked past Drain", name, out)
+				}
+				if refRun == "" {
+					refHops, refRun, refRerun = hops, run, rerun
+					if !strings.Contains(run, "dlv=") || hc.cl.TotalQueueDrops() == 0 {
+						t.Fatalf("%s: workload delivers or drops nothing:\n%s", name, run)
+					}
+					continue
+				}
+				if hops != refHops {
+					t.Fatalf("%s: PathHops differ from the eager 1-shard build", name)
+				}
+				if run != refRun {
+					t.Fatalf("%s: run differs from the eager 1-shard build\n--- eager, 1 shard\n%s--- %s\n%s", name, refRun, name, run)
+				}
+				if rerun != refRerun {
+					t.Fatalf("%s: run after the route recompute differs from the eager 1-shard build", name)
+				}
+			}
+		}
 	}
 }
