@@ -56,9 +56,12 @@ func main() {
 	coordinator := flag.String("coordinator", "", "worker mode: coordinator base URL, e.g. http://127.0.0.1:9090")
 	name := flag.String("name", "", "worker mode: worker name (default the hostname)")
 	flag.Parse()
+	wall := time.Duration(*wallDeadline * float64(time.Second))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *worker {
-		os.Exit(workerMode(*coordinator, *name, *workers, *maxEvents))
+		os.Exit(workerMode(ctx, *coordinator, *name, *workers, wall, *maxEvents))
 	}
 
 	var journal *scenario.Journal
@@ -75,15 +78,12 @@ func main() {
 	runner := scenario.NewRunner(scenario.Config{
 		Workers:      *workers,
 		QueueCap:     *queueCap,
-		WallDeadline: time.Duration(*wallDeadline * float64(time.Second)),
+		WallDeadline: wall,
 		MaxEvents:    *maxEvents,
 		MaxAttempts:  *maxAttempts,
 		Journal:      journal,
 	}, recovered)
 	runner.Start()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *suitePath != "" {
 		os.Exit(batch(ctx, runner, *suitePath, *outDir, time.Duration(*drainTimeout*float64(time.Second))))
@@ -117,10 +117,11 @@ func main() {
 }
 
 // workerMode registers with a hbpfleet coordinator and executes
-// leased assignments until interrupted. The fleet layer owns all
+// leased assignments until ctx is done. The fleet layer owns all
 // failure handling — a worker that dies mid-run simply stops
-// heartbeating and the coordinator re-dispatches.
-func workerMode(coordinator, name string, capacity int, maxEvents uint64) int {
+// heartbeating and the coordinator re-dispatches. wallDeadline and
+// maxEvents are the per-attempt defaults a case spec may override.
+func workerMode(ctx context.Context, coordinator, name string, capacity int, wallDeadline time.Duration, maxEvents uint64) int {
 	if coordinator == "" {
 		log.Print("worker mode needs -coordinator")
 		return 2
@@ -131,12 +132,11 @@ func workerMode(coordinator, name string, capacity int, maxEvents uint64) int {
 			name = "hbpsimd-worker"
 		}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	w := fleet.NewWorker(fleet.WorkerConfig{
-		Name:      name,
-		Capacity:  capacity,
-		MaxEvents: maxEvents,
+		Name:         name,
+		Capacity:     capacity,
+		WallDeadline: wallDeadline,
+		MaxEvents:    maxEvents,
 	}, fleet.NewRemoteCoord(coordinator))
 	log.Printf("worker %q joining fleet at %s (%d slots)", name, coordinator, capacity)
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {

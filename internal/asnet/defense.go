@@ -35,12 +35,6 @@ func (m IngressMode) String() string {
 type Config struct {
 	// Mode selects the ingress-identification mechanism.
 	Mode IngressMode
-	// MarkDelay is the extra ingress-identification latency under
-	// Marking (default 1 ms).
-	MarkDelay float64
-	// TunnelDelay is the extra latency under Tunneling: the diverted
-	// packet's detour through the tunnel to the HSM (default 15 ms).
-	TunnelDelay float64
 	// IntraASTime abstracts the router-level traceback inside an
 	// attack-hosting AS (modelled in detail by internal/core); when a
 	// stub AS identifies locally originated honeypot traffic, the
@@ -87,12 +81,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults(g *Graph, epochLen float64) {
-	if c.MarkDelay <= 0 {
-		c.MarkDelay = 0.001
-	}
-	if c.TunnelDelay <= 0 {
-		c.TunnelDelay = 0.015
-	}
 	if c.IntraASTime <= 0 {
 		c.IntraASTime = 0.5
 	}
@@ -200,13 +188,22 @@ func (d *Defense) recordCapture(c Capture) {
 	d.CaptureLog.Record(c)
 }
 
+const (
+	// markDelay is the extra ingress-identification latency under
+	// Marking.
+	markDelay = 0.001
+	// tunnelDelay is the extra latency under Tunneling: the diverted
+	// packet's detour through the tunnel to the HSM.
+	tunnelDelay = 0.015
+)
+
 // ingressDelay is the latency of identifying one packet's ingress
 // point under the configured mode.
 func (d *Defense) ingressDelay() float64 {
 	if d.Cfg.Mode == Tunneling {
-		return d.Cfg.TunnelDelay
+		return tunnelDelay
 	}
-	return d.Cfg.MarkDelay
+	return markDelay
 }
 
 // sendCtrl delivers a control thunk to a target AS after the control
@@ -476,8 +473,6 @@ type Legacy struct {
 	// seen dedups flood IDs under a hard cap: a spoofed-flood attack
 	// slides the window instead of growing AS memory without bound.
 	seen *bounded.Dedup
-
-	Relayed int64
 }
 
 func (l *Legacy) relay(p *piggyback, from ASID) {
@@ -493,7 +488,6 @@ func (l *Legacy) relay(p *piggyback, from ASID) {
 			continue
 		}
 		nb := nb
-		l.Relayed++
 		l.d.MsgSent++
 		l.d.g.Sim.After(l.d.g.CtrlDelay, func() {
 			if nb.Deployed() {

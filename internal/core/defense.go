@@ -19,10 +19,6 @@ type Config struct {
 	// Values > 1 tolerate benign scanner noise (Sec. 5.3, false
 	// positives). Default 1.
 	ActivationThreshold int
-	// PropagateThreshold is how many honeypot-destined packets an
-	// input port must carry before a router propagates the session
-	// upstream across it. Default 1 (plain input debugging).
-	PropagateThreshold int
 	// SessionLifetime is a safety expiry for router sessions in case
 	// a cancel message is lost; 0 disables. Defaults to twice the
 	// pool epoch length.
@@ -50,14 +46,9 @@ type Config struct {
 	// model stays reproducible.
 	Reliable bool
 	// AckTimeout is the initial retransmission timeout in seconds
-	// (default 0.25).
+	// (default 0.25); it doubles after each attempt, up to maxRetries
+	// retransmissions.
 	AckTimeout float64
-	// RetryBackoff multiplies the timeout after each attempt
-	// (default 2).
-	RetryBackoff float64
-	// MaxRetries bounds retransmissions per message; after the budget
-	// the sender gives up and counts it (default 5).
-	MaxRetries int
 
 	// EpochAuth enables the authenticated control plane: every control
 	// message carries an HMAC under a per-epoch key from a dedicated
@@ -87,9 +78,6 @@ func (c *Config) fillDefaults(epochLen float64) {
 	if c.ActivationThreshold <= 0 {
 		c.ActivationThreshold = 1
 	}
-	if c.PropagateThreshold <= 0 {
-		c.PropagateThreshold = 1
-	}
 	if c.SessionLifetime == 0 {
 		c.SessionLifetime = 2 * epochLen
 	}
@@ -104,12 +92,6 @@ func (c *Config) fillDefaults(epochLen float64) {
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 0.25
-	}
-	if c.RetryBackoff <= 1 {
-		c.RetryBackoff = 2
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
 	}
 	if c.WatchdogInterval <= 0 {
 		c.WatchdogInterval = 1

@@ -8,6 +8,15 @@ import (
 	"repro/internal/trace"
 )
 
+const (
+	// retryBackoff multiplies the retransmission timeout after each
+	// attempt.
+	retryBackoff = 2
+	// maxRetries bounds retransmissions per message; after the budget
+	// the sender gives up and counts it.
+	maxRetries = 5
+)
+
 // pendingSend is one reliable control transfer in flight: the message,
 // where it is going, and the retransmission timer that fires until an
 // Ack with the matching sequence number arrives or the retry budget is
@@ -73,7 +82,7 @@ func (d *Defense) retransmit(ps *pendingSend) {
 		delete(d.pending, ps.seq)
 		return
 	}
-	if ps.attempts > d.Cfg.MaxRetries {
+	if ps.attempts > maxRetries {
 		delete(d.pending, ps.seq)
 		d.Ctrl.GiveUps++
 		return
@@ -82,11 +91,11 @@ func (d *Defense) retransmit(ps *pendingSend) {
 	d.Ctrl.Retransmissions++
 	d.rec(trace.Retransmitted, int(ps.from.ID), int(ps.to), int(ps.server), ps.m.Kind.String())
 	d.sendMsg(ps.from, ps.to, ps.m)
-	// Exponential backoff: timeout doubles (RetryBackoff^k) with every
+	// Exponential backoff: timeout doubles (retryBackoff^k) with every
 	// attempt so a congested control channel is not made worse.
 	rto := d.Cfg.AckTimeout
 	for i := 1; i < ps.attempts; i++ {
-		rto *= d.Cfg.RetryBackoff
+		rto *= retryBackoff
 	}
 	ps.timer.Reset(rto)
 }

@@ -29,7 +29,7 @@ func TestRetryBackoffTable(t *testing.T) {
 		{name: "ack-first-try", wantSession: true, wantAcksRx: 1},
 		{name: "ack-after-2-losses", reqDrops: 2, wantRetrans: 2, wantAcksRx: 1, wantSession: true},
 		{name: "lost-ack-duplicate-request", ackDrops: 1, wantRetrans: 1, wantAcksRx: 1, wantSession: true},
-		// MaxRetries defaults to 5: initial send + 5 retransmissions,
+		// maxRetries is 5: initial send + 5 retransmissions,
 		// then one give-up.
 		{name: "budget-exhausted", reqDrops: 100, wantRetrans: 5, wantGiveUps: 1},
 	}

@@ -253,6 +253,11 @@ func (a *RouterAgent) installHook() {
 	a.hookRemove = a.Node.AddHook(netsim.ForwardFunc(a.observe))
 }
 
+// propagateThreshold is how many honeypot-destined packets an input
+// port must carry before a router propagates the session upstream
+// across it: 1 is plain input debugging.
+const propagateThreshold = 1
+
 // observe implements input debugging on the forwarding path.
 func (a *RouterAgent) observe(n *netsim.Node, p *netsim.Packet, in, out *netsim.Port) bool {
 	if p.Type == netsim.Control {
@@ -264,7 +269,7 @@ func (a *RouterAgent) observe(n *netsim.Node, p *netsim.Packet, in, out *netsim.
 	}
 	s.counts[in]++
 	s.Total++
-	if s.counts[in] >= a.d.Cfg.PropagateThreshold && !s.requested[in] {
+	if s.counts[in] >= propagateThreshold && !s.requested[in] {
 		s.requested[in] = true
 		a.propagate(s, in)
 	}
@@ -334,8 +339,6 @@ type LegacyAgent struct {
 	// slides the window instead of growing router memory without
 	// bound.
 	seen *bounded.Dedup
-
-	Relayed int64
 }
 
 func newLegacyAgent(d *Defense, n *netsim.Node) *LegacyAgent {
@@ -369,7 +372,6 @@ func (a *LegacyAgent) handleControl(p *netsim.Packet, in *netsim.Port) {
 		if a.d.isHost(nb) {
 			continue
 		}
-		a.Relayed++
 		a.d.sendMsg(a.Node, nb.ID, m)
 	}
 }

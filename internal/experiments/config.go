@@ -83,9 +83,6 @@ type TreeConfig struct {
 	Defense DefenseKind
 	// Progressive enables progressive back-propagation (HBP only).
 	Progressive bool
-	// PushbackTargetUtil overrides the ACC target utilization for the
-	// Pushback baseline; 0 keeps the pushback package default.
-	PushbackTargetUtil float64
 	// REDQueues switches every router egress queue from drop-tail to
 	// RED (the ns-2 Pushback setup runs over RED gateways).
 	REDQueues bool
@@ -159,8 +156,6 @@ type TreeConfig struct {
 	AttackStart float64
 	AttackEnd   float64
 
-	// SampleInterval is the throughput sampling period (default 1 s).
-	SampleInterval float64
 	// Seed drives attacker target choice, spoofing, client jitter.
 	Seed int64
 
@@ -193,22 +188,16 @@ func DefaultTreeConfig() TreeConfig {
 			N: topo.Servers, K: 3, EpochLen: 10, Guard: 0.3,
 			Epochs: 64, ChainSeed: []byte("tree-scenario"),
 		},
-		Defense: HBP,
-		// ACC aims the aggregate at slightly above the bottleneck so
-		// the baseline is not self-harming under dispersed attackers;
-		// the max–min redistribution (the collateral-damage mechanism)
-		// is unaffected. See EXPERIMENTS.md.
-		PushbackTargetUtil: 1.05,
-		NumAttackers:       25,
-		Placement:          topology.Even,
-		AttackRate:         0.1e6,
-		LegitFraction:      0.9,
-		PacketSize:         500,
-		Duration:           100,
-		AttackStart:        5,
-		AttackEnd:          95,
-		SampleInterval:     1,
-		Seed:               1,
+		Defense:       HBP,
+		NumAttackers:  25,
+		Placement:     topology.Even,
+		AttackRate:    0.1e6,
+		LegitFraction: 0.9,
+		PacketSize:    500,
+		Duration:      100,
+		AttackStart:   5,
+		AttackEnd:     95,
+		Seed:          1,
 	}
 }
 

@@ -27,8 +27,6 @@ type HierarchicalResult struct {
 	// returned to its construction-time StateSize after teardown
 	// (vacuously true for the abstract model).
 	StateClean bool
-	// IntraTracebacks counts embedded router-level tracebacks run.
-	IntraTracebacks int64
 }
 
 // RunHierarchical measures hierarchical capture time on a transit
@@ -53,7 +51,6 @@ func RunHierarchical(ctx context.Context, transits int, embedded bool, seed int6
 	if em != nil {
 		res.AtAccess = res.Captured
 		for _, sub := range em.Subs() {
-			res.IntraTracebacks += sub.Tracebacks
 			res.StateClean = res.StateClean && sub.Def.StateSize() == sub.Baseline()
 			res.AtAccess = res.AtAccess && len(sub.Def.Captures()) > 0
 			for _, c := range sub.Def.Captures() {

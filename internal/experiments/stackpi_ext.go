@@ -14,7 +14,6 @@ import (
 type StackPiPoint struct {
 	Attackers      int
 	LearnedMarks   int
-	Saturation     float64
 	FalsePositives float64
 	FalseNegatives float64
 }
@@ -82,7 +81,6 @@ func RunStackPi(ctx context.Context, leaves, nAttackers int, seed int64) (*Stack
 	return &StackPiPoint{
 		Attackers:      nAttackers,
 		LearnedMarks:   f.LearnedMarks(),
-		Saturation:     f.MarkSpaceSaturation(),
 		FalsePositives: acc.FalsePositiveRate(),
 		FalseNegatives: acc.FalseNegativeRate(),
 	}, nil

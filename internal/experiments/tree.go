@@ -20,7 +20,7 @@ import (
 type TreeResult struct {
 	Config TreeConfig
 	// Throughput is the legitimate goodput fraction of the bottleneck
-	// capacity, sampled once per SampleInterval (the Fig. 8 series).
+	// capacity, sampled once per second (the Fig. 8 series).
 	Throughput *metrics.Series
 	// MeanBefore is the mean fraction before the attack starts.
 	MeanBefore float64
@@ -91,13 +91,21 @@ type LeakReport struct {
 // Clean reports whether the teardown reclaimed everything.
 func (l LeakReport) Clean() bool { return l.PacketsOutstanding == 0 && l.DefenseState == 0 }
 
+const (
+	// pushbackTargetUtil is the ACC target utilization of the Pushback
+	// baseline. ACC aims the aggregate at slightly above the bottleneck
+	// so the baseline is not self-harming under dispersed attackers;
+	// the max–min redistribution (the collateral-damage mechanism) is
+	// unaffected. See EXPERIMENTS.md.
+	pushbackTargetUtil = 1.05
+	// sampleInterval is the throughput sampling period in seconds.
+	sampleInterval = 1
+)
+
 // RunTree executes one tree scenario end to end.
 func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = 1
 	}
 	sim := newSim(cfg.Context)
 	sim.EventLimit = cfg.EventLimit
@@ -161,7 +169,7 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		for _, s := range tr.Servers {
 			s.Handler = func(p *netsim.Packet, in *netsim.Port) {}
 		}
-		pbCfg := pushback.Config{TargetUtil: cfg.PushbackTargetUtil}
+		pbCfg := pushback.Config{TargetUtil: pushbackTargetUtil}
 		if cfg.Defense == PushbackLevelK {
 			pbCfg.WeightedShares = true
 		}
@@ -277,7 +285,7 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mon := metrics.NewBottleneckMonitor(sim, tr.Bottleneck, tr.ServerGW, cfg.SampleInterval)
+	mon := metrics.NewBottleneckMonitor(sim, tr.Bottleneck, tr.ServerGW, sampleInterval)
 	if roam {
 		pool.Start()
 	}

@@ -26,16 +26,20 @@ const maxLine = 16 * 1024 * 1024
 // Parse scans raw journal bytes and returns every intact leading
 // record plus the byte offset where the intact prefix ends. Parsing
 // stops at the first line that is not a complete, valid JSON encoding
-// of E — a torn tail from a crash mid-write, or trailing garbage —
-// and valid reports how many bytes precede it. It is the pure core of
-// Open, split out so the fuzz target can drive it with arbitrary
-// inputs.
+// of E within maxLine bytes — a torn tail from a crash mid-write, or
+// trailing garbage — and valid reports how many bytes precede it. It
+// is the pure core of Open, split out so the fuzz target can drive it
+// with arbitrary inputs.
 func Parse[E any](raw []byte) (entries []E, valid int64) {
 	for len(raw) > 0 {
 		nl := bytes.IndexByte(raw, '\n')
 		if nl < 0 {
 			// No terminating newline: the writer died inside this
 			// record.
+			return entries, valid
+		}
+		if nl > maxLine {
+			// Longer than Record ever writes: damage, not data.
 			return entries, valid
 		}
 		line := raw[:nl]
@@ -94,8 +98,8 @@ func Open[E any](path string) (*Log[E], []E, error) {
 	return &Log[E]{f: f, w: bufio.NewWriter(f)}, entries, nil
 }
 
-// readAll slurps the file from the start, bounded by maxLine per
-// bufio read buffer growth.
+// readAll reads the whole file from the start into one buffer sized
+// by its current length.
 func readAll(f *os.File) ([]byte, error) {
 	info, err := f.Stat()
 	if err != nil {

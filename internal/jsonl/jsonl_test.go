@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -138,6 +139,57 @@ func TestParseEmptyAndGarbage(t *testing.T) {
 		if len(entries) != 0 || valid != 0 {
 			t.Fatalf("Parse(%q) = %d entries, %d valid; want none", raw, len(entries), valid)
 		}
+	}
+}
+
+// lineOf returns a valid JSON encoding of a rec that is exactly n
+// bytes long, without the newline.
+func lineOf(t *testing.T, n int) string {
+	t.Helper()
+	const frame = len(`{"kind":"","n":1}`)
+	s := `{"kind":"` + strings.Repeat("x", n-frame) + `","n":1}`
+	if len(s) != n || !json.Valid([]byte(s)) {
+		t.Fatalf("lineOf(%d) built %d bytes", n, len(s))
+	}
+	return s
+}
+
+// TestParseStopsAtOverlongLine: a line longer than maxLine is damage
+// even when it is valid JSON — Record never writes one — so replay
+// keeps only the records before it. A line of exactly maxLine bytes is
+// still data.
+func TestParseStopsAtOverlongLine(t *testing.T) {
+	first := `{"kind":"a","n":0}` + "\n"
+	last := `{"kind":"b","n":2}` + "\n"
+	entries, valid := Parse[rec]([]byte(first + lineOf(t, maxLine+1) + "\n" + last))
+	if len(entries) != 1 || valid != int64(len(first)) {
+		t.Fatalf("overlong line: %d entries, %d valid bytes; want 1 entry, %d bytes", len(entries), valid, len(first))
+	}
+	raw := first + lineOf(t, maxLine) + "\n" + last
+	entries, valid = Parse[rec]([]byte(raw))
+	if len(entries) != 3 || valid != int64(len(raw)) {
+		t.Fatalf("maxLine-byte line: %d entries, %d valid bytes; want 3 entries, %d bytes", len(entries), valid, len(raw))
+	}
+}
+
+// TestRecordRejectsOversizedEntry: an entry whose encoding exceeds
+// maxLine is refused and leaves the journal as it was.
+func TestRecordRejectsOversizedEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	l, _ := openT(t, path)
+	if err := l.Record(rec{Kind: "a"}); err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	if err := l.Record(rec{Kind: strings.Repeat("x", maxLine)}); err == nil {
+		t.Fatal("Record accepted an entry longer than maxLine")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	l2, entries := openT(t, path)
+	defer l2.Close()
+	if len(entries) != 1 || entries[0].Kind != "a" {
+		t.Fatalf("after a refused record the journal replays %+v", entries)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 )
@@ -528,5 +529,16 @@ func TestReservedEndpointsMatchEagerHosts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEndpointSizeClass pins the cost of one touched host: a
+// materialised endpoint is one heap object, and the internet-scale
+// memory model in DESIGN.md counts it in the 768-byte size class. A
+// field added to Node, Link or Port that pushes it past 768 bytes moves
+// every touched host into the 896-byte class.
+func TestEndpointSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(endpoint{}); got > 768 {
+		t.Fatalf("endpoint is %d bytes, want <= 768 (the 768-byte size class)", got)
 	}
 }

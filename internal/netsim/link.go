@@ -88,13 +88,6 @@ type Port struct {
 	// IngressDrops counts packets lost to BlockedIngress.
 	IngressDrops int64
 
-	// Tx/Rx accounting. Rx* counters are updated when a packet is
-	// handed to the node (post ingress filter they are still counted,
-	// pre filter, so blocked ports show arriving load).
-	TxPackets int64
-	TxBytes   int64
-	RxPackets int64
-	RxBytes   int64
 	// RxLegitDataBytes counts ground-truth legitimate data payload
 	// arriving on this port; metrics use it to compute goodput.
 	RxLegitDataBytes int64
@@ -157,8 +150,7 @@ func (pt *Port) enqueue(p *Packet) {
 		pt.node.net.freePacket(p)
 		return
 	}
-	priority := pt.node.net.ControlPriority && (p.Type == Control)
-	if !pt.q.push(p, priority) {
+	if !pt.q.push(p) {
 		pt.node.Stats.Drops[DropQueue]++
 		pt.node.net.freePacket(p)
 		return
@@ -225,8 +217,6 @@ func (pt *Port) txDone(p *Packet) {
 		pt.startTx()
 		return
 	}
-	pt.TxPackets++
-	pt.TxBytes += int64(p.Size)
 	if pt.remote != nil {
 		// Cross-part hop: the packet object itself crosses (zero copy),
 		// so ownership moves pools. The source part charges the free
@@ -257,8 +247,6 @@ func crossArrive(a, b any, _ uint8) {
 
 // arrive handles p reaching this (receiving) port after propagation.
 func (pt *Port) arrive(p *Packet) {
-	pt.RxPackets++
-	pt.RxBytes += int64(p.Size)
 	//hbplint:ignore groundtruth RxLegitDataBytes is the goodput instrument read by internal/metrics; forwarding and defense logic never consult it.
 	if p.Legit && p.Type == Data {
 		pt.RxLegitDataBytes += int64(p.Size)

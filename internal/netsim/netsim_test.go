@@ -191,29 +191,6 @@ func TestControlPriorityLane(t *testing.T) {
 	}
 }
 
-func TestControlPriorityDisabled(t *testing.T) {
-	sim := des.New()
-	nw := New(sim)
-	nw.ControlPriority = false
-	a, b := nw.AddNode("a"), nw.AddNode("b")
-	nw.Connect(a, b, 1e6, 0.001)
-	nw.ComputeRoutes()
-	var order []PacketType
-	b.Handler = func(p *Packet, in *Port) { order = append(order, p.Type) }
-	sim.At(0, func() {
-		for i := 0; i < 5; i++ {
-			a.Send(&Packet{Src: a.ID, TrueSrc: a.ID, Dst: b.ID, Size: 1000, Type: Data})
-		}
-		a.Send(&Packet{Src: a.ID, TrueSrc: a.ID, Dst: b.ID, Size: 100, Type: Control})
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if order[len(order)-1] != Control {
-		t.Fatalf("with priority disabled, control should arrive last: %v", order)
-	}
-}
-
 func TestForwardHookDrop(t *testing.T) {
 	sim, _, nodes := line(t, 3, 1e6, 0.001)
 	delivered := 0

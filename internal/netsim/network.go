@@ -10,11 +10,6 @@ import (
 type Network struct {
 	Sim *des.Simulator
 
-	// ControlPriority, when true (the default), gives Control packets
-	// a strict-priority queue lane so defense messages are not starved
-	// by the very flood they are fighting. Disable for ablation.
-	ControlPriority bool
-
 	// Routing selects the route-table representation ComputeRoutes
 	// builds (see RouteMode). The zero value, RouteAuto, compresses
 	// pure forests and keeps the dense table for chorded graphs; only
@@ -111,7 +106,7 @@ func (nw *Network) freePacket(p *Packet) {
 
 // New returns an empty network bound to the given simulator.
 func New(sim *des.Simulator) *Network {
-	return &Network{Sim: sim, ControlPriority: true, maxID: None}
+	return &Network{Sim: sim, maxID: None}
 }
 
 // AddNode creates a node with the given debug name.

@@ -201,8 +201,8 @@ func (n *Node) Neighbors() []*Node {
 // See the Packet ownership rule for when it comes back.
 func (n *Node) NewPacket() *Packet { return n.net.NewPacket() }
 
-// Send originates a packet at this node, stamping Born and a default
-// TTL, then routes it. Packets addressed to the node itself are
+// Send originates a packet at this node, stamping a default TTL, then
+// routes it. Packets addressed to the node itself are
 // delivered locally without touching the network. Send takes ownership
 // of p (see the Packet ownership rule).
 //
@@ -213,7 +213,6 @@ func (n *Node) Send(p *Packet) {
 		n.net.freePacket(p)
 		return
 	}
-	p.Born = n.net.Sim.Now()
 	if p.TTL == 0 {
 		p.TTL = DefaultTTL
 	}
@@ -231,12 +230,11 @@ func (n *Node) Send(p *Packet) {
 // packet at the expansion boundary (the armed router or bottleneck)
 // instead of simulating every upstream hop. The packet is subject to
 // the normal arrival pipeline — ingress blocking, TTL decrement,
-// forwarding hooks. Inject stamps Born, fills a default TTL when
-// unset, and takes ownership of p (see the Packet ownership rule).
+// forwarding hooks. Inject fills a default TTL when unset and takes
+// ownership of p (see the Packet ownership rule).
 //
 //hbplint:hotpath macro-agent expansion entry; aggregated flows materialize per-packet traffic here
 func (n *Node) Inject(p *Packet, in *Port) {
-	p.Born = n.net.Sim.Now()
 	if p.TTL == 0 {
 		p.TTL = DefaultTTL
 	}

@@ -96,8 +96,6 @@ type Packet struct {
 	// Payload carries control-message bodies (see internal/core and
 	// internal/pushback). It is nil for plain data traffic.
 	Payload any
-	// Born is the creation timestamp (set by Node.Send).
-	Born float64
 
 	// freed marks packets currently resting in the pool. The check is
 	// always on, not a debug build: freePacket panics on a double free

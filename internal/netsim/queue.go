@@ -46,9 +46,9 @@ func (r *pktRing) grow() {
 // outQueue is the output buffering of one port: a drop-tail FIFO for
 // data-plane packets plus a strict-priority lane for control-plane
 // packets. The priority lane models the common practice of protecting
-// routing/defense control traffic from data-plane congestion; the
-// paper's honeypot request/cancel messages ride it. It can be disabled
-// per network (Network.ControlPriority) for ablation.
+// routing/defense control traffic from data-plane congestion, so
+// defense messages are not starved by the very flood they are
+// fighting; the paper's honeypot request/cancel messages ride it.
 type outQueue struct {
 	data pktRing
 	ctrl pktRing
@@ -88,9 +88,9 @@ func newOutQueue() outQueue {
 
 // push enqueues p, honouring lane limits. It reports whether the
 // packet was accepted (the caller owns — and must free — a rejected
-// packet). priority selects the control lane.
-func (q *outQueue) push(p *Packet, priority bool) bool {
-	if priority {
+// packet). Control packets take the control lane.
+func (q *outQueue) push(p *Packet) bool {
+	if p.Type == Control {
 		if q.ctrl.n >= q.ctrlLimit {
 			q.CtrlDrops++
 			return false

@@ -6,6 +6,31 @@ import (
 	"repro/internal/netsim"
 )
 
+// The fixed ACC parameters of the one setting the evaluation runs.
+const (
+	// interval is the ACC control period in seconds.
+	interval = 1.0
+	// dropRateThreshold declares an output link congested when its
+	// data-lane drop fraction over one interval exceeds it.
+	dropRateThreshold = 0.05
+	// floorFraction bounds the limit from below as a fraction of link
+	// capacity, so an aggregate is never throttled to zero.
+	floorFraction = 0.02
+	// minAggregateShare is the arrival share a destination must hold
+	// on the congested link before being singled out as the
+	// misbehaving aggregate.
+	minAggregateShare = 0.3
+	// maxDepth bounds upstream propagation in hops (effectively
+	// unbounded on the simulated trees).
+	maxDepth = 32
+	// expiryIntervals is how many refresh-free intervals an upstream
+	// limiter survives.
+	expiryIntervals = 3
+	// burst is the token-bucket depth in seconds' worth of bytes at
+	// the limit rate.
+	burst = 0.1
+)
+
 // limiter is a token-bucket rate limiter for one destination
 // aggregate at one router.
 type limiter struct {
@@ -24,8 +49,8 @@ type limiter struct {
 	lastDrops int64
 }
 
-func (l *limiter) burstBytes(cfg *Config) float64 {
-	b := l.rate * cfg.Burst / 8
+func (l *limiter) burstBytes() float64 {
+	b := l.rate * burst / 8
 	if b < 3000 {
 		b = 3000 // at least a couple of full packets
 	}
@@ -34,13 +59,13 @@ func (l *limiter) burstBytes(cfg *Config) float64 {
 
 // allow implements the token bucket: refill by elapsed time, then
 // spend size bytes if available.
-func (l *limiter) allow(now float64, size int, cfg *Config) bool {
+func (l *limiter) allow(now float64, size int) bool {
 	elapsed := now - l.lastRefill
 	if elapsed > 0 {
 		l.tokens += l.rate * elapsed / 8
 		l.lastRefill = now
 	}
-	if max := l.burstBytes(cfg); l.tokens > max {
+	if max := l.burstBytes(); l.tokens > max {
 		l.tokens = max
 	}
 	if l.tokens >= float64(size) {
@@ -143,7 +168,7 @@ func (a *Agent) hook(n *netsim.Node, p *netsim.Packet, in, out *netsim.Port) boo
 
 	if l, ok := a.limiters[agg]; ok {
 		now := a.d.sim.Now()
-		if now < l.expiresAt && !l.allow(now, p.Size, &a.d.Cfg) {
+		if now < l.expiresAt && !l.allow(now, p.Size) {
 			a.d.LimitDrops++
 			return false
 		}
@@ -184,7 +209,7 @@ func (a *Agent) installLimiter(agg int, rate float64, depth int, self bool) *lim
 	l.rate = rate
 	l.depth = depth
 	l.self = self || l.self
-	l.expiresAt = now + float64(a.d.Cfg.ExpiryIntervals)*a.d.Cfg.Interval
+	l.expiresAt = now + expiryIntervals*interval
 	return l
 }
 
@@ -203,7 +228,7 @@ func (a *Agent) tick() {
 		dEnq := cur.enq - prev.enq
 		dDrop := cur.drops - prev.drops
 		total := dEnq + dDrop
-		if total == 0 || float64(dDrop)/float64(total) < cfg.DropRateThreshold {
+		if total == 0 || float64(dDrop)/float64(total) < dropRateThreshold {
 			cur.streak = 0
 			a.snaps[pt] = cur
 			continue
@@ -229,16 +254,16 @@ func (a *Agent) tick() {
 				worstBytes, worst = b, agg
 			}
 		}
-		if worst < 0 || portBytes == 0 || worstBytes/portBytes < cfg.MinAggregateShare {
+		if worst < 0 || portBytes == 0 || worstBytes/portBytes < minAggregateShare {
 			continue
 		}
 		capacity := pt.Link().Bandwidth
-		otherRate := (portBytes - worstBytes) * 8 / cfg.Interval
+		otherRate := (portBytes - worstBytes) * 8 / interval
 		limit := capacity*cfg.TargetUtil - otherRate
-		if floor := capacity * cfg.FloorFraction; limit < floor {
+		if floor := capacity * floorFraction; limit < floor {
 			limit = floor
 		}
-		a.installLimiter(worst, limit, cfg.MaxDepth, true)
+		a.installLimiter(worst, limit, maxDepth, true)
 	}
 
 	// 3. Propagate every live limiter upstream with max–min shares of
@@ -259,7 +284,7 @@ func (a *Agent) tick() {
 		l := a.limiters[agg]
 		if l.self && l.Drops > l.lastDrops {
 			l.lastDrops = l.Drops
-			l.expiresAt = now + float64(cfg.ExpiryIntervals)*cfg.Interval
+			l.expiresAt = now + expiryIntervals*interval
 		}
 		if now >= l.expiresAt {
 			delete(a.limiters, agg)
@@ -287,7 +312,7 @@ func (a *Agent) tick() {
 				continue // host or non-deploying neighbor
 			}
 			ports = append(ports, pt)
-			demands = append(demands, acc.perIn[pt]*8/cfg.Interval)
+			demands = append(demands, acc.perIn[pt]*8/interval)
 		}
 		if len(ports) == 0 {
 			continue
@@ -302,8 +327,10 @@ func (a *Agent) tick() {
 		} else {
 			shares = MaxMinShare(l.rate, demands)
 		}
+		// Shares go upstream unscaled, the classic Pushback division:
+		// a steady flow is capped at exactly its measured rate.
 		for i, pt := range ports {
-			share := shares[i] * cfg.ShareSlack
+			share := shares[i]
 			if demands[i] <= 0 || share <= 0 {
 				continue
 			}

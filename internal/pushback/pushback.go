@@ -10,41 +10,14 @@ import (
 
 // Config tunes the ACC/Pushback deployment.
 type Config struct {
-	// Interval is the ACC control period in seconds (default 1).
-	Interval float64
-	// DropRateThreshold declares an output link congested when its
-	// data-lane drop fraction over one interval exceeds it (default
-	// 0.05).
-	DropRateThreshold float64
 	// TargetUtil is the utilization the rate limit aims the aggregate
 	// at: limit = capacity*TargetUtil − other traffic (default 0.9).
 	TargetUtil float64
-	// FloorFraction bounds the limit from below as a fraction of link
-	// capacity, so an aggregate is never throttled to zero (default
-	// 0.02).
-	FloorFraction float64
-	// MinAggregateShare is the arrival share a destination must hold
-	// on the congested link before being singled out as the
-	// misbehaving aggregate (default 0.3).
-	MinAggregateShare float64
-	// MaxDepth bounds upstream propagation in hops (default 32,
-	// effectively unbounded on the simulated trees).
-	MaxDepth int
-	// ExpiryIntervals is how many refresh-free intervals an upstream
-	// limiter survives (default 3).
-	ExpiryIntervals int
-	// Burst is the token-bucket depth in packets-worth of bytes at
-	// the limit rate (default 0.1 s worth).
-	Burst float64
 	// SustainIntervals is how many consecutive congested intervals a
 	// port must show before ACC installs a limiter (default 2 —
 	// Mahajan's "sustained congestion" requirement; 1 reacts to any
 	// single bad interval).
 	SustainIntervals int
-	// ShareSlack multiplies propagated upstream shares so steady
-	// flows are not capped at exactly their measured rate (default
-	// 1.0 — no slack, the classic Pushback division).
-	ShareSlack float64
 	// WeightedShares switches upstream share division from plain
 	// per-port max-min to host-count-weighted max-min, modelling
 	// level-k max-min fairness (Sec. 2's mitigation comparator).
@@ -53,35 +26,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 1
-	}
-	if c.DropRateThreshold <= 0 {
-		c.DropRateThreshold = 0.05
-	}
 	if c.TargetUtil <= 0 {
 		c.TargetUtil = 0.9
 	}
-	if c.FloorFraction <= 0 {
-		c.FloorFraction = 0.02
-	}
-	if c.MinAggregateShare <= 0 {
-		c.MinAggregateShare = 0.3
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 32
-	}
-	if c.ExpiryIntervals <= 0 {
-		c.ExpiryIntervals = 3
-	}
-	if c.Burst <= 0 {
-		c.Burst = 0.1
-	}
 	if c.SustainIntervals <= 0 {
 		c.SustainIntervals = 2
-	}
-	if c.ShareSlack <= 0 {
-		c.ShareSlack = 1.0
 	}
 }
 
@@ -178,7 +127,7 @@ func (d *Deployment) Start() {
 	if d.stop != nil {
 		panic("pushback: already started")
 	}
-	d.stop = d.sim.Every(d.sim.Now()+d.Cfg.Interval, d.Cfg.Interval, func() {
+	d.stop = d.sim.Every(d.sim.Now()+interval, interval, func() {
 		// Ticks send rate-limit requests upstream; run them in
 		// sorted router order so message ordering is reproducible.
 		ids := make([]netsim.NodeID, 0, len(d.agents))

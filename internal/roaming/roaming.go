@@ -32,19 +32,7 @@ type Config struct {
 	Epochs int
 	// ChainSeed seeds the hash chain, for reproducible schedules.
 	ChainSeed []byte
-	// MaxTrackedSources caps each server's blacklist and
-	// handshake-verified set. Source addresses arrive in attacker-chosen
-	// packets, so both sets must have a hard budget; at the cap the
-	// oldest tracked source is forgotten (FIFO) and may have to
-	// re-verify — or escape the blacklist until it hits a honeypot
-	// again. 0 means DefaultMaxTrackedSources.
-	MaxTrackedSources int
 }
-
-// DefaultMaxTrackedSources is the per-server source-tracking budget
-// used when Config.MaxTrackedSources is zero — far above any simulated
-// host population, so it only binds under spoofed-flood pressure.
-const DefaultMaxTrackedSources = 1 << 16
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -59,8 +47,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("roaming: guard %v must be in [0, m/2)", c.Guard)
 	case c.Epochs < 1:
 		return errors.New("roaming: need at least one epoch")
-	case c.MaxTrackedSources < 0:
-		return errors.New("roaming: negative MaxTrackedSources")
 	}
 	return nil
 }

@@ -51,23 +51,27 @@ type ServerAgent struct {
 	curEpoch int
 	// blacklist and verified are keyed by claimed source address —
 	// attacker-controlled input — so both are hard-capped (FIFO
-	// eviction) at Config.MaxTrackedSources.
+	// eviction) at maxTrackedSources.
 	blacklist *bounded.Dedup
 	verified  *bounded.Dedup
 }
 
+// maxTrackedSources caps each server's blacklist and handshake-verified
+// set. Source addresses arrive in attacker-chosen packets, so both sets
+// must have a hard budget; at the cap the oldest tracked source is
+// forgotten (FIFO) and may have to re-verify — or escape the blacklist
+// until it hits a honeypot again. The cap is far above any simulated
+// host population, so it only binds under spoofed-flood pressure.
+const maxTrackedSources = 1 << 16
+
 // NewServerAgent attaches an agent to a server node and subscribes it
 // to the pool schedule. It takes over the node's packet handler.
 func NewServerAgent(pool *Pool, node *netsim.Node) *ServerAgent {
-	budget := pool.Config().MaxTrackedSources
-	if budget == 0 {
-		budget = DefaultMaxTrackedSources
-	}
 	a := &ServerAgent{
 		Node:      node,
 		Pool:      pool,
-		blacklist: bounded.NewDedup(budget),
-		verified:  bounded.NewDedup(budget),
+		blacklist: bounded.NewDedup(maxTrackedSources),
+		verified:  bounded.NewDedup(maxTrackedSources),
 	}
 	node.Handler = a.handle
 	pool.Subscribe(a)

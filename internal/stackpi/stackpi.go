@@ -31,10 +31,7 @@ const BitsPerHop = 2
 // hook that, for every data packet, shifts the packet's mark left by
 // BitsPerHop and ORs in bits derived from the link the packet arrived
 // on (last-hop marking, per StackPi).
-type Marker struct {
-	// Marked counts data packets marked.
-	Marked int64
-}
+type Marker struct{}
 
 // hopBits derives the per-hop mark bits from the upstream node and
 // this router (StackPi hashes the adjacent routers' identities).
@@ -62,7 +59,6 @@ func (m *Marker) Deploy(routers []*netsim.Node) {
 			}
 			up := in.Peer().Node().ID
 			p.Mark = ((p.Mark << BitsPerHop) | hopBits(r.ID, up)) & (1<<MarkBits - 1)
-			m.Marked++
 			return true
 		}))
 	}

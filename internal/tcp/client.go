@@ -17,7 +17,6 @@ func NewServerEndpoint(agent *roaming.ServerAgent) *Endpoint {
 		sim:     agent.Node.Network().Sim,
 		senders: map[int]*Sender{},
 		recv:    map[int]*rxFlow{},
-		ackSize: 40,
 	}
 	agent.OnServe = func(p *netsim.Packet) { e.AcceptData(p) }
 	agent.OnHandshake = func(p *netsim.Packet) { e.AcceptHandshake(p) }

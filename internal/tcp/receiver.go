@@ -14,9 +14,10 @@ type Endpoint struct {
 
 	senders map[int]*Sender
 	recv    map[int]*rxFlow
-
-	ackSize int
 }
+
+// ackSize is the ACK packet size in bytes.
+const ackSize = 40
 
 // rxFlow is receive-side per-flow state.
 type rxFlow struct {
@@ -36,7 +37,6 @@ func NewEndpoint(node *netsim.Node) *Endpoint {
 		sim:     node.Network().Sim,
 		senders: map[int]*Sender{},
 		recv:    map[int]*rxFlow{},
-		ackSize: 40,
 	}
 	node.Handler = e.handle
 	return e
@@ -124,7 +124,7 @@ func (e *Endpoint) AcceptData(p *netsim.Packet) {
 		Src:     e.Node.ID,
 		TrueSrc: e.Node.ID,
 		Dst:     p.Src,
-		Size:    e.ackSize,
+		Size:    ackSize,
 		Type:    netsim.Ack,
 		FlowID:  p.FlowID,
 		Legit:   true,

@@ -39,57 +39,35 @@ type Checkpoint struct {
 	Cum int64
 }
 
+const (
+	// mss is the segment size in bytes, the experiments' packet size.
+	mss = 500
+	// initialWindow is the post-(re)establishment cwnd in segments, the
+	// classic slow-start entry the paper's overhead argument depends
+	// on.
+	initialWindow = 1
+	// minRTO and maxRTO clamp the retransmission timeout in seconds.
+	minRTO, maxRTO = 0.2, 10
+)
+
 // SenderConfig tunes the congestion controller.
 type SenderConfig struct {
-	// MSS is the segment size in bytes (default 500, the experiments'
-	// packet size).
-	MSS int
-	// InitialWindow is the post-(re)establishment cwnd in segments
-	// (default 1, the classic slow-start entry the paper's overhead
-	// argument depends on).
-	InitialWindow float64
 	// MaxWindow caps cwnd in segments (default 64).
 	MaxWindow float64
-	// MinRTO and MaxRTO clamp the retransmission timeout (defaults
-	// 0.2 s and 10 s).
-	MinRTO, MaxRTO float64
-	// AckSize is the ACK packet size in bytes (default 40).
-	AckSize int
 }
 
 func (c *SenderConfig) fillDefaults() {
-	if c.MSS <= 0 {
-		c.MSS = 500
-	}
-	if c.InitialWindow <= 0 {
-		c.InitialWindow = 1
-	}
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = 64
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 0.2
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 10
-	}
-	if c.AckSize <= 0 {
-		c.AckSize = 40
 	}
 }
 
 // SenderStats aggregates transport accounting.
 type SenderStats struct {
-	// SegmentsSent counts transmissions including retransmissions.
-	SegmentsSent int64
 	// Retransmits counts fast retransmits plus timeout retransmits.
 	Retransmits int64
 	// Timeouts counts RTO firings.
 	Timeouts int64
-	// FastRetransmits counts triple-dupack recoveries.
-	FastRetransmits int64
-	// AckedSegments is the goodput in segments.
-	AckedSegments int64
 	// Migrations counts Retarget calls.
 	Migrations int64
 }
@@ -132,7 +110,7 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 func (s *Sender) Acked() int64 { return s.cumAcked }
 
 // GoodputBytes returns acked payload bytes.
-func (s *Sender) GoodputBytes() int64 { return s.cumAcked * int64(s.Cfg.MSS) }
+func (s *Sender) GoodputBytes() int64 { return s.cumAcked * mss }
 
 // Target returns the current destination.
 func (s *Sender) Target() netsim.NodeID { return s.dst }
@@ -144,7 +122,7 @@ func (s *Sender) Start() {
 		return
 	}
 	s.running = true
-	s.cwnd = s.Cfg.InitialWindow
+	s.cwnd = initialWindow
 	s.ssthresh = s.Cfg.MaxWindow
 	s.sendHandshake()
 	s.pump()
@@ -168,7 +146,7 @@ func (s *Sender) Retarget(dst netsim.NodeID) {
 	}
 	s.dst = dst
 	s.Stats.Migrations++
-	s.cwnd = s.Cfg.InitialWindow
+	s.cwnd = initialWindow
 	s.ssthresh = s.Cfg.MaxWindow
 	s.dupAcks = 0
 	// Un-acked in-flight segments are retransmitted to the new server
@@ -212,7 +190,6 @@ func (s *Sender) pump() {
 }
 
 func (s *Sender) transmit(seq int64) {
-	s.Stats.SegmentsSent++
 	// Time one segment per window for RTT sampling (Karn's rule:
 	// never a retransmitted one).
 	if s.timedSeq == 0 && seq == s.sendMax+1 {
@@ -224,7 +201,7 @@ func (s *Sender) transmit(seq int64) {
 		Src:     s.Node.ID,
 		TrueSrc: s.Node.ID,
 		Dst:     s.dst,
-		Size:    s.Cfg.MSS,
+		Size:    mss,
 		Type:    netsim.Data,
 		FlowID:  s.FlowID,
 		Seq:     seq,
@@ -242,7 +219,6 @@ func (s *Sender) handleAck(a *ack) {
 	case a.Cum > s.cumAcked:
 		newly := a.Cum - s.cumAcked
 		s.cumAcked = a.Cum
-		s.Stats.AckedSegments += newly
 		s.dupAcks = 0
 		s.rtoBackoff = 1
 		// RTT sample.
@@ -265,7 +241,6 @@ func (s *Sender) handleAck(a *ack) {
 		s.dupAcks++
 		if s.dupAcks == 3 {
 			// Fast retransmit + simplified recovery.
-			s.Stats.FastRetransmits++
 			s.Stats.Retransmits++
 			s.ssthresh = s.cwnd / 2
 			if s.ssthresh < 2 {
@@ -298,14 +273,14 @@ func (s *Sender) rttSample(rtt float64) {
 
 func (s *Sender) rto() float64 {
 	rto := s.srtt + 4*s.rttvar
-	if rto < s.Cfg.MinRTO {
-		rto = s.Cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	if s.rtoBackoff > 1 {
 		rto *= s.rtoBackoff
 	}
-	if rto > s.Cfg.MaxRTO {
-		rto = s.Cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }
