@@ -27,12 +27,14 @@ type Dedup struct {
 
 // NewDedup returns a dedup set remembering at most capacity
 // identifiers. capacity <= 0 panics: a cap-less dedup is exactly the
-// unbounded-growth bug this package exists to prevent.
+// unbounded-growth bug this package exists to prevent. The cap bounds
+// the set; it is not a size hint: the map and ring grow with use, so
+// a set that sees ten identifiers costs ten entries, not capacity.
 func NewDedup(capacity int) *Dedup {
 	if capacity <= 0 {
 		panic("bounded: non-positive dedup capacity")
 	}
-	return &Dedup{cap: capacity, seen: make(map[int64]bool, capacity)}
+	return &Dedup{cap: capacity, seen: make(map[int64]bool)}
 }
 
 // Len returns the number of remembered identifiers.
@@ -108,12 +110,13 @@ type replayStream struct {
 
 // NewReplayWindow returns a filter with the given per-stream window
 // span and a hard cap on concurrently tracked streams. Both must be
-// positive.
+// positive. Like Dedup's, the stream cap bounds the map without
+// pre-sizing it.
 func NewReplayWindow(span, maxStreams int) *ReplayWindow {
 	if span <= 0 || maxStreams <= 0 {
 		panic("bounded: non-positive replay window parameters")
 	}
-	return &ReplayWindow{span: span, streams: make(map[int64]*replayStream, maxStreams), maxStr: maxStreams}
+	return &ReplayWindow{span: span, streams: make(map[int64]*replayStream), maxStr: maxStreams}
 }
 
 // Streams returns the number of streams currently tracked.

@@ -1,6 +1,84 @@
 package bounded
 
-import "testing"
+import (
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// bytesAllocated returns how many heap bytes build allocates, read
+// from runtime.MemStats.TotalAlloc around the call. keep holds the
+// result so the compiler cannot drop the allocation.
+func bytesAllocated(build func() any) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	keep := build()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCapsAreNotSizeHints: a cap bounds a set, it does not pre-pay
+// for it. Before any insert, the 65 536-entry dedup set a roaming
+// server makes twice and the default replay window cost less than a
+// KiB each.
+func TestCapsAreNotSizeHints(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() any
+	}{
+		{"NewDedup(1<<16)", func() any { return NewDedup(1 << 16) }},
+		{"NewReplayWindow(512, 128)", func() any { return NewReplayWindow(512, 128) }},
+	} {
+		if got := bytesAllocated(tc.build); got >= 1024 {
+			t.Errorf("%s allocates %d B before its first insert, want < 1 KiB", tc.name, got)
+		}
+	}
+}
+
+// TestDedupResetRefillEvictsInSameOrder fills a set past its cap,
+// resets it and fills it again: the second pass must forget
+// identifiers in the same FIFO order as the first, because the ring,
+// not the map's size, decides eviction.
+func TestDedupResetRefillEvictsInSameOrder(t *testing.T) {
+	const capacity = 5
+	ids := []int64{9, 3, 7, 3, 1, 12, 4, 9, 30, 2, 7, 11, 5}
+	// pass inserts ids and records, after each insert, which of them
+	// the set still remembers.
+	pass := func(d *Dedup) [][]int64 {
+		var remembered [][]int64
+		for _, id := range ids {
+			d.Check(id)
+			var now []int64
+			for _, x := range ids {
+				if d.Seen(x) && !slices.Contains(now, x) {
+					now = append(now, x)
+				}
+			}
+			remembered = append(remembered, now)
+		}
+		return remembered
+	}
+	d := NewDedup(capacity)
+	first := pass(d)
+	if d.Len() != capacity || d.Evictions == 0 {
+		t.Fatalf("first pass left len %d, %d evictions: not filled past the cap", d.Len(), d.Evictions)
+	}
+	evictions := d.Evictions
+	d.Reset()
+	if d.Len() != 0 {
+		t.Fatalf("len %d after Reset", d.Len())
+	}
+	second := pass(d)
+	for i := range first {
+		if !slices.Equal(first[i], second[i]) {
+			t.Fatalf("after insert %d (id %d): remembered %v before Reset, %v after", i, ids[i], first[i], second[i])
+		}
+	}
+	if d.Evictions != 2*evictions {
+		t.Fatalf("evictions = %d after two passes, want %d", d.Evictions, 2*evictions)
+	}
+}
 
 func TestDedupSuppressesDuplicates(t *testing.T) {
 	d := NewDedup(8)

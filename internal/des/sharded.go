@@ -39,7 +39,9 @@
 //     through a same-shard channel.
 //
 // Model state must stay shard-local: an event handler may touch only
-// state owned by its shard and send through Channels. The hbplint
+// state owned by its shard and send through Channels. The one place
+// that may touch several shards' state is the barrier hook
+// (SetBarrier), which runs while no shard executes. The hbplint
 // determinism analyzer enforces the complementary rule that simulation
 // code never reaches for raw goroutine channels.
 package des
@@ -123,6 +125,7 @@ type ShardedSimulator struct {
 	EventLimit uint64
 
 	interrupt func() error
+	barrier   func()
 }
 
 // NewSharded returns a sharded simulator with n empty shards. Shard
@@ -224,6 +227,16 @@ func (ss *ShardedSimulator) SetInterrupt(check func() error) {
 	ss.interrupt = check
 }
 
+// SetBarrier installs a hook run once per window barrier on the
+// coordinating goroutine, after buffered channel messages are injected
+// and while no shard is executing — the one point where code may touch
+// state belonging to several shards. The hook must leave the event
+// schedule alone: it may not schedule, cancel or send. Pass nil to
+// remove it.
+func (ss *ShardedSimulator) SetBarrier(hook func()) {
+	ss.barrier = hook
+}
+
 // Run dispatches until every shard is idle, a shard's Stop is called,
 // or the event limit is hit.
 func (ss *ShardedSimulator) Run() error { return ss.RunUntil(math.Inf(1)) }
@@ -246,6 +259,9 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 		// setup, before the run) so window sizing sees them as pending
 		// events.
 		ss.inject()
+		if ss.barrier != nil {
+			ss.barrier()
+		}
 		stopped := false
 		for _, s := range ss.shards {
 			stopped = stopped || s.stopped

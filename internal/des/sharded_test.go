@@ -207,6 +207,44 @@ func TestShardedStopAndInterrupt(t *testing.T) {
 	}
 }
 
+// TestShardedBarrierHook: the hook runs once per window barrier, after
+// every outbox has been injected, and removing it stops the calls.
+func TestShardedBarrierHook(t *testing.T) {
+	ss := NewSharded(1, 2)
+	ch := ss.NewChannel(0, 1, 0.01)
+	delivered := 0
+	for i := 0; i < 20; i++ {
+		ss.Shard(0).At(0.02*float64(i), func() {
+			ch.Send(0.01, func(any, any, uint8) { delivered++ }, nil, nil, 0)
+		})
+	}
+	barriers := 0
+	ss.SetBarrier(func() {
+		barriers++
+		for _, c := range ss.chans {
+			if len(c.queue) != 0 {
+				t.Errorf("barrier %d: hook ran with %d messages still in an outbox", barriers, len(c.queue))
+			}
+		}
+	})
+	if err := ss.RunUntil(0.2); err != nil {
+		t.Fatal(err)
+	}
+	// Sends 20 ms apart never share a 10 ms window: at least ten
+	// windows by t=0.2, each closed by a barrier.
+	if delivered != 10 || barriers < 10 {
+		t.Fatalf("%d deliveries, %d barriers by t=0.2; want 10 and at least 10", delivered, barriers)
+	}
+	ss.SetBarrier(nil)
+	before := barriers
+	if err := ss.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 20 || barriers != before {
+		t.Fatalf("after removal: %d deliveries, %d more barrier calls; want 20 and none", delivered, barriers-before)
+	}
+}
+
 func TestShardedDrainAndReset(t *testing.T) {
 	ss := NewSharded(9, 2)
 	ch := ss.NewChannel(0, 1, 0.01)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -74,8 +73,7 @@ func (s *Server) getStats(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) registerWorker(w http.ResponseWriter, req *http.Request) {
 	var info WorkerInfo
-	if err := json.NewDecoder(req.Body).Decode(&info); err != nil {
-		scenario.HTTPError(w, http.StatusBadRequest, err)
+	if !scenario.DecodeBody(w, req, &info) {
 		return
 	}
 	id, err := s.coord.Register(info)
@@ -108,8 +106,7 @@ type heartbeatRequest struct {
 
 func (s *Server) heartbeat(w http.ResponseWriter, req *http.Request) {
 	var hb heartbeatRequest
-	if err := json.NewDecoder(req.Body).Decode(&hb); err != nil {
-		scenario.HTTPError(w, http.StatusBadRequest, err)
+	if !scenario.DecodeBody(w, req, &hb) {
 		return
 	}
 	d, err := s.coord.Heartbeat(hb.Worker, hb.Run, hb.Dispatch)
@@ -130,8 +127,7 @@ type completeRequest struct {
 
 func (s *Server) complete(w http.ResponseWriter, req *http.Request) {
 	var cr completeRequest
-	if err := json.NewDecoder(req.Body).Decode(&cr); err != nil {
-		scenario.HTTPError(w, http.StatusBadRequest, err)
+	if !scenario.DecodeBody(w, req, &cr) {
 		return
 	}
 	if err := s.coord.Complete(cr.Worker, cr.Run, cr.Dispatch, cr.Outcome); err != nil {

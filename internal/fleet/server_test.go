@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/jsonl"
 	"repro/internal/scenario"
 )
 
@@ -166,6 +168,30 @@ func TestServerWorkerRoutes(t *testing.T) {
 	// Unknown worker leasing: 410 surfaces as an error.
 	if _, err := rc.Lease("w-404"); err == nil {
 		t.Fatal("unknown worker leased")
+	}
+}
+
+// TestServerRefusesOversizedBody: every route that decodes a body —
+// the shared suite/case routes and the three worker routes — answers
+// 413 to one longer than the journal's record bound instead of
+// decoding it in full.
+func TestServerRefusesOversizedBody(t *testing.T) {
+	srv := NewServer(NewCoordinator(fastCfg(), nil))
+	for _, tc := range []struct{ path, field string }{
+		{"/suites", "name"},
+		{"/suites/s-1/cases", "name"},
+		{"/fleet/workers", "name"},
+		{"/fleet/heartbeat", "worker"},
+		{"/fleet/complete", "worker"},
+	} {
+		t.Run("POST "+tc.path, func(t *testing.T) {
+			body := `{"` + tc.field + `":"` + strings.Repeat("x", jsonl.MaxLine) + `"}`
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(body)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("POST %s with a %d-byte body = %d: %.200s, want 413", tc.path, len(body), rec.Code, rec.Body)
+			}
+		})
 	}
 }
 

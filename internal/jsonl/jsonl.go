@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -19,14 +20,19 @@ import (
 	"sync"
 )
 
-// maxLine bounds one journal record; a line longer than this is
-// treated as damage, not data.
-const maxLine = 16 * 1024 * 1024
+// MaxLine bounds one journal record; a line longer than this is
+// treated as damage, not data. The daemons refuse request bodies
+// longer than it before reading them in full.
+const MaxLine = 16 * 1024 * 1024
+
+// ErrTooLarge is Record's refusal of an entry whose encoding exceeds
+// MaxLine. Retrying cannot help: the same entry is refused again.
+var ErrTooLarge = errors.New("jsonl: journal entry exceeds the record bound")
 
 // Parse scans raw journal bytes and returns every intact leading
 // record plus the byte offset where the intact prefix ends. Parsing
 // stops at the first line that is not a complete, valid JSON encoding
-// of E within maxLine bytes — a torn tail from a crash mid-write, or
+// of E within MaxLine bytes — a torn tail from a crash mid-write, or
 // trailing garbage — and valid reports how many bytes precede it. It
 // is the pure core of Open, split out so the fuzz target can drive it
 // with arbitrary inputs.
@@ -38,7 +44,7 @@ func Parse[E any](raw []byte) (entries []E, valid int64) {
 			// record.
 			return entries, valid
 		}
-		if nl > maxLine {
+		if nl > MaxLine {
 			// Longer than Record ever writes: damage, not data.
 			return entries, valid
 		}
@@ -123,8 +129,8 @@ func (l *Log[E]) Record(e E) error {
 	if err != nil {
 		return fmt.Errorf("jsonl: marshal journal entry: %w", err)
 	}
-	if len(b) > maxLine {
-		return fmt.Errorf("jsonl: journal entry of %d bytes exceeds the %d-byte record bound", len(b), maxLine)
+	if len(b) > MaxLine {
+		return fmt.Errorf("%w: %d bytes, bound %d", ErrTooLarge, len(b), MaxLine)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

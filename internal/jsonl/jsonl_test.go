@@ -2,6 +2,7 @@ package jsonl
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,34 +155,34 @@ func lineOf(t *testing.T, n int) string {
 	return s
 }
 
-// TestParseStopsAtOverlongLine: a line longer than maxLine is damage
+// TestParseStopsAtOverlongLine: a line longer than MaxLine is damage
 // even when it is valid JSON — Record never writes one — so replay
-// keeps only the records before it. A line of exactly maxLine bytes is
+// keeps only the records before it. A line of exactly MaxLine bytes is
 // still data.
 func TestParseStopsAtOverlongLine(t *testing.T) {
 	first := `{"kind":"a","n":0}` + "\n"
 	last := `{"kind":"b","n":2}` + "\n"
-	entries, valid := Parse[rec]([]byte(first + lineOf(t, maxLine+1) + "\n" + last))
+	entries, valid := Parse[rec]([]byte(first + lineOf(t, MaxLine+1) + "\n" + last))
 	if len(entries) != 1 || valid != int64(len(first)) {
 		t.Fatalf("overlong line: %d entries, %d valid bytes; want 1 entry, %d bytes", len(entries), valid, len(first))
 	}
-	raw := first + lineOf(t, maxLine) + "\n" + last
+	raw := first + lineOf(t, MaxLine) + "\n" + last
 	entries, valid = Parse[rec]([]byte(raw))
 	if len(entries) != 3 || valid != int64(len(raw)) {
-		t.Fatalf("maxLine-byte line: %d entries, %d valid bytes; want 3 entries, %d bytes", len(entries), valid, len(raw))
+		t.Fatalf("MaxLine-byte line: %d entries, %d valid bytes; want 3 entries, %d bytes", len(entries), valid, len(raw))
 	}
 }
 
 // TestRecordRejectsOversizedEntry: an entry whose encoding exceeds
-// maxLine is refused and leaves the journal as it was.
+// MaxLine is refused and leaves the journal as it was.
 func TestRecordRejectsOversizedEntry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
 	l, _ := openT(t, path)
 	if err := l.Record(rec{Kind: "a"}); err != nil {
 		t.Fatalf("Record: %v", err)
 	}
-	if err := l.Record(rec{Kind: strings.Repeat("x", maxLine)}); err == nil {
-		t.Fatal("Record accepted an entry longer than maxLine")
+	if err := l.Record(rec{Kind: strings.Repeat("x", MaxLine)}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Record of an entry longer than MaxLine: %v, want ErrTooLarge", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -39,8 +39,11 @@ type Cluster struct {
 
 	parts   []*Network
 	shardOf []int
-	nodes   []*Node // the eager nodes, in cluster-global ID order
-	rt      RouteTable
+	// pools holds one packet pool per shard, shared by every part that
+	// shard executes.
+	pools []*packetPool
+	nodes []*Node // the eager nodes, in cluster-global ID order
+	rt    RouteTable
 	// leaves is the directory of reserved endpoint IDs, shared with
 	// every part; nil until the first AddLeaves.
 	leaves *leafDir
@@ -48,21 +51,61 @@ type Cluster struct {
 
 // NewCluster returns a cluster with one empty part network per entry
 // of place; place[i] names the shard that executes part i. A part's
-// Network binds to that shard's Simulator, so model components built
-// on the part schedule on the right shard automatically.
+// Network binds to that shard's Simulator and packet pool, so model
+// components built on the part schedule on the right shard
+// automatically. The cluster installs its pool top-up as ss's barrier
+// hook.
 func NewCluster(ss *des.ShardedSimulator, place []int) *Cluster {
 	if len(place) == 0 {
 		panic("netsim: cluster needs at least one part")
 	}
-	cl := &Cluster{Sim: ss, shardOf: make([]int, len(place))}
+	cl := &Cluster{Sim: ss, shardOf: make([]int, len(place)), pools: make([]*packetPool, ss.Shards())}
+	for i := range cl.pools {
+		cl.pools[i] = &packetPool{}
+	}
 	for part, shard := range place {
 		if shard < 0 || shard >= ss.Shards() {
 			panic(fmt.Sprintf("netsim: part %d placed on shard %d of %d", part, shard, ss.Shards()))
 		}
 		cl.shardOf[part] = shard
-		cl.parts = append(cl.parts, New(ss.Shard(shard)))
+		nw := New(ss.Shard(shard))
+		nw.pool = cl.pools[shard]
+		cl.parts = append(cl.parts, nw)
 	}
+	ss.SetBarrier(cl.topUpPools)
 	return cl
+}
+
+// topUpPools is the cluster's window-barrier hook. A packet is freed
+// into the pool of the shard where it ends, and on a cluster whose
+// traffic flows one way that is not the shard that emitted it: without
+// help the emitting pools would allocate afresh every window while the
+// terminating ones hoard. So each pool holding fewer free packets than
+// it handed out in the last window is topped up to that demand, taking
+// packets, in shard order, only from pools that hold more than their
+// own last-window demand. Pools hold only zeroed packets, so which
+// object serves an emission cannot move a result; with one shard there
+// is no other pool and the rule does nothing.
+func (cl *Cluster) topUpPools() {
+	for _, p := range cl.pools {
+		want := min(p.handed, maxPooledPackets)
+		for _, donor := range cl.pools {
+			short := want - len(p.free)
+			if short <= 0 {
+				break
+			}
+			spare := len(donor.free) - donor.handed
+			if spare <= 0 {
+				continue
+			}
+			cut := len(donor.free) - min(short, spare)
+			p.free = append(p.free, donor.free[cut:]...)
+			donor.free = donor.free[:cut]
+		}
+	}
+	for _, p := range cl.pools {
+		p.handed = 0
+	}
 }
 
 // Parts returns the number of parts.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 )
@@ -155,6 +156,105 @@ func TestClusterDrainReclaimsCrossTransit(t *testing.T) {
 	}
 	if ss.Pending() != 0 {
 		t.Fatalf("%d events still pending after drain", ss.Pending())
+	}
+}
+
+// TestClusterPoolRefillsAcrossShards drives one-way traffic across a
+// shard boundary: both senders live on shard-1 parts and every packet
+// ends, and is freed, on shard 0. The window-barrier top-up must carry
+// freed packets back to the emitting shard, so once the first packets
+// have come round no emission allocates a fresh packet, the leak gauge
+// still balances, and the delivery trace equals the single-shard run's.
+func TestClusterPoolRefillsAcrossShards(t *testing.T) {
+	// The emission period exceeds the 2 ms cut lookahead, so every
+	// window holds at most one emission instant: both senders emit at
+	// it, and a window's demand is 0 or 2.
+	const period, stopAt, warmUp = 0.003, 1.0, 0.03
+	type outcome struct {
+		trace string
+		fresh []float64 // emission times of packets never seen before
+		sent  int
+	}
+	run := func(place []int, shards int) outcome {
+		var out outcome
+		ss := des.NewSharded(3, shards)
+		cl, hosts := buildCrossCluster(ss, place, 3)
+		sink := hosts[0].n.ID
+		// Only the senders allocate packets, so a pointer they have not
+		// emitted before is a fresh allocation, not a recycled one.
+		emitted := map[*Packet]bool{}
+		for _, h := range hosts[1:] {
+			h := h
+			sim := h.n.Network().Sim
+			var emit func()
+			emit = func() {
+				if sim.Now() >= stopAt {
+					return
+				}
+				p := h.n.NewPacket()
+				if !emitted[p] {
+					emitted[p] = true
+					out.fresh = append(out.fresh, sim.Now())
+				}
+				p.Src, p.TrueSrc, p.Dst = h.n.ID, h.n.ID, sink
+				p.Size, p.Type, p.Legit = 500, Data, true
+				h.seq++
+				p.Seq = h.seq
+				out.sent++
+				h.n.Send(p)
+				sim.After(period, emit)
+			}
+			sim.At(period, emit)
+		}
+		if err := ss.RunUntil(stopAt + 0.5); err != nil {
+			t.Fatalf("placement %v: run: %v", place, err)
+		}
+		cl.Drain()
+		if got := cl.PacketsOutstanding(); got != 0 {
+			t.Fatalf("placement %v: %d packets outstanding after drain", place, got)
+		}
+		out.trace = strings.Join(hosts[0].trace, ",")
+		return out
+	}
+
+	ref := run([]int{0, 0, 0}, 1)
+	got := run([]int{0, 1, 1}, 2)
+	if got.trace != ref.trace {
+		t.Fatalf("placement {0,1,1} diverged from {0,0,0}\n--- {0,0,0}\n%s\n--- {0,1,1}\n%s", ref.trace, got.trace)
+	}
+	if n := strings.Count(got.trace, "<-"); n != got.sent || n < 600 {
+		t.Fatalf("%d of %d packets delivered; want every one of at least 600", n, got.sent)
+	}
+	if len(got.fresh) == 0 {
+		t.Fatal("no fresh packet at all: the count is not measuring allocation")
+	}
+	t.Logf("%d fresh packets for %d emissions, the last at t=%.3f s", len(got.fresh), got.sent, got.fresh[len(got.fresh)-1])
+	if last := got.fresh[len(got.fresh)-1]; last >= warmUp {
+		t.Fatalf("%d of %d emissions allocated a fresh packet, the last at t=%.3f s; want none after the %.3f s warm-up",
+			len(got.fresh), got.sent, last, warmUp)
+	}
+}
+
+// TestClusterPoolsOwnTheirCacheLines: each shard's pool is written on
+// every packet hand-out and return by that shard's goroutine, so no two
+// pools may share a 128-byte block (a 64-byte line and the neighbour
+// the prefetcher pairs with it), wherever the allocator puts them.
+func TestClusterPoolsOwnTheirCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(packetPool{}); got != 128 {
+		t.Fatalf("packetPool is %d bytes, want 128 (its own 128-byte size class)", got)
+	}
+	ss := des.NewSharded(1, 8)
+	cl := NewCluster(ss, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	blocks := map[uintptr]int{}
+	for i, p := range cl.pools {
+		addr := uintptr(unsafe.Pointer(p))
+		if addr%128 != 0 {
+			t.Errorf("pool %d at %#x is not on a 128-byte boundary", i, addr)
+		}
+		if j, ok := blocks[addr/128]; ok {
+			t.Errorf("pools %d and %d share the 128-byte block at %#x", j, i, addr/128*128)
+		}
+		blocks[addr/128] = i
 	}
 }
 

@@ -37,21 +37,43 @@ type Network struct {
 	// nil on a standalone network and on a cluster that reserved none.
 	leaves *leafDir
 
-	// pktFree is the packet pool's free list. It is per-network (not
-	// global) so concurrent simulations in separate goroutines — the
-	// parallel experiment runner — never share packet memory.
-	pktFree []*Packet
-	// pktAllocs / pktFrees count pool hand-outs and returns; their
-	// difference is the outstanding-packet gauge the leak-checked run
-	// teardown asserts back to zero (see PacketsOutstanding).
+	// pool is where this network's packets come from and go back to:
+	// its own on a standalone network, its shard's on a Cluster part.
+	pool *packetPool
+	// pktAllocs / pktFrees count this network's hand-outs and returns
+	// (and a cut crossing's ownership transfer); their difference is
+	// the outstanding-packet gauge the leak-checked run teardown
+	// asserts back to zero (see PacketsOutstanding).
 	pktAllocs int64
 	pktFrees  int64
 }
 
-// maxPooledPackets bounds the free list; beyond it released packets
-// are left to the garbage collector. The cap only matters for
-// workloads that allocate packets outside the pool (literals in tests)
-// faster than they reuse them.
+// packetPool is a free list of recycled packets. No pool is global,
+// so concurrent simulations in separate goroutines — the parallel
+// experiment runner — never share packet memory; within one Cluster
+// every part a shard executes shares that shard's pool, and the
+// window barrier moves free packets between shards
+// (Cluster.topUpPools).
+type packetPool struct {
+	free []*Packet
+	// handed counts hand-outs since the last barrier top-up: the pool's
+	// demand over the last window. Nothing resets it on a standalone
+	// network, which never reads it.
+	handed int
+	// The pad rounds the pool up to 128 bytes, a size class the Go
+	// allocator lays out on 128-byte boundaries, so every pool owns a
+	// whole pair of 64-byte cache lines. Two shards write their pools
+	// on every hand-out and return, from different cores: unpadded,
+	// the two 32-byte pools landed on one line or one prefetch pair
+	// whenever the allocator happened to place them side by side, and
+	// a sharded run's time then depended on where that was.
+	_ [128 - 32]byte
+}
+
+// maxPooledPackets bounds a free list; beyond it released packets are
+// left to the garbage collector. The cap only matters for workloads
+// that allocate packets outside the pool (literals in tests) faster
+// than they reuse them.
 const maxPooledPackets = 1 << 16
 
 // NewPacket returns a zeroed packet, reusing a previously freed one
@@ -59,13 +81,15 @@ const maxPooledPackets = 1 << 16
 // terminal point) this makes per-packet allocation cost disappear.
 func (nw *Network) NewPacket() *Packet {
 	nw.pktAllocs++
-	if n := len(nw.pktFree); n > 0 {
-		p := nw.pktFree[n-1]
-		nw.pktFree = nw.pktFree[:n-1]
+	pool := nw.pool
+	pool.handed++
+	if n := len(pool.free); n > 0 {
+		p := pool.free[n-1]
+		pool.free = pool.free[:n-1]
 		p.freed = false
 		return p
 	}
-	//hbplint:ignore hotalloc pool warm-up allocation: only taken while the free list is empty; steady state reuses freed packets, and the pool reuse tests pin 0 allocs after warm-up.
+	//hbplint:ignore hotalloc pool miss, taken only while the free list is empty: on a standalone network during warm-up, on a cluster also when a window hands out more packets than the barrier top-up left in the shard's pool (the previous window's demand); TestAllocsPerPacketHop and TestClusterPoolRefillsAcrossShards pin 0 fresh packets once demand is steady.
 	return &Packet{}
 }
 
@@ -89,24 +113,26 @@ func (nw *Network) ClonePacket(p *Packet) *Packet {
 	return q
 }
 
-// freePacket recycles a packet that reached its terminal point. The
-// packet is zeroed so stale retention is observable (and so the pool
-// does not pin payloads).
+// freePacket recycles a packet that reached its terminal point into
+// the pool of the network where it ended, which on a cluster need not
+// be the one that emitted it. The packet is zeroed so stale retention
+// is observable (and so the pool does not pin payloads).
 func (nw *Network) freePacket(p *Packet) {
 	if p.freed {
 		panic("netsim: packet double free")
 	}
 	nw.pktFrees++
 	*p = Packet{freed: true}
-	if len(nw.pktFree) < maxPooledPackets {
-		//hbplint:ignore hotalloc pool free-list growth is capped at maxPooledPackets and reaches steady state during warm-up; the pool reuse tests pin 0 allocs after that.
-		nw.pktFree = append(nw.pktFree, p)
+	if pool := nw.pool; len(pool.free) < maxPooledPackets {
+		//hbplint:ignore hotalloc free-list growth is capped at maxPooledPackets; a list grows only to the most packets its pool ever held free at once — on a cluster a terminating shard's list also feeds the barrier top-up — and the pool reuse tests pin 0 allocs once that peak is reached.
+		pool.free = append(pool.free, p)
 	}
 }
 
-// New returns an empty network bound to the given simulator.
+// New returns an empty network bound to the given simulator, with a
+// packet pool of its own.
 func New(sim *des.Simulator) *Network {
-	return &Network{Sim: sim, maxID: None}
+	return &Network{Sim: sim, maxID: None, pool: &packetPool{}}
 }
 
 // AddNode creates a node with the given debug name.

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"repro/internal/jsonl"
 )
 
 // Server is the HTTP face of the runner — the suite/case API
@@ -77,8 +79,7 @@ type clientRoutes[S any] struct{ b Backend[S] }
 
 func (h clientRoutes[S]) createSuite(w http.ResponseWriter, req *http.Request) {
 	var spec SuiteSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		HTTPError(w, http.StatusBadRequest, err)
+	if !DecodeBody(w, req, &spec) {
 		return
 	}
 	// A bare {"name": ...} creates an empty suite for incremental
@@ -126,8 +127,7 @@ func (h clientRoutes[S]) getSuite(w http.ResponseWriter, req *http.Request) {
 
 func (h clientRoutes[S]) submitCase(w http.ResponseWriter, req *http.Request) {
 	var spec CaseSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-		HTTPError(w, http.StatusBadRequest, err)
+	if !DecodeBody(w, req, &spec) {
 		return
 	}
 	run, err := h.b.Submit(req.PathValue("id"), spec)
@@ -190,17 +190,40 @@ func (s *Server) readyz(w http.ResponseWriter, req *http.Request) {
 // reject answers a refused admission; backpressure and a failing
 // journal also tell the client when to try again.
 func reject(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrJournal) {
+	code := StatusFor(err)
+	if code == http.StatusServiceUnavailable && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrJournal)) {
 		w.Header().Set("Retry-After", "1")
 	}
-	HTTPError(w, StatusFor(err), err)
+	HTTPError(w, code, err)
 }
 
-// StatusFor maps admission errors to HTTP statuses: backpressure,
-// shutdown and a failing journal are 503 (retryable), anything else —
-// a bad spec, an unknown suite — is 400.
+// DecodeBody decodes a JSON request body into v, reading at most
+// jsonl.MaxLine bytes: a longer body could never be journaled, so it is
+// answered 413 before it is read in full. A malformed body is 400.
+// DecodeBody reports whether v was decoded; when it was not, the
+// answer has been written.
+func DecodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, jsonl.MaxLine)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	HTTPError(w, code, err)
+	return false
+}
+
+// StatusFor maps admission errors to HTTP statuses: an entry too large
+// to journal is 413 (retrying cannot help); backpressure, shutdown and
+// a failing journal are 503 (retryable); anything else — a bad spec,
+// an unknown suite — is 400.
 func StatusFor(err error) int {
 	switch {
+	case errors.Is(err, jsonl.ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrJournal):
 		return http.StatusServiceUnavailable
 	default:

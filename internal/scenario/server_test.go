@@ -8,8 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/jsonl"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Runner) {
@@ -250,6 +253,74 @@ func TestServerNotFound(t *testing.T) {
 	}
 	if resp := getJSON(t, srv.URL+"/runs/r-999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET unknown run = %d", resp.StatusCode)
+	}
+}
+
+// oversizedBody is a valid JSON object whose one string field takes it
+// past jsonl.MaxLine, the bound on request bodies.
+func oversizedBody(field string) []byte {
+	return []byte(`{"` + field + `":"` + strings.Repeat("x", jsonl.MaxLine) + `"}`)
+}
+
+// servePost serves one POST through h in process and returns the
+// answer.
+func servePost(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// TestServerRefusesOversizedBody: a body longer than the journal's
+// record bound is refused with 413 on both decoding routes instead of
+// being decoded in full.
+func TestServerRefusesOversizedBody(t *testing.T) {
+	srv := NewServer(NewRunner(Config{Workers: 1}, nil))
+	for _, path := range []string{"/suites", "/suites/s-1/cases"} {
+		t.Run("POST "+path, func(t *testing.T) {
+			rec := servePost(srv, path, oversizedBody("name"))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("POST %s with a %d-byte body = %d: %.200s, want 413", path, jsonl.MaxLine+12, rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
+// TestServerRefusesUnjournalableEntry: a body inside the bound whose
+// journal entry is not (JSON escapes each '<' as six bytes) is 413
+// without Retry-After — retrying could never succeed — and leaves no
+// suite or run behind.
+func TestServerRefusesUnjournalableEntry(t *testing.T) {
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	r := NewRunner(Config{Workers: 1, Journal: j}, nil)
+	srv := NewServer(r)
+	suite, err := r.CreateSuite("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := json.Marshal(quickTree(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.Repeat("<", 3<<20)
+	for _, tc := range []struct{ path, body string }{
+		{"/suites", `{"name":"` + name + `"}`},
+		{"/suites/" + suite.ID + "/cases", `{"name":"` + name + `","tree":` + string(tree) + `}`},
+	} {
+		rec := servePost(srv, tc.path, []byte(tc.body))
+		if rec.Code != http.StatusRequestEntityTooLarge || rec.Header().Get("Retry-After") != "" {
+			t.Fatalf("POST %s = %d (Retry-After %q): %.200s, want 413 without Retry-After",
+				tc.path, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
+	}
+	if suites := r.Suites(); len(suites) != 1 {
+		t.Fatalf("refused suite stayed registered: %d suites", len(suites))
+	}
+	if _, runs, _ := r.GetSuite(suite.ID); len(runs) != 1 || runs[0].State != StateCancelled {
+		t.Fatalf("refused case was not withdrawn: %+v", runs)
 	}
 }
 
