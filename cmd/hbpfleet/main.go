@@ -20,13 +20,13 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -68,7 +68,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Addr: *addr, Handler: fleet.NewServer(coord)}
+	srv := scenario.NewHTTPServer(*addr, fleet.NewServer(coord))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("hbpfleet listening on %s (queue %d, lease %.0fs, %d dispatches/run)",

@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -93,7 +92,7 @@ func main() {
 		log.Printf("resubmitted %d interrupted runs from the journal", n)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: scenario.NewServer(runner)}
+	srv := scenario.NewHTTPServer(*addr, scenario.NewServer(runner))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("hbpsimd listening on %s (%d workers, queue %d)", *addr, *workers, *queueCap)

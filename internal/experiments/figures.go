@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/analysis"
 	"repro/internal/topology"
@@ -75,13 +76,15 @@ func Fig5() *Table {
 			analysis.SpecialCaseOnOff(p, 10).ECT),
 		Headers: []string{"t_on(s)", "case", "E[CT] toff=5 (s)", "E[CT] toff=10 (s)", "continuous (s)"},
 	}
+	// strconv, not fmt: every fleet case renders this table.
+	continuous := strconv.FormatFloat(cont.ECT, 'f', 2, 64)
 	for i := range tons {
 		t.AddRow(
-			fmt.Sprintf("%.1f", tons[i]),
+			strconv.FormatFloat(tons[i], 'f', 1, 64),
 			s10[i].Case.String(),
-			fmt.Sprintf("%.1f", s5[i].OnOff.ECT),
-			fmt.Sprintf("%.1f", s10[i].OnOff.ECT),
-			fmt.Sprintf("%.2f", cont.ECT),
+			strconv.FormatFloat(s5[i].OnOff.ECT, 'f', 1, 64),
+			strconv.FormatFloat(s10[i].OnOff.ECT, 'f', 1, 64),
+			continuous,
 		)
 	}
 	return t

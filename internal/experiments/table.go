@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple rendered result table: the common currency of the
@@ -14,13 +16,14 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends a row of stringified cells.
+// AddRow appends a row of stringified cells: float64 to three
+// decimals, strings as they are, anything else as fmt.Sprint prints it.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
+			row[i] = strconv.FormatFloat(v, 'f', 3, 64)
 		case string:
 			row[i] = v
 		default:
@@ -30,12 +33,10 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Render produces an aligned plain-text table.
+// Render produces an aligned plain-text table: each column as wide as
+// its longest cell in bytes, each cell left-aligned and padded with
+// spaces to that many runes (what fmt's %-*s does).
 func (t *Table) Render() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	}
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)
@@ -47,28 +48,51 @@ func (t *Table) Render() string {
 			}
 		}
 	}
+	line := 1 // newline
+	for _, w := range widths {
+		line += w + 2
+	}
+	var b strings.Builder
+	b.Grow(len(t.Title) + 7 + (len(t.Rows)+2)*line + len(t.Note) + 7)
+	if t.Title != "" {
+		b.WriteString("== ")
+		b.WriteString(t.Title)
+		b.WriteString(" ==\n")
+	}
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			b.WriteString(c)
+			pad(&b, ' ', widths[i]-utf8.RuneCountInString(c))
 		}
 		b.WriteByte('\n')
 	}
 	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for i, w := range widths {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		pad(&b, '-', w)
 	}
-	writeRow(sep)
+	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
 	if t.Note != "" {
-		fmt.Fprintf(&b, "note: %s\n", t.Note)
+		b.WriteString("note: ")
+		b.WriteString(t.Note)
+		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// pad writes n copies of c (nothing when n <= 0).
+func pad(b *strings.Builder, c byte, n int) {
+	for ; n > 0; n-- {
+		b.WriteByte(c)
+	}
 }
 
 // CSV renders the table as comma-separated values (quotes omitted;

@@ -3,6 +3,9 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -68,6 +71,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+const (
+	// leaseWait bounds how long a Lease with nothing to hand out parks
+	// on the coordinator before answering "no work". It equals the
+	// worker's idle poll interval, so an idle fleet sends no more lease
+	// requests than a polling one and a worker told to stop while
+	// parked still returns within one poll.
+	leaseWait = 50 * time.Millisecond
+	// historyCap is how many terminal runs the coordinator keeps in
+	// memory; older ones are evicted, live and on journal replay, and
+	// their outcome stays in the journal only.
+	historyCap = 256
+)
+
 // runRec is the coordinator's per-run state: the client-visible run
 // plus its lease position. All fields are guarded by the coordinator
 // lock.
@@ -100,7 +116,8 @@ type Coordinator struct {
 	mu         sync.Mutex
 	queue      *bounded.Queue[string] // fresh admissions (cap = QueueCap)
 	requeue    []string               // failover re-queues, FIFO, budget-bounded
-	runs       map[string]*runRec
+	history    *bounded.Queue[string] // terminal run IDs, oldest first (cap = historyCap)
+	runs       map[string]*runRec     // every non-terminal run plus the history
 	suites     map[string]*scenario.Suite
 	workers    map[string]*workerRec
 	stats      Stats
@@ -108,24 +125,43 @@ type Coordinator struct {
 	nextRun    int
 	nextWorker int
 	draining   bool
+	// wake is closed, and cleared, whenever a parked Lease or a Drain
+	// may find a different answer: a submission, a re-queue, a released
+	// lease, the start of a drain, Stop. It exists only while someone
+	// waits on it.
+	wake chan struct{}
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
 }
 
 // NewCoordinator builds a coordinator, replaying journaled history:
-// terminal runs are restored as-is and every orphaned in-flight or
-// queued run returns to the dispatch queue with its budget intact.
+// the newest historyCap terminal runs are restored as-is and every
+// orphaned in-flight or queued run returns to the dispatch queue with
+// its budget intact.
 func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
 		queue:   bounded.NewQueue[string](cfg.QueueCap),
+		history: bounded.NewQueue[string](historyCap),
 		runs:    map[string]*runRec{},
 		suites:  map[string]*scenario.Suite{},
 		workers: map[string]*workerRec{},
 	}
-	suiteNames, runs := recoverEntries(recoveredEntries)
+	suiteNames, runs, finished := recoverEntries(recoveredEntries)
+	// Memory holds what it would hold had this generation lived
+	// through the journal: the newest historyCap terminal runs, in the
+	// order they finished.
+	if n := len(finished) - historyCap; n > 0 {
+		for _, rec := range finished[:n] {
+			rec.evicted = true
+		}
+		finished = finished[n:]
+	}
+	for _, rec := range finished {
+		c.history.Push(rec.run.ID)
+	}
 	for _, e := range recoveredEntries {
 		// Worker IDs stay unique across generations: a survivor's
 		// stale ID must draw ErrUnknownWorker, never alias a worker
@@ -137,6 +173,12 @@ func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 		jsonl.BumpCounter(&c.nextSuite, id)
 	}
 	for _, rec := range runs {
+		jsonl.BumpCounter(&c.nextRun, rec.run.ID)
+		c.stats.Admitted++
+		if rec.evicted {
+			c.stats.Completed++
+			continue
+		}
 		rr := &runRec{run: rec.run, dispatches: rec.dispatches, seedAttempt: rec.seedAttempt, cancelReq: rec.cancelReq}
 		if rr.seedAttempt <= 0 {
 			rr.seedAttempt = 1
@@ -145,7 +187,6 @@ func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 		if s := c.suites[rec.run.Suite]; s != nil {
 			s.Runs = append(s.Runs, rec.run.ID)
 		}
-		jsonl.BumpCounter(&c.nextRun, rec.run.ID)
 		if !rec.run.State.Terminal() {
 			// Orphaned: the previous coordinator died holding it.
 			// Requeue rather than mark interrupted — the exactly-once
@@ -153,9 +194,7 @@ func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 			// still-running worker's late report will simply win or
 			// be ignored.
 			c.requeue = append(c.requeue, rec.run.ID)
-			c.stats.Admitted++
 		} else {
-			c.stats.Admitted++
 			c.stats.Completed++
 		}
 	}
@@ -188,11 +227,13 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Stop halts the lease sweeper (idempotent).
+// Stop halts the lease sweeper and releases parked leases
+// (idempotent). Lease parks only between Start and Stop.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	stop, done := c.sweepStop, c.sweepDone
 	c.sweepStop, c.sweepDone = nil, nil
+	c.wakeLocked()
 	c.mu.Unlock()
 	if stop != nil {
 		close(stop)
@@ -270,6 +311,11 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 		c.cancel(run.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
 		return RunStatus{}, fmt.Errorf("%w: %w", scenario.ErrJournal, err)
 	}
+	// Wake a parked lease only now, so the dispatch it journals lands
+	// after the submission.
+	c.mu.Lock()
+	c.wakeLocked()
+	c.mu.Unlock()
 	return status, nil
 }
 
@@ -341,7 +387,7 @@ func (c *Coordinator) GetSuite(id string) (scenario.Suite, []RunStatus, bool) {
 			runs = append(runs, c.statusLocked(rec))
 		}
 	}
-	return *s, runs, true
+	return suiteCopy(s), runs, true
 }
 
 // Suites lists all suites.
@@ -350,8 +396,16 @@ func (c *Coordinator) Suites() []scenario.Suite {
 	defer c.mu.Unlock()
 	out := make([]scenario.Suite, 0, len(c.suites))
 	for _, s := range c.suites {
-		out = append(out, *s)
+		out = append(out, suiteCopy(s))
 	}
+	return out
+}
+
+// suiteCopy snapshots a suite under the coordinator lock. Its run list
+// is copied too: eviction deletes from it in place.
+func suiteCopy(s *scenario.Suite) scenario.Suite {
+	out := *s
+	out.Runs = slices.Clone(s.Runs)
 	return out
 }
 
@@ -366,16 +420,10 @@ func (c *Coordinator) Stats() Stats {
 func (c *Coordinator) Health() Health {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	inFlight := 0
-	for _, rec := range c.runs {
-		if rec.run.State == scenario.StateRunning {
-			inFlight++
-		}
-	}
 	return Health{
 		QueueDepth: c.queue.Len() + len(c.requeue),
 		QueueCap:   c.queue.Cap(),
-		InFlight:   inFlight,
+		InFlight:   c.inFlightLocked(),
 		Workers:    len(c.workers),
 		Draining:   c.draining,
 	}
@@ -415,25 +463,67 @@ func (c *Coordinator) Register(info WorkerInfo) (string, error) {
 	return id, nil
 }
 
-// Lease hands the worker its next assignment, or nil when there is no
-// eligible work (empty queue, backoff gates, draining, or the worker
-// is at capacity).
+// Lease hands the worker its next assignment. When there is nothing
+// to lease — empty queue, backoff gates, draining, or the worker at
+// capacity — it parks for up to leaseWait, waking on anything that may
+// change that, and answers nil if nothing did.
 func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
+	return c.lease(context.Background(), workerID)
+}
+
+// lease is Lease that also stops parking when ctx ends: the HTTP route
+// passes its request context, so a worker that hung up neither holds a
+// handler nor is handed a run it can no longer receive.
+func (c *Coordinator) lease(ctx context.Context, workerID string) (*Assignment, error) {
+	a, wake, err := c.tryLease(workerID)
+	if wake == nil {
+		return a, err
+	}
+	timer := time.NewTimer(leaseWait)
+	defer timer.Stop()
+	for {
+		select {
+		case <-wake:
+		case <-timer.C:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, nil
+		}
+		if ctx.Err() != nil { // a hang-up that raced the wake still wins
+			return nil, nil
+		}
+		if a, wake, err = c.tryLease(workerID); wake == nil {
+			return a, err
+		}
+	}
+}
+
+// tryLease grants the worker its next assignment without waiting. When
+// there is none and the caller may park (the coordinator is started
+// and not draining), it also returns the channel that is closed when
+// it is worth asking again; wake is nil whenever a or err is set.
+func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan struct{}, err error) {
 	now := time.Now()
 	c.mu.Lock()
 	w := c.workers[workerID]
 	if w == nil {
 		c.mu.Unlock()
-		return nil, ErrUnknownWorker
+		return nil, nil, ErrUnknownWorker
 	}
-	if c.draining || w.inFlight >= w.info.Capacity {
+	if c.draining {
 		c.mu.Unlock()
-		return nil, nil
+		return nil, nil, nil
 	}
-	rec := c.nextEligibleLocked(now)
+	var rec *runRec
+	if w.inFlight < w.info.Capacity {
+		rec = c.nextEligibleLocked(now)
+	}
 	if rec == nil {
+		if c.sweepStop != nil {
+			wake = c.waitLocked()
+		}
 		c.mu.Unlock()
-		return nil, nil
+		return nil, wake, nil
 	}
 	if rec.cancelReq {
 		// A journal-recovered cancel request: the client was told this
@@ -444,9 +534,9 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 		}, "")
 		c.mu.Unlock()
 		if err := c.cfg.Journal.Record(entry); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return c.Lease(workerID)
+		return c.tryLease(workerID)
 	}
 	rec.dispatches++
 	rec.dispatch = rec.dispatches
@@ -456,7 +546,7 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 	rec.run.StartedAt = now
 	rec.run.Attempts = rec.dispatches
 	w.inFlight++
-	a := &Assignment{
+	a = &Assignment{
 		Run:         rec.run.ID,
 		Suite:       rec.run.Suite,
 		Spec:        rec.run.Spec,
@@ -483,9 +573,26 @@ func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
 		rec.run.State = scenario.StateQueued
 		c.requeue = append(c.requeue, rec.run.ID)
 		c.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
-	return a, nil
+	return a, nil, nil
+}
+
+// waitLocked returns the wake channel, creating it for the first
+// waiter.
+func (c *Coordinator) waitLocked() <-chan struct{} {
+	if c.wake == nil {
+		c.wake = make(chan struct{})
+	}
+	return c.wake
+}
+
+// wakeLocked releases every parked Lease and Drain to look again.
+func (c *Coordinator) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 }
 
 // nextEligibleLocked picks the next dispatchable run: failover
@@ -546,11 +653,12 @@ func (c *Coordinator) Heartbeat(workerID, runID string, dispatch int) (Directive
 func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome) error {
 	c.mu.Lock()
 	rec := c.runs[runID]
-	if rec == nil {
+	if rec == nil && !c.issuedLocked(runID) {
 		c.mu.Unlock()
 		return ErrUnknownRun
 	}
-	if rec.run.State.Terminal() {
+	if rec == nil || rec.run.State.Terminal() {
+		// Only terminal runs are evicted, so a report for one is late.
 		c.stats.DuplicateCompletions++
 		c.mu.Unlock()
 		return nil
@@ -611,6 +719,7 @@ func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string) 
 	rec.run.Result = out.Result
 	rec.run.FinishedAt = time.Now()
 	c.stats.Completed++
+	c.rememberLocked(rec.run.ID)
 	e := Entry{
 		Type: EntryCompleted, Time: rec.run.FinishedAt,
 		Suite: rec.run.Suite, Run: rec.run.ID,
@@ -633,6 +742,45 @@ func (c *Coordinator) releaseLeaseLocked(rec *runRec) {
 		w.inFlight--
 	}
 	rec.worker = ""
+	c.wakeLocked()
+}
+
+// rememberLocked enters a newly terminal run into the history,
+// evicting the oldest terminal run from memory once historyCap are
+// kept.
+func (c *Coordinator) rememberLocked(id string) {
+	if c.history.Full() {
+		old, _ := c.history.Pop()
+		if rec := c.runs[old]; rec != nil {
+			delete(c.runs, old)
+			if s := c.suites[rec.run.Suite]; s != nil {
+				if i := slices.Index(s.Runs, old); i >= 0 {
+					s.Runs = slices.Delete(s.Runs, i, i+1)
+				}
+			}
+		}
+	}
+	c.history.Push(id)
+}
+
+// Evicted reports whether id names a run this coordinator (or a
+// generation whose journal it replayed) admitted and has since dropped
+// from its bounded history; the run's outcome is in the journal.
+func (c *Coordinator) Evicted(id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.runs[id] == nil && c.issuedLocked(id)
+}
+
+// issuedLocked reports whether id is a run ID this coordinator's
+// counter has handed out.
+func (c *Coordinator) issuedLocked(id string) bool {
+	num, ok := strings.CutPrefix(id, "r-")
+	if !ok {
+		return false
+	}
+	n, err := strconv.Atoi(num)
+	return err == nil && n >= 1 && n <= c.nextRun && strconv.Itoa(n) == num
 }
 
 // ExpireLeases reclaims every lease whose heartbeat stopped before
@@ -690,33 +838,39 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 	}
 }
 
-// Drain stops admissions and new leases, then waits for in-flight
-// leases to report or expire. Queued and still-unreported runs stay in
-// the journal as submitted-without-completion, so the next coordinator
-// generation requeues them — drain returns unfinished work to the
-// queue rather than losing or failing it.
+// Drain stops admissions and new leases, releases parked leases, then
+// waits for in-flight leases to report or expire. Queued and
+// still-unreported runs stay in the journal as
+// submitted-without-completion, so the next coordinator generation
+// requeues them — drain returns unfinished work to the queue rather
+// than losing or failing it.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.draining = true
-	c.mu.Unlock()
-	for {
-		c.mu.Lock()
-		inFlight := 0
-		for _, rec := range c.runs {
-			if rec.worker != "" && !rec.run.State.Terminal() {
-				inFlight++
-			}
-		}
+	c.wakeLocked()
+	for c.inFlightLocked() > 0 {
+		wake := c.waitLocked()
 		c.mu.Unlock()
-		if inFlight == 0 {
-			c.Stop()
-			return nil
-		}
 		select {
 		case <-ctx.Done():
 			c.Stop()
 			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
+		case <-wake:
+		}
+		c.mu.Lock()
+	}
+	c.mu.Unlock()
+	c.Stop()
+	return nil
+}
+
+// inFlightLocked counts the runs a worker holds a lease on.
+func (c *Coordinator) inFlightLocked() int {
+	n := 0
+	for _, rec := range c.runs {
+		if rec.worker != "" && !rec.run.State.Terminal() {
+			n++
 		}
 	}
+	return n
 }

@@ -81,6 +81,7 @@ type recovered struct {
 	dispatches  int
 	seedAttempt int
 	cancelReq   bool
+	evicted     bool // terminal and older than the history bound
 }
 
 // recover reconstructs suites and runs from journal entries. Terminal
@@ -89,8 +90,9 @@ type recovered struct {
 // acknowledging can replay, never rewrite a terminal run); every
 // other submitted run comes back queued, keeping the dispatch count
 // and seed attempt it had reached so restart cannot reset a run's
-// budget.
-func recoverEntries(entries []Entry) (suiteNames map[string]string, runs []*recovered) {
+// budget. runs is in submission order; finished lists the terminal
+// ones in the order they finished.
+func recoverEntries(entries []Entry) (suiteNames map[string]string, runs, finished []*recovered) {
 	suiteNames = map[string]string{}
 	byID := map[string]*recovered{}
 	for _, e := range entries {
@@ -133,8 +135,9 @@ func recoverEntries(entries []Entry) (suiteNames map[string]string, runs []*reco
 						Fingerprint: e.Fingerprint,
 					}
 				}
+				finished = append(finished, rec)
 			}
 		}
 	}
-	return suiteNames, runs
+	return suiteNames, runs, finished
 }

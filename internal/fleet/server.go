@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"errors"
+	"io"
 	"net/http"
 
+	"repro/internal/jsonl"
 	"repro/internal/scenario"
 )
 
@@ -19,7 +21,7 @@ import (
 //	GET    /stats               exactly-once accounting counters
 //
 //	POST   /fleet/workers             WorkerInfo     -> {"id": ...}
-//	POST   /fleet/workers/{id}/lease  -> Assignment, or 204 when no work
+//	POST   /fleet/workers/{id}/lease  -> Assignment, or 204 after up to 50 ms with no work
 //	POST   /fleet/heartbeat           heartbeatRequest -> {"directive": ...}
 //	POST   /fleet/complete            completeRequest
 type Server struct {
@@ -85,7 +87,11 @@ func (s *Server) registerWorker(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) leaseRun(w http.ResponseWriter, req *http.Request) {
-	a, err := s.coord.Lease(req.PathValue("id"))
+	// Read the (empty) body to its end: only then does the server watch
+	// the connection, so a worker that hangs up cancels req.Context()
+	// and ends the parked lease.
+	io.Copy(io.Discard, http.MaxBytesReader(w, req.Body, jsonl.MaxLine)) //nolint:errcheck // the body carries nothing
+	a, err := s.coord.lease(req.Context(), req.PathValue("id"))
 	if err != nil {
 		scenario.HTTPError(w, statusFor(err), err)
 		return

@@ -28,7 +28,10 @@ type WorkerConfig struct {
 	Name string
 	// Capacity is the concurrent-run slot count (default 1).
 	Capacity int
-	// PollInterval is the idle lease-poll cadence (default 50 ms).
+	// PollInterval paces lease requests that come back empty or fail
+	// (default 50 ms). The coordinator parks an empty request until
+	// work arrives or its own 50 ms wait ends, so an idle worker asks
+	// about once per interval and a busy one asks again at once.
 	PollInterval time.Duration
 	// MaxEvents caps simulated events per attempt (0: no cap).
 	MaxEvents uint64

@@ -3,7 +3,9 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/jsonl"
 )
@@ -50,6 +52,15 @@ type Backend[S any] interface {
 	GetRun(id string) (S, bool)
 	GetSuite(id string) (Suite, []S, bool)
 	Suites() []Suite
+}
+
+// Evicter is implemented by a Backend that keeps a bounded run
+// history. Evicted reports whether id names a run the backend issued
+// and has since dropped from memory; the client routes answer such an
+// ID 410 Gone, pointing at the journal, where an ID never issued is
+// 404.
+type Evicter interface {
+	Evicted(id string) bool
 }
 
 // SuiteStatusOf is the GET /suites/{id} (and POST /suites) body: the
@@ -141,7 +152,7 @@ func (h clientRoutes[S]) submitCase(w http.ResponseWriter, req *http.Request) {
 func (h clientRoutes[S]) getRun(w http.ResponseWriter, req *http.Request) {
 	run, ok := h.b.GetRun(req.PathValue("id"))
 	if !ok {
-		HTTPError(w, http.StatusNotFound, errors.New("no such run"))
+		h.missing(w, req.PathValue("id"), errors.New("no such run"))
 		return
 	}
 	WriteJSON(w, http.StatusOK, run)
@@ -149,11 +160,36 @@ func (h clientRoutes[S]) getRun(w http.ResponseWriter, req *http.Request) {
 
 func (h clientRoutes[S]) cancelRun(w http.ResponseWriter, req *http.Request) {
 	if err := h.b.Cancel(req.PathValue("id")); err != nil {
-		HTTPError(w, http.StatusNotFound, err)
+		h.missing(w, req.PathValue("id"), err)
 		return
 	}
 	run, _ := h.b.GetRun(req.PathValue("id"))
 	WriteJSON(w, http.StatusOK, run)
+}
+
+// missing answers a run ID the backend does not hold: 410 Gone when
+// it was issued and evicted, else 404 with err.
+func (h clientRoutes[S]) missing(w http.ResponseWriter, id string, err error) {
+	if e, ok := h.b.(Evicter); ok && e.Evicted(id) {
+		HTTPError(w, http.StatusGone, fmt.Errorf("run %s has left the server's bounded run history; its outcome is in the journal", id))
+		return
+	}
+	HTTPError(w, http.StatusNotFound, err)
+}
+
+// NewHTTPServer is the http.Server both daemons serve h with. It bounds
+// how long a connection may take to send its request headers and how
+// long an idle keep-alive connection is held, so a client that opens
+// connections and sends nothing cannot pin them. There is no write
+// timeout: it would cut the fleet's parked lease, which answers only
+// after its wait.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 func (s *Server) resubmitRun(w http.ResponseWriter, req *http.Request) {
