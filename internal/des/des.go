@@ -1,7 +1,7 @@
 // Package des implements a deterministic discrete-event simulation
-// engine: a simulator clock, an index-based binary-heap event queue
-// with stable FIFO ordering for simultaneous events, and helpers for
-// periodic and conditional scheduling.
+// engine: a simulator clock, a binary-heap event queue whose entries
+// carry their own ordering keys, stable FIFO ordering for simultaneous
+// events, and helpers for periodic and conditional scheduling.
 //
 // Time is modelled as float64 seconds from the start of the run.
 // Events scheduled for the same instant fire in the order they were
@@ -20,12 +20,26 @@
 // typed events (ScheduleTyped) that carry their arguments in the
 // record itself instead of in a captured closure, keeping the
 // per-packet path allocation-free.
+//
+// # Event queue
+//
+// The heap holds small entries — the event's ordering key plus its
+// slab index — so a sift compares keys without touching the slab. The
+// dispatch loop does not pop the root before calling the handler: it
+// leaves the root vacant, and the handler's first schedule writes its
+// event there and sifts it down once (a heapreplace). Most handlers
+// schedule their successor, so most dispatches cost one sift instead
+// of a pop and a push. Whatever else reads the queue first settles the
+// vacant root (pops it for real) or accounts for it. Dispatch order is
+// unaffected: (time, class, key) is a strict total order, so every
+// correct priority queue pops the same sequence.
 package des
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Handler is the callback invoked when an event fires. It runs with
@@ -42,24 +56,56 @@ type TypedFunc func(a, b any, kind uint8)
 // eventRec is one slab slot. Slots are addressed by index; heapIdx is
 // the slot's position in the heap (-1 when the slot is free) and gen
 // is bumped every time the slot is handed out, invalidating handles
-// from earlier occupancies.
+// from earlier occupancies. The ordering key lives in the slot's heap
+// entry, not here.
 type eventRec struct {
 	time    float64
-	seq     uint64
 	gen     uint32
 	heapIdx int32
 	kind    uint8
-	// cls is the ordering class among simultaneous events: 0 for
-	// locally scheduled events (FIFO by seq), 1 for cross-shard channel
-	// deliveries (ordered by the partition-independent channel key that
-	// rides in seq — see Channel). Locals fire before deliveries at the
-	// same instant, a rule that is itself placement-independent because
-	// an event's class depends only on whether its edge is a cut edge.
-	cls  uint8
-	h    Handler
-	fn   TypedFunc
-	a, b any
-	name string
+	h       Handler
+	fn      TypedFunc
+	a, b    any
+	name    string
+}
+
+// heapEntry is one heap position: an event's ordering key, held
+// inline so sifting never loads a slab record, and its slab index.
+//
+// t is the event time's IEEE-754 bit pattern. checkTime admits only
+// times >= now >= 0, and for non-negative floats the bit patterns
+// order like the values — except -0, whose sign bit would put it
+// after every other time, so timeKey clears the sign.
+//
+// k is cls<<63 | seq. The class orders simultaneous events: 0 for
+// locally scheduled events (FIFO by the simulator's seq counter), 1
+// for cross-shard channel deliveries (ordered by the
+// partition-independent channel key, id<<32 | channel seq — see
+// Channel and channelID). Locals fire before deliveries at the same
+// instant, a rule that is itself placement-independent because an
+// event's class depends only on whether its edge is a cut edge.
+type heapEntry struct {
+	t, k uint64
+	idx  int32
+}
+
+// clsDelivery is the class bit of a channel delivery's key.
+const clsDelivery = 1 << 63
+
+// timeKey is the t half of an event's heap key: see heapEntry.
+func timeKey(t float64) uint64 { return math.Float64bits(t) &^ (1 << 63) }
+
+// below orders heap entries by (t, k), compared as one 128-bit number:
+// it is 1 when a − b borrows, that is when a sorts first, else 0. The
+// borrow chain has no branch, so siftDown picks the smaller child by
+// adding the result to an index rather than by a mispredicted jump. No
+// two live entries share a key, so the order is strict and total — the
+// heart of the shards=1 ≡ shards=N guarantee, because the key never
+// says which shard scheduled what.
+func below(a, b heapEntry) uint64 {
+	_, borrow := bits.Sub64(a.k, b.k, 0)
+	_, borrow = bits.Sub64(a.t, b.t, borrow)
+	return borrow
 }
 
 // Event is a generation-stamped handle to a scheduled callback. The
@@ -116,6 +162,9 @@ func (e Event) Cancel() {
 	if r == nil {
 		return
 	}
+	// A vacant root needs no settling first: it holds the key of the
+	// event being dispatched, which is below every pending key, so no
+	// sift of the removal crosses it.
 	s := e.s
 	s.heapRemove(r.heapIdx)
 	s.release(e.id - 1)
@@ -127,8 +176,14 @@ func (e Event) Cancel() {
 type Simulator struct {
 	now  float64
 	recs []eventRec
-	free []int32 // free slab slots (LIFO for cache locality)
-	heap []int32 // binary heap of slab indices, ordered by (time, seq)
+	free []int32     // free slab slots (LIFO for cache locality)
+	heap []heapEntry // binary min-heap of keyed slab indices, by below
+	// vacant marks heap[0] as the event runWindow last took: its slot
+	// is already released and its key is stale. The handler's first
+	// schedule overwrites it (push); whatever reads the queue next
+	// settles it or, like Pending and Cancel, works around it. It
+	// outlives runWindow only when a handler panics.
+	vacant bool
 
 	seq     uint64
 	fired   uint64
@@ -140,11 +195,12 @@ type Simulator struct {
 	// budget restarts with the new run).
 	EventLimit uint64
 
-	// interrupt, when non-nil, is polled every interruptEvery fired
-	// events; a non-nil return aborts RunUntil with that error. See
-	// SetInterrupt.
+	// interrupt, when non-nil, is polled whenever the fired counter
+	// reaches nextPoll, a multiple of interruptEvery; a non-nil return
+	// aborts RunUntil with that error. See SetInterrupt.
 	interrupt      func() error
 	interruptEvery uint64
+	nextPoll       uint64
 }
 
 // ErrEventLimit is returned by Run and RunUntil when Simulator.EventLimit
@@ -163,8 +219,14 @@ func (s *Simulator) Now() float64 { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of live events still queued. Cancelled
-// events are removed from the queue immediately and never counted.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// events are removed from the queue immediately and never counted, and
+// neither is the event being dispatched.
+func (s *Simulator) Pending() int {
+	if s.vacant {
+		return len(s.heap) - 1
+	}
+	return len(s.heap)
+}
 
 // alloc takes a slot off the free list (or grows the slab) and bumps
 // its generation.
@@ -210,16 +272,14 @@ func (s *Simulator) schedule(t float64, name string, h Handler, fn TypedFunc, a,
 	idx := s.alloc()
 	r := &s.recs[idx]
 	r.time = t
-	r.seq = s.seq
-	s.seq++
-	r.cls = 0
 	r.h = h
 	r.fn = fn
 	r.a = a
 	r.b = b
 	r.kind = kind
 	r.name = name
-	s.heapPush(idx)
+	s.push(heapEntry{t: timeKey(t), k: s.seq, idx: idx})
+	s.seq++
 	return Event{s: s, id: idx + 1, gen: r.gen}
 }
 
@@ -370,6 +430,9 @@ func (s *Simulator) SetInterrupt(every uint64, check func() error) {
 	}
 	s.interrupt = check
 	s.interruptEvery = every
+	// The first multiple of every not below fired; runWindow then steps
+	// by every with a compare instead of dividing on each event.
+	s.nextPoll = (s.fired + every - 1) / every * every
 }
 
 // Run dispatches events until the queue is empty, Stop is called, or
@@ -401,30 +464,41 @@ func (s *Simulator) RunUntil(end float64) error {
 // nor advances the clock to the bound: the sharded coordinator calls
 // it once per conservative window and performs both at run boundaries.
 func (s *Simulator) runWindow(bound float64, inclusive bool) error {
-	for len(s.heap) > 0 && !s.stopped {
+	for {
+		// The previous handler scheduled nothing: pop its root now.
+		s.settle()
+		if len(s.heap) == 0 || s.stopped {
+			return nil
+		}
 		// Cooperative checkpoint: polled between events (never
-		// mid-handler, never after the head event is popped) so an
+		// mid-handler, never after the head event is taken) so an
 		// interrupted run keeps its whole pending queue.
-		if s.interrupt != nil && s.fired%s.interruptEvery == 0 {
+		if s.interrupt != nil && s.fired == s.nextPoll {
+			// A failed poll is not used up: a resumed run polls again
+			// before its first event.
 			if err := s.interrupt(); err != nil {
 				return err
 			}
+			s.nextPoll += s.interruptEvery
 		}
-		idx := s.heap[0]
+		idx := s.heap[0].idx
 		r := &s.recs[idx]
 		if r.time > bound || (!inclusive && r.time == bound) {
-			break
+			return nil
 		}
 		// Copy the dispatch fields out and recycle the slot before the
 		// callback runs: the callback may schedule (growing the slab) or
 		// hold a stale handle to this very slot, both of which the
-		// generation stamp already guards.
+		// generation stamp already guards. The root stays in the heap,
+		// vacant, for the callback's first schedule to take over.
 		t, h, fn, a, b, kind := r.time, r.h, r.fn, r.a, r.b, r.kind
-		s.heapRemove(0)
 		s.release(idx)
+		s.vacant = true
 		s.now = t
 		s.fired++
 		if s.EventLimit > 0 && s.fired > s.EventLimit {
+			// The over-budget event is dropped.
+			s.settle()
 			return ErrEventLimit
 		}
 		if h != nil {
@@ -433,16 +507,16 @@ func (s *Simulator) runWindow(bound float64, inclusive bool) error {
 			fn(a, b, kind)
 		}
 	}
-	return nil
 }
 
 // nextEventTime returns the timestamp of the earliest pending event.
 // The coordinator uses it to size the next conservative window.
 func (s *Simulator) nextEventTime() (float64, bool) {
+	s.settle()
 	if len(s.heap) == 0 {
 		return 0, false
 	}
-	return s.recs[s.heap[0]].time, true
+	return s.recs[s.heap[0].idx].time, true
 }
 
 // scheduleMsg injects a cross-shard channel delivery: a typed event in
@@ -454,15 +528,13 @@ func (s *Simulator) scheduleMsg(t float64, fn TypedFunc, a, b any, kind uint8, k
 	idx := s.alloc()
 	r := &s.recs[idx]
 	r.time = t
-	r.seq = key
-	r.cls = 1
 	r.h = nil
 	r.fn = fn
 	r.a = a
 	r.b = b
 	r.kind = kind
 	r.name = ""
-	s.heapPush(idx)
+	s.push(heapEntry{t: timeKey(t), k: clsDelivery | key, idx: idx})
 }
 
 // DrainedEvent is one pending event handed back by DrainPending. For
@@ -481,15 +553,16 @@ type DrainedEvent struct {
 }
 
 // DrainPending removes every pending event without firing it, passing
-// each to visit (which may be nil) in deterministic (time, seq) order.
+// each to visit (which may be nil) in dispatch order.
 // The clock, fired counter and event limit are untouched, so a drain
 // composes with result collection after RunUntil. This is the
 // teardown path a completed run must take before leak-checking pooled
 // resources: Reset alone drops the slab's references, which silently
 // strands any pooled packet still riding an in-flight event.
 func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
+	s.settle()
 	for len(s.heap) > 0 {
-		idx := s.heap[0]
+		idx := s.heap[0].idx
 		r := &s.recs[idx]
 		if visit != nil {
 			visit(DrainedEvent{
@@ -515,8 +588,9 @@ func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
 // (packets in typed link events), DrainPending first, so the pool's
 // accounting survives the teardown.
 func (s *Simulator) Reset() {
-	for _, idx := range s.heap {
-		s.release(idx)
+	s.settle()
+	for _, e := range s.heap {
+		s.release(e.idx)
 	}
 	s.heap = s.heap[:0]
 	s.now = 0
@@ -527,30 +601,30 @@ func (s *Simulator) Reset() {
 	s.interruptEvery = 0
 }
 
-// --- index heap over the slab ---------------------------------------
+// --- keyed heap over the slab ----------------------------------------
 
-// lessRec orders slots by (time, cls, seq): earlier time first; among
-// simultaneous events, locally scheduled events (cls 0, FIFO by local
-// seq) before channel deliveries (cls 1, ordered by channel key). The
-// key never references which shard scheduled what, so the relative
-// order of any two events is identical however the model is placed
-// across shards — the heart of the shards=1 ≡ shards=N guarantee.
-func (s *Simulator) lessRec(a, b int32) bool {
-	ra, rb := &s.recs[a], &s.recs[b]
-	if ra.time != rb.time {
-		return ra.time < rb.time
+// push inserts e: into the vacant root when there is one — one sift
+// down instead of the pop and push it replaces — else at the tail.
+func (s *Simulator) push(e heapEntry) {
+	if s.vacant {
+		s.vacant = false
+		s.heap[0] = e
+		s.siftDown(0)
+		return
 	}
-	if ra.cls != rb.cls {
-		return ra.cls < rb.cls
-	}
-	return ra.seq < rb.seq
+	//hbplint:ignore hotalloc amortized heap growth: the heap's capacity tracks peak pending events, mirroring the slab; steady state is append-into-capacity.
+	s.heap = append(s.heap, e)
+	s.siftUp(int32(len(s.heap) - 1))
 }
 
-func (s *Simulator) heapPush(idx int32) {
-	//hbplint:ignore hotalloc amortized heap growth: the index heap's capacity tracks peak pending events, mirroring the slab; steady state is append-into-capacity.
-	s.heap = append(s.heap, idx)
-	s.recs[idx].heapIdx = int32(len(s.heap) - 1)
-	s.siftUp(int32(len(s.heap) - 1))
+// settle pops a vacant root: the dispatched event's handler scheduled
+// nothing (or has not returned, having panicked), so nothing took its
+// place.
+func (s *Simulator) settle() {
+	if s.vacant {
+		s.vacant = false
+		s.heapRemove(0)
+	}
 }
 
 // heapRemove deletes the element at heap position pos, restoring heap
@@ -560,7 +634,6 @@ func (s *Simulator) heapRemove(pos int32) {
 	n := int32(len(s.heap)) - 1
 	if pos != n {
 		s.heap[pos] = s.heap[n]
-		s.recs[s.heap[pos]].heapIdx = pos
 	}
 	s.heap = s.heap[:n]
 	if pos < n {
@@ -571,40 +644,49 @@ func (s *Simulator) heapRemove(pos int32) {
 }
 
 func (s *Simulator) siftUp(pos int32) {
-	idx := s.heap[pos]
-	for pos > 0 {
-		parent := (pos - 1) / 2
-		if !s.lessRec(idx, s.heap[parent]) {
+	h, recs := s.heap, s.recs
+	i := int(pos)
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if below(e, h[parent]) == 0 {
 			break
 		}
-		s.heap[pos] = s.heap[parent]
-		s.recs[s.heap[pos]].heapIdx = pos
-		pos = parent
+		h[i] = h[parent]
+		recs[h[i].idx].heapIdx = int32(i)
+		i = parent
 	}
-	s.heap[pos] = idx
-	s.recs[idx].heapIdx = pos
+	h[i] = e
+	recs[e.idx].heapIdx = int32(i)
 }
 
+// siftDown moves the entry at pos down to its place and reports
+// whether it moved. It always records the entry's final position in
+// its slab slot, so a caller that just wrote an entry at pos need not.
 func (s *Simulator) siftDown(pos int32) bool {
-	idx := s.heap[pos]
-	start := pos
-	n := int32(len(s.heap))
+	h, recs := s.heap, s.recs
+	i := int(pos)
+	e := h[i]
 	for {
-		c := 2*pos + 1
-		if c >= n {
+		c := 2*i + 1
+		if c+1 >= len(h) {
+			// At most one child: the bottom of the heap.
+			if c < len(h) && below(h[c], e) != 0 {
+				h[i] = h[c]
+				recs[h[i].idx].heapIdx = int32(i)
+				i = c
+			}
 			break
 		}
-		if r := c + 1; r < n && s.lessRec(s.heap[r], s.heap[c]) {
-			c = r
-		}
-		if !s.lessRec(s.heap[c], idx) {
+		c += int(below(h[c+1], h[c]))
+		if below(h[c], e) == 0 {
 			break
 		}
-		s.heap[pos] = s.heap[c]
-		s.recs[s.heap[pos]].heapIdx = pos
-		pos = c
+		h[i] = h[c]
+		recs[h[i].idx].heapIdx = int32(i)
+		i = c
 	}
-	s.heap[pos] = idx
-	s.recs[idx].heapIdx = pos
-	return pos > start
+	h[i] = e
+	recs[e.idx].heapIdx = int32(i)
+	return i > int(pos)
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -358,6 +359,26 @@ func TestEventLimit(t *testing.T) {
 	s.At(0, tick)
 	if err := s.Run(); err != ErrEventLimit {
 		t.Fatalf("err = %v, want ErrEventLimit", err)
+	}
+
+	// The event over the budget is dropped and the queue holds exactly
+	// the rest, for Pending and DrainPending alike.
+	s = New()
+	s.EventLimit = 3
+	fired := 0
+	for i := 0; i < 8; i++ {
+		s.At(float64(i), func() { fired++ })
+	}
+	if err := s.Run(); err != ErrEventLimit {
+		t.Fatalf("err = %v, want ErrEventLimit", err)
+	}
+	if fired != 3 || s.Pending() != 4 || s.vacant {
+		t.Fatalf("fired %d, pending %d, vacant root %v; want 3, 4 and none", fired, s.Pending(), s.vacant)
+	}
+	var times []float64
+	s.DrainPending(func(ev DrainedEvent) { times = append(times, ev.Time) })
+	if fmt.Sprint(times) != "[4 5 6 7]" || s.Pending() != 0 {
+		t.Fatalf("drained %v, pending %d", times, s.Pending())
 	}
 }
 

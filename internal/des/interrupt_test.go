@@ -42,6 +42,39 @@ func TestInterruptStopsRun(t *testing.T) {
 	}
 }
 
+// A failed poll is not used up: resuming with the same failing check
+// installed returns at once, before another event fires.
+func TestInterruptResumeRepolls(t *testing.T) {
+	sim := New()
+	stop := errors.New("still cancelled")
+	var tick func()
+	tick = func() { sim.After(1, tick) }
+	sim.After(1, tick)
+	polls := 0
+	sim.SetInterrupt(8, func() error {
+		polls++
+		if sim.Fired() >= 20 {
+			return stop
+		}
+		return nil
+	})
+	if err := sim.Run(); !errors.Is(err, stop) {
+		t.Fatalf("Run returned %v, want the interrupt error", err)
+	}
+	fired, before := sim.Fired(), polls
+	for i := 0; i < 3; i++ {
+		if err := sim.Run(); !errors.Is(err, stop) {
+			t.Fatalf("resumed Run returned %v, want the interrupt error", err)
+		}
+	}
+	if sim.Fired() != fired {
+		t.Fatalf("resumed runs fired %d events, want 0", sim.Fired()-fired)
+	}
+	if polls != before+3 {
+		t.Fatalf("resumed runs polled %d times, want 3", polls-before)
+	}
+}
+
 func TestInterruptDoesNotPerturbRun(t *testing.T) {
 	trace := func(check func() error) string {
 		sim := New()
@@ -108,7 +141,7 @@ func TestDrainPending(t *testing.T) {
 	if len(drained) != 3 {
 		t.Fatalf("drained %d events, want 3", len(drained))
 	}
-	// (time, seq) order and field fidelity.
+	// Dispatch order and field fidelity.
 	if drained[0].Time != 2 || drained[0].Fn == nil || drained[0].A != any(x) || drained[0].B != any(y) || drained[0].Kind != 7 {
 		t.Fatalf("typed drain record wrong: %+v", drained[0])
 	}

@@ -167,6 +167,7 @@ type engine interface {
 	every(start, period float64, h func()) func()
 	send(ch int, delay float64, h func())
 	stop()
+	pending() int
 }
 
 // oracleView binds a part to the reference engine. seq numbers each
@@ -189,15 +190,18 @@ func (v oracleView) send(ch int, delay float64, h func()) {
 	v.seq[ch]++
 	v.o.push(v.o.now+delay, 1, uint64(ch)<<32|uint64(v.seq[ch]), h)
 }
-func (v oracleView) stop() { v.o.stopped = true }
+func (v oracleView) stop()        { v.o.stopped = true }
+func (v oracleView) pending() int { return v.o.Pending() }
 
 // simView binds a part to a des.Simulator: the sequential engine, or
 // one shard of a sharded one (chans non-nil). On the sequential engine
 // a channel send becomes the class-1 event a barrier would inject.
+// count is the whole engine's Pending, buffered sends included.
 type simView struct {
 	sim   *Simulator
 	chans []*Channel
 	seq   []uint32
+	count func() int
 }
 
 func callTyped(a, _ any, _ uint8) { a.(func())() }
@@ -219,7 +223,8 @@ func (v simView) send(ch int, delay float64, h func()) {
 	v.seq[ch]++
 	v.sim.scheduleMsg(v.sim.now+delay, callTyped, h, nil, 0, uint64(ch)<<32|uint64(v.seq[ch]))
 }
-func (v simView) stop() { v.sim.Stop() }
+func (v simView) stop()        { v.sim.Stop() }
+func (v simView) pending() int { return v.count() }
 
 const (
 	oQuantum = 0.25 // every delay is a multiple, so ties are the rule
@@ -270,7 +275,9 @@ func decodeProgram(data []byte) program {
 }
 
 // exact reports whether the program needs the engines' exact promise:
-// Stop and EventLimit are compared only sequentially and at width 1.
+// Stop, EventLimit and the pending count are compared only sequentially
+// and at width 1. A wider engine stops and budgets per window, and a
+// shard's handler sees only what its own shard and the barrier know.
 func (p *program) exact() bool { return p.stops || p.limit > 0 }
 
 type part struct {
@@ -325,7 +332,13 @@ func (pt *part) step(ops int) {
 	for ; ops > 0; ops-- {
 		op, arg := pt.next(), pt.next()
 		d, idx := oQuantum*float64(arg&7), int(arg>>3)
-		switch op % 10 {
+		// The pending opcode exists only in exact programs, so a wide
+		// program's tape decodes to the same ops it always did.
+		kinds := byte(10)
+		if pt.p.exact() {
+			kinds = 11
+		}
+		switch op % kinds {
 		case 0:
 			if l, ok := pt.spend('a'); ok {
 				pt.handles = append(pt.handles, pt.eng.at(pt.eng.now()+d, pt.fire(l)))
@@ -379,6 +392,8 @@ func (pt *part) step(ops int) {
 				pt.log("stop")
 				pt.eng.stop()
 			}
+		case 10: // from inside a handler, the queue without the event firing
+			pt.log("pending %d", pt.eng.pending())
 		}
 	}
 }
@@ -426,7 +441,7 @@ func (p program) run(width int) outcome {
 	case width == 0:
 		sim := New()
 		sim.EventLimit = p.limit
-		v := simView{sim: sim, seq: make([]uint32, len(p.chans))}
+		v := simView{sim: sim, seq: make([]uint32, len(p.chans)), count: sim.Pending}
 		for _, pt := range parts {
 			pt.eng = v
 		}
@@ -439,7 +454,7 @@ func (p program) run(width int) outcome {
 			chans[i] = ss.NewChannel(c.src%width, c.dst%width, c.look)
 		}
 		for i, pt := range parts {
-			pt.eng = simView{sim: ss.Shard(i % width), chans: chans}
+			pt.eng = simView{sim: ss.Shard(i % width), chans: chans, count: ss.Pending}
 		}
 		drv = ss
 	}
@@ -527,11 +542,16 @@ var oracleSeeds = [][]byte{
 	{1, 1, 4, 1, 4, 0, 2, 7, 0, 0, 4, 1, 8, 0, 0, 0},
 	// an event limit of 9 on a self-feeding periodic.
 	{0, 0, 2, 8, 1, 5, 8, 1, 0, 1, 1, 0},
+	// the queue length logged from inside handlers, around schedules
+	// at the current instant and later (mode 1 makes the program exact;
+	// its tape never stops).
+	{0, 0, 1, 2, 0, 1, 10, 0, 1, 0, 3, 10, 0, 0, 2, 1, 3, 10, 1, 0, 0, 0, 10, 0, 0, 10, 0},
 }
 
 // FuzzEngineMatchesOracle generates event programs — schedule, cancel,
 // stale handles, timers, periodics, channel sends at and just above
-// the lookahead, Stop and EventLimit — and requires des.Simulator and
+// the lookahead, Stop, EventLimit and the queue length seen from inside
+// a handler — and requires des.Simulator and
 // des.ShardedSimulator at widths 1–4 to dispatch exactly what the
 // naive oracle dispatches, in its order.
 func FuzzEngineMatchesOracle(f *testing.F) {

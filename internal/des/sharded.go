@@ -33,7 +33,7 @@
 //     builder reproduces identically at any shard count, and the
 //     channel sequence counts sends in source-model order. No key ever
 //     mentions a shard index or a per-shard counter.
-//   - The per-shard heap comparator (see lessRec) orders simultaneous
+//   - The per-shard heap key (see heapEntry) orders simultaneous
 //     events by class then key, so an injected delivery sorts the same
 //     whether it was buffered across a real shard boundary or looped
 //     through a same-shard channel.
@@ -177,12 +177,22 @@ func (ss *ShardedSimulator) NewChannel(src, dst int, lookahead float64) *Channel
 	if !(lookahead > 0) || math.IsInf(lookahead, 0) || math.IsNaN(lookahead) {
 		panic(fmt.Sprintf("des: channel lookahead must be positive and finite, got %v", lookahead))
 	}
-	c := &Channel{ss: ss, id: uint32(len(ss.chans)), src: src, dst: dst, lookahead: lookahead}
+	c := &Channel{ss: ss, id: channelID(len(ss.chans)), src: src, dst: dst, lookahead: lookahead}
 	ss.chans = append(ss.chans, c)
 	if lookahead < ss.lookahead {
 		ss.lookahead = lookahead
 	}
 	return c
+}
+
+// channelID returns the id of the n-th channel. A delivery key is
+// id<<32 | seq and shares its heap word with the class bit (bit 63,
+// see heapEntry), so ids stop below 2³¹.
+func channelID(n int) uint32 {
+	if n >= 1<<31 {
+		panic(fmt.Sprintf("des: channel %d exceeds the 2^31 channel ids a delivery key can hold", n))
+	}
+	return uint32(n)
 }
 
 // Now returns the completed simulation horizon: the minimum shard

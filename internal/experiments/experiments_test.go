@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -259,6 +261,48 @@ func TestDefenseKindString(t *testing.T) {
 	for _, d := range []DefenseKind{NoDefense, Pushback, HBP} {
 		if d.String() == "" {
 			t.Fatal("empty defense name")
+		}
+	}
+}
+
+// treeFingerprint renders the fields of a tree run that hbpbench's
+// tree-defense workload fingerprints, in the same format.
+func treeFingerprint(r *TreeResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "events=%d drops=%d ctrl=%d peak=%d during=%.12g caps=",
+		r.EventsFired, r.QueueDrops, r.CtrlMessages, r.PeakState, r.MeanDuringAttack)
+	for _, c := range r.Captures {
+		fmt.Fprintf(&b, "%.9f:%d>%d,", c.Time, c.Router, c.Attacker)
+	}
+	return b.String()
+}
+
+// TestTreeGoldenFingerprint pins the paper's own scenario — the
+// victim tree at DefaultTreeConfig — to recorded values. The tree runs
+// on the sequential engine only, so no across-widths comparison
+// covers it: a change that reorders its events (a queue that breaks a
+// tie differently, a handler that schedules in another order) would
+// otherwise move every tree figure unnoticed outside the CI fixture.
+func TestTreeGoldenFingerprint(t *testing.T) {
+	for _, want := range []struct {
+		seed     int64
+		events   uint64
+		captures int
+		digest   string
+	}{
+		{1, 4018592, 25, "99ae1d4700906fcecd0e29251e41e5b254d0bc108642d4c0700f65e6d55fa07d"},
+		{7, 4079877, 25, "b0ff82e0f9f33c084f24cfb8583ed853c00a5948ca4630678a6d9c3632821a2d"},
+	} {
+		cfg := DefaultTreeConfig()
+		cfg.Seed = want.seed
+		res, err := RunTree(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := fmt.Sprintf("%x", sha256.Sum256([]byte(treeFingerprint(res))))
+		if res.EventsFired != want.events || len(res.Captures) != want.captures || digest != want.digest {
+			t.Errorf("seed %d: %d events, %d captures, sha256 %s; want %d, %d, %s",
+				want.seed, res.EventsFired, len(res.Captures), digest, want.events, want.captures, want.digest)
 		}
 	}
 }
