@@ -1,113 +1,226 @@
 // Command hbplint runs the project's invariant analyzers (see
-// internal/lint) over Go packages.
-//
-// It speaks the go vet -vettool protocol, so the two ways to run it
-// are equivalent:
+// internal/lint) over Go packages:
 //
 //	go run ./cmd/hbplint ./...
-//	go build -o hbplint ./cmd/hbplint && go vet -vettool=$PWD/hbplint ./...
-//
-// In the first form hbplint re-executes itself through `go vet`,
-// which handles package loading, build caching and diagnostic
-// formatting; hbplint itself only analyzes one compilation unit at a
-// time, exactly like the vet tool.
-//
-// Extra modes:
-//
+//	go run ./cmd/hbplint -stale ./...
 //	go run ./cmd/hbplint -ignores ./...
-//	    audit mode: list every //hbplint:ignore suppression with
-//	    file:line, analyzer and reason — the suppression debt at a
-//	    glance. Exits 1 if any directive is missing its reason.
 //
-//	go run ./cmd/hbplint -json ./...
-//	    emit diagnostics as JSON (the analysisflags format go vet
-//	    uses), for CI annotation tooling.
+// It lists the packages the patterns match, their test variants and
+// every dependency with `go list -deps -test -json` (CGO_ENABLED=0),
+// type-checks all of them from source in this one process, and runs
+// the suite over them in dependency order through lint.Checker.
+// Dependencies, the standard library included, are analyzed only for
+// the function facts their importers read. Diagnostics are printed as
 //
-//	HBPLINT_STALE_IGNORES=1 go run ./cmd/hbplint ./...
-//	    additionally flag stale suppressions: directives whose line no
-//	    longer triggers the named analyzer.
+//	file:line:col: analyzer: message
+//
+// for the matched packages only: each package with its in-package
+// tests, plus its external test package. The exit status is 1 when
+// anything is reported.
+//
+// Flags:
+//
+//	-stale    also report every //hbplint:ignore directive whose line
+//	          no longer triggers the named analyzer.
+//	-ignores  instead of analyzing, list every //hbplint:ignore
+//	          suppression in the matched packages' files with
+//	          file:line, analyzer and reason: the suppression debt at
+//	          a glance. Exits 1 if any directive is missing its reason.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis/unitchecker"
-
 	"repro/internal/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	if isUnitcheckerInvocation(args) {
-		unitchecker.Main(lint.Analyzers()...)
-		return // unreachable; Main exits
-	}
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if len(args) > 0 && args[0] == "-ignores" {
-		if err := listIgnores(args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "hbplint:", err)
-			os.Exit(1)
+// run is hbplint on the module in dir; it returns the exit status.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbplint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	stale := fs.Bool("stale", false, "also report //hbplint:ignore directives that suppress nothing")
+	ignores := fs.Bool("ignores", false, "list every //hbplint:ignore directive instead of analyzing")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: hbplint [-stale | -ignores] [packages]")
+		fs.PrintDefaults()
+		fmt.Fprintln(stderr, "analyzers:")
+		for _, a := range lint.Analyzers() {
+			fmt.Fprintf(stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
-		return
 	}
-
-	// Standalone mode: let `go vet` drive this same binary over the
-	// requested package patterns. Flags (e.g. -json) pass through to
-	// the vet driver, which forwards them to our unitchecker half.
-	exe, err := os.Executable()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	dir, err := filepath.Abs(dir)
+	if err == nil {
+		var pkgs []*listed
+		if pkgs, err = goList(dir, patterns); err == nil {
+			if *ignores {
+				err = listIgnores(dir, pkgs, stdout)
+			} else {
+				err = analyze(dir, pkgs, *stale, stdout)
+			}
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hbplint:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hbplint:", err)
+		return 1
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, args...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			os.Exit(ee.ExitCode())
-		}
-		fmt.Fprintln(os.Stderr, "hbplint:", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
-// isUnitcheckerInvocation reports whether go vet is calling us with
-// the unitchecker protocol: a JSON *.cfg unit to analyze, or the
-// -flags / -V=full capability queries, or an explicit help request.
-func isUnitcheckerInvocation(args []string) bool {
-	for _, a := range args {
-		switch {
-		case a == "help" || strings.HasPrefix(a, "-flags") || strings.HasPrefix(a, "-V="):
-			return true
-		case strings.HasSuffix(a, ".cfg"):
-			return true
-		}
-	}
-	return false
+// listed is one package of `go list -json` output.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	ImportMap  map[string]string
+	DepOnly    bool
+	ForTest    string
+
+	reported bool // matched by the patterns, as go vet covers them
 }
 
-// listIgnores walks the given directories (package patterns like
-// ./... are accepted; the /... suffix is dropped) and prints every
-// //hbplint:ignore directive, sorted by position. Analyzer corpora
-// under testdata and vendored code are skipped — their directives are
-// fixtures, not suppression debt. Returns an error (exit 1) when a
-// directive is missing its written reason.
-func listIgnores(dirs []string) error {
-	if len(dirs) == 0 {
-		dirs = []string{"."}
+// goList lists the patterns' packages and their dependencies, every
+// package after the ones it imports, and marks the ones to report on:
+// a matched package with its in-package tests (or the package alone
+// when it has none) and its external test package. Generated test
+// mains are dropped.
+func goList(dir string, patterns []string) ([]*listed, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-test",
+		"-json=ImportPath,Dir,GoFiles,ImportMap,DepOnly,ForTest"}, patterns...)...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
 	}
+	var pkgs []*listed
+	withTests := map[string]bool{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listed)
+		if err := dec.Decode(p); err != nil {
+			return nil, fmt.Errorf("go list: %v", err)
+		}
+		if p.ForTest == "" && strings.HasSuffix(p.ImportPath, ".test") {
+			continue
+		}
+		if p.ImportPath == p.ForTest+" ["+p.ForTest+".test]" {
+			withTests[p.ForTest] = true
+		}
+		pkgs = append(pkgs, p)
+	}
+	for _, p := range pkgs {
+		variant := " [" + p.ForTest + ".test]"
+		p.reported = !p.DepOnly && (p.ForTest == "" && !withTests[p.ImportPath] ||
+			p.ImportPath == p.ForTest+variant || p.ImportPath == p.ForTest+"_test"+variant)
+	}
+	return pkgs, nil
+}
+
+// parse parses a package's files with comments.
+func parse(fset *token.FileSet, p *listed) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// importer resolves one package's imports, through its ImportMap, to
+// packages already type-checked.
+type importer struct {
+	p       *listed
+	checked map[string]*types.Package
+}
+
+func (im importer) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if id, ok := im.p.ImportMap[path]; ok {
+		path = id
+	}
+	if pkg := im.checked[path]; pkg != nil {
+		return pkg, nil
+	}
+	return nil, fmt.Errorf("%s imports %s, which go list did not list first", im.p.ImportPath, path)
+}
+
+// analyze type-checks every listed package in order, runs the suite
+// over each and prints the diagnostics of the reported ones. A
+// package's syntax and type information are dropped once it has been
+// analyzed; only its *types.Package and its facts stay.
+func analyze(dir string, pkgs []*listed, stale bool, stdout io.Writer) error {
+	fset := token.NewFileSet()
+	c := &lint.Checker{Fset: fset, Analyzers: lint.Analyzers(), Stale: stale}
+	sizes := types.SizesFor("gc", build.Default.GOARCH)
+	checked := map[string]*types.Package{}
+	n := 0
+	for _, p := range pkgs {
+		if p.ImportPath == "unsafe" {
+			continue
+		}
+		files, err := parse(fset, p)
+		if err != nil {
+			return err
+		}
+		conf := types.Config{Importer: importer{p, checked}, Sizes: sizes}
+		info := lint.NewInfo()
+		pkg, err := conf.Check(strings.Fields(p.ImportPath)[0], fset, files, info)
+		if err != nil {
+			return fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		diags := c.Check(files, pkg, info)
+		if !p.reported {
+			continue
+		}
+		for _, d := range diags {
+			fmt.Fprint(stdout, shorten(dir, fmt.Sprintf("%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)))
+			n++
+		}
+	}
+	if n > 0 {
+		return fmt.Errorf("%d diagnostic(s)", n)
+	}
+	return nil
+}
+
+// listIgnores prints every //hbplint:ignore directive in the reported
+// packages' files, sorted by position. Returns an error (exit 1) when
+// a directive is missing its written reason.
+func listIgnores(dir string, pkgs []*listed, stdout io.Writer) error {
 	type entry struct {
 		pos      token.Position
 		analyzer string
@@ -115,31 +228,15 @@ func listIgnores(dirs []string) error {
 	}
 	fset := token.NewFileSet()
 	var out []entry
-	seen := map[string]bool{}
-	for _, dir := range dirs {
-		dir = strings.TrimSuffix(strings.TrimSuffix(dir, "/..."), "...")
-		if dir == "" {
-			dir = "."
+	for _, p := range pkgs {
+		if !p.reported {
+			continue
 		}
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				switch d.Name() {
-				case "testdata", "vendor", ".git":
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || seen[path] {
-				return nil
-			}
-			seen[path] = true
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return err
-			}
+		files, err := parse(fset, p)
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -155,10 +252,6 @@ func listIgnores(dirs []string) error {
 					out = append(out, e)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -174,11 +267,17 @@ func listIgnores(dirs []string) error {
 			reason = "MISSING REASON"
 			missing++
 		}
-		fmt.Printf("%s:%d: [%s] %s\n", e.pos.Filename, e.pos.Line, e.analyzer, reason)
+		fmt.Fprint(stdout, shorten(dir, fmt.Sprintf("%s:%d: [%s] %s\n", e.pos.Filename, e.pos.Line, e.analyzer, reason)))
 	}
-	fmt.Printf("%d active suppressions\n", len(out))
+	fmt.Fprintf(stdout, "%d active suppressions\n", len(out))
 	if missing > 0 {
 		return fmt.Errorf("%d suppression(s) missing a reason", missing)
 	}
 	return nil
+}
+
+// shorten makes the file names under dir in line relative to it, as
+// go vet prints them, message text included.
+func shorten(dir, line string) string {
+	return strings.ReplaceAll(line, dir+string(filepath.Separator), "")
 }

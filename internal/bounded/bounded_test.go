@@ -137,6 +137,25 @@ func TestDedupStaysWithinCapUnderFlood(t *testing.T) {
 	}
 }
 
+// TestDedupRemembersLastCapIDs checks which IDs survive several laps of
+// the eviction ring, not just how many: after 3·cap+1 distinct inserts
+// exactly the newest cap are remembered. A ring that wraps one slot
+// early pins that slot's ID forever and fails here.
+func TestDedupRemembersLastCapIDs(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 16} {
+		d := NewDedup(capacity)
+		n := int64(3*capacity + 1)
+		for id := int64(0); id < n; id++ {
+			d.Check(id)
+		}
+		for id := int64(0); id < n; id++ {
+			if want := id >= n-int64(capacity); d.Seen(id) != want {
+				t.Errorf("cap %d: Seen(%d) = %v after %d inserts, want %v", capacity, id, d.Seen(id), n, want)
+			}
+		}
+	}
+}
+
 func TestDedupRejectsNonPositiveCap(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,10 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // BoundedGrowth closes the gap the state budgets (internal/bounded)
@@ -28,12 +24,10 @@ import (
 // a keyedInsertFact naming the parameters a function feeds into raw map
 // keys, and a defense-package call passing a packet-derived argument in
 // such a position is a diagnostic.
-var BoundedGrowth = &analysis.Analyzer{
-	Name:      "boundedgrowth",
-	Doc:       "flag raw map inserts keyed by packet-derived values in defense packages; use internal/bounded",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	Run:       runBoundedGrowth,
-	FactTypes: []analysis.Fact{(*keyedInsertFact)(nil)},
+var BoundedGrowth = &Analyzer{
+	Name: "boundedgrowth",
+	Doc:  "flag raw map inserts keyed by packet-derived values in defense packages; use internal/bounded",
+	Run:  runBoundedGrowth,
 }
 
 // packetKeyFields are the attacker-controlled Packet fields whose
@@ -52,7 +46,7 @@ func boundedPkg(path string) bool {
 	return lastSegment(path) == "bounded"
 }
 
-func runBoundedGrowth(pass *analysis.Pass) (any, error) {
+func runBoundedGrowth(pass *Pass) {
 	ig := newIgnores(pass, "boundedgrowth")
 	defer ig.finish()
 	var summaries map[*types.Func][]int
@@ -60,22 +54,9 @@ func runBoundedGrowth(pass *analysis.Pass) (any, error) {
 		summaries = exportKeyedInsertFacts(pass, ig)
 	}
 	if !defensePkg(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	nodeFilter := []ast.Node{
-		(*ast.AssignStmt)(nil),
-		(*ast.IncDecStmt)(nil),
-		(*ast.CallExpr)(nil),
-	}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
-		if isTestFile(pass, stack[0].(*ast.File)) {
-			return false
-		}
+	inspect(pass, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -88,7 +69,6 @@ func runBoundedGrowth(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
 // exportKeyedInsertFacts computes, for every function in the package,
@@ -97,7 +77,7 @@ func runBoundedGrowth(pass *analysis.Pass) (any, error) {
 // another function — exports a keyedInsertFact for each, and returns
 // the summaries for same-package call-site checks. Suppressed sites do
 // not contribute; closure bodies are not charged to their builder.
-func exportKeyedInsertFacts(pass *analysis.Pass, ig *ignores) map[*types.Func][]int {
+func exportKeyedInsertFacts(pass *Pass, ig *ignores) map[*types.Func][]int {
 	ds := collectDecls(pass)
 	sets := map[*types.Func]map[int]bool{}
 	add := func(fn *types.Func, i int) bool {
@@ -183,7 +163,7 @@ func exportKeyedInsertFacts(pass *analysis.Pass, ig *ignores) map[*types.Func][]
 		}
 		sort.Ints(params)
 		summaries[fn] = params
-		pass.ExportObjectFact(fn, &keyedInsertFact{Params: params})
+		pass.ExportFact(fn, &keyedInsertFact{Params: params})
 	}
 	return summaries
 }
@@ -234,7 +214,7 @@ func mentionedParams(info *types.Info, sig *types.Signature, e ast.Expr) []int {
 // calleeKeyParams resolves a call's statically known callee to its
 // keyed-insert parameter indices: same-package callees by this run's
 // summaries, imported ones by fact.
-func calleeKeyParams(pass *analysis.Pass, sets map[*types.Func]map[int]bool, call *ast.CallExpr) []int {
+func calleeKeyParams(pass *Pass, sets map[*types.Func]map[int]bool, call *ast.CallExpr) []int {
 	fn := staticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return nil
@@ -251,8 +231,8 @@ func calleeKeyParams(pass *analysis.Pass, sets map[*types.Func]map[int]bool, cal
 		sort.Ints(params)
 		return params
 	}
-	fact := new(keyedInsertFact)
-	if !pass.ImportObjectFact(fn.Origin(), fact) {
+	fact, ok := pass.ImportFact(fn.Origin()).(*keyedInsertFact)
+	if !ok {
 		return nil
 	}
 	return fact.Params
@@ -260,7 +240,7 @@ func calleeKeyParams(pass *analysis.Pass, sets map[*types.Func]map[int]bool, cal
 
 // checkLaunderedInsert flags a defense-package call that feeds a
 // packet-derived argument into a keyed-insert position of its callee.
-func checkLaunderedInsert(pass *analysis.Pass, ig *ignores, summaries map[*types.Func][]int, call *ast.CallExpr) {
+func checkLaunderedInsert(pass *Pass, ig *ignores, summaries map[*types.Func][]int, call *ast.CallExpr) {
 	fn := staticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
@@ -269,8 +249,8 @@ func checkLaunderedInsert(pass *analysis.Pass, ig *ignores, summaries map[*types
 	if fn.Pkg() == pass.Pkg {
 		params = summaries[fn]
 	} else {
-		fact := new(keyedInsertFact)
-		if !pass.ImportObjectFact(fn.Origin(), fact) {
+		fact, ok := pass.ImportFact(fn.Origin()).(*keyedInsertFact)
+		if !ok {
 			return
 		}
 		params = fact.Params
@@ -299,7 +279,7 @@ func packetArgDesc(info *types.Info, arg ast.Expr) string {
 	return ""
 }
 
-func checkMapInsert(pass *analysis.Pass, ig *ignores, lhs ast.Expr) {
+func checkMapInsert(pass *Pass, ig *ignores, lhs ast.Expr) {
 	idx, ok := lhs.(*ast.IndexExpr)
 	if !ok {
 		return

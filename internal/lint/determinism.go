@@ -5,11 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
 // Determinism protects the bit-identical fixed-seed runs the
@@ -36,12 +31,10 @@ import (
 // additionally exports an impureFact for each function whose effect
 // depends on process state, so a simulation call into an exempt
 // package's helper no longer launders the nondeterminism out of sight.
-var Determinism = &analysis.Analyzer{
-	Name:      "determinism",
-	Doc:       "forbid wall-clock time, global rand, goroutines, raw channel ops, and map-iteration order leaks in simulation code",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	Run:       runDeterminism,
-	FactTypes: []analysis.Fact{(*impureFact)(nil)},
+var Determinism = &Analyzer{
+	Name: "determinism",
+	Doc:  "forbid wall-clock time, global rand, goroutines, raw channel ops, and map-iteration order leaks in simulation code",
+	Run:  runDeterminism,
 }
 
 // forbiddenCalls maps package path -> function names whose results
@@ -56,7 +49,7 @@ var forbiddenCalls = map[string]map[string]string{
 	"math/rand/v2": nil,
 }
 
-func runDeterminism(pass *analysis.Pass) (any, error) {
+func runDeterminism(pass *Pass) {
 	ig := newIgnores(pass, "determinism")
 	defer ig.finish()
 	// The scheduler packages (runtime and friends) are process state
@@ -69,24 +62,9 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 		exportImpureFacts(pass, ig)
 	}
 	if !simulationPkg(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	nodeFilter := []ast.Node{
-		(*ast.CallExpr)(nil),
-		(*ast.GoStmt)(nil),
-		(*ast.RangeStmt)(nil),
-		(*ast.SendStmt)(nil),
-		(*ast.UnaryExpr)(nil),
-	}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
-		if isTestFile(pass, stack[0].(*ast.File)) {
-			return false
-		}
+	inspect(pass, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			ig.report(n.Pos(), "goroutine spawn in simulation code: a fixed-seed run is one logical thread; move concurrency to a driver with a deterministic merge")
@@ -105,7 +83,6 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
 // harnessPkg reports whether path is the Go test harness, whose
@@ -124,7 +101,7 @@ func harnessPkg(path string) bool {
 // Suppressed sites do not contribute (the written reason vouches that
 // the effect never reaches simulation state), and closure bodies are
 // charged to whoever runs the closure, not to its builder.
-func exportImpureFacts(pass *analysis.Pass, ig *ignores) {
+func exportImpureFacts(pass *Pass, ig *ignores) {
 	ds := collectDecls(pass)
 	summaries := map[*types.Func]string{}
 	for _, fn := range ds.funcs {
@@ -137,14 +114,14 @@ func exportImpureFacts(pass *analysis.Pass, ig *ignores) {
 	})
 	for _, fn := range ds.funcs {
 		if s, ok := summaries[fn]; ok {
-			pass.ExportObjectFact(fn, &impureFact{Reason: s})
+			pass.ExportFact(fn, &impureFact{Reason: s})
 		}
 	}
 }
 
 // firstImpureSite returns a description of the first unsuppressed
 // impure operation in body, in source order, or "".
-func firstImpureSite(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt) string {
+func firstImpureSite(pass *Pass, ig *ignores, body *ast.BlockStmt) string {
 	reason := ""
 	ast.Inspect(body, func(n ast.Node) bool {
 		if reason != "" {
@@ -181,8 +158,7 @@ func firstImpureSite(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt) stri
 				return false
 			}
 			if callee := staticCallee(pass.TypesInfo, n); callee != nil && callee.Pkg() != nil && callee.Pkg() != pass.Pkg {
-				fact := new(impureFact)
-				if pass.ImportObjectFact(callee.Origin(), fact) {
+				if fact, ok := pass.ImportFact(callee.Origin()).(*impureFact); ok {
 					reason = "calls " + callee.FullName() + ", which is impure: " + fact.Reason
 					return false
 				}
@@ -196,15 +172,16 @@ func firstImpureSite(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt) stri
 // impureCallReason classifies a direct call against the forbidden-call
 // table for fact purposes: a short description of why the callee
 // depends on process state, or "" if it does not.
-func impureCallReason(pass *analysis.Pass, call *ast.CallExpr) string {
+func impureCallReason(pass *Pass, call *ast.CallExpr) string {
 	fn := staticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
 	// The table describes the forbidden packages' exported API surface.
-	// When go vet analyzes those packages themselves, their internal
-	// helpers (rand.newSource, time's monotonic plumbing) must not
-	// match, or the whitelisted constructors inherit bogus facts.
+	// When hbplint analyzes those packages themselves for facts, their
+	// internal helpers (rand.newSource, time's monotonic plumbing)
+	// must not match, or the whitelisted constructors inherit bogus
+	// facts.
 	if fn.Pkg() == pass.Pkg {
 		return ""
 	}
@@ -232,7 +209,7 @@ func impureCallReason(pass *analysis.Pass, call *ast.CallExpr) string {
 // carries an impureFact — the cross-package half of the impurity check.
 // Calls the forbidden-call table already owns are left to it, so a
 // direct time.Now never reports twice.
-func checkImportedImpure(pass *analysis.Pass, ig *ignores, call *ast.CallExpr) {
+func checkImportedImpure(pass *Pass, ig *ignores, call *ast.CallExpr) {
 	fn := staticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg() == pass.Pkg {
 		return
@@ -240,15 +217,15 @@ func checkImportedImpure(pass *analysis.Pass, ig *ignores, call *ast.CallExpr) {
 	if impureCallReason(pass, call) != "" {
 		return
 	}
-	fact := new(impureFact)
-	if !pass.ImportObjectFact(fn.Origin(), fact) {
+	fact, ok := pass.ImportFact(fn.Origin()).(*impureFact)
+	if !ok {
 		return
 	}
 	ig.report(call.Pos(), "call to %s, which is impure (%s): a fixed-seed run must depend only on its seed; take virtual time from des.Simulator and randomness from seeded des.RNG streams", fn.FullName(), fact.Reason)
 }
 
-func checkForbiddenCall(pass *analysis.Pass, ig *ignores, call *ast.CallExpr) {
-	fn := typeutil.StaticCallee(pass.TypesInfo, call)
+func checkForbiddenCall(pass *Pass, ig *ignores, call *ast.CallExpr) {
+	fn := staticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -280,7 +257,7 @@ func checkForbiddenCall(pass *analysis.Pass, ig *ignores, call *ast.CallExpr) {
 // checkChanRange flags `for ... range ch` over a channel: the values
 // a ranged channel yields, and the order they arrive in, depend on
 // goroutine scheduling.
-func checkChanRange(pass *analysis.Pass, ig *ignores, rng *ast.RangeStmt) {
+func checkChanRange(pass *Pass, ig *ignores, rng *ast.RangeStmt) {
 	t := pass.TypesInfo.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -293,7 +270,7 @@ func checkChanRange(pass *analysis.Pass, ig *ignores, rng *ast.RangeStmt) {
 
 // checkMapRange flags `for ... range m` over a map unless the loop
 // body is provably order-independent.
-func checkMapRange(pass *analysis.Pass, ig *ignores, rng *ast.RangeStmt, stack []ast.Node) {
+func checkMapRange(pass *Pass, ig *ignores, rng *ast.RangeStmt, stack []ast.Node) {
 	t := pass.TypesInfo.TypeOf(rng.X)
 	if t == nil {
 		return

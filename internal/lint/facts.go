@@ -1,22 +1,18 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
 // Cross-package facts. Each analyzer that owns dataflow state exports
 // a per-function summary fact so callers in other packages see through
 // the call: a helper in an exempt package can no longer launder a
-// violation (the issue the AST-only v1 suite had). Facts ride the
-// go vet vetx files — gob-encoded, attached to functions reachable
-// from the package's export data — so only exported functions (and
-// methods of exported types) carry them across package boundaries,
-// which is exactly the set callers can name.
+// violation (the gap the AST-only v1 suite had). Facts live in the
+// Checker's in-memory table, keyed by the declaring *types.Func, from
+// the moment that function's package is analyzed; the driver analyzes
+// every package after its imports, so a caller in another package
+// finds the fact of any function it can call statically.
 //
 // Suppressed sites do not contribute to facts: an //hbplint:ignore
 // with a written reason vouches that the effect does not escape, so
@@ -33,9 +29,6 @@ type impureFact struct {
 	Reason string // e.g. "reads wall-clock time via time.Now"
 }
 
-func (*impureFact) AFact()           {}
-func (f *impureFact) String() string { return "impure(" + f.Reason + ")" }
-
 // keyedInsertFact marks a function that inserts into a raw map under a
 // key derived from one of its parameters. Params holds the indices of
 // the laundering parameters (receiver excluded, 0-based). Exported by
@@ -45,9 +38,6 @@ func (f *impureFact) String() string { return "impure(" + f.Reason + ")" }
 type keyedInsertFact struct {
 	Params []int
 }
-
-func (*keyedInsertFact) AFact()           {}
-func (f *keyedInsertFact) String() string { return fmt.Sprintf("keyedInsert%v", f.Params) }
 
 // allocFact marks a function that may allocate on the heap on some
 // non-panicking path: composite literals behind pointers, make/new,
@@ -59,9 +49,6 @@ type allocFact struct {
 	Site string // human description of one allocation site
 }
 
-func (*allocFact) AFact()           {}
-func (f *allocFact) String() string { return "allocates(" + f.Site + ")" }
-
 // blockingFact marks a function that may block the calling goroutine:
 // fsync, HTTP round-trips, time.Sleep, channel operations, Wait calls
 // — directly or through a static callee. Exported by locksafety;
@@ -71,26 +58,16 @@ type blockingFact struct {
 	Op string // e.g. "fsyncs via (*os.File).Sync"
 }
 
-func (*blockingFact) AFact()           {}
-func (f *blockingFact) String() string { return "blocks(" + f.Op + ")" }
-
 // funcFor resolves the *types.Func a FuncDecl declares.
 func funcFor(info *types.Info, decl *ast.FuncDecl) *types.Func {
 	fn, _ := info.Defs[decl.Name].(*types.Func)
 	return fn
 }
 
-// staticCallee resolves the statically known target of a call, or nil
-// for dynamic calls (interface methods, function values). Builtins and
-// conversions also return nil.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	return typeutil.StaticCallee(info, call)
-}
-
 // declSet holds a package's function declarations in source order, so
 // every fixpoint below visits them deterministically — the summary a
-// function ends up with (and hence the fact text in the vetx file)
-// must not depend on map iteration order.
+// function ends up with (and hence the fact its callers read) must not
+// depend on map iteration order.
 type declSet struct {
 	funcs []*types.Func
 	body  map[*types.Func]*ast.FuncDecl
@@ -98,7 +75,7 @@ type declSet struct {
 
 // collectDecls gathers the package's declared functions with bodies,
 // in source order, skipping test files.
-func collectDecls(pass *analysis.Pass) *declSet {
+func collectDecls(pass *Pass) *declSet {
 	ds := &declSet{body: map[*types.Func]*ast.FuncDecl{}}
 	for _, f := range pass.Files {
 		if isTestFile(pass, f) {
@@ -127,7 +104,7 @@ func collectDecls(pass *analysis.Pass) *declSet {
 // in the propagated summary. Functions are visited in source order and
 // call sites in traversal order, so the fixpoint is deterministic.
 func localPropagate(
-	pass *analysis.Pass,
+	pass *Pass,
 	ds *declSet,
 	summaries map[*types.Func]string,
 	via func(callee *types.Func, calleeSummary string) string,

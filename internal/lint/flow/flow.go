@@ -2,14 +2,14 @@
 // function bodies for the hbplint dataflow analyzers (hotalloc,
 // shardisolation, locksafety, journalorder).
 //
-// The vendored x/tools subset this repo carries for offline builds
-// deliberately excludes go/ssa and go/cfg, so hbplint ships its own
-// compact flow layer: a CFG builder plus the two path queries the
-// analyzers need — "does a barrier cut every path from here to a
-// normal return" (the postdominance form of PR 8's journal-before-
-// grant rule) and "which statements are reachable from here" (alias
-// retention after a cross-shard send). Forward dataflow (lock-state
-// tracking) is a small worklist over the same blocks.
+// hbplint depends on nothing outside the standard library, which has
+// neither go/ssa nor go/cfg, so it ships its own compact flow layer:
+// a CFG builder plus the two path queries the analyzers need — "does
+// a barrier cut every path from here to a normal return" (the
+// postdominance form of the journal-before-grant rule) and "which
+// statements are reachable from here" (alias retention after a
+// cross-shard send). Forward dataflow (lock-state tracking) is a small
+// worklist over the same blocks.
 //
 // Panic terminations get their own pseudo-exit: a path that unwinds
 // never completes the state transition being checked, so it neither

@@ -3,10 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // GroundTruth forbids defense code from reading the ground-truth
@@ -16,32 +12,25 @@ import (
 // results would be meaningless. Writes are fine — traffic generators
 // must label the packets they create — and the metrics/experiments
 // packages plus test files are allowlisted readers.
-var GroundTruth = &analysis.Analyzer{
-	Name:     "groundtruth",
-	Doc:      "forbid defense code from reading ground-truth packet fields (TrueSrc, Legit, Spoofed)",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runGroundTruth,
+var GroundTruth = &Analyzer{
+	Name: "groundtruth",
+	Doc:  "forbid defense code from reading ground-truth packet fields (TrueSrc, Legit, Spoofed)",
+	Run:  runGroundTruth,
 }
 
-func runGroundTruth(pass *analysis.Pass) (any, error) {
+func runGroundTruth(pass *Pass) {
 	// Command/example drivers (package main) play the experiment
 	// role: they label traffic and score runs. Defense code never
 	// lives in a main package.
 	if groundTruthAllowed(pass.Pkg.Path()) || pass.Pkg.Name() == "main" {
-		return nil, nil
+		return
 	}
 	ig := newIgnores(pass, "groundtruth")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	nodeFilter := []ast.Node{(*ast.SelectorExpr)(nil)}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
+	inspect(pass, func(n ast.Node, stack []ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
 		}
-		if isTestFile(pass, stack[0].(*ast.File)) {
-			return false
-		}
-		sel := n.(*ast.SelectorExpr)
 		name := sel.Sel.Name
 		if name != "TrueSrc" && name != "Legit" && name != "Spoofed" {
 			return true
@@ -59,7 +48,6 @@ func runGroundTruth(pass *analysis.Pass) (any, error) {
 		ig.report(sel.Sel.Pos(), "defense code must not read Packet.%s: ground truth is reserved for metrics", name)
 		return true
 	})
-	return nil, nil
 }
 
 // isWriteTarget reports whether sel appears as the left-hand side of

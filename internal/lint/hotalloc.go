@@ -6,9 +6,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
 )
 
 // hotpathDirective marks a function as a hot-path root in its doc
@@ -39,12 +36,10 @@ const hotpathDirective = "hbplint:hotpath"
 // build. Dynamic calls (interface methods, stored function values) are
 // not followed; the handlers installed on the hot path are annotated
 // roots themselves.
-var HotAlloc = &analysis.Analyzer{
-	Name:      "hotalloc",
-	Doc:       "forbid heap allocation in functions reachable from //hbplint:hotpath roots",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*allocFact)(nil)},
-	Run:       runHotAlloc,
+var HotAlloc = &Analyzer{
+	Name: "hotalloc",
+	Doc:  "forbid heap allocation in functions reachable from //hbplint:hotpath roots",
+	Run:  runHotAlloc,
 }
 
 // allocSite is one allocation found in a function body.
@@ -53,7 +48,7 @@ type allocSite struct {
 	what string
 }
 
-func runHotAlloc(pass *analysis.Pass) (any, error) {
+func runHotAlloc(pass *Pass) {
 	ig := newIgnores(pass, "hotalloc")
 	defer ig.finish()
 	ds := collectDecls(pass)
@@ -78,7 +73,7 @@ func runHotAlloc(pass *analysis.Pass) (any, error) {
 	})
 	for _, fn := range ds.funcs {
 		if s, ok := summaries[fn]; ok {
-			pass.ExportObjectFact(fn, &allocFact{Site: s})
+			pass.ExportFact(fn, &allocFact{Site: s})
 		}
 	}
 
@@ -135,15 +130,13 @@ func runHotAlloc(pass *analysis.Pass) (any, error) {
 				if callee == nil || callee.Pkg() == nil || callee.Pkg() == pass.Pkg {
 					return true
 				}
-				fact := new(allocFact)
-				if pass.ImportObjectFact(callee, fact) {
+				if fact, ok := pass.ImportFact(callee).(*allocFact); ok {
 					ig.report(n.Pos(), "hot-path function %s calls %s, which allocates: %s", fn.Name(), callee.FullName(), fact.Site)
 				}
 			}
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // isHotpathRoot reports whether the declaration's doc comment carries
@@ -162,7 +155,7 @@ func isHotpathRoot(decl *ast.FuncDecl) bool {
 }
 
 // hotAllocSites walks one function body collecting allocation sites.
-func hotAllocSites(pass *analysis.Pass, ig *ignores, decl *ast.FuncDecl) []allocSite {
+func hotAllocSites(pass *Pass, ig *ignores, decl *ast.FuncDecl) []allocSite {
 	info := pass.TypesInfo
 	var out []allocSite
 	// A suppressed site is excluded from the function's summary too:

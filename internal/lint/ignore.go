@@ -3,11 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"os"
 	"sort"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // ignorePrefix is the suppression directive. Full form:
@@ -31,23 +28,17 @@ type directive struct {
 // ignores indexes the suppression directives of one package for one
 // analyzer, so reporting helpers can consult them cheaply.
 type ignores struct {
-	pass *analysis.Pass
+	pass *Pass
 	name string
 	// byLine maps file -> line -> directive for this analyzer.
 	byLine map[*token.File]map[int]*directive
 }
 
-// staleAuditEnv turns finish()'s stale-suppression audit on. It is an
-// environment variable rather than a flag because go vet runs one
-// unitchecker process per package: the environment reaches them all
-// without threading a flag through the vet driver.
-const staleAuditEnv = "HBPLINT_STALE_IGNORES"
-
 // newIgnores scans the package's comments for //hbplint:ignore
 // directives naming the given analyzer. Directives without a reason
 // are reported immediately: an unexplained suppression is itself a
 // defect — the whole point of the directive is the written reason.
-func newIgnores(pass *analysis.Pass, name string) *ignores {
+func newIgnores(pass *Pass, name string) *ignores {
 	ig := &ignores{pass: pass, name: name, byLine: map[*token.File]map[int]*directive{}}
 	for _, f := range pass.Files {
 		tf := pass.Fset.File(f.Pos())
@@ -124,18 +115,18 @@ func (ig *ignores) report(pos token.Pos, format string, args ...any) {
 	ig.pass.Reportf(pos, format, args...)
 }
 
-// finish runs the stale-suppression audit: with HBPLINT_STALE_IGNORES
-// set, every directive that suppressed nothing in this run becomes a
-// diagnostic. A suppression whose flagged line no longer triggers the
-// analyzer is dead weight that silently licenses future violations on
-// that line, so CI runs one audit pass with the variable set.
+// finish runs the stale-suppression audit: with Checker.Stale set
+// (hbplint -stale), every directive that suppressed nothing in this run
+// becomes a diagnostic. A suppression whose flagged line no longer
+// triggers the analyzer is dead weight that silently licenses future
+// violations on that line, so CI runs one audit pass with -stale.
 // Directives in test files are exempt (the analyzers skip test files,
-// so nothing there can ever be suppressed). Every analyzer calls
-// finish after its last report, including on packages it does not
-// apply to — a suppression in an exempt package is stale by
-// definition.
+// so nothing there can ever be suppressed). An analyzer that audits
+// calls finish after its last report, including on packages it does
+// not apply to — a suppression in an exempt package is stale by
+// definition. groundtruth and packetretain do not audit.
 func (ig *ignores) finish() {
-	if os.Getenv(staleAuditEnv) == "" {
+	if !ig.pass.checker.Stale {
 		return
 	}
 	var stale []*directive
@@ -156,7 +147,7 @@ func (ig *ignores) finish() {
 // file. Test files exercise invariants deliberately (they hold the
 // ground-truth assertions, retain packets to probe the pool, and so
 // on), so the analyzers skip them.
-func isTestFile(pass *analysis.Pass, file *ast.File) bool {
+func isTestFile(pass *Pass, file *ast.File) bool {
 	tf := pass.Fset.File(file.Pos())
 	return tf != nil && strings.HasSuffix(tf.Name(), "_test.go")
 }

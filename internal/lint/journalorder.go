@@ -4,9 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-
 	"repro/internal/lint/flow"
 )
 
@@ -36,11 +33,10 @@ import (
 // StateQueued) are also exempt: returning work to the queue restores
 // the state replay would reconstruct anyway, so there is nothing new
 // to make durable. Mutations inside function literals are not tracked.
-var JournalOrder = &analysis.Analyzer{
-	Name:     "journalorder",
-	Doc:      "require dispatch-state mutations in Coordinator/Runner methods to be journaled on every path",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runJournalOrder,
+var JournalOrder = &Analyzer{
+	Name: "journalorder",
+	Doc:  "require dispatch-state mutations in Coordinator/Runner methods to be journaled on every path",
+	Run:  runJournalOrder,
 }
 
 // journalServicePkg reports whether journalorder applies to path: the
@@ -53,11 +49,11 @@ func journalServicePkg(path string) bool {
 	return false
 }
 
-func runJournalOrder(pass *analysis.Pass) (any, error) {
+func runJournalOrder(pass *Pass) {
 	ig := newIgnores(pass, "journalorder")
 	defer ig.finish()
 	if !journalServicePkg(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	ds := collectDecls(pass)
 	for _, fn := range ds.funcs {
@@ -98,7 +94,6 @@ func runJournalOrder(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // dispatchMethod reports whether fn is a method of the Coordinator or

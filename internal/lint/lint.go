@@ -1,5 +1,5 @@
-// Package lint is hbplint: a go/analysis suite that machine-checks the
-// load-bearing invariants of this simulator. The four contracts it
+// Package lint is hbplint: an analyzer suite that machine-checks the
+// load-bearing invariants of this simulator. The eight contracts it
 // enforces exist elsewhere only as comments and runtime panics:
 //
 //   - packetretain: the pooled-packet ownership rule (internal/netsim
@@ -9,13 +9,27 @@
 //     fields Packet.TrueSrc, Packet.Legit or call Packet.Spoofed();
 //     only internal/metrics, internal/experiments and test files may.
 //   - determinism: simulation code must not consult wall-clock time,
-//     the global math/rand generators, spawn goroutines, or let map
-//     iteration order escape into scheduled events or emitted results.
+//     the global math/rand generators, spawn goroutines, use raw
+//     channels, or let map iteration order escape into scheduled
+//     events or emitted results.
 //   - boundedgrowth: defense packages must not grow raw maps keyed by
 //     packet-derived values (Src, Mark, FlowID, Seq); attacker-
 //     controlled state goes through internal/bounded.
+//   - hotalloc: functions reachable from a //hbplint:hotpath root must
+//     not allocate.
+//   - shardisolation: simulation state stays shard-private; cross-shard
+//     flow rides des.Channel.
+//   - locksafety: the service packages never hold a mutex across a
+//     blocking operation.
+//   - journalorder: a dispatch-state transition reaches the journal on
+//     every path before the method returns.
 //
-// Run the suite with:
+// The framework is this package's own (analyzer.go): an Analyzer runs
+// over a Pass, and a Checker runs the suite over packages in
+// dependency order, keeping the per-function facts that carry a
+// verdict across package boundaries in memory. cmd/hbplint loads
+// packages with go list; linttest loads the testdata corpus. Run the
+// suite with:
 //
 //	go run ./cmd/hbplint ./...
 //
@@ -30,13 +44,11 @@ package lint
 
 import (
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // Analyzers returns the full hbplint suite in a fixed order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+func Analyzers() []*Analyzer {
+	return []*Analyzer{
 		PacketRetain,
 		GroundTruth,
 		Determinism,

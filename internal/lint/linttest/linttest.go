@@ -1,10 +1,10 @@
 // Package linttest is a small analysistest-style harness for the
-// hbplint analyzers. The upstream analysistest package needs
-// go/packages (not vendored here), so this loader type-checks the
-// GOPATH-layout corpus under internal/lint/testdata/src itself:
-// standard-library imports resolve through the source importer,
-// corpus-local imports (the netsim stub, nested fixture packages)
-// resolve recursively from testdata.
+// hbplint analyzers. It type-checks the GOPATH-layout corpus under
+// internal/lint/testdata/src: standard-library imports resolve
+// through the source importer, corpus-local imports (the netsim stub,
+// nested fixture packages) resolve recursively from testdata. Each
+// corpus package then goes through lint.Checker, the same entry point
+// cmd/hbplint drives, after the corpus packages it imports.
 //
 // Expectations are analysistest-compatible comments:
 //
@@ -19,8 +19,6 @@
 package linttest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -29,15 +27,12 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"repro/internal/lint"
 )
 
 // loader resolves corpus-local packages ahead of the standard library.
@@ -100,15 +95,7 @@ func (l *loader) load(path string) (*loaded, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("linttest: no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
+	info := lint.NewInfo()
 	cfg := &types.Config{Importer: l}
 	pkg, err := cfg.Check(path, l.fset, files, info)
 	if err != nil {
@@ -129,102 +116,58 @@ type want struct {
 
 var wantRe = regexp.MustCompile("want (`[^`]*`|\"[^\"]*\")")
 
-// factStore is the in-memory stand-in for go vet's vetx fact files.
-// One store spans a whole Run call, so facts exported while analyzing
-// a corpus dependency are importable while analyzing its dependents —
-// the same bottom-up order the unitchecker driver guarantees. Unlike
-// the real driver it does not drop facts on unexported objects, which
-// lets corpora exercise fact logic without ceremonial exporting.
-type factStore struct {
-	obj map[types.Object][]analysis.Fact
-	pkg map[*types.Package][]analysis.Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{
-		obj: map[types.Object][]analysis.Fact{},
-		pkg: map[*types.Package][]analysis.Fact{},
-	}
-}
-
 // runner applies one analyzer across a Run call, memoizing per-package
-// results so a package analyzed early for its facts is not re-run when
-// listed explicitly later.
+// results so a package analyzed early as a dependency is not re-run
+// when listed explicitly later.
 type runner struct {
 	l        *loader
-	store    *factStore
-	analyzed map[string][]analysis.Diagnostic
+	checker  *lint.Checker
+	analyzed map[string][]lint.Diagnostic
 }
 
 // Run loads each corpus package (paths relative to testdata/src),
-// applies the analyzer — corpus dependencies first, when the analyzer
-// declares fact types — and compares diagnostics against the // want
+// applies the analyzer — corpus dependencies first, so their facts
+// are in place — and compares diagnostics against the // want
 // comments in the corpus sources.
-func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
+func Run(t *testing.T, a *lint.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	src, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &runner{l: newLoader(src), store: newFactStore(), analyzed: map[string][]analysis.Diagnostic{}}
+	l := newLoader(src)
+	r := &runner{
+		l:        l,
+		checker:  &lint.Checker{Fset: l.fset, Analyzers: []*lint.Analyzer{a}},
+		analyzed: map[string][]lint.Diagnostic{},
+	}
 	for _, path := range pkgPaths {
-		lp, err := r.l.load(path)
+		lp, err := l.load(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if lp == nil {
 			t.Fatalf("%s: package not found under %s", path, src)
 		}
-		diags := r.analyze(t, a, lp)
-		checkWants(t, a, r.l.fset, lp, diags)
+		checkWants(t, a, l.fset, lp, r.analyze(lp))
 	}
 }
 
-// analyze runs the analyzer on one corpus package, after its corpus
-// dependencies (needed only when facts flow), and returns its
-// diagnostics.
-func (r *runner) analyze(t *testing.T, a *analysis.Analyzer, lp *loaded) []analysis.Diagnostic {
-	t.Helper()
+// analyze runs the checker on one corpus package, after its corpus
+// dependencies, and returns its diagnostics.
+func (r *runner) analyze(lp *loaded) []lint.Diagnostic {
 	if diags, done := r.analyzed[lp.pkg.Path()]; done {
 		return diags
 	}
 	// Mark before recursing: import cycles are impossible in valid Go,
 	// but a stale map entry beats infinite recursion on a broken corpus.
 	r.analyzed[lp.pkg.Path()] = nil
-	if len(a.FactTypes) > 0 {
-		for _, imp := range lp.pkg.Imports() {
-			if dep, _ := r.l.load(imp.Path()); dep != nil {
-				r.analyze(t, a, dep)
-			}
+	for _, imp := range lp.pkg.Imports() {
+		if dep, _ := r.l.load(imp.Path()); dep != nil {
+			r.analyze(dep)
 		}
 	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:          a,
-		Fset:              r.l.fset,
-		Files:             lp.files,
-		Pkg:               lp.pkg,
-		TypesInfo:         lp.info,
-		TypesSizes:        types.SizesFor("gc", "amd64"),
-		ResultOf:          map[*analysis.Analyzer]any{},
-		Report:            func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ImportObjectFact:  r.store.importObjectFact,
-		ExportObjectFact:  r.store.exportObjectFact(t, a, lp.pkg),
-		ImportPackageFact: r.store.importPackageFact,
-		ExportPackageFact: r.store.exportPackageFact(t, a, lp.pkg),
-		AllObjectFacts:    r.store.allObjectFacts,
-		AllPackageFacts:   r.store.allPackageFacts,
-	}
-	for _, req := range a.Requires {
-		if req != inspect.Analyzer {
-			t.Fatalf("linttest: unsupported dependency %s", req.Name)
-		}
-		pass.ResultOf[req] = inspector.New(lp.files)
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s on %s: %v", a.Name, lp.pkg.Path(), err)
-	}
+	diags := r.checker.Check(lp.files, lp.pkg, lp.info)
 	r.analyzed[lp.pkg.Path()] = diags
 	return diags
 }
@@ -232,7 +175,7 @@ func (r *runner) analyze(t *testing.T, a *analysis.Analyzer, lp *loaded) []analy
 // checkWants compares diagnostics against the package's expectations.
 // Both failure directions name the analyzer and the exact position, so
 // a multi-analyzer test run attributes every mismatch.
-func checkWants(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, lp *loaded, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, a *lint.Analyzer, fset *token.FileSet, lp *loaded, diags []lint.Diagnostic) {
 	t.Helper()
 	wants := collectWants(t, fset, lp.files)
 	for _, d := range diags {
@@ -246,89 +189,6 @@ func checkWants(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, lp *loa
 			t.Errorf("%s:%d: [%s] expected diagnostic matching %q, got none", w.file, w.line, a.Name, w.re)
 		}
 	}
-}
-
-func (s *factStore) importObjectFact(obj types.Object, fact analysis.Fact) bool {
-	for _, f := range s.obj[obj] {
-		if copyFact(f, fact) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *factStore) importPackageFact(pkg *types.Package, fact analysis.Fact) bool {
-	for _, f := range s.pkg[pkg] {
-		if copyFact(f, fact) {
-			return true
-		}
-	}
-	return false
-}
-
-// exportObjectFact stores a gob round-tripped copy of the fact: the
-// real driver serializes facts into vetx files, so a fact that cannot
-// survive gob must fail here, not only under go vet.
-func (s *factStore) exportObjectFact(t *testing.T, a *analysis.Analyzer, pkg *types.Package) func(types.Object, analysis.Fact) {
-	return func(obj types.Object, fact analysis.Fact) {
-		t.Helper()
-		if obj == nil || obj.Pkg() != pkg {
-			t.Fatalf("%s: exporting object fact for %v outside the analyzed package", a.Name, obj)
-		}
-		s.obj[obj] = append(s.obj[obj], gobRoundTrip(t, a, fact))
-	}
-}
-
-func (s *factStore) exportPackageFact(t *testing.T, a *analysis.Analyzer, pkg *types.Package) func(analysis.Fact) {
-	return func(fact analysis.Fact) {
-		t.Helper()
-		s.pkg[pkg] = append(s.pkg[pkg], gobRoundTrip(t, a, fact))
-	}
-}
-
-func (s *factStore) allObjectFacts() []analysis.ObjectFact {
-	var out []analysis.ObjectFact
-	for obj, facts := range s.obj {
-		for _, f := range facts {
-			out = append(out, analysis.ObjectFact{Object: obj, Fact: f})
-		}
-	}
-	return out
-}
-
-func (s *factStore) allPackageFacts() []analysis.PackageFact {
-	var out []analysis.PackageFact
-	for pkg, facts := range s.pkg {
-		for _, f := range facts {
-			out = append(out, analysis.PackageFact{Package: pkg, Fact: f})
-		}
-	}
-	return out
-}
-
-// copyFact copies src into dst when their concrete types match.
-func copyFact(src, dst analysis.Fact) bool {
-	sv, dv := reflect.ValueOf(src), reflect.ValueOf(dst)
-	if sv.Type() != dv.Type() || dv.Kind() != reflect.Pointer {
-		return false
-	}
-	dv.Elem().Set(sv.Elem())
-	return true
-}
-
-// gobRoundTrip encodes and re-decodes a fact, failing the test if the
-// fact type is not serializable the way the vetx files need.
-func gobRoundTrip(t *testing.T, a *analysis.Analyzer, fact analysis.Fact) analysis.Fact {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		t.Fatalf("%s: fact %T does not gob-encode: %v", a.Name, fact, err)
-	}
-	out := reflect.New(reflect.TypeOf(fact).Elem()).Interface().(analysis.Fact)
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatalf("%s: fact %T does not gob-decode: %v", a.Name, fact, err)
-	}
-	return out
 }
 
 // collectWants extracts // want expectations, sorted by position.

@@ -7,9 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-
 	"repro/internal/lint/flow"
 )
 
@@ -43,12 +40,10 @@ import (
 // protocol (jsonl.Record's write-then-fsync), not that the function
 // returns promptly — callers holding their own locks across it still
 // get flagged.
-var LockSafety = &analysis.Analyzer{
-	Name:      "locksafety",
-	Doc:       "forbid holding a mutex across blocking operations in the service packages",
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*blockingFact)(nil)},
-	Run:       runLockSafety,
+var LockSafety = &Analyzer{
+	Name: "locksafety",
+	Doc:  "forbid holding a mutex across blocking operations in the service packages",
+	Run:  runLockSafety,
 }
 
 // blockingSeeds maps qualified function names to the blocking
@@ -99,9 +94,9 @@ func serviceLockPkg(path string) bool {
 // schedulerPkg reports packages whose channel operations are scheduler
 // machinery, not caller-observable blocking: the runtime parks on a
 // channel to start GC workers inside mallocgc, so exporting
-// blockingFacts from it (go vet runs fact producers over stdlib
-// sources too) would make every allocation — every fmt.Sprintf, every
-// map insert — "block". Those packages export no blockingFacts; the
+// blockingFacts from it (hbplint analyzes the standard library's
+// sources for facts too) would make every allocation — every
+// fmt.Sprintf, every map insert — "block". Those packages export no blockingFacts; the
 // runtime-backed waits that genuinely park callers for observable time
 // (time.Sleep, Cond.Wait, WaitGroup.Wait) enter through the seed list
 // instead.
@@ -128,7 +123,7 @@ type lockEvent struct {
 	desc  string
 }
 
-func runLockSafety(pass *analysis.Pass) (any, error) {
+func runLockSafety(pass *Pass) {
 	ig := newIgnores(pass, "locksafety")
 	defer ig.finish()
 	ds := collectDecls(pass)
@@ -153,13 +148,13 @@ func runLockSafety(pass *analysis.Pass) (any, error) {
 		})
 		for _, fn := range ds.funcs {
 			if s, ok := summaries[fn]; ok {
-				pass.ExportObjectFact(fn, &blockingFact{Op: s})
+				pass.ExportFact(fn, &blockingFact{Op: s})
 			}
 		}
 	}
 
 	if !serviceLockPkg(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 
 	// Lock regions: each declared body and each function literal is its
@@ -175,12 +170,11 @@ func runLockSafety(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkLockRegion runs the held-mutex dataflow over one function body
 // and reports blocking operations reached with a non-empty held set.
-func checkLockRegion(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt, local map[*types.Func]string) {
+func checkLockRegion(pass *Pass, ig *ignores, body *ast.BlockStmt, local map[*types.Func]string) {
 	g := flow.New(body)
 	skip := nonBlockingComms(body)
 
@@ -295,7 +289,7 @@ func checkLockRegion(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt, loca
 // explicitly released critical section). skip holds the comm statements
 // of select-with-default polls. local supplies same-package blocking
 // summaries; pass it nil while those summaries are still being built.
-func scanLockEvents(pass *analysis.Pass, root ast.Node, skip map[ast.Stmt]bool, local map[*types.Func]string) []lockEvent {
+func scanLockEvents(pass *Pass, root ast.Node, skip map[ast.Stmt]bool, local map[*types.Func]string) []lockEvent {
 	var evs []lockEvent
 	add := func(pos token.Pos, kind int, obj types.Object, label, desc string) {
 		evs = append(evs, lockEvent{pos: pos, kind: kind, obj: obj, label: label, desc: desc})
@@ -347,8 +341,7 @@ func scanLockEvents(pass *analysis.Pass, root ast.Node, skip map[ast.Stmt]bool, 
 					add(n.Pos(), evBlock, nil, "", "a call to "+callee.Name()+", which blocks: "+s)
 				}
 			} else if callee.Pkg() != nil {
-				fact := new(blockingFact)
-				if pass.ImportObjectFact(callee, fact) {
+				if fact, ok := pass.ImportFact(callee).(*blockingFact); ok {
 					add(n.Pos(), evBlock, nil, "", "a call to "+full+", which blocks: "+fact.Op)
 				}
 			}

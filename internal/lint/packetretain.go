@@ -3,10 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // PacketRetain turns the pooled-packet ownership rule into a
@@ -30,31 +26,18 @@ import (
 // Values that went through Packet.Clone or Network.ClonePacket are
 // owned copies and are safe to retain. Copying fields (p.Src, *pp) is
 // always safe.
-var PacketRetain = &analysis.Analyzer{
-	Name:     "packetretain",
-	Doc:      "forbid retaining a pooled *netsim.Packet (or its Payload) past a handler/hook callback without Clone",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runPacketRetain,
+var PacketRetain = &Analyzer{
+	Name: "packetretain",
+	Doc:  "forbid retaining a pooled *netsim.Packet (or its Payload) past a handler/hook callback without Clone",
+	Run:  runPacketRetain,
 }
 
-func runPacketRetain(pass *analysis.Pass) (any, error) {
+func runPacketRetain(pass *Pass) {
 	if netsimPkg(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	ig := newIgnores(pass, "packetretain")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	nodeFilter := []ast.Node{
-		(*ast.FuncDecl)(nil),
-		(*ast.FuncLit)(nil),
-	}
-	ins.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
-		if isTestFile(pass, stack[0].(*ast.File)) {
-			return false
-		}
+	inspect(pass, func(n ast.Node, _ []ast.Node) bool {
 		var ftype *ast.FuncType
 		var body *ast.BlockStmt
 		switch n := n.(type) {
@@ -76,7 +59,6 @@ func runPacketRetain(pass *analysis.Pass) (any, error) {
 		checkRetention(pass, ig, body, unsafe)
 		return true
 	})
-	return nil, nil
 }
 
 // packetParams collects the parameter objects of type *netsim.Packet.
@@ -98,7 +80,7 @@ func packetParams(info *types.Info, ftype *ast.FuncType) map[types.Object]bool {
 // checkRetention walks one packet-handling body, tracking aliases of
 // the borrowed packet parameters, and reports stores that outlive the
 // callback.
-func checkRetention(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt, unsafe map[types.Object]bool) {
+func checkRetention(pass *Pass, ig *ignores, body *ast.BlockStmt, unsafe map[types.Object]bool) {
 	info := pass.TypesInfo
 
 	// First pass: propagate the borrowed set through direct aliases

@@ -5,9 +5,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-
 	"repro/internal/lint/flow"
 )
 
@@ -38,18 +35,17 @@ import (
 // payloads reached through selectors (c.Send(..., s.pkt, ...)) are
 // not tracked; the rule is a tripwire for the direct patterns, not an
 // alias analysis.
-var ShardIsolation = &analysis.Analyzer{
-	Name:     "shardisolation",
-	Doc:      "simulation state must stay shard-private; cross-shard flow rides des.Channel.Send",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runShardIsolation,
+var ShardIsolation = &Analyzer{
+	Name: "shardisolation",
+	Doc:  "simulation state must stay shard-private; cross-shard flow rides des.Channel.Send",
+	Run:  runShardIsolation,
 }
 
-func runShardIsolation(pass *analysis.Pass) (any, error) {
+func runShardIsolation(pass *Pass) {
 	ig := newIgnores(pass, "shardisolation")
 	defer ig.finish()
 	if !simulationPkg(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	engine := enginePkg(pass.Pkg.Path())
 	for _, f := range pass.Files {
@@ -71,7 +67,6 @@ func runShardIsolation(pass *analysis.Pass) (any, error) {
 			checkUseAfterSend(pass, ig, decl.Body)
 		}
 	}
-	return nil, nil
 }
 
 // enginePkg reports whether path is the discrete-event engine package,
@@ -85,7 +80,7 @@ func enginePkg(path string) bool {
 // checkSyncUse flags any mention of the sync or sync/atomic packages —
 // type usages (sync.Mutex fields) and calls (atomic.AddInt64) alike,
 // since both put shared-memory coupling into simulation code.
-func checkSyncUse(pass *analysis.Pass, ig *ignores, f *ast.File) {
+func checkSyncUse(pass *Pass, ig *ignores, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -109,7 +104,7 @@ func checkSyncUse(pass *analysis.Pass, ig *ignores, f *ast.File) {
 
 // checkGlobalWrites flags assignments and inc/dec whose target is a
 // package-level variable (of this package or an imported one).
-func checkGlobalWrites(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt) {
+func checkGlobalWrites(pass *Pass, ig *ignores, body *ast.BlockStmt) {
 	flag := func(e ast.Expr) {
 		if v := writeTarget(pass.TypesInfo, e); v != nil {
 			ig.report(e.Pos(), "simulation code writes package-level variable %s: shards sharing the process race on it and replay depends on shard interleaving; keep the state inside structures one shard owns", v.Name())
@@ -201,7 +196,7 @@ func isChannelSend(info *types.Info, call *ast.CallExpr) bool {
 // checkUseAfterSend runs the flow-sensitive handoff check over one
 // function body, recursing into nested function literals (each gets
 // its own graph).
-func checkUseAfterSend(pass *analysis.Pass, ig *ignores, body *ast.BlockStmt) {
+func checkUseAfterSend(pass *Pass, ig *ignores, body *ast.BlockStmt) {
 	type sendSite struct {
 		stmt ast.Stmt
 		call *ast.CallExpr
