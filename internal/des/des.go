@@ -201,6 +201,11 @@ type Simulator struct {
 	interrupt      func() error
 	interruptEvery uint64
 	nextPoll       uint64
+
+	// outbox heads the list of channels this shard has sent on since
+	// the last barrier of a sharded run (see Channel.Send). Between
+	// barriers only the shard's own events write it.
+	outbox *Channel
 }
 
 // ErrEventLimit is returned by Run and RunUntil when Simulator.EventLimit

@@ -19,7 +19,18 @@
 // Messages buffer in per-channel outboxes (written only by the owning
 // source shard) and are injected into destination heaps at the next
 // barrier, which is why no shard can ever observe an event out of
-// timestamp order.
+// timestamp order. A channel's first send of a window links it into
+// its source shard's outbox list, so the barrier visits only the
+// channels that carry a message, never the idle ones.
+//
+// # Workers
+//
+// A run on more than one shard keeps one worker goroutine per shard
+// for its whole length; each barrier hands the next window to the
+// shards that have work before its bound and waits until they finish.
+// A lone runnable shard runs inline on the coordinating goroutine.
+// Every return from RunUntil stops the workers, so none outlives the
+// run.
 //
 // # Determinism
 //
@@ -73,6 +84,10 @@ type Channel struct {
 	lookahead float64
 	seq       uint32
 	queue     []message
+	// next links the channel into its source shard's outbox list
+	// (Simulator.outbox). The channel is on the list exactly while its
+	// queue holds a message.
+	next *Channel
 }
 
 // Send buffers the typed event fn(a, b, kind) for delivery on the
@@ -90,6 +105,9 @@ func (c *Channel) Send(delay float64, fn TypedFunc, a, b any, kind uint8) {
 		panic(fmt.Sprintf("des: cross-shard send delay %.9g below channel lookahead %.9g", delay, c.lookahead))
 	}
 	src := c.ss.shards[c.src]
+	if len(c.queue) == 0 {
+		c.next, src.outbox = src.outbox, c
+	}
 	c.seq++
 	//hbplint:ignore hotalloc amortized outbox growth: the queue is reused across windows (reset to len 0 at each barrier), so capacity reaches the per-window peak and stays.
 	c.queue = append(c.queue, message{
@@ -126,6 +144,72 @@ type ShardedSimulator struct {
 
 	interrupt func() error
 	barrier   func()
+
+	// next holds each shard's next-event time (+Inf when idle), taken
+	// once per barrier; runnable lists the shards with work before the
+	// window bound. Both are sized once, so a barrier allocates nothing.
+	next     []float64
+	runnable []int
+	// workers run the shards' windows while workersUp; done counts the
+	// windows (or, at shutdown, the exits) still outstanding.
+	workers   []*worker
+	workersUp bool
+	done      sync.WaitGroup
+}
+
+// worker runs one shard's windows on its own goroutine for the length
+// of a RunUntil. The coordinator arms it with a window under mu and
+// wakes it; the worker takes the window, runs it, records its error
+// and reports to the simulator's done group.
+type worker struct {
+	s    *Simulator
+	mu   sync.Mutex
+	wake sync.Cond
+	// Guarded by mu: a window is handed over and not yet taken, or the
+	// run is over.
+	armed, quit bool
+	bound       float64
+	inclusive   bool
+	// err is the last window's result. The worker writes it before
+	// done.Done; the coordinator reads it after done.Wait.
+	err error
+}
+
+// loop is a worker goroutine's body: wait for a window or the end of
+// the run, run the window, report, repeat.
+func (w *worker) loop(done *sync.WaitGroup) {
+	for {
+		w.mu.Lock()
+		for !w.armed && !w.quit {
+			w.wake.Wait()
+		}
+		if w.quit {
+			w.mu.Unlock()
+			done.Done()
+			return
+		}
+		w.armed = false
+		bound, inclusive := w.bound, w.inclusive
+		w.mu.Unlock()
+		w.err = w.s.runWindow(bound, inclusive)
+		done.Done()
+	}
+}
+
+// arm hands w the window (bound, inclusive) and wakes it.
+func (w *worker) arm(bound float64, inclusive bool) {
+	w.mu.Lock()
+	w.bound, w.inclusive, w.armed = bound, inclusive, true
+	w.mu.Unlock()
+	w.wake.Signal()
+}
+
+// stop tells w's goroutine, idle between windows, to return.
+func (w *worker) stop() {
+	w.mu.Lock()
+	w.quit = true
+	w.mu.Unlock()
+	w.wake.Signal()
 }
 
 // NewSharded returns a sharded simulator with n empty shards. Shard
@@ -137,6 +221,8 @@ func NewSharded(seed int64, n int) *ShardedSimulator {
 	ss := &ShardedSimulator{lookahead: math.Inf(1)}
 	ss.shards = make([]*Simulator, n)
 	ss.rngs = make([]*RNG, n)
+	ss.next = make([]float64, n)
+	ss.runnable = make([]int, n)
 	for i := range ss.shards {
 		ss.shards[i] = New()
 		ss.rngs[i] = NewRNG(ShardSeed(seed, i))
@@ -222,9 +308,9 @@ func (ss *ShardedSimulator) Pending() int {
 	n := 0
 	for _, s := range ss.shards {
 		n += s.Pending()
-	}
-	for _, c := range ss.chans {
-		n += len(c.queue)
+		for c := s.outbox; c != nil; c = c.next {
+			n += len(c.queue)
+		}
 	}
 	return n
 }
@@ -258,7 +344,12 @@ func (ss *ShardedSimulator) Run() error { return ss.RunUntil(math.Inf(1)) }
 func (ss *ShardedSimulator) RunUntil(end float64) error {
 	for _, s := range ss.shards {
 		s.stopped = false
+		if ss.EventLimit == 0 {
+			// Clear the per-shard budgets an earlier limited run set.
+			s.EventLimit = 0
+		}
 	}
+	defer ss.stopWorkers()
 	for {
 		if ss.interrupt != nil {
 			if err := ss.interrupt(); err != nil {
@@ -272,20 +363,20 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 		if ss.barrier != nil {
 			ss.barrier()
 		}
-		stopped := false
-		for _, s := range ss.shards {
+		// One pass over the shards: a Stop ends the run, and each
+		// shard's next-event time sizes the window here and picks the
+		// runnable set in runWindows.
+		stopped, t := false, math.Inf(1)
+		for i, s := range ss.shards {
 			stopped = stopped || s.stopped
-		}
-		if stopped {
-			break
-		}
-		t := math.Inf(1)
-		for _, s := range ss.shards {
-			if nt, ok := s.nextEventTime(); ok && nt < t {
-				t = nt
+			nt, ok := s.nextEventTime()
+			if !ok {
+				nt = math.Inf(1)
 			}
+			ss.next[i] = nt
+			t = min(t, nt)
 		}
-		if math.IsInf(t, 1) || t > end {
+		if stopped || math.IsInf(t, 1) || t > end {
 			break
 		}
 		if ss.EventLimit > 0 {
@@ -319,67 +410,110 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 	return nil
 }
 
-// inject drains every channel outbox into the destination shard's
-// heap, in channel-creation order. Order here is immaterial for the
-// schedule — the heap comparator orders deliveries by their
-// partition-independent keys — but iterating a slice keeps the
+// inject drains the outboxes of the channels on each shard's outbox
+// list into their destination heaps, so a barrier costs the channels
+// that carry a message, not all of them. Order here is immaterial for
+// the schedule — the heap comparator orders deliveries by their
+// partition-independent keys — and walking the lists keeps the
 // injection itself deterministic and allocation-free.
 func (ss *ShardedSimulator) inject() {
-	for _, c := range ss.chans {
-		if len(c.queue) == 0 {
-			continue
+	for _, s := range ss.shards {
+		for c := s.outbox; c != nil; c = c.unlink() {
+			dst := ss.shards[c.dst]
+			for i := range c.queue {
+				m := &c.queue[i]
+				dst.scheduleMsg(m.time, m.fn, m.a, m.b, m.kind, m.key)
+				*m = message{}
+			}
+			c.queue = c.queue[:0]
 		}
-		dst := ss.shards[c.dst]
-		for i := range c.queue {
-			m := &c.queue[i]
-			dst.scheduleMsg(m.time, m.fn, m.a, m.b, m.kind, m.key)
-			*m = message{}
-		}
-		c.queue = c.queue[:0]
+		s.outbox = nil
 	}
 }
 
-// runWindows executes one conservative window on every shard that has
-// work before the bound. Windows run concurrently on goroutines —
-// shards share no state and channel outboxes are single-writer, so the
-// only synchronization needed is the barrier itself — except that a
-// lone runnable shard executes inline. Errors surface in shard order.
+// unlink takes c off its outbox list and returns the next channel on it.
+func (c *Channel) unlink() *Channel {
+	next := c.next
+	c.next = nil
+	return next
+}
+
+// runWindows executes one conservative window on every shard whose
+// next event (ss.next, taken at this barrier) falls before the bound.
+// A lone runnable shard executes inline; otherwise every runnable
+// shard runs on its worker — shards share no state and channel
+// outboxes are single-writer, so the only synchronization needed is
+// the barrier itself — and the coordinator waits for them all. Errors
+// surface in shard order.
 func (ss *ShardedSimulator) runWindows(bound float64, inclusive bool) error {
-	var runnable []int
-	for i, s := range ss.shards {
-		if nt, ok := s.nextEventTime(); ok && (nt < bound || (inclusive && nt == bound)) {
-			runnable = append(runnable, i)
+	n := 0
+	for i, nt := range ss.next {
+		if nt < bound || (inclusive && nt == bound && !math.IsInf(nt, 1)) {
+			ss.runnable[n] = i
+			n++
 		}
 	}
-	if len(runnable) == 1 {
-		return ss.shards[runnable[0]].runWindow(bound, inclusive)
+	run := ss.runnable[:n]
+	if n == 1 {
+		return ss.shards[run[0]].runWindow(bound, inclusive)
 	}
-	errs := make([]error, len(runnable))
-	var wg sync.WaitGroup
-	for j, i := range runnable {
-		wg.Add(1)
-		s := ss.shards[i]
-		slot := &errs[j]
-		//hbplint:ignore determinism conservative-window parallelism: each worker runs one shard's private heap between barriers, shards share no state, and the barrier merge orders cross-shard deliveries by partition-independent keys.
-		go func() {
-			defer wg.Done()
-			*slot = s.runWindow(bound, inclusive)
-		}()
+	if !ss.workersUp {
+		ss.startWorkers()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	ss.done.Add(n)
+	for _, i := range run {
+		ss.workers[i].arm(bound, inclusive)
+	}
+	ss.done.Wait()
+	for _, i := range run {
+		if err := ss.workers[i].err; err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// startWorkers starts one worker goroutine per shard for the current
+// run. The worker records are built on first use and kept.
+func (ss *ShardedSimulator) startWorkers() {
+	if ss.workers == nil {
+		ss.workers = make([]*worker, len(ss.shards))
+		for i, s := range ss.shards {
+			w := &worker{s: s}
+			w.wake.L = &w.mu
+			ss.workers[i] = w
+		}
+	}
+	for _, w := range ss.workers {
+		//hbplint:ignore determinism conservative-window parallelism: each worker runs one shard's private heap between barriers, shards share no state, and the barrier merge orders cross-shard deliveries by partition-independent keys.
+		go w.loop(&ss.done)
+	}
+	ss.workersUp = true
+}
+
+// stopWorkers ends the run's worker goroutines, if it started any, and
+// waits until every one has returned.
+func (ss *ShardedSimulator) stopWorkers() {
+	if !ss.workersUp {
+		return
+	}
+	ss.done.Add(len(ss.workers))
+	for _, w := range ss.workers {
+		w.stop()
+	}
+	ss.done.Wait()
+	for _, w := range ss.workers {
+		w.quit, w.err = false, nil
+	}
+	ss.workersUp = false
+}
+
 // DrainPending drains every shard's pending events in shard order,
 // then every buffered channel message in channel order, passing each
-// to visit. Like the sequential DrainPending this is the teardown path
-// that lets owners reclaim resources (pooled packets on in-flight
-// events or in cut-edge transit) before leak-checking.
+// to visit, and leaves every outbox list empty. Like the sequential
+// DrainPending this is the teardown path that lets owners reclaim
+// resources (pooled packets on in-flight events or in cut-edge
+// transit) before leak-checking.
 func (ss *ShardedSimulator) DrainPending(visit func(DrainedEvent)) {
 	for _, s := range ss.shards {
 		s.DrainPending(visit)
@@ -393,5 +527,9 @@ func (ss *ShardedSimulator) DrainPending(visit func(DrainedEvent)) {
 			*m = message{}
 		}
 		c.queue = c.queue[:0]
+		c.next = nil
+	}
+	for _, s := range ss.shards {
+		s.outbox = nil
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ringCell is one logical model part of the synthetic sharded
@@ -287,5 +289,323 @@ func TestShardedRunUntilAdvancesClocks(t *testing.T) {
 	}
 	if math.IsInf(ss.Now(), 0) {
 		t.Fatal("Now is infinite")
+	}
+}
+
+// TestShardedEventLimitCleared: a budget set for one run is gone once
+// the sharded budget is cleared — the next run is unlimited.
+func TestShardedEventLimitCleared(t *testing.T) {
+	ss := NewSharded(1, 2)
+	for i := 0; i < 2; i++ {
+		sim := ss.Shard(i)
+		var tick func()
+		tick = func() { sim.After(1, tick) }
+		sim.At(0, tick)
+	}
+	ss.EventLimit = 10
+	if err := ss.RunUntil(3); err != nil {
+		t.Fatalf("limited run: %v", err)
+	}
+	ss.EventLimit = 0
+	if err := ss.RunUntil(100); err != nil {
+		t.Fatalf("run after clearing the limit: %v after %d events", err, ss.Fired())
+	}
+	// Ticks at 0, 1, …, 100 on both shards.
+	if got := ss.Fired(); got != 202 {
+		t.Fatalf("fired %d events, want 202", got)
+	}
+}
+
+// pingDeliver bounces a message back over the reverse channel: a is
+// the channel to reply on, b the one the message came through.
+func pingDeliver(a, b any, _ uint8) {
+	a.(*Channel).Send(1, pingDeliver, b, a, 0)
+}
+
+// pingPongMallocs runs two shards that each receive and answer one
+// message per window for the given number of windows and returns the
+// heap allocations of the run alone.
+func pingPongMallocs(t *testing.T, windows int) uint64 {
+	t.Helper()
+	ss := NewSharded(1, 2)
+	ab, ba := ss.NewChannel(0, 1, 1), ss.NewChannel(1, 0, 1)
+	ab.Send(1, pingDeliver, ba, ab, 0)
+	ba.Send(1, pingDeliver, ab, ba, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := ss.RunUntil(float64(windows) + 0.5); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, want := ss.Fired(), uint64(2*windows); got != want {
+		t.Fatalf("%d windows: fired %d, want %d", windows, got, want)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestBarrierAllocsFlatInWindows: a barrier allocates nothing, so a
+// run's allocations do not grow with its window count. Both shards
+// are runnable in every window, so every window goes through the
+// workers.
+func TestBarrierAllocsFlatInWindows(t *testing.T) {
+	pingPongMallocs(t, 10) // warm the runtime's goroutine and stack caches
+	short, long := pingPongMallocs(t, 100), pingPongMallocs(t, 10000)
+	if diff := int64(long) - int64(short); diff > 16 || diff < -16 {
+		t.Fatalf("100 windows: %d allocs; 10000 windows: %d allocs; want within 16 of each other", short, long)
+	}
+}
+
+// goroutineID returns the calling goroutine's id, read from the
+// header of its stack trace ("goroutine 17 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestWorkersEndWithRun: a run keeps one worker per shard for its
+// whole length — every window a shard runs, it runs on the same
+// goroutine — and every return path ends them: completion, the event
+// limit, an interrupt, and a shard's Stop.
+func TestWorkersEndWithRun(t *testing.T) {
+	boom := errors.New("cancelled")
+	cases := []struct {
+		name  string
+		setup func(ss *ShardedSimulator)
+		want  error
+	}{
+		{"done", func(*ShardedSimulator) {}, nil},
+		{"event-limit", func(ss *ShardedSimulator) { ss.EventLimit = 15 }, ErrEventLimit},
+		{"interrupt", func(ss *ShardedSimulator) {
+			barriers := 0
+			ss.SetInterrupt(func() error {
+				if barriers++; barriers > 8 {
+					return boom
+				}
+				return nil
+			})
+		}, boom},
+		{"stop", func(ss *ShardedSimulator) {
+			sim := ss.Shard(1)
+			sim.At(6.5, sim.Stop)
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ss := NewSharded(1, 2)
+			ss.NewChannel(0, 1, 1)
+			// Both shards tick at 0, 1, 2, …, so both are runnable in
+			// every window.
+			ids := make([]map[string]int, 2)
+			for i := range ids {
+				ids[i] = map[string]int{}
+				sim, seen := ss.Shard(i), ids[i]
+				var tick func()
+				tick = func() {
+					seen[goroutineID()]++
+					sim.After(1, tick)
+				}
+				sim.At(0, tick)
+			}
+			tc.setup(ss)
+			if err := ss.RunUntil(20.5); !errors.Is(err, tc.want) {
+				t.Fatalf("RunUntil = %v, want %v", err, tc.want)
+			}
+			for i, seen := range ids {
+				ticks := 0
+				for _, n := range seen {
+					ticks += n
+				}
+				if len(seen) != 1 || ticks < 5 {
+					t.Errorf("shard %d ran %d ticks on %d goroutines, want at least 5 on one: %v", i, ticks, len(seen), seen)
+				}
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines 1 s after the run returned, %d before it", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// idleCell is one end of a busy channel in the idle-channel workload.
+// It hashes every event it sees, in dispatch order.
+type idleCell struct {
+	sim  *Simulator
+	hash uint64
+	// sent lists a sender's messages, in send order.
+	sent []*idleMsg
+}
+
+func (c *idleCell) record(tag string, n int) {
+	for _, b := range []byte(fmt.Sprintf("%.9f/%s%d;", c.sim.Now(), tag, n)) {
+		c.hash = (c.hash ^ uint64(b)) * 1099511628211
+	}
+}
+
+// idleMsg is one message on a busy channel; id names it within its
+// sender.
+type idleMsg struct{ id, delivered int }
+
+func idleDeliver(a, b any, _ uint8) {
+	msg := b.(*idleMsg)
+	msg.delivered++
+	a.(*idleCell).record("m", msg.id)
+}
+
+// idleModel is a sharded model with many channels, few of them busy:
+// a sender and a receiver cell per busy channel. Channel i runs from
+// shard i mod n to shard (i+1) mod n, so the busy ones cross shards.
+type idleModel struct {
+	ss       *ShardedSimulator
+	busy     []*Channel
+	from, to []*idleCell
+}
+
+// send sends a fresh message on busy channel k with the given delay.
+func (m *idleModel) send(k int, delay float64) *idleMsg {
+	from := m.from[k]
+	msg := &idleMsg{id: len(from.sent)}
+	from.sent = append(from.sent, msg)
+	m.busy[k].Send(delay, idleDeliver, m.to[k], msg, 0)
+	return msg
+}
+
+const (
+	idleChannels  = 1000
+	idleLookahead = 0.1
+)
+
+var idleBusy = []int{7, 500, 998}
+
+func newIdleModel(shards int) *idleModel {
+	m := &idleModel{ss: NewSharded(5, shards)}
+	var chans []*Channel
+	for i := 0; i < idleChannels; i++ {
+		chans = append(chans, m.ss.NewChannel(i%shards, (i+1)%shards, idleLookahead))
+	}
+	for k, id := range idleBusy {
+		ch := chans[id]
+		from := &idleCell{sim: m.ss.Shard(ch.src)}
+		to := &idleCell{sim: m.ss.Shard(ch.dst)}
+		m.busy = append(m.busy, ch)
+		m.from, m.to = append(m.from, from), append(m.to, to)
+		// The sender sends every 0.05 s with a delay of one or two
+		// lookaheads; the receiver ticks every 0.1 s, so deliveries tie
+		// with its local events.
+		var send func()
+		send = func() {
+			n := len(from.sent)
+			from.record("s", n)
+			m.send(k, idleLookahead*float64(1+n%2))
+			from.sim.After(0.05, send)
+		}
+		from.sim.At(0.01*float64(k), send)
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			to.record("t", n)
+			to.sim.After(idleLookahead, tick)
+		}
+		to.sim.At(0, tick)
+	}
+	return m
+}
+
+// dispatchHash combines the cells' event hashes in cell order.
+func (m *idleModel) dispatchHash() uint64 {
+	var h uint64
+	for k := range m.busy {
+		h = h*31 + m.from[k].hash
+		h = h*31 + m.to[k].hash
+	}
+	return h
+}
+
+// TestIdleChannelsAndDrain: with 1000 channels of which 3 carry
+// traffic, the two-shard run dispatches what the one-shard run does;
+// after a Stop, DrainPending visits every undelivered message once,
+// a second drain visits none, and a resumed run delivers only what is
+// sent after the drain.
+func TestIdleChannelsAndDrain(t *testing.T) {
+	one, two := newIdleModel(1), newIdleModel(2)
+	for _, m := range []*idleModel{one, two} {
+		if err := m.ss.RunUntil(3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if one.dispatchHash() != two.dispatchHash() || one.ss.Fired() != two.ss.Fired() {
+		t.Fatalf("2 shards: hash %x after %d events; 1 shard: hash %x after %d events",
+			two.dispatchHash(), two.ss.Fired(), one.dispatchHash(), one.ss.Fired())
+	}
+
+	// Stop shard 0 mid-run. Messages sent before the stop and not yet
+	// delivered wait in the heaps; those sent after the run wait in the
+	// outboxes, two of them on one channel.
+	m := newIdleModel(2)
+	m.ss.Shard(0).At(1.234, m.ss.Shard(0).Stop)
+	if err := m.ss.RunUntil(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 0, 2} {
+		m.send(k, idleLookahead)
+	}
+	pending := m.ss.Pending()
+	drained := map[*idleMsg]int{}
+	visits := 0
+	m.ss.DrainPending(func(ev DrainedEvent) {
+		visits++
+		if msg, ok := ev.B.(*idleMsg); ok {
+			drained[msg]++
+		}
+	})
+	if visits != pending {
+		t.Fatalf("drain visited %d events, Pending was %d", visits, pending)
+	}
+	undelivered := 0
+	for k, from := range m.from {
+		for _, msg := range from.sent {
+			want := 0
+			if msg.delivered == 0 {
+				want = 1
+				undelivered++
+			}
+			if drained[msg] != want {
+				t.Fatalf("channel %d message %d (delivered %d times) drained %d times, want %d", k, msg.id, msg.delivered, drained[msg], want)
+			}
+		}
+	}
+	if undelivered < 4 {
+		t.Fatalf("only %d undelivered messages at the drain; the test needs some in heaps and some in outboxes", undelivered)
+	}
+	m.ss.DrainPending(func(ev DrainedEvent) { t.Errorf("second drain visited an event at t=%v", ev.Time) })
+	if n := m.ss.Pending(); n != 0 {
+		t.Fatalf("Pending after drain = %d", n)
+	}
+
+	// Resume: only the messages sent after the drain arrive, once each.
+	fired := m.ss.Fired()
+	var fresh []*idleMsg
+	for k := range m.busy {
+		fresh = append(fresh, m.send(k, idleLookahead))
+	}
+	if n := m.ss.Pending(); n != len(fresh) {
+		t.Fatalf("Pending after the fresh sends = %d, want %d", n, len(fresh))
+	}
+	if err := m.ss.RunUntil(10); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ss.Fired() - fired; got != uint64(len(fresh)) {
+		t.Fatalf("resumed run fired %d events, want %d", got, len(fresh))
+	}
+	for k, msg := range fresh {
+		if msg.delivered != 1 {
+			t.Fatalf("channel %d: the message sent after the drain was delivered %d times", k, msg.delivered)
+		}
 	}
 }

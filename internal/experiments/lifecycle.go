@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -66,16 +67,40 @@ func deployHBP(nw *netsim.Network, pool *roaming.Pool, servers []*netsim.Node, i
 	return def, agents, nil
 }
 
-// partDefense is one cluster part's defense and its capture log, in the
-// form the part's fingerprint line renders it.
+// partDefense is one cluster part's defense and its capture log. The
+// log keeps the captures as values, so recording one inside the event
+// loop formats nothing; appendPartLine renders them after the run.
 type partDefense struct {
 	def  *core.Defense
-	caps []string
+	caps []core.Capture
 }
 
 // record is the part defense's OnCapture.
 func (p *partDefense) record(c core.Capture) {
-	p.caps = append(p.caps, fmt.Sprintf("%.9f:%d>%d", c.Time, c.Router, c.Attacker))
+	p.caps = append(p.caps, c)
+}
+
+// appendPartLine appends part i's fingerprint line to b:
+// "part<i> caps[<time>:<router>><attacker>,…] <line> ctrl=<ctrl>",
+// each capture time with nine decimals.
+func appendPartLine(b []byte, i int, caps []core.Capture, line string, ctrl int64) []byte {
+	b = append(b, "part"...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, " caps["...)
+	for j, c := range caps {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, c.Time, 'f', 9, 64)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(c.Router), 10)
+		b = append(b, '>')
+		b = strconv.AppendInt(b, int64(c.Attacker), 10)
+	}
+	b = append(b, "] "...)
+	b = append(b, line...)
+	b = append(b, " ctrl="...)
+	return strconv.AppendInt(b, ctrl, 10)
 }
 
 // shardedRun is what the sharded runners report alike.
@@ -124,11 +149,12 @@ func (r *shardedRun) run(what string, cl *netsim.Cluster, parts []*partDefense, 
 		return fmt.Errorf("experiments: %s run aborted at t=%.1fs after %d events: %w", what, ss.Now(), ss.Fired(), err)
 	}
 	r.Wall = time.Since(start) //hbplint:ignore determinism wall clock only times the host's execution for the speedup and sweep reports; it never feeds simulation state.
+	var buf []byte
 	for i, p := range parts {
 		r.Captures += len(p.caps)
 		r.CtrlMessages += p.def.MsgSent
-		r.partFPs = append(r.partFPs, fmt.Sprintf("part%d caps[%s] %s ctrl=%d",
-			i, strings.Join(p.caps, ","), line(i), p.def.MsgSent))
+		buf = appendPartLine(buf[:0], i, p.caps, line(i), p.def.MsgSent)
+		r.partFPs = append(r.partFPs, string(buf))
 		p.def.Close()
 		r.Leak.DefenseState += p.def.StateSize()
 	}
