@@ -9,7 +9,7 @@
 //
 //	hbpfleet -addr 127.0.0.1:9090 -journal fleet.jsonl
 //	hbpsimd -worker -coordinator http://127.0.0.1:9090 -name w1
-//	hbpsim -fleet http://127.0.0.1:9090 -defense hbp
+//	hbpsim -server http://127.0.0.1:9090 -defense hbp
 //
 // SIGINT/SIGTERM drains: admissions and leases stop, in-flight runs
 // get their lease window to report, and unfinished runs stay in the

@@ -2,7 +2,9 @@
 // prints the legitimate-throughput time series plus a run summary. It
 // is a thin client of the scenario service: the flags build a
 // scenario.TreeSpec (the same document the hbpsimd API accepts), and
-// -server submits it to a running daemon instead of executing locally.
+// -server submits it to a running hbpsimd daemon or hbpfleet
+// coordinator (they serve the same API) instead of executing locally.
+// The internet-scale sweep is a figure: figures -fig internet.
 //
 // Usage:
 //
@@ -11,7 +13,7 @@
 //	hbpsim -defense none
 //	hbpsim -defense hbp -onoff 0.5,6.5 -progressive
 //	hbpsim -server http://127.0.0.1:8080   # run on a hbpsimd daemon
-//	hbpsim -scale internet -zombies 100000 # power-law AS sweep, 10^3..10^5 zombies
+//	hbpsim -server http://127.0.0.1:9090   # or on a hbpfleet coordinator
 //
 // SIGINT cancels the run at the next event-batch checkpoint; the
 // process exits non-zero after noting the partial results.
@@ -53,15 +55,8 @@ func main() {
 	watchdog := flag.Bool("watchdog", false, "enable the stall watchdog that re-seeds evicted session trees (hbp only)")
 	byzantine := flag.Int("byzantine", 0, "number of subverted routers forging/replaying/amplifying control frames (hbp only)")
 	byzRate := flag.Float64("byz-rate", 2, "hostile frames per second per subverted router")
-	server := flag.String("server", "", "submit to a running hbpsimd at this base URL instead of executing locally")
-	fleetURL := flag.String("fleet", "", "submit to a hbpfleet coordinator at this base URL (same API as -server; the fleet picks a worker)")
-	scale := flag.String("scale", "", "run a scale sweep instead of one scenario: 'internet' sweeps the zombie population 10^3..10^6 over power-law AS topologies")
-	zombies := flag.Int("zombies", 1000000, "with -scale internet: largest zombie population to sweep to")
+	server := flag.String("server", "", "submit to a running hbpsimd daemon or hbpfleet coordinator at this base URL instead of executing locally")
 	flag.Parse()
-
-	if *scale != "" {
-		os.Exit(runScale(*scale, *zombies))
-	}
 
 	spec := scenario.TreeSpec{
 		Defense:     *defense,
@@ -93,12 +88,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *fleetURL != "" && *server != "" {
-		fmt.Fprintln(os.Stderr, "-server and -fleet are mutually exclusive")
-		os.Exit(2)
-	}
-	if target := *server + *fleetURL; target != "" {
-		os.Exit(remote(ctx, target, spec))
+	if *server != "" {
+		os.Exit(remote(ctx, *server, spec))
 	}
 
 	// The JSON spec reads 0 attackers as "default"; the flag means a
@@ -167,31 +158,6 @@ func main() {
 	}
 	if *showTrace && res.Trace != nil {
 		fmt.Printf("\ndefense event log (%d events, %d evicted):\n%s", res.Trace.Len(), res.Trace.Dropped(), res.Trace.String())
-	}
-}
-
-// runScale executes a registry scale sweep locally and prints its
-// table. SIGINT cancels between (and cooperatively within) sweep
-// points.
-func runScale(name string, maxZombies int) int {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	switch name {
-	case "internet":
-		t, err := experiments.InternetSweep(maxZombies, ctx)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "interrupted — sweep abandoned;", err)
-				return 130
-			}
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Print(t.Render())
-		return 0
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -scale %q (want: internet)\n", name)
-		return 2
 	}
 }
 

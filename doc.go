@@ -19,8 +19,10 @@
 //   - internal/metrics    — throughput and capture-time measurement
 //   - internal/experiments— per-figure scenario runners (Sec. 8)
 //
-// Entry points: cmd/hbpsim runs one scenario, cmd/figures regenerates
-// every evaluated table/figure, examples/ contains runnable
-// walk-throughs, and bench_test.go (this package) holds one benchmark
-// per reproduced figure plus substrate micro-benchmarks.
+// Entry points: cmd/hbpsim runs one scenario, locally or on a service
+// (-server); cmd/figures regenerates every evaluated table/figure,
+// including the internet-scale sweep; examples/ holds three library
+// walk-throughs and the service and fleet quickstarts; and
+// bench_test.go (this package) holds the design ablations plus
+// substrate micro-benchmarks.
 package repro

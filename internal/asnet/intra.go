@@ -71,9 +71,6 @@ type EmbeddedIntraAS struct {
 	// from (Seed, i), so identical configurations reproduce identical
 	// embedded networks.
 	Seed int64
-	// PacketRate overrides the intra-AS flood rate in packets/s; 0
-	// uses the attacker's own Rate, matching the inter-AS flood.
-	PacketRate float64
 
 	owner *Defense
 	subs  map[ASID]*IntraASNet
@@ -147,11 +144,9 @@ func (e *EmbeddedIntraAS) params(as ASID) topology.Params {
 	}
 }
 
-// rate returns the intra-AS flood rate for origin in packets/s.
-func (e *EmbeddedIntraAS) rate(origin *Attacker) float64 {
-	if e.PacketRate > 0 {
-		return e.PacketRate
-	}
+// floodRate returns the intra-AS flood rate for origin in packets/s: the
+// attacker's own Rate, matching the inter-AS flood.
+func floodRate(origin *Attacker) float64 {
 	if origin != nil && origin.Rate > 0 {
 		return origin.Rate
 	}
@@ -181,7 +176,7 @@ func (e *EmbeddedIntraAS) Horizon(h *HSM, origin *Attacker) float64 {
 			ahead++
 		}
 	}
-	return float64(ahead)*2*e.estimate(e.rate(origin)) + 0.5
+	return float64(ahead)*2*e.estimate(floodRate(origin)) + 0.5
 }
 
 // Begin enqueues (and, when the embedded network is idle, immediately
@@ -233,7 +228,7 @@ func (e *EmbeddedIntraAS) build(h *HSM) *IntraASNet {
 	sim := h.d.g.Sim
 	tr := topology.NewTree(sim, e.params(h.as.ID))
 	collector := tr.Servers[0]
-	life := 4 * e.estimate(e.rate(nil))
+	life := 4 * e.estimate(floodRate(nil))
 	if cfgLife := h.d.Cfg.SessionLifetime; cfgLife > life {
 		life = cfgLife
 	}
@@ -285,7 +280,7 @@ func (s *IntraASNet) start(job *traceJob) {
 	}
 	s.epochSeq++
 	s.sink.OpenWindow(s.epochSeq)
-	rate := s.model.rate(job.origin)
+	rate := floodRate(job.origin)
 	job.flood = &traffic.CBR{
 		Node: job.leaf,
 		Rate: rate * floodPacketSize * 8,

@@ -297,8 +297,8 @@ func ExtEq4(scale Scale) (*Table, error) {
 	runs := scale.runsAtLeast(2)
 	for _, h := range []int{5, 10, 20} {
 		cfg := ValidationConfig{
-			Hops: h, EpochLen: 10, HoneypotProb: 0.5, PoolSize: 10,
-			RatePPS: 0.5, PacketSize: 500, Runs: runs, Seed: 9, MaxEpochs: 400,
+			Hops: h, EpochLen: 10, HoneypotProb: 0.5,
+			RatePPS: 0.5, Runs: runs, Seed: 9,
 			Context: scale.Ctx,
 		}
 		r, err := RunValidationProgressive(cfg)

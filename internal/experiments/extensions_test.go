@@ -168,8 +168,8 @@ func TestThresholdTradeoff(t *testing.T) {
 func TestEq4ProgressiveScalesWithHops(t *testing.T) {
 	run := func(h int) *ValidationResult {
 		cfg := ValidationConfig{
-			Hops: h, EpochLen: 10, HoneypotProb: 0.5, PoolSize: 10,
-			RatePPS: 0.5, PacketSize: 500, Runs: 3, Seed: 9, MaxEpochs: 400,
+			Hops: h, EpochLen: 10, HoneypotProb: 0.5,
+			RatePPS: 0.5, Runs: 3, Seed: 9,
 		}
 		r, err := RunValidationProgressive(cfg)
 		if err != nil {

@@ -10,14 +10,13 @@ import (
 	"repro/internal/topology"
 )
 
-// Scale shrinks the tree scenarios so tests and benchmarks finish
-// quickly while cmd/figures can run at full size. Scale 1.0 is the
-// paper-equivalent setting.
+// Scale shrinks the tree scenarios — their size and repetition count,
+// never their length — so tests and benchmarks finish quickly while
+// cmd/figures can run at full size. FullScale is the paper-equivalent
+// setting.
 type Scale struct {
 	// Leaves is the tree size (paper: 1000; default runner: 200).
 	Leaves int
-	// Duration/AttackEnd shrink run length proportionally when < 1.
-	TimeFactor float64
 	// Runs is the per-point repetition count for validation sweeps.
 	Runs int
 	// Ctx, when non-nil, bounds every simulation a figure generator
@@ -31,13 +30,13 @@ type Scale struct {
 }
 
 // FullScale approximates the paper's setup.
-func FullScale() Scale { return Scale{Leaves: 1000, TimeFactor: 1, Runs: 10} }
+func FullScale() Scale { return Scale{Leaves: 1000, Runs: 10} }
 
 // QuickScale is small enough for unit tests and benchmarks.
-func QuickScale() Scale { return Scale{Leaves: 60, TimeFactor: 1, Runs: 2} }
+func QuickScale() Scale { return Scale{Leaves: 60, Runs: 2} }
 
 // DefaultScale balances fidelity and runtime for cmd/figures.
-func DefaultScale() Scale { return Scale{Leaves: 200, TimeFactor: 1, Runs: 5} }
+func DefaultScale() Scale { return Scale{Leaves: 200, Runs: 5} }
 
 // runsAtLeast is the per-point repetition count, raised to n.
 func (s Scale) runsAtLeast(n int) int { return max(s.Runs, n) }
@@ -45,10 +44,6 @@ func (s Scale) runsAtLeast(n int) int { return max(s.Runs, n) }
 func (s Scale) treeConfig() TreeConfig {
 	cfg := DefaultTreeConfig()
 	cfg.Topology.Leaves = s.Leaves
-	if s.TimeFactor > 0 && s.TimeFactor != 1 {
-		cfg.Duration *= s.TimeFactor
-		cfg.AttackEnd *= s.TimeFactor
-	}
 	// The paper's 25 attackers, shrunk only when the tree is tiny; the
 	// total attack volume (25 x 0.1 Mb/s) is preserved across scales
 	// so reduced runs stay meaningful.

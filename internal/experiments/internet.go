@@ -189,10 +189,9 @@ func (o *armedFrontierOracle) Expand(member, dst netsim.NodeID) (*netsim.Node, *
 
 // internetPart is the per-part state of an internet run.
 type internetPart struct {
-	partDefense
+	def   *core.Defense
 	atk   *traffic.MacroFlow
 	legit *traffic.MacroFlow
-	capAt []float64
 }
 
 // RunInternet executes one internet-scale scenario end to end on the
@@ -245,7 +244,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	totalLegit := nh - cfg.Zombies
 
 	parts := make([]*internetPart, it.Parts)
-	defs := make([]*partDefense, it.Parts)
+	defs := make([]*core.Defense, it.Parts)
 	for part := 0; part < it.Parts; part++ {
 		sim := cl.Part(part).Sim
 		pool, err := roaming.NewPool(sim, it.Servers, poolCfg)
@@ -253,7 +252,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 			return nil, err
 		}
 		pt := &internetPart{}
-		parts[part], defs[part] = pt, &pt.partDefense
+		parts[part] = pt
 		var servers []*netsim.Node
 		if part == 0 {
 			servers = it.Servers
@@ -262,8 +261,6 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 		// access port is shut, so its share of the local attack flow is
 		// gone.
 		pt.def, _, err = deployHBP(cl.Part(part), pool, servers, it.IsHost, core.Config{}, func(c core.Capture) {
-			pt.record(c)
-			pt.capAt = append(pt.capAt, c.Time)
 			if pt.atk != nil {
 				pt.atk.RemoveMember(c.Attacker)
 			}
@@ -271,6 +268,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		defs[part] = pt.def
 		// Remote nodes a control walk reaches are deployed exactly when
 		// they are AS routers — a pure topology read, never remote
 		// defense state.
@@ -325,7 +323,9 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	var capAt []float64
 	err := res.run("internet", cl, defs, cfg.Duration, func(i int) string {
 		pt := parts[i]
-		capAt = append(capAt, pt.capAt...)
+		for _, c := range pt.def.Captures() {
+			capAt = append(capAt, c.Time)
+		}
 		res.PeakState += pt.def.PeakState
 		res.StateBudget += pt.def.StateBudget()
 		var as, ask, ls int64
@@ -382,10 +382,18 @@ func epochDest(sim *des.Simulator, pool *roaming.Pool, cfg roaming.Config) func(
 // to 10^6 at a fixed aggregate attack rate.
 var internetZombieSweep = []int{1000, 10000, 100000, 1000000}
 
-// InternetSweep runs the zombie sweep up to maxZombies and tabulates
-// capture behavior, goodput, control overhead, state budget and the
-// routing-state footprint per point.
-func InternetSweep(maxZombies int, ctx context.Context) (*Table, error) {
+// ExtInternet runs the zombie sweep and tabulates capture behavior,
+// goodput, control overhead, state budget and the routing-state
+// footprint per point. The sweep depth follows the scale: quick runs
+// stop at 10^4 zombies, the default at 10^5, and full scale covers the
+// complete 10^3..10^6 axis.
+func ExtInternet(s Scale) (*Table, error) {
+	maxZombies := 10000
+	if s.Leaves >= 1000 {
+		maxZombies = 1000000
+	} else if s.Leaves >= 200 {
+		maxZombies = 100000
+	}
 	t := &Table{
 		Title: "Internet-scale sweep: capture dynamics vs zombie dispersion",
 		Note: "One power-law AS tree per point (hosts = 2x zombies), fixed aggregate " +
@@ -400,7 +408,7 @@ func InternetSweep(maxZombies int, ctx context.Context) (*Table, error) {
 			break
 		}
 		cfg := InternetConfigFor(z, 1)
-		cfg.Context = ctx
+		cfg.Context = s.Ctx
 		res, err := RunInternet(cfg)
 		if err != nil {
 			return nil, err
@@ -419,17 +427,4 @@ func InternetSweep(maxZombies int, ctx context.Context) (*Table, error) {
 			fmt.Sprintf("%.1f", res.Wall.Seconds()))
 	}
 	return t, nil
-}
-
-// ExtInternet is the registry entry: the sweep depth follows the
-// scale (quick runs stop at 10^4 zombies, the default at 10^5, full
-// scale covers the complete 10^3..10^6 axis).
-func ExtInternet(s Scale) (*Table, error) {
-	max := 10000
-	if s.Leaves >= 1000 {
-		max = 1000000
-	} else if s.Leaves >= 200 {
-		max = 100000
-	}
-	return InternetSweep(max, s.Ctx)
 }

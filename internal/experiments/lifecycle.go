@@ -44,7 +44,8 @@ func newSharded(ctx context.Context, seed int64, shards int) *des.ShardedSimulat
 // deployHBP is the HBP deployment every runner makes: a roaming server
 // agent on each of servers, the defense over nw, router agents on every
 // router — or, when routers is non-nil, wherever it deploys them — and
-// onCapture as the capture log.
+// onCapture, if the run reacts to a capture, as its hook. The captures
+// themselves stay in the defense's CaptureLog.
 func deployHBP(nw *netsim.Network, pool *roaming.Pool, servers []*netsim.Node, isHost func(*netsim.Node) bool,
 	cfg core.Config, onCapture func(core.Capture), routers func(*core.Defense)) (*core.Defense, []*roaming.ServerAgent, error) {
 	var agents []*roaming.ServerAgent
@@ -65,19 +66,6 @@ func deployHBP(nw *netsim.Network, pool *roaming.Pool, servers []*netsim.Node, i
 	}
 	def.OnCapture = onCapture
 	return def, agents, nil
-}
-
-// partDefense is one cluster part's defense and its capture log. The
-// log keeps the captures as values, so recording one inside the event
-// loop formats nothing; appendPartLine renders them after the run.
-type partDefense struct {
-	def  *core.Defense
-	caps []core.Capture
-}
-
-// record is the part defense's OnCapture.
-func (p *partDefense) record(c core.Capture) {
-	p.caps = append(p.caps, c)
 }
 
 // appendPartLine appends part i's fingerprint line to b:
@@ -137,26 +125,28 @@ func (r *shardedRun) Fingerprint() string {
 // and drains the cluster before it reports the error, so the process
 // can run the next scenario. A completed one is collected part by part —
 // line(i) renders the runner's own counters of part i and runs before
-// that part's defense closes — and then drained and audited.
-func (r *shardedRun) run(what string, cl *netsim.Cluster, parts []*partDefense, horizon float64, line func(i int) string) error {
+// that part's defense closes — and then drained and audited. Each
+// part's capture schedule is read from its defense's CaptureLog.
+func (r *shardedRun) run(what string, cl *netsim.Cluster, defs []*core.Defense, horizon float64, line func(i int) string) error {
 	ss := cl.Sim
 	start := time.Now() //hbplint:ignore determinism wall clock only times the host's execution for the speedup and sweep reports; it never feeds simulation state.
 	if err := ss.RunUntil(horizon); err != nil {
-		for _, p := range parts {
-			p.def.Close()
+		for _, d := range defs {
+			d.Close()
 		}
 		cl.Drain()
 		return fmt.Errorf("experiments: %s run aborted at t=%.1fs after %d events: %w", what, ss.Now(), ss.Fired(), err)
 	}
 	r.Wall = time.Since(start) //hbplint:ignore determinism wall clock only times the host's execution for the speedup and sweep reports; it never feeds simulation state.
 	var buf []byte
-	for i, p := range parts {
-		r.Captures += len(p.caps)
-		r.CtrlMessages += p.def.MsgSent
-		buf = appendPartLine(buf[:0], i, p.caps, line(i), p.def.MsgSent)
+	for i, d := range defs {
+		caps := d.Captures()
+		r.Captures += len(caps)
+		r.CtrlMessages += d.MsgSent
+		buf = appendPartLine(buf[:0], i, caps, line(i), d.MsgSent)
 		r.partFPs = append(r.partFPs, string(buf))
-		p.def.Close()
-		r.Leak.DefenseState += p.def.StateSize()
+		d.Close()
+		r.Leak.DefenseState += d.StateSize()
 	}
 	r.QueueDrops = cl.TotalQueueDrops()
 	r.EventsFired = ss.Fired()

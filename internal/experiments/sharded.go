@@ -106,7 +106,6 @@ type ForestResult struct {
 
 // forestPart is the per-tree state of a forest run.
 type forestPart struct {
-	partDefense
 	tree *topology.Tree
 	sink *netsim.Node
 
@@ -139,7 +138,7 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 	// Phase 1: topology. Each part grows its own paper-style tree plus
 	// a sink host for inbound cross traffic.
 	parts := make([]*forestPart, cfg.Parts)
-	defs := make([]*partDefense, cfg.Parts)
+	defs := make([]*core.Defense, cfg.Parts)
 	for i := range parts {
 		p := topology.DefaultParams()
 		p.Leaves = cfg.LeavesPerPart
@@ -149,7 +148,6 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		sink := cl.AddNode(i, fmt.Sprintf("sink%d", i))
 		cl.Connect(tr.Root, sink, p.ServerLink.Bandwidth, p.ServerLink.Delay)
 		parts[i] = &forestPart{tree: tr, sink: sink}
-		defs[i] = &parts[i].partDefense
 	}
 	// Ring of cross-part links between tree roots. Its delay is the
 	// conservative lookahead, so it is deliberately a long-haul link.
@@ -180,7 +178,7 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 		}
 		sink := pt.sink
 		isHost := func(n *netsim.Node) bool { return tr.IsHost(n) || n == sink }
-		pt.def, pt.agents, err = deployHBP(tr.Net, pool, tr.Servers, isHost, core.Config{}, pt.record, nil)
+		defs[i], pt.agents, err = deployHBP(tr.Net, pool, tr.Servers, isHost, core.Config{}, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -246,10 +244,6 @@ func ExtSharded(s Scale) (*Table, error) {
 	cfg.Context = s.Ctx
 	if s.Leaves > 0 {
 		cfg.LeavesPerPart = max(s.Leaves/8, 10)
-	}
-	if s.TimeFactor > 0 && s.TimeFactor != 1 {
-		cfg.Duration *= s.TimeFactor
-		cfg.AttackEnd *= s.TimeFactor
 	}
 	t := &Table{
 		Title: "Parallel engine: sharded forest determinism and speedup",

@@ -22,7 +22,8 @@ type ThresholdPoint struct {
 	// SessionsWasted counts router sessions created before the real
 	// attack begins.
 	SessionsWasted int64
-	// CaptureTime is the real attacker's capture delay (-1 if never).
+	// CaptureTime is the real attacker's capture delay: the time from
+	// the attack's start to the first capture after it (-1 if none).
 	CaptureTime float64
 }
 
@@ -46,11 +47,7 @@ func RunThreshold(ctx context.Context, threshold int, scanners int, scannerGap f
 	}
 	attackStart := 200.0
 	pt := &ThresholdPoint{Threshold: threshold, CaptureTime: -1}
-	def, _, err := deployHBP(tr.Net, pool, tr.Servers, tr.IsHost, core.Config{ActivationThreshold: threshold}, func(c core.Capture) {
-		if pt.CaptureTime < 0 {
-			pt.CaptureTime = c.Time - attackStart
-		}
-	}, nil)
+	def, _, err := deployHBP(tr.Net, pool, tr.Servers, tr.IsHost, core.Config{ActivationThreshold: threshold}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -83,6 +80,13 @@ func RunThreshold(ctx context.Context, threshold int, scanners int, scannerGap f
 	})
 	if err := sim.RunUntil(600); err != nil {
 		return nil, err
+	}
+	// Scanners captured before the attack are noise, not the capture.
+	for _, c := range def.Captures() {
+		if c.Time >= attackStart {
+			pt.CaptureTime = c.Time - attackStart
+			break
+		}
 	}
 	return pt, nil
 }

@@ -157,7 +157,7 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		hbpDef, _, err = deployHBP(tr.Net, pool, tr.Servers, tr.IsHost, core.Config{
 			Progressive: cfg.Progressive, Reliable: cfg.Reliable, SessionLifetime: cfg.SessionLifetime,
 			EpochAuth: cfg.EpochAuth, Watchdog: cfg.Watchdog, Budget: cfg.Budget,
-		}, func(c core.Capture) { res.Captures = append(res.Captures, c) }, perAS)
+		}, nil, perAS)
 		if err != nil {
 			return nil, err
 		}
@@ -307,6 +307,9 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 	isAtk := make(map[netsim.NodeID]bool, len(attackHosts))
 	for _, h := range attackHosts {
 		isAtk[h.ID] = true
+	}
+	if hbpDef != nil {
+		res.Captures = hbpDef.Captures()
 	}
 	var capAt []float64
 	atkSeen, colSeen := map[netsim.NodeID]bool{}, map[netsim.NodeID]bool{}

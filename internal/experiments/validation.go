@@ -22,23 +22,17 @@ type ValidationConfig struct {
 	Hops int
 	// EpochLen is m in seconds.
 	EpochLen float64
-	// HoneypotProb is p; it is realized as a pool of PoolSize servers
-	// with k = round((1-p)·PoolSize) active.
+	// HoneypotProb is p; it is realized as a pool of
+	// validationPoolSize servers with k = round((1-p)·N) active.
 	HoneypotProb float64
-	// PoolSize is N (default 10, giving p granularity of 0.1).
-	PoolSize int
-	// RatePPS is the attack rate in packets/s (the paper's 0.1 Mb/s
-	// ≈ 25 pkt/s at 500 B).
+	// RatePPS is the attack rate in validationPacketSize-byte packets/s
+	// (the paper's 0.1 Mb/s ≈ 25 pkt/s).
 	RatePPS float64
-	// PacketSize in bytes.
-	PacketSize int
 	// Runs is the number of independent runs averaged (the paper uses
 	// 10).
 	Runs int
 	// Seed bases the per-run seeds.
 	Seed int64
-	// MaxEpochs caps each run's length in epochs (safety).
-	MaxEpochs int
 	// Context, when non-nil, installs the same cooperative
 	// cancellation checkpoint as TreeConfig.Context in every run of
 	// the sweep.
@@ -51,14 +45,20 @@ func DefaultValidationConfig() ValidationConfig {
 		Hops:         10,
 		EpochLen:     100,
 		HoneypotProb: 0.3,
-		PoolSize:     10,
 		RatePPS:      25,
-		PacketSize:   500,
 		Runs:         10,
 		Seed:         1,
-		MaxEpochs:    400,
 	}
 }
+
+// The validation rig's fixed shape: a pool of N = 10 servers (p in
+// steps of 0.1), 500-byte attack packets, and at most 400 epochs per
+// run (a safety cap).
+const (
+	validationPoolSize   = 10
+	validationPacketSize = 500
+	validationMaxEpochs  = 400
+)
 
 // ValidationResult is the measured-vs-model outcome for one point.
 type ValidationResult struct {
@@ -92,23 +92,17 @@ func RunValidationProgressive(cfg ValidationConfig) (*ValidationResult, error) {
 // (its defense config and closed form). label and seedMul keep each
 // scheme's hash chains and RNG streams apart.
 func runValidation(cfg ValidationConfig, defense core.Config, model func(analysis.Params) analysis.Result, label string, seedMul int64) (*ValidationResult, error) {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 10
-	}
-	if cfg.MaxEpochs <= 0 {
-		cfg.MaxEpochs = 400
-	}
-	k := min(max(int(float64(cfg.PoolSize)*(1-cfg.HoneypotProb)+0.5), 1), cfg.PoolSize-1)
+	k := min(max(int(validationPoolSize*(1-cfg.HoneypotProb)+0.5), 1), validationPoolSize-1)
 	if cfg.Hops < 1 || cfg.EpochLen <= 0 || cfg.RatePPS <= 0 || cfg.Runs < 1 {
 		return nil, fmt.Errorf("experiments: bad validation config %+v", cfg)
 	}
 
 	rig := captureRig{
-		hops: cfg.Hops, poolSize: cfg.PoolSize, k: k, epochLen: cfg.EpochLen, epochs: cfg.MaxEpochs,
+		hops: cfg.Hops, poolSize: validationPoolSize, k: k, epochLen: cfg.EpochLen, epochs: validationMaxEpochs,
 		defense: defense, ctx: cfg.Context,
 	}
 	cts, err := rig.repeat(cfg.Runs, label, cfg.Seed, seedMul, func(host *netsim.Node, target netsim.NodeID, rng *des.RNG) starter {
-		return spoofingCBR(host, target, cfg.RatePPS, cfg.PacketSize, rng, 10000)
+		return spoofingCBR(host, target, cfg.RatePPS, validationPacketSize, rng, 10000)
 	})
 	if err != nil {
 		return nil, err
@@ -118,7 +112,7 @@ func runValidation(cfg ValidationConfig, defense core.Config, model func(analysi
 	res.StdCT = metrics.StdDev(cts)
 	res.Model = model(analysis.Params{
 		M:   cfg.EpochLen,
-		P:   float64(cfg.PoolSize-k) / float64(cfg.PoolSize),
+		P:   float64(validationPoolSize-k) / validationPoolSize,
 		R:   cfg.RatePPS,
 		H:   cfg.Hops + 1, // leaf link + string routers
 		Tau: 0.01,

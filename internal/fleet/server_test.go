@@ -18,7 +18,7 @@ import (
 // TestServerEndToEnd drives the full wire path: a scenario.Client
 // submits through the fleet server's suite API, a worker pulls over
 // the /fleet/ routes via RemoteCoord, and the result round-trips with
-// a solo-identical fingerprint — proving hbpsim -fleet and hbpsimd
+// a solo-identical fingerprint — proving hbpsim -server and hbpsimd
 // -worker interoperate without either knowing about the other.
 func TestServerEndToEnd(t *testing.T) {
 	c := NewCoordinator(fastCfg(), nil)

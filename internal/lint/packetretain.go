@@ -19,6 +19,8 @@ import (
 //
 //   - storing the packet, or its Payload, into a struct field, map,
 //     slice element or channel;
+//   - assigning it to a variable declared outside the callback (a
+//     closure's captured variable, a package-level variable);
 //   - appending it to a slice;
 //   - capturing it in a function literal that escapes the callback
 //     (passed to a scheduler, assigned, returned).
@@ -56,7 +58,7 @@ func runPacketRetain(pass *Pass) {
 		if len(unsafe) == 0 {
 			return true
 		}
-		checkRetention(pass, ig, body, unsafe)
+		checkRetention(pass, ig, n, body, unsafe)
 		return true
 	})
 }
@@ -77,11 +79,17 @@ func packetParams(info *types.Info, ftype *ast.FuncType) map[types.Object]bool {
 	return out
 }
 
-// checkRetention walks one packet-handling body, tracking aliases of
-// the borrowed packet parameters, and reports stores that outlive the
-// callback.
-func checkRetention(pass *Pass, ig *ignores, body *ast.BlockStmt, unsafe map[types.Object]bool) {
+// checkRetention walks the body of one packet-handling function fn,
+// tracking aliases of the borrowed packet parameters, and reports
+// stores that outlive the callback.
+func checkRetention(pass *Pass, ig *ignores, fn ast.Node, body *ast.BlockStmt, unsafe map[types.Object]bool) {
 	info := pass.TypesInfo
+	// outer reports whether id names a variable declared outside fn,
+	// which outlives the callback.
+	outer := func(id *ast.Ident) bool {
+		v, ok := info.ObjectOf(id).(*types.Var)
+		return ok && (v.Pos() < fn.Pos() || v.Pos() >= fn.End())
+	}
 
 	// First pass: propagate the borrowed set through direct aliases
 	// (q := p) and mark Clone results as owned. A single forward pass
@@ -114,10 +122,18 @@ func checkRetention(pass *Pass, ig *ignores, body *ast.BlockStmt, unsafe map[typ
 				if i >= len(n.Rhs) {
 					break
 				}
-				switch lhs.(type) {
+				switch lhs := lhs.(type) {
 				case *ast.SelectorExpr, *ast.IndexExpr:
 					if expr, what := borrowedIn(info, n.Rhs[i], unsafe); expr != nil {
 						ig.report(expr.Pos(), "%s stored past the handler callback: the packet returns to the pool when the callback ends; Clone/ClonePacket it or copy the fields", what)
+					}
+				case *ast.Ident:
+					// x = append(x, p) is the append rule's finding.
+					if !outer(lhs) || isAppendCall(info, n.Rhs[i]) {
+						break
+					}
+					if expr, what := borrowedIn(info, n.Rhs[i], unsafe); expr != nil {
+						ig.report(expr.Pos(), "%s assigned to a variable declared outside the handler callback: the packet returns to the pool when the callback ends; keep a copy (c := *p) or Clone/ClonePacket it", what)
 					}
 				}
 			}
@@ -126,12 +142,10 @@ func checkRetention(pass *Pass, ig *ignores, body *ast.BlockStmt, unsafe map[typ
 				ig.report(expr.Pos(), "%s sent on a channel from a handler callback: the packet returns to the pool when the callback ends; Clone/ClonePacket it first", what)
 			}
 		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					for _, a := range n.Args[1:] {
-						if expr, what := borrowedIn(info, a, unsafe); expr != nil {
-							ig.report(expr.Pos(), "%s appended to a slice from a handler callback: the packet returns to the pool when the callback ends; Clone/ClonePacket it first", what)
-						}
+			if isAppendCall(info, n) {
+				for _, a := range n.Args[1:] {
+					if expr, what := borrowedIn(info, a, unsafe); expr != nil {
+						ig.report(expr.Pos(), "%s appended to a slice from a handler callback: the packet returns to the pool when the callback ends; Clone/ClonePacket it first", what)
 					}
 				}
 				return true
@@ -244,6 +258,20 @@ func capturedBorrowed(info *types.Info, lit *ast.FuncLit, unsafe map[types.Objec
 		return found, "borrowed *netsim.Packet"
 	}
 	return nil, ""
+}
+
+// isAppendCall reports whether e is a call of the append builtin.
+func isAppendCall(info *types.Info, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isBuiltin := info.Uses[id].(*types.Builtin)
+	return isBuiltin && id.Name == "append"
 }
 
 // isCloneCall reports whether call invokes Clone or ClonePacket —

@@ -37,6 +37,24 @@ func HandleAlias(s *sink, p *netsim.Packet, in *netsim.Port) {
 	s.last = q // want `borrowed \*netsim\.Packet stored past the handler callback`
 }
 
+var lastSeen *netsim.Packet
+
+// HandleOuter leaks by assigning to variables the callback does not
+// own: a package-level one and one its enclosing function captured.
+func HandleOuter(deliver func(func(p *netsim.Packet, in *netsim.Port))) (*netsim.Packet, any) {
+	var kept *netsim.Packet
+	var pl any
+	deliver(func(p *netsim.Packet, in *netsim.Port) {
+		lastSeen = p   // want `borrowed \*netsim\.Packet assigned to a variable declared outside the handler callback`
+		kept = p       // want `borrowed \*netsim\.Packet assigned to a variable declared outside the handler callback`
+		pl = p.Payload // want `Payload of a borrowed packet assigned to a variable declared outside the handler callback`
+		own := p       // a local alias dies with the callback
+		own = p
+		_ = own
+	})
+	return kept, pl
+}
+
 // HandleClean shows the sanctioned patterns: field copies, value
 // copies, and retaining an owned Clone.
 func (s *sink) HandleClean(p *netsim.Packet, in *netsim.Port) {
@@ -48,4 +66,9 @@ func (s *sink) HandleClean(p *netsim.Packet, in *netsim.Port) {
 	globalQueue = append(globalQueue, p.Clone())
 	q := p.Clone()
 	s.byID[q.Src] = q
+	var kept netsim.Packet
+	func(p *netsim.Packet) {
+		kept = *p // a value copy outlives the packet safely
+	}(p)
+	_ = kept
 }

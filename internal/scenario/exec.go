@@ -79,6 +79,10 @@ func executeTree(ctx context.Context, spec *CaseSpec, seed int64, maxEvents uint
 	if spec.Tree != nil {
 		ts = *spec.Tree
 	}
+	// The attempt's seed, not the spec's, drives the run and the fault
+	// plan Config derives from it; a zero seed is literal here, not
+	// Config's "default".
+	ts.Seed = seed
 	cfg, err := ts.Config()
 	if err != nil {
 		return nil, err

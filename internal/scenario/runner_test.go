@@ -218,6 +218,28 @@ func TestAttemptSeedDerivation(t *testing.T) {
 	}
 }
 
+// TestLossPlanFollowsAttemptSeed: a tree attempt's control-loss plan,
+// and through it the crash draws, derives from the seed the attempt
+// runs, so two specs that differ only in tree.seed run identically
+// under one seed — lossy or not.
+func TestLossPlanFollowsAttemptSeed(t *testing.T) {
+	for _, loss := range []float64{0, 0.3} {
+		var fps [2]string
+		for i, specSeed := range []int64{3, 4} {
+			ts := quickTree(specSeed)
+			ts.LossProb, ts.CrashRate = loss, 10
+			res, err := RunCaseSolo(&CaseSpec{Name: "loss", Tree: ts}, AttemptSeed(3, 2))
+			if err != nil {
+				t.Fatalf("loss %v, spec seed %d: %v", loss, specSeed, err)
+			}
+			fps[i] = res.Fingerprint
+		}
+		if fps[0] != fps[1] {
+			t.Fatalf("loss %v: fingerprints differ with the spec seed: %s != %s", loss, fps[0], fps[1])
+		}
+	}
+}
+
 func TestBackoffShape(t *testing.T) {
 	base, cap := 100*time.Millisecond, 2*time.Second
 	for attempt := 1; attempt <= 8; attempt++ {

@@ -155,7 +155,8 @@ func TestTracebackExpiresWithWindows(t *testing.T) {
 	var at float64
 	server.Handler = func(p *netsim.Packet, in *netsim.Port) {
 		if got == nil {
-			got, at = p, sim.Now()
+			cp := *p // the network reclaims p after the handler returns
+			got, at = &cp, sim.Now()
 		}
 	}
 	sim.At(1, func() {
@@ -193,7 +194,10 @@ func TestTracebackAmbiguityWithTinyFilters(t *testing.T) {
 	server := tr.Servers[0]
 	var got *netsim.Packet
 	var at float64
-	server.Handler = func(pk *netsim.Packet, in *netsim.Port) { got, at = pk, sim.Now() }
+	server.Handler = func(pk *netsim.Packet, in *netsim.Port) {
+		cp := *pk // the network reclaims pk after the handler returns
+		got, at = &cp, sim.Now()
+	}
 	// Background traffic with unique sequence numbers saturates every
 	// router's tiny filter with distinct digests.
 	seq := int64(0)
