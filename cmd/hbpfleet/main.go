@@ -1,11 +1,12 @@
-// Command hbpfleet is the fleet coordinator: it accepts the same
-// suite/case API as hbpsimd, but instead of executing runs itself it
-// farms them out to registered hbpsimd workers under time-bounded
-// leases. Workers that crash, hang or partition away lose their lease
-// and the run is re-dispatched — with the base seed unchanged, so the
-// failed-over result is bit-identical to a solo run. Every assignment
-// and completion is journaled crash-safe; restarting the coordinator
-// on the same journal requeues whatever was in flight.
+// Command hbpfleet is the fleet coordinator: it runs the same
+// coordinator, route table and journal as hbpsimd, but instead of
+// executing runs in process it farms them out to registered hbpsimd
+// workers under time-bounded leases. Workers that crash, hang or
+// partition away lose their lease and the run is re-dispatched — with
+// the seed attempt unchanged, so the failed-over result is
+// bit-identical to a solo run. Every assignment and completion is
+// journaled crash-safe; restarting the coordinator on the same journal
+// requeues whatever was queued or in flight.
 //
 //	hbpfleet -addr 127.0.0.1:9090 -journal fleet.jsonl
 //	hbpsimd -worker -coordinator http://127.0.0.1:9090 -name w1
@@ -35,23 +36,23 @@ func main() {
 	queueCap := flag.Int("queue-cap", 64, "admission queue capacity (full queue -> 503 + Retry-After)")
 	lease := flag.Float64("lease", 15, "lease duration in seconds; a worker missing heartbeats this long forfeits its run")
 	maxDispatches := flag.Int("max-dispatches", 5, "lease grants per run before it fails as worker-lost")
-	maxAttempts := flag.Int("max-attempts", 3, "seed attempts for reported infrastructure faults")
+	maxAttempts := flag.Int("max-attempts", 3, "default seed attempts for reported infrastructure faults (a case's max_attempts overrides it)")
 	maxWorkers := flag.Int("max-workers", 64, "worker registry capacity")
 	drainTimeout := flag.Float64("drain-timeout", 60, "seconds to let in-flight leases report on shutdown")
 	flag.Parse()
 
-	var journal *fleet.Journal
-	var recovered []fleet.Entry
+	var journal *scenario.Journal
+	var recovered []scenario.Entry
 	if *journalPath != "" {
 		var err error
-		journal, recovered, err = fleet.OpenJournal(*journalPath)
+		journal, recovered, err = scenario.OpenJournal(*journalPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer journal.Close()
 	}
 
-	coord := fleet.NewCoordinator(fleet.Config{
+	coord := scenario.NewCoordinator(scenario.CoordinatorConfig{
 		QueueCap:      *queueCap,
 		LeaseDuration: time.Duration(*lease * float64(time.Second)),
 		MaxDispatches: *maxDispatches,

@@ -1,8 +1,12 @@
 // Command hbpsimd is the scenario service daemon: a long-lived HTTP
 // server executing declarative simulation suites under supervision —
 // per-run deadlines, panic isolation, bounded retry of infrastructure
-// faults, admission control on the submission queue, crash-safe
-// journaling and graceful drain on SIGINT/SIGTERM.
+// faults, admission control on the submission queue, a bounded run
+// history, crash-safe journaling and graceful drain on SIGINT/SIGTERM.
+// It runs the same coordinator as hbpfleet, with -workers in-process
+// executors in place of remote workers, so a restart on the same
+// -journal requeues the runs the previous process died holding, and
+// they run again with no client action.
 //
 // Daemon mode:
 //
@@ -41,14 +45,13 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (daemon mode)")
-	journalPath := flag.String("journal", "", "append-only run journal; restart recovery marks interrupted runs")
+	journalPath := flag.String("journal", "", "append-only run journal; restart recovery requeues unfinished runs")
 	workers := flag.Int("workers", 2, "execution pool size")
 	queueCap := flag.Int("queue-cap", 64, "submission queue capacity (full queue -> 503 + Retry-After)")
 	wallDeadline := flag.Float64("wall-deadline", 120, "default per-attempt wall-clock deadline in seconds")
 	maxEvents := flag.Uint64("max-events", 0, "default simulated-event deadline (0 = none)")
-	maxAttempts := flag.Int("max-attempts", 3, "default attempt cap for retryable infrastructure faults")
+	maxAttempts := flag.Int("max-attempts", 3, "default seed attempts for reported infrastructure faults (a case's max_attempts overrides it)")
 	drainTimeout := flag.Float64("drain-timeout", 60, "seconds to let in-flight runs finish on shutdown before cancelling them")
-	resubmit := flag.Bool("resubmit-interrupted", false, "re-queue runs the previous daemon died holding")
 	suitePath := flag.String("suite", "", "batch mode: run this suite spec (JSON) to completion and exit")
 	outDir := flag.String("out", "", "batch mode: write one JSON artifact per case into this directory")
 	worker := flag.Bool("worker", false, "worker mode: pull leased runs from a hbpfleet coordinator instead of serving HTTP")
@@ -88,8 +91,8 @@ func main() {
 		os.Exit(batch(ctx, runner, *suitePath, *outDir, time.Duration(*drainTimeout*float64(time.Second))))
 	}
 
-	if n := resubmitInterrupted(runner, recovered, *resubmit); n > 0 {
-		log.Printf("resubmitted %d interrupted runs from the journal", n)
+	if len(recovered) > 0 {
+		log.Printf("recovered journal: %d entries, %d runs back in the queue", len(recovered), runner.Health().QueueDepth)
 	}
 
 	srv := scenario.NewHTTPServer(*addr, scenario.NewServer(runner))
@@ -146,25 +149,6 @@ func workerMode(ctx context.Context, coordinator, name string, capacity int, wal
 	return 0
 }
 
-// resubmitInterrupted re-queues journal-recovered interrupted runs.
-func resubmitInterrupted(r *scenario.Runner, recovered []scenario.Entry, enabled bool) int {
-	if !enabled {
-		return 0
-	}
-	_, runs := scenario.Recover(recovered)
-	n := 0
-	for _, run := range runs {
-		if run.State == scenario.StateInterrupted {
-			if _, err := r.Resubmit(run.ID); err != nil {
-				log.Printf("resubmit %s: %v", run.ID, err)
-				continue
-			}
-			n++
-		}
-	}
-	return n
-}
-
 // batch runs one suite spec to completion: submit every case, drain,
 // print a summary table, write per-case artifacts, and exit non-zero
 // if anything failed. An interrupt cancels live runs and reports the
@@ -182,6 +166,12 @@ func batch(ctx context.Context, runner *scenario.Runner, path, outDir string, dr
 	}
 	if err := spec.Validate(); err != nil {
 		log.Print(err)
+		return 1
+	}
+	if len(spec.Cases) > scenario.HistoryCap {
+		// The summary reads every run back, and only the newest
+		// HistoryCap terminal runs stay in memory.
+		log.Printf("suite %s has %d cases; batch mode runs at most %d, so split it", spec.Name, len(spec.Cases), scenario.HistoryCap)
 		return 1
 	}
 	suite, err := runner.CreateSuite(spec.Name)
@@ -255,7 +245,7 @@ func batch(ctx context.Context, runner *scenario.Runner, path, outDir string, dr
 		}
 		fmt.Println(line)
 		if outDir != "" {
-			if err := writeArtifact(outDir, run); err != nil {
+			if err := writeArtifact(outDir, run.Run); err != nil {
 				log.Print(err)
 				return 1
 			}

@@ -16,7 +16,7 @@ import (
 // must fail as wall-deadline under a 50 ms default, not run to
 // completion under the worker's built-in 120 s.
 func TestWorkerModeAppliesWallDeadline(t *testing.T) {
-	c := fleet.NewCoordinator(fleet.Config{}, nil)
+	c := scenario.NewCoordinator(scenario.CoordinatorConfig{}, nil)
 	c.Start()
 	defer c.Stop()
 	ts := httptest.NewServer(fleet.NewServer(c))

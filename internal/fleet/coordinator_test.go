@@ -56,7 +56,7 @@ func startWorker(t *testing.T, coord Coord, cfg WorkerConfig) context.CancelFunc
 }
 
 // waitTerminal polls until the run terminates or the deadline passes.
-func waitTerminal(t *testing.T, c *Coordinator, id string) RunStatus {
+func waitTerminal(t *testing.T, c *Coordinator, id string) scenario.RunStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -71,7 +71,7 @@ func waitTerminal(t *testing.T, c *Coordinator, id string) RunStatus {
 	}
 	st, _ := c.GetRun(id)
 	t.Fatalf("run %s not terminal after 30s: %+v", id, st)
-	return RunStatus{}
+	return scenario.RunStatus{}
 }
 
 // TestFleetHappyPath: a two-worker fleet executes a suite and every
@@ -361,7 +361,7 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := c.Submit(suite.ID, quickCase("b", 2))
-	if !errors.Is(err, ErrQueueFull) {
+	if !errors.Is(err, scenario.ErrQueueFull) {
 		t.Fatalf("expected ErrQueueFull, got %v", err)
 	}
 	if s := c.Stats(); s.RejectedFull != 1 || s.Admitted != 1 {
@@ -382,13 +382,13 @@ func TestDrainStopsAdmissions(t *testing.T) {
 	if err := c.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(suite.ID, quickCase("late", 1)); !errors.Is(err, ErrDraining) {
+	if _, err := c.Submit(suite.ID, quickCase("late", 1)); !errors.Is(err, scenario.ErrDraining) {
 		t.Fatalf("expected ErrDraining, got %v", err)
 	}
-	if _, err := c.CreateSuite("late"); !errors.Is(err, ErrDraining) {
+	if _, err := c.CreateSuite("late"); !errors.Is(err, scenario.ErrDraining) {
 		t.Fatalf("expected ErrDraining, got %v", err)
 	}
-	if _, err := c.Register(WorkerInfo{Name: "late"}); !errors.Is(err, ErrDraining) {
+	if _, err := c.Register(WorkerInfo{Name: "late"}); !errors.Is(err, scenario.ErrDraining) {
 		t.Fatalf("expected ErrDraining, got %v", err)
 	}
 	if h := c.Health(); !h.Draining || h.Ready() {
@@ -405,10 +405,10 @@ func TestWorkerRegistryBounds(t *testing.T) {
 	if _, err := c.Register(WorkerInfo{Name: "one"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Register(WorkerInfo{Name: "two"}); !errors.Is(err, ErrFleetFull) {
+	if _, err := c.Register(WorkerInfo{Name: "two"}); !errors.Is(err, scenario.ErrFleetFull) {
 		t.Fatalf("expected ErrFleetFull, got %v", err)
 	}
-	if _, err := c.Lease("w-999"); !errors.Is(err, ErrUnknownWorker) {
+	if _, err := c.Lease("w-999"); !errors.Is(err, scenario.ErrUnknownWorker) {
 		t.Fatalf("expected ErrUnknownWorker, got %v", err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"repro/internal/scenario"
 )
 
 // RemoteCoord is the HTTP implementation of Coord: what a worker
@@ -58,7 +60,7 @@ func (r *RemoteCoord) post(path string, in, out any) (int, error) {
 }
 
 // Register implements Coord.
-func (r *RemoteCoord) Register(info WorkerInfo) (string, error) {
+func (r *RemoteCoord) Register(info scenario.WorkerInfo) (string, error) {
 	var out struct {
 		ID string `json:"id"`
 	}
@@ -70,11 +72,11 @@ func (r *RemoteCoord) Register(info WorkerInfo) (string, error) {
 
 // Lease implements Coord; a 204 means no work right now, and a 410 is
 // the coordinator no longer knowing the worker.
-func (r *RemoteCoord) Lease(workerID string) (*Assignment, error) {
-	var a Assignment
+func (r *RemoteCoord) Lease(workerID string) (*scenario.Assignment, error) {
+	var a scenario.Assignment
 	code, err := r.post("/fleet/workers/"+workerID+"/lease", struct{}{}, &a)
 	if code == http.StatusGone {
-		return nil, fmt.Errorf("fleet: lease as %s: %w", workerID, ErrUnknownWorker)
+		return nil, fmt.Errorf("fleet: lease as %s: %w", workerID, scenario.ErrUnknownWorker)
 	}
 	if err != nil {
 		return nil, err
@@ -86,18 +88,18 @@ func (r *RemoteCoord) Lease(workerID string) (*Assignment, error) {
 }
 
 // Heartbeat implements Coord.
-func (r *RemoteCoord) Heartbeat(workerID, runID string, dispatch int) (Directive, error) {
+func (r *RemoteCoord) Heartbeat(workerID, runID string, dispatch int) (scenario.Directive, error) {
 	var out struct {
-		Directive Directive `json:"directive"`
+		Directive scenario.Directive `json:"directive"`
 	}
 	if _, err := r.post("/fleet/heartbeat", heartbeatRequest{Worker: workerID, Run: runID, Dispatch: dispatch}, &out); err != nil {
-		return DirectiveAbort, err
+		return scenario.DirectiveAbort, err
 	}
 	return out.Directive, nil
 }
 
 // Complete implements Coord.
-func (r *RemoteCoord) Complete(workerID, runID string, dispatch int, outcome Outcome) error {
+func (r *RemoteCoord) Complete(workerID, runID string, dispatch int, outcome scenario.Outcome) error {
 	_, err := r.post("/fleet/complete", completeRequest{Worker: workerID, Run: runID, Dispatch: dispatch, Outcome: outcome}, nil)
 	return err
 }

@@ -45,7 +45,7 @@ func TestLeaseParksUntilSubmit(t *testing.T) {
 		a, err := c.Lease(wid)
 		got <- leased{a, err, time.Now()}
 	}()
-	time.Sleep(leaseWait / 5)
+	time.Sleep(scenario.LeaseWait / 5)
 	st, err := c.Submit(suite, quickCase("late", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestLeaseParksUntilSubmit(t *testing.T) {
 	if r.err != nil || r.a == nil || r.a.Run != st.ID {
 		t.Fatalf("parked lease = %+v, %v; want run %s, submitted while it waited", r.a, r.err, st.ID)
 	}
-	if d := r.at.Sub(submitted); d > leaseWait/2 {
+	if d := r.at.Sub(submitted); d > scenario.LeaseWait/2 {
 		t.Fatalf("parked lease returned %v after the submit; want a wake, not a poll", d)
 	}
 }
@@ -92,7 +92,7 @@ func TestParkedLeaseEndsOnDisconnect(t *testing.T) {
 		}
 	}()
 	<-entered
-	time.Sleep(leaseWait / 10)
+	time.Sleep(scenario.LeaseWait / 10)
 	cancel()
 	<-hungUp
 	// Submit before a lease that kept waiting would have timed out, and
@@ -102,7 +102,7 @@ func TestParkedLeaseEndsOnDisconnect(t *testing.T) {
 	select {
 	case <-returned:
 		gone = true
-	case <-time.After(leaseWait * 3 / 4):
+	case <-time.After(scenario.LeaseWait * 3 / 4):
 	}
 	st, err := c.Submit(suite, quickCase("after-hangup", 2))
 	if err != nil {
@@ -136,13 +136,13 @@ func TestWorkerStopsWhileParked(t *testing.T) {
 		for c.Health().Workers == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(leaseWait / 2)
+		time.Sleep(scenario.LeaseWait / 2)
 		cancel()
 		stopped := time.Now()
 		select {
 		case <-done:
-			if d := time.Since(stopped); d > leaseWait+100*time.Millisecond {
-				t.Errorf("remote=%v: worker took %v to stop while parked; want about leaseWait (%v)", remote, d, leaseWait)
+			if d := time.Since(stopped); d > scenario.LeaseWait+100*time.Millisecond {
+				t.Errorf("remote=%v: worker took %v to stop while parked; want about leaseWait (%v)", remote, d, scenario.LeaseWait)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("remote=%v: worker still running 5s after cancel", remote)
@@ -176,7 +176,7 @@ func TestDrainWakesOnLastComplete(t *testing.T) {
 				a, _ := c.Lease(wid)
 				parked <- a
 			}()
-			time.Sleep(leaseWait / 5)
+			time.Sleep(scenario.LeaseWait / 5)
 		}
 		drained := make(chan error, 1)
 		drainStart := time.Now()
@@ -185,7 +185,7 @@ func TestDrainWakesOnLastComplete(t *testing.T) {
 			if a := <-parked; a != nil {
 				t.Fatalf("parked lease was granted %+v during a drain", a)
 			}
-			if d := time.Since(drainStart); d > leaseWait/2 {
+			if d := time.Since(drainStart); d > scenario.LeaseWait/2 {
 				t.Fatalf("parked lease took %v to notice the drain", d)
 			}
 		}
@@ -229,11 +229,11 @@ func TestParkedLeaseThroughDaemonServer(t *testing.T) {
 	if a, err := rc.Lease(wid); a != nil || err != nil {
 		t.Fatalf("empty lease = %+v, %v; want 204", a, err)
 	}
-	if d := time.Since(t0); d < leaseWait*9/10 {
-		t.Fatalf("empty lease answered after %v; want it parked for leaseWait (%v)", d, leaseWait)
+	if d := time.Since(t0); d < scenario.LeaseWait*9/10 {
+		t.Fatalf("empty lease answered after %v; want it parked for leaseWait (%v)", d, scenario.LeaseWait)
 	}
 	go func() {
-		time.Sleep(leaseWait / 5)
+		time.Sleep(scenario.LeaseWait / 5)
 		c.Submit(suite, quickCase("woken", 3)) //nolint:errcheck // the lease below reports a miss
 	}()
 	if a, err := rc.Lease(wid); err != nil || a == nil {

@@ -21,7 +21,7 @@ import (
 // real crash loses both together, so clients never observe the gap),
 // which means a test that simulates a crash by closing the journal
 // must anchor on the durable record, not the in-memory snapshot.
-func waitJournaled(t *testing.T, path string, typ EntryType, runID string) {
+func waitJournaled(t *testing.T, path string, typ scenario.EntryType, runID string) {
 	t.Helper()
 	needle := `"type":"` + string(typ) + `"`
 	run := `"run":"` + runID + `"`
@@ -188,7 +188,7 @@ func TestCancelRequestSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The acknowledgement must already be durable when Cancel returns.
-	waitJournaled(t, path, EntryCancelRequested, st.ID)
+	waitJournaled(t, path, scenario.EntryCancelRequested, st.ID)
 
 	// Crash: no drain, no abort delivered to the wedged worker.
 	c1.Stop()
@@ -226,7 +226,7 @@ func TestCancelRequestSurvivesRestart(t *testing.T) {
 		t.Fatalf("run error after restart: %+v", got.Error)
 	}
 	// The finalization is journaled too, so a third generation agrees.
-	waitJournaled(t, path, EntryCompleted, st.ID)
+	waitJournaled(t, path, scenario.EntryCompleted, st.ID)
 }
 
 // TestFleetJournalTornTail: a crash can tear the last record and leave
@@ -245,10 +245,10 @@ func TestFleetJournalTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(Entry{Type: EntrySuite, Time: time.Now(), Suite: "s-1", SuiteName: "torn"})
-	must(Entry{Type: EntrySubmitted, Time: time.Now(), Suite: "s-1", Run: "r-1", Spec: &spec})
+	must(Entry{Type: scenario.EntrySuite, Time: time.Now(), Suite: "s-1", SuiteName: "torn"})
+	must(Entry{Type: scenario.EntrySubmitted, Time: time.Now(), Suite: "s-1", Run: "r-1", Spec: &spec})
 	must(Entry{Type: EntryDispatched, Time: time.Now(), Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, SeedAttempt: 1})
-	must(Entry{Type: EntryCompleted, Time: time.Now(), Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "feedface"})
+	must(Entry{Type: scenario.EntryCompleted, Time: time.Now(), Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "feedface"})
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func TestFleetJournalDuplicateCompletion(t *testing.T) {
 	spec := quickCase("case", 32)
 	now := time.Now()
 	entries := []Entry{
-		{Type: EntrySuite, Time: now, Suite: "s-1", SuiteName: "dup"},
-		{Type: EntrySubmitted, Time: now, Suite: "s-1", Run: "r-1", Spec: &spec},
+		{Type: scenario.EntrySuite, Time: now, Suite: "s-1", SuiteName: "dup"},
+		{Type: scenario.EntrySubmitted, Time: now, Suite: "s-1", Run: "r-1", Spec: &spec},
 		{Type: EntryDispatched, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, SeedAttempt: 1},
-		{Type: EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "aaaa"},
+		{Type: scenario.EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, State: scenario.StatePassed, Fingerprint: "aaaa"},
 		// A replayed, conflicting completion must not win.
-		{Type: EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-2", Dispatch: 2, State: scenario.StateFailed},
+		{Type: scenario.EntryCompleted, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-2", Dispatch: 2, State: scenario.StateFailed},
 	}
 	c := NewCoordinator(fastCfg(), entries)
 	got, ok := c.GetRun("r-1")

@@ -55,7 +55,7 @@ func TestRetentionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const extra = 40
-	done := finishRuns(t, c, suite.ID, wid, historyCap+extra)
+	done := finishRuns(t, c, suite.ID, wid, scenario.HistoryCap+extra)
 	var queued []string
 	for i := 0; i < 3; i++ {
 		st, err := c.Submit(suite.ID, quickCase("queued", int64(i)))
@@ -84,8 +84,8 @@ func TestRetentionBound(t *testing.T) {
 			}
 		}
 		_, runs, _ := c.GetSuite(suite.ID)
-		if len(runs) != historyCap+len(queued) {
-			t.Fatalf("%s: suite lists %d runs, want %d", when, len(runs), historyCap+len(queued))
+		if len(runs) != scenario.HistoryCap+len(queued) {
+			t.Fatalf("%s: suite lists %d runs, want %d", when, len(runs), scenario.HistoryCap+len(queued))
 		}
 		if s := c.Stats(); s.Admitted != int64(len(done)+len(queued)) || s.Completed != int64(len(done)) {
 			t.Fatalf("%s: accounting %+v", when, s)
@@ -99,7 +99,7 @@ func TestRetentionBound(t *testing.T) {
 	if s := c.Stats(); s.DuplicateCompletions != 1 {
 		t.Fatalf("late report for an evicted run not counted as a duplicate: %+v", s)
 	}
-	if err := c.Complete(wid, "r-99999", 1, Outcome{State: scenario.StatePassed}); !errors.Is(err, ErrUnknownRun) {
+	if err := c.Complete(wid, "r-99999", 1, Outcome{State: scenario.StatePassed}); !errors.Is(err, scenario.ErrUnknownRun) {
 		t.Fatalf("report for a never-issued run = %v, want ErrUnknownRun", err)
 	}
 	if err := j.Close(); err != nil {
@@ -134,7 +134,7 @@ func TestEvictedRunIsGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := finishRuns(t, c, suite.ID, wid, historyCap+1)
+	done := finishRuns(t, c, suite.ID, wid, scenario.HistoryCap+1)
 	ts := httptest.NewServer(NewServer(c))
 	defer ts.Close()
 

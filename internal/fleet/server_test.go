@@ -104,7 +104,7 @@ func TestServerBackpressureAndHealth(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("readyz 503 without Retry-After")
 	}
-	var h Health
+	var h scenario.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestServerBackpressureAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stats.Body.Close()
-	var s Stats
+	var s scenario.Stats
 	if err := json.NewDecoder(stats.Body).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestServerWorkerRoutes(t *testing.T) {
 	}
 	// Heartbeat for an unknown run: abort, not an error.
 	d, err := rc.Heartbeat(id, "r-404", 1)
-	if err != nil || d != DirectiveAbort {
+	if err != nil || d != scenario.DirectiveAbort {
 		t.Fatalf("stale heartbeat: %v, %v", d, err)
 	}
 	// Completing an unknown run is a hard error (410 on the wire).

@@ -97,7 +97,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// Exactly-once: every admitted run reaches a terminal state.
-	final := make(map[string]RunStatus, runs)
+	final := make(map[string]scenario.RunStatus, runs)
 	for _, id := range ids {
 		st := waitTerminal(t, c, id)
 		final[id] = st
@@ -146,7 +146,7 @@ func TestChaosSoak(t *testing.T) {
 	// records land after the in-memory state flips terminal, so wait
 	// for each before severing the journal.
 	for _, id := range ids {
-		waitJournaled(t, path, EntryCompleted, id)
+		waitJournaled(t, path, scenario.EntryCompleted, id)
 	}
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)

@@ -12,14 +12,14 @@ import (
 )
 
 // Coord is the worker's view of a coordinator. The in-process
-// Coordinator satisfies it directly; over the wire it is the HTTP
+// scenario.Coordinator satisfies it directly; over the wire it is the HTTP
 // client; in the chaos soak it is a fault-injecting decorator around
 // the real thing.
 type Coord interface {
-	Register(info WorkerInfo) (string, error)
-	Lease(workerID string) (*Assignment, error)
-	Heartbeat(workerID, runID string, dispatch int) (Directive, error)
-	Complete(workerID, runID string, dispatch int, out Outcome) error
+	Register(info scenario.WorkerInfo) (string, error)
+	Lease(workerID string) (*scenario.Assignment, error)
+	Heartbeat(workerID, runID string, dispatch int) (scenario.Directive, error)
+	Complete(workerID, runID string, dispatch int, out scenario.Outcome) error
 }
 
 // WorkerConfig tunes a worker.
@@ -99,7 +99,7 @@ func (w *Worker) register(stale string) error {
 	if w.id != stale {
 		return nil
 	}
-	id, err := w.coord.Register(WorkerInfo{Name: w.cfg.Name, Capacity: w.cfg.Capacity})
+	id, err := w.coord.Register(scenario.WorkerInfo{Name: w.cfg.Name, Capacity: w.cfg.Capacity})
 	if err == nil {
 		w.id = id
 	}
@@ -156,7 +156,7 @@ func (w *Worker) slot(ctx context.Context) {
 			w.execute(ctx, id, a)
 			continue // immediately ask for more work
 		}
-		if errors.Is(err, ErrUnknownWorker) {
+		if errors.Is(err, scenario.ErrUnknownWorker) {
 			// The coordinator restarted (its journal replay requeued
 			// our generation's orphans) or evicted us: join again. A
 			// failed attempt is retried by the next poll.
@@ -179,7 +179,7 @@ func (w *Worker) slot(ctx context.Context) {
 // re-registered since. Injected faults divert the flow: crash kills
 // the worker before execution, hang holds the lease forever without
 // heartbeats, slow withholds the completion past the lease.
-func (w *Worker) execute(ctx context.Context, id string, a *Assignment) {
+func (w *Worker) execute(ctx context.Context, id string, a *scenario.Assignment) {
 	fault := w.cfg.Faults.Draw(w.cfg.Name, a.Run, a.Dispatch)
 	switch fault.Kind {
 	case faults.WorkerCrash:
@@ -221,7 +221,7 @@ func (w *Worker) execute(ctx context.Context, id string, a *Assignment) {
 				return
 			case <-t.C:
 				d, err := w.coord.Heartbeat(id, a.Run, a.Dispatch)
-				if err == nil && d == DirectiveAbort {
+				if err == nil && d == scenario.DirectiveAbort {
 					aborted.Store(true)
 					cancel()
 					return
@@ -230,27 +230,16 @@ func (w *Worker) execute(ctx context.Context, id string, a *Assignment) {
 		}
 	}()
 
-	// The local runner's attempt envelope: a reported infra fault is
-	// the one the same seed would hit solo, and the coordinator's
-	// seed-advancing retry takes over from there.
+	// The runner's attempt envelope: a reported infra fault is the one
+	// the same seed would hit solo, and the coordinator's
+	// seed-advancing retry takes over from there. An abort directive
+	// is a deliberate cancel: report it as such even though only the
+	// attempt context died, so the coordinator can recognise it as
+	// stale — not a spurious run failure.
 	res, err := scenario.SupervisedAttempt(runCtx, &a.Spec, a.BaseSeed, a.SeedAttempt, w.cfg.WallDeadline, w.cfg.MaxEvents)
 	cancel()
 	hbWG.Wait()
-
-	var out Outcome
-	if err != nil {
-		// An abort directive is a deliberate cancel: classify it as
-		// such even though only the attempt context died, so the
-		// report is a cancellation the coordinator can recognise as
-		// stale — not a spurious run failure.
-		re := scenario.ClassifyError(err, a.SeedAttempt, ctx.Err() != nil || aborted.Load())
-		out = Outcome{State: scenario.StateFailed, Error: re}
-		if re.Kind == scenario.ErrCancelled {
-			out.State = scenario.StateCancelled
-		}
-	} else {
-		out = Outcome{State: scenario.StatePassed, Result: res}
-	}
+	out := scenario.NewOutcome(res, err, a.SeedAttempt, ctx.Err() != nil || aborted.Load())
 
 	if fault.Kind == faults.WorkerSlow {
 		// The work is done but the report dawdles — typically past the
@@ -296,25 +285,25 @@ func (f *FaultyCoord) drop() bool {
 
 // Register never drops: a worker that cannot register retries at
 // process level, which is outside the soak's scope.
-func (f *FaultyCoord) Register(info WorkerInfo) (string, error) {
+func (f *FaultyCoord) Register(info scenario.WorkerInfo) (string, error) {
 	return f.Inner.Register(info)
 }
 
-func (f *FaultyCoord) Lease(workerID string) (*Assignment, error) {
+func (f *FaultyCoord) Lease(workerID string) (*scenario.Assignment, error) {
 	if f.drop() {
 		return nil, nil // lost poll: indistinguishable from "no work"
 	}
 	return f.Inner.Lease(workerID)
 }
 
-func (f *FaultyCoord) Heartbeat(workerID, runID string, dispatch int) (Directive, error) {
+func (f *FaultyCoord) Heartbeat(workerID, runID string, dispatch int) (scenario.Directive, error) {
 	if f.drop() {
-		return DirectiveContinue, nil // lost heartbeat: lease keeps aging
+		return scenario.DirectiveContinue, nil // lost heartbeat: lease keeps aging
 	}
 	return f.Inner.Heartbeat(workerID, runID, dispatch)
 }
 
-func (f *FaultyCoord) Complete(workerID, runID string, dispatch int, out Outcome) error {
+func (f *FaultyCoord) Complete(workerID, runID string, dispatch int, out scenario.Outcome) error {
 	if f.drop() {
 		return nil // lost completion: only lease expiry recovers the run
 	}

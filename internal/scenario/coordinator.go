@@ -1,4 +1,4 @@
-package fleet
+package scenario
 
 import (
 	"context"
@@ -11,11 +11,10 @@ import (
 
 	"repro/internal/bounded"
 	"repro/internal/jsonl"
-	"repro/internal/scenario"
 )
 
-// Config tunes the coordinator.
-type Config struct {
+// CoordinatorConfig tunes the coordinator.
+type CoordinatorConfig struct {
 	// QueueCap bounds the admission queue; a full queue rejects with
 	// ErrQueueFull (default 64). Internal re-queues after failover are
 	// exempt from the cap — admission control must never lose an
@@ -30,8 +29,8 @@ type Config struct {
 	// MaxDispatches bounds lease grants per run; exhausting it
 	// records a typed worker-lost failure (default 5).
 	MaxDispatches int
-	// MaxAttempts bounds seed attempts for *reported* infra faults,
-	// mirroring the local runner (default 3).
+	// MaxAttempts bounds seed attempts for *reported* infra faults
+	// when a spec names no max_attempts of its own (default 3).
 	MaxAttempts int
 	// BackoffBase and BackoffMax bound the jittered exponential
 	// backoff before a re-dispatch (defaults 100 ms and 5 s).
@@ -43,7 +42,7 @@ type Config struct {
 	Journal *Journal
 }
 
-func (c Config) withDefaults() Config {
+func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
@@ -72,23 +71,23 @@ func (c Config) withDefaults() Config {
 }
 
 const (
-	// leaseWait bounds how long a Lease with nothing to hand out parks
+	// LeaseWait bounds how long a Lease with nothing to hand out parks
 	// on the coordinator before answering "no work". It equals the
 	// worker's idle poll interval, so an idle fleet sends no more lease
 	// requests than a polling one and a worker told to stop while
 	// parked still returns within one poll.
-	leaseWait = 50 * time.Millisecond
-	// historyCap is how many terminal runs the coordinator keeps in
+	LeaseWait = 50 * time.Millisecond
+	// HistoryCap is how many terminal runs the coordinator keeps in
 	// memory; older ones are evicted, live and on journal replay, and
 	// their outcome stays in the journal only.
-	historyCap = 256
+	HistoryCap = 256
 )
 
 // runRec is the coordinator's per-run state: the client-visible run
 // plus its lease position. All fields are guarded by the coordinator
 // lock.
 type runRec struct {
-	run *scenario.Run
+	run *Run
 
 	dispatches  int    // leases granted so far
 	seedAttempt int    // seed attempt the next/current dispatch runs at
@@ -97,6 +96,7 @@ type runRec struct {
 	leaseExpiry time.Time
 	notBefore   time.Time // backoff gate while queued for re-dispatch
 	cancelReq   bool
+	stop        context.CancelFunc // cancels an in-process lease's attempt (see watch)
 }
 
 // workerRec is one registered worker.
@@ -105,20 +105,23 @@ type workerRec struct {
 	inFlight int
 }
 
-// Coordinator owns the fleet dispatch state machine: a bounded
+// Coordinator owns the run lifecycle both daemons serve: a bounded
 // admission queue, a worker registry, leases with heartbeat renewal,
 // re-dispatch with backoff and budget, first-completion-wins dedup and
-// a crash-safe journal. See the package comment for the invariant it
-// maintains.
+// a crash-safe journal. Runner drives it with in-process executors;
+// internal/fleet serves its worker API to remote ones. Every admitted
+// run completes exactly once, with a fingerprint bit-identical to
+// RunCaseSolo at its seed attempt, or ends in a recorded typed
+// failure.
 type Coordinator struct {
-	cfg Config
+	cfg CoordinatorConfig
 
 	mu         sync.Mutex
 	queue      *bounded.Queue[string] // fresh admissions (cap = QueueCap)
 	requeue    []string               // failover re-queues, FIFO, budget-bounded
-	history    *bounded.Queue[string] // terminal run IDs, oldest first (cap = historyCap)
+	history    *bounded.Queue[string] // terminal run IDs, oldest first (cap = HistoryCap)
 	runs       map[string]*runRec     // every non-terminal run plus the history
-	suites     map[string]*scenario.Suite
+	suites     map[string]*Suite
 	workers    map[string]*workerRec
 	stats      Stats
 	nextSuite  int
@@ -127,35 +130,38 @@ type Coordinator struct {
 	draining   bool
 	// wake is closed, and cleared, whenever a parked Lease or a Drain
 	// may find a different answer: a submission, a re-queue, a released
-	// lease, the start of a drain, Stop. It exists only while someone
-	// waits on it.
+	// lease, a finalized run, the start of a drain, Stop. It exists
+	// only while someone waits on it.
 	wake chan struct{}
 
-	sweepStop chan struct{}
+	// stop is non-nil between Start and Stop, while empty leases park;
+	// sweepDone is the lease sweeper's exit (nil when none runs).
+	stop      chan struct{}
 	sweepDone chan struct{}
 }
 
 // NewCoordinator builds a coordinator, replaying journaled history:
-// the newest historyCap terminal runs are restored as-is and every
+// the newest HistoryCap terminal runs are restored as-is and every
 // orphaned in-flight or queued run returns to the dispatch queue with
 // its budget intact.
-func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
+func NewCoordinator(cfg CoordinatorConfig, recoveredEntries []Entry) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
 		queue:   bounded.NewQueue[string](cfg.QueueCap),
-		history: bounded.NewQueue[string](historyCap),
+		history: bounded.NewQueue[string](HistoryCap),
 		runs:    map[string]*runRec{},
-		suites:  map[string]*scenario.Suite{},
+		suites:  map[string]*Suite{},
 		workers: map[string]*workerRec{},
 	}
-	suiteNames, runs, finished := recoverEntries(recoveredEntries)
+	suiteNames, runs, finished := replay(recoveredEntries)
 	// Memory holds what it would hold had this generation lived
-	// through the journal: the newest historyCap terminal runs, in the
+	// through the journal: the newest HistoryCap terminal runs, in the
 	// order they finished.
-	if n := len(finished) - historyCap; n > 0 {
+	evicted := map[*runRec]bool{}
+	if n := len(finished) - HistoryCap; n > 0 {
 		for _, rec := range finished[:n] {
-			rec.evicted = true
+			evicted[rec] = true
 		}
 		finished = finished[n:]
 	}
@@ -169,74 +175,73 @@ func NewCoordinator(cfg Config, recoveredEntries []Entry) *Coordinator {
 		jsonl.BumpCounter(&c.nextWorker, e.Worker)
 	}
 	for id, name := range suiteNames {
-		c.suites[id] = &scenario.Suite{ID: id, Name: name}
+		c.suites[id] = &Suite{ID: id, Name: name}
 		jsonl.BumpCounter(&c.nextSuite, id)
 	}
 	for _, rec := range runs {
 		jsonl.BumpCounter(&c.nextRun, rec.run.ID)
 		c.stats.Admitted++
-		if rec.evicted {
+		if rec.run.State.Terminal() {
 			c.stats.Completed++
+		}
+		if evicted[rec] {
 			continue
 		}
-		rr := &runRec{run: rec.run, dispatches: rec.dispatches, seedAttempt: rec.seedAttempt, cancelReq: rec.cancelReq}
-		if rr.seedAttempt <= 0 {
-			rr.seedAttempt = 1
-		}
-		c.runs[rec.run.ID] = rr
+		rec.seedAttempt = max(rec.seedAttempt, 1)
+		c.runs[rec.run.ID] = rec
 		if s := c.suites[rec.run.Suite]; s != nil {
 			s.Runs = append(s.Runs, rec.run.ID)
 		}
 		if !rec.run.State.Terminal() {
-			// Orphaned: the previous coordinator died holding it.
-			// Requeue rather than mark interrupted — the exactly-once
-			// dedup makes automatic resubmission safe, and a possibly
-			// still-running worker's late report will simply win or
-			// be ignored.
+			// Orphaned: the previous generation died holding it.
+			// Requeue it — the exactly-once dedup makes automatic
+			// resubmission safe, and a possibly still-running worker's
+			// late report will simply win or be ignored.
 			c.requeue = append(c.requeue, rec.run.ID)
-		} else {
-			c.stats.Completed++
 		}
 	}
 	return c
 }
 
-// Start launches the lease sweeper.
+// Start opens the coordinator, so that empty leases park from now on,
+// and launches the lease sweeper.
 func (c *Coordinator) Start() {
 	c.mu.Lock()
-	if c.sweepStop != nil {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.stop != nil {
 		return
 	}
-	c.sweepStop = make(chan struct{})
-	c.sweepDone = make(chan struct{})
-	stop, done := c.sweepStop, c.sweepDone
-	c.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(c.cfg.SweepInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.ExpireLeases(time.Now())
-			case <-stop:
-				return
-			}
+	c.stop, c.sweepDone = make(chan struct{}), make(chan struct{})
+	go c.sweep(c.stop, c.sweepDone)
+}
+
+// sweep expires leases every SweepInterval until stop closes.
+func (c *Coordinator) sweep(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(c.cfg.SweepInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			c.ExpireLeases(time.Now())
+		case <-stop:
+			return
 		}
-	}()
+	}
 }
 
 // Stop halts the lease sweeper and releases parked leases
 // (idempotent). Lease parks only between Start and Stop.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
-	stop, done := c.sweepStop, c.sweepDone
-	c.sweepStop, c.sweepDone = nil, nil
+	stop, done := c.stop, c.sweepDone
+	c.stop, c.sweepDone = nil, nil
 	c.wakeLocked()
 	c.mu.Unlock()
 	if stop != nil {
 		close(stop)
+	}
+	if done != nil {
 		<-done
 	}
 }
@@ -244,9 +249,9 @@ func (c *Coordinator) Stop() {
 // ---- client API ----
 
 // CreateSuite registers a named suite and journals it.
-func (c *Coordinator) CreateSuite(name string) (*scenario.Suite, error) {
+func (c *Coordinator) CreateSuite(name string) (*Suite, error) {
 	if name == "" {
-		return nil, fmt.Errorf("fleet: suite has no name")
+		return nil, fmt.Errorf("scenario: suite has no name")
 	}
 	c.mu.Lock()
 	if c.draining {
@@ -254,21 +259,21 @@ func (c *Coordinator) CreateSuite(name string) (*scenario.Suite, error) {
 		return nil, ErrDraining
 	}
 	c.nextSuite++
-	s := &scenario.Suite{ID: fmt.Sprintf("s-%d", c.nextSuite), Name: name}
+	s := &Suite{ID: fmt.Sprintf("s-%d", c.nextSuite), Name: name}
 	c.suites[s.ID] = s
 	c.mu.Unlock()
 	if err := c.cfg.Journal.Record(Entry{Type: EntrySuite, Time: time.Now(), Suite: s.ID, SuiteName: name}); err != nil {
 		c.mu.Lock()
 		delete(c.suites, s.ID)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", scenario.ErrJournal, err)
+		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	return s, nil
 }
 
 // Submit validates and admits one case under the suite. A full queue
 // returns ErrQueueFull — 503 + Retry-After at the HTTP layer.
-func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus, error) {
+func (c *Coordinator) Submit(suiteID string, spec CaseSpec) (RunStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return RunStatus{}, err
 	}
@@ -280,13 +285,13 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 	s := c.suites[suiteID]
 	if s == nil {
 		c.mu.Unlock()
-		return RunStatus{}, fmt.Errorf("fleet: no suite %q", suiteID)
+		return RunStatus{}, fmt.Errorf("scenario: no suite %q", suiteID)
 	}
-	run := &scenario.Run{
+	run := &Run{
 		ID:          fmt.Sprintf("r-%d", c.nextRun+1),
 		Suite:       suiteID,
 		Spec:        spec,
-		State:       scenario.StateQueued,
+		State:       StateQueued,
 		SubmittedAt: time.Now(),
 	}
 	if !c.queue.Push(run.ID) {
@@ -309,7 +314,7 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 		// Admitted in memory but unknown to a restart: withdraw the
 		// run rather than let it dispatch unrecorded.
 		c.cancel(run.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
-		return RunStatus{}, fmt.Errorf("%w: %w", scenario.ErrJournal, err)
+		return RunStatus{}, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	// Wake a parked lease only now, so the dispatch it journals lands
 	// after the submission.
@@ -320,11 +325,12 @@ func (c *Coordinator) Submit(suiteID string, spec scenario.CaseSpec) (RunStatus,
 }
 
 // Cancel stops a run: queued runs terminate immediately; leased runs
-// get DirectiveAbort on their next heartbeat and finalize as cancelled
-// when the worker reports — or at lease expiry if it never does. The
-// request itself is journaled before Cancel returns, so an
-// acknowledged cancel survives a coordinator restart instead of the
-// run silently re-executing. Cancelling a terminal run is a no-op.
+// get DirectiveAbort on their next heartbeat (an in-process attempt is
+// cancelled at once) and finalize as cancelled when the worker reports
+// — or at lease expiry if it never does. The request itself is
+// journaled before Cancel returns, so an acknowledged cancel survives
+// a restart instead of the run silently re-executing. Cancelling a
+// terminal run is a no-op.
 func (c *Coordinator) Cancel(runID string) error {
 	return c.cancel(runID, "cancelled while queued")
 }
@@ -336,7 +342,7 @@ func (c *Coordinator) cancel(runID, whyQueued string) error {
 	rec := c.runs[runID]
 	if rec == nil {
 		c.mu.Unlock()
-		return fmt.Errorf("fleet: no run %q", runID)
+		return fmt.Errorf("scenario: no run %q", runID)
 	}
 	if rec.run.State.Terminal() {
 		c.mu.Unlock()
@@ -344,13 +350,16 @@ func (c *Coordinator) cancel(runID, whyQueued string) error {
 	}
 	if rec.worker == "" { // queued
 		entry := c.finalizeLocked(rec, Outcome{
-			State: scenario.StateCancelled,
-			Error: &scenario.RunError{Kind: scenario.ErrCancelled, Message: whyQueued},
+			State: StateCancelled,
+			Error: &RunError{Kind: ErrCancelled, Message: whyQueued},
 		}, "")
 		c.mu.Unlock()
 		return c.cfg.Journal.Record(entry)
 	}
 	rec.cancelReq = true
+	if rec.stop != nil {
+		rec.stop()
+	}
 	entry := Entry{
 		Type: EntryCancelRequested, Time: time.Now(),
 		Suite: rec.run.Suite, Run: runID,
@@ -374,12 +383,12 @@ func (c *Coordinator) GetRun(id string) (RunStatus, bool) {
 }
 
 // GetSuite returns the suite and snapshots of its runs.
-func (c *Coordinator) GetSuite(id string) (scenario.Suite, []RunStatus, bool) {
+func (c *Coordinator) GetSuite(id string) (Suite, []RunStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.suites[id]
 	if s == nil {
-		return scenario.Suite{}, nil, false
+		return Suite{}, nil, false
 	}
 	runs := make([]RunStatus, 0, len(s.Runs))
 	for _, rid := range s.Runs {
@@ -391,10 +400,10 @@ func (c *Coordinator) GetSuite(id string) (scenario.Suite, []RunStatus, bool) {
 }
 
 // Suites lists all suites.
-func (c *Coordinator) Suites() []scenario.Suite {
+func (c *Coordinator) Suites() []Suite {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]scenario.Suite, 0, len(c.suites))
+	out := make([]Suite, 0, len(c.suites))
 	for _, s := range c.suites {
 		out = append(out, suiteCopy(s))
 	}
@@ -403,7 +412,7 @@ func (c *Coordinator) Suites() []scenario.Suite {
 
 // suiteCopy snapshots a suite under the coordinator lock. Its run list
 // is copied too: eviction deletes from it in place.
-func suiteCopy(s *scenario.Suite) scenario.Suite {
+func suiteCopy(s *Suite) Suite {
 	out := *s
 	out.Runs = slices.Clone(s.Runs)
 	return out
@@ -444,7 +453,7 @@ func (c *Coordinator) statusLocked(rec *runRec) RunStatus {
 // Register admits a worker to the registry and returns its unique ID.
 func (c *Coordinator) Register(info WorkerInfo) (string, error) {
 	if info.Name == "" {
-		return "", fmt.Errorf("fleet: worker has no name")
+		return "", fmt.Errorf("scenario: worker has no name")
 	}
 	if info.Capacity <= 0 {
 		info.Capacity = 1
@@ -464,22 +473,23 @@ func (c *Coordinator) Register(info WorkerInfo) (string, error) {
 }
 
 // Lease hands the worker its next assignment. When there is nothing
-// to lease — empty queue, backoff gates, draining, or the worker at
-// capacity — it parks for up to leaseWait, waking on anything that may
-// change that, and answers nil if nothing did.
+// to lease — empty queue, backoff gates, or the worker at capacity — it
+// parks for up to LeaseWait, waking on anything that may change that,
+// and answers nil if nothing did. A draining coordinator grants
+// nothing: its queue stays in the journal for the next generation.
 func (c *Coordinator) Lease(workerID string) (*Assignment, error) {
-	return c.lease(context.Background(), workerID)
+	return c.LeaseContext(context.Background(), workerID)
 }
 
-// lease is Lease that also stops parking when ctx ends: the HTTP route
-// passes its request context, so a worker that hung up neither holds a
-// handler nor is handed a run it can no longer receive.
-func (c *Coordinator) lease(ctx context.Context, workerID string) (*Assignment, error) {
-	a, wake, err := c.tryLease(workerID)
+// LeaseContext is Lease that also stops parking when ctx ends: the
+// HTTP route passes its request context, so a worker that hung up
+// neither holds a handler nor is handed a run it can no longer receive.
+func (c *Coordinator) LeaseContext(ctx context.Context, workerID string) (*Assignment, error) {
+	a, wake, err := c.grant(ctx, workerID)
 	if wake == nil {
 		return a, err
 	}
-	timer := time.NewTimer(leaseWait)
+	timer := time.NewTimer(LeaseWait)
 	defer timer.Stop()
 	for {
 		select {
@@ -489,19 +499,29 @@ func (c *Coordinator) lease(ctx context.Context, workerID string) (*Assignment, 
 		case <-ctx.Done():
 			return nil, nil
 		}
-		if ctx.Err() != nil { // a hang-up that raced the wake still wins
-			return nil, nil
-		}
-		if a, wake, err = c.tryLease(workerID); wake == nil {
+		if a, wake, err = c.grant(ctx, workerID); wake == nil {
 			return a, err
 		}
 	}
 }
 
+// grant is tryLease for a worker: it grants nothing once Drain has
+// begun, or once ctx has ended (a hang-up that raced a wake still
+// wins).
+func (c *Coordinator) grant(ctx context.Context, workerID string) (*Assignment, <-chan struct{}, error) {
+	c.mu.Lock()
+	draining := c.draining
+	c.mu.Unlock()
+	if draining || ctx.Err() != nil {
+		return nil, nil, nil
+	}
+	return c.tryLease(workerID)
+}
+
 // tryLease grants the worker its next assignment without waiting. When
-// there is none and the caller may park (the coordinator is started
-// and not draining), it also returns the channel that is closed when
-// it is worth asking again; wake is nil whenever a or err is set.
+// there is none and the caller may park (the coordinator is started),
+// it also returns the channel that is closed when it is worth asking
+// again; wake is nil whenever a or err is set.
 func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan struct{}, err error) {
 	now := time.Now()
 	c.mu.Lock()
@@ -510,16 +530,12 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 		c.mu.Unlock()
 		return nil, nil, ErrUnknownWorker
 	}
-	if c.draining {
-		c.mu.Unlock()
-		return nil, nil, nil
-	}
 	var rec *runRec
 	if w.inFlight < w.info.Capacity {
 		rec = c.nextEligibleLocked(now)
 	}
 	if rec == nil {
-		if c.sweepStop != nil {
+		if c.stop != nil {
 			wake = c.waitLocked()
 		}
 		c.mu.Unlock()
@@ -529,8 +545,8 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 		// A journal-recovered cancel request: the client was told this
 		// run is stopping, so finalize it instead of re-dispatching.
 		entry := c.finalizeLocked(rec, Outcome{
-			State: scenario.StateCancelled,
-			Error: &scenario.RunError{Kind: scenario.ErrCancelled, Message: "cancel requested before coordinator restart"},
+			State: StateCancelled,
+			Error: &RunError{Kind: ErrCancelled, Message: "cancel requested before coordinator restart"},
 		}, "")
 		c.mu.Unlock()
 		if err := c.cfg.Journal.Record(entry); err != nil {
@@ -542,7 +558,7 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 	rec.dispatch = rec.dispatches
 	rec.worker = workerID
 	rec.leaseExpiry = now.Add(c.cfg.LeaseDuration)
-	rec.run.State = scenario.StateRunning
+	rec.run.State = StateRunning
 	rec.run.StartedAt = now
 	rec.run.Attempts = rec.dispatches
 	w.inFlight++
@@ -570,12 +586,25 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 		// Undo the grant; the run returns to the queue.
 		c.mu.Lock()
 		c.releaseLeaseLocked(rec)
-		rec.run.State = scenario.StateQueued
+		rec.run.State = StateQueued
 		c.requeue = append(c.requeue, rec.run.ID)
 		c.mu.Unlock()
 		return nil, nil, err
 	}
 	return a, nil, nil
+}
+
+// watch ties lease a to the in-process attempt that stop cancels, so
+// Cancel stops it at once rather than at its next heartbeat; a cancel
+// already pending stops it now.
+func (c *Coordinator) watch(a *Assignment, stop context.CancelFunc) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rec := c.runs[a.Run]; rec != nil && rec.dispatch == a.Dispatch && rec.worker != "" && !rec.cancelReq {
+		rec.stop = stop
+		return
+	}
+	stop()
 }
 
 // waitLocked returns the wake channel, creating it for the first
@@ -664,10 +693,10 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 		return nil
 	}
 	switch out.State {
-	case scenario.StatePassed, scenario.StateFailed, scenario.StateCancelled:
+	case StatePassed, StateFailed, StateCancelled:
 	default:
 		c.mu.Unlock()
-		return fmt.Errorf("fleet: non-terminal outcome state %q for run %s", out.State, runID)
+		return fmt.Errorf("scenario: non-terminal outcome state %q for run %s", out.State, runID)
 	}
 
 	// A cancelled report from a stale lease is a worker obeying an
@@ -677,21 +706,25 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 	// leases — determinism makes the result as good as the current
 	// holder's.
 	stale := rec.worker != workerID || rec.dispatch != dispatch
-	if stale && out.State == scenario.StateCancelled && !rec.cancelReq {
+	if stale && out.State == StateCancelled && !rec.cancelReq {
 		c.stats.DuplicateCompletions++
 		c.mu.Unlock()
 		return nil
 	}
 
-	// A reported infra fault is the one failure the local runner
-	// retries with a fresh derived seed; extend that rule fleet-wide
-	// before finalizing.
-	if out.State == scenario.StateFailed && out.Error != nil && out.Error.Kind == scenario.ErrInfra &&
-		rec.seedAttempt < c.cfg.MaxAttempts && rec.dispatches < c.cfg.MaxDispatches && !rec.cancelReq {
+	// A reported infra fault is the one failure retried, at the next
+	// seed attempt, up to the spec's max_attempts (else the default)
+	// and the dispatch budget.
+	maxAttempts := rec.run.Spec.MaxAttempts
+	if maxAttempts <= 0 {
+		maxAttempts = c.cfg.MaxAttempts
+	}
+	if out.State == StateFailed && out.Error != nil && out.Error.Kind == ErrInfra &&
+		rec.seedAttempt < maxAttempts && rec.dispatches < c.cfg.MaxDispatches && !rec.cancelReq {
 		c.releaseLeaseLocked(rec)
 		rec.seedAttempt++
-		rec.run.State = scenario.StateQueued
-		rec.notBefore = time.Now().Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.seedAttempt))
+		rec.run.State = StateQueued
+		rec.notBefore = time.Now().Add(Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.seedAttempt))
 		c.requeue = append(c.requeue, rec.run.ID)
 		c.stats.InfraRetries++
 		entry := Entry{
@@ -720,6 +753,7 @@ func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string) 
 	rec.run.FinishedAt = time.Now()
 	c.stats.Completed++
 	c.rememberLocked(rec.run.ID)
+	c.wakeLocked()
 	e := Entry{
 		Type: EntryCompleted, Time: rec.run.FinishedAt,
 		Suite: rec.run.Suite, Run: rec.run.ID,
@@ -741,12 +775,12 @@ func (c *Coordinator) releaseLeaseLocked(rec *runRec) {
 	if w := c.workers[rec.worker]; w != nil && w.inFlight > 0 {
 		w.inFlight--
 	}
-	rec.worker = ""
+	rec.worker, rec.stop = "", nil
 	c.wakeLocked()
 }
 
 // rememberLocked enters a newly terminal run into the history,
-// evicting the oldest terminal run from memory once historyCap are
+// evicting the oldest terminal run from memory once HistoryCap are
 // kept.
 func (c *Coordinator) rememberLocked(id string) {
 	if c.history.Full() {
@@ -799,9 +833,9 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 		switch {
 		case rec.cancelReq:
 			entries = append(entries, c.finalizeLocked(rec, Outcome{
-				State: scenario.StateCancelled,
-				Error: &scenario.RunError{
-					Kind:    scenario.ErrCancelled,
+				State: StateCancelled,
+				Error: &RunError{
+					Kind:    ErrCancelled,
 					Message: "lease expired after cancel request",
 					Attempt: rec.dispatches,
 				},
@@ -809,9 +843,9 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 		case rec.dispatches >= c.cfg.MaxDispatches:
 			c.stats.WorkersLost++
 			entries = append(entries, c.finalizeLocked(rec, Outcome{
-				State: scenario.StateFailed,
-				Error: &scenario.RunError{
-					Kind: scenario.ErrWorkerLost,
+				State: StateFailed,
+				Error: &RunError{
+					Kind: ErrWorkerLost,
 					Message: fmt.Sprintf("dispatch budget exhausted: %d leases granted, every worker crashed, hung or partitioned away",
 						rec.dispatches),
 					Attempt: rec.dispatches,
@@ -820,8 +854,8 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 		default:
 			worker := rec.worker
 			c.releaseLeaseLocked(rec)
-			rec.run.State = scenario.StateQueued
-			rec.notBefore = now.Add(scenario.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.dispatches))
+			rec.run.State = StateQueued
+			rec.notBefore = now.Add(Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.dispatches))
 			c.requeue = append(c.requeue, rec.run.ID)
 			c.stats.Redispatches++
 			entries = append(entries, Entry{
@@ -845,22 +879,29 @@ func (c *Coordinator) ExpireLeases(now time.Time) {
 // requeues them — drain returns unfinished work to the queue rather
 // than losing or failing it.
 func (c *Coordinator) Drain(ctx context.Context) error {
+	err := c.drain(ctx, func() bool { return c.inFlightLocked() == 0 })
+	c.Stop()
+	return err
+}
+
+// drain stops admissions, wakes every parked call, and waits until
+// idle, evaluated under the lock at each wake, holds or ctx ends. Each
+// daemon states what drained means for it as idle.
+func (c *Coordinator) drain(ctx context.Context, idle func() bool) error {
 	c.mu.Lock()
 	c.draining = true
 	c.wakeLocked()
-	for c.inFlightLocked() > 0 {
+	for !idle() {
 		wake := c.waitLocked()
 		c.mu.Unlock()
 		select {
 		case <-ctx.Done():
-			c.Stop()
 			return ctx.Err()
 		case <-wake:
 		}
 		c.mu.Lock()
 	}
 	c.mu.Unlock()
-	c.Stop()
 	return nil
 }
 

@@ -14,87 +14,124 @@ const (
 	EntrySuite EntryType = "suite"
 	// EntrySubmitted records a run's admission to the queue.
 	EntrySubmitted EntryType = "submitted"
-	// EntryStarted records a worker picking the run up (one per
-	// attempt).
-	EntryStarted EntryType = "started"
-	// EntryFinished records the terminal state.
+	// EntryDispatched records a lease grant: which worker holds which
+	// run at which dispatch and seed attempt.
+	EntryDispatched EntryType = "dispatched"
+	// EntryRequeued records a run returning to the queue — lease
+	// expiry or a reported infra fault — with the reason.
+	EntryRequeued EntryType = "requeued"
+	// EntryCancelRequested records a client cancel acknowledged for a
+	// leased run. The acknowledgement is a promise that the run is
+	// stopping, so it must survive a crash: replay keeps the request
+	// pending and the run finalizes as cancelled instead of
+	// re-executing.
+	EntryCancelRequested EntryType = "cancel-requested"
+	// EntryCompleted records the first accepted terminal report.
+	EntryCompleted EntryType = "completed"
+
+	// EntryStarted and EntryFinished are the records hbpsimd wrote
+	// before both daemons shared this schema: one started record per
+	// seed attempt (Attempt set), and the terminal state. Replay reads
+	// them as EntryDispatched and EntryCompleted, so an older journal
+	// keeps its history; nothing writes them any more.
+	EntryStarted  EntryType = "started"
 	EntryFinished EntryType = "finished"
 )
 
-// Entry is one append-only journal record. The journal is the crash
-// ledger, not the result store: it carries enough to reconstruct every
-// run's lifecycle position after a daemon restart (a run with a
-// started entry but no finished entry was lost mid-flight), plus the
-// result fingerprint so recovered history stays comparable.
+// Entry is one append-only journal record (internal/jsonl: flushed
+// and fsynced before acknowledgement, torn tails truncated on
+// reopen). The journal reconstructs every run's dispatch position
+// after a restart: a run with a submitted entry but no completed entry
+// was queued or in flight when the daemon died and is requeued with
+// its budget intact.
 type Entry struct {
-	Type  EntryType `json:"type"`
-	Time  time.Time `json:"time"`
-	Suite string    `json:"suite,omitempty"`
+	Type EntryType `json:"type"`
+	Time time.Time `json:"time"`
+
+	Suite string `json:"suite,omitempty"`
 	// SuiteName is set on EntrySuite.
 	SuiteName string `json:"suite_name,omitempty"`
 	Run       string `json:"run,omitempty"`
 	// Spec is set on EntrySubmitted so a recovered run is
-	// resubmittable.
+	// re-dispatchable.
 	Spec *CaseSpec `json:"spec,omitempty"`
+
+	// Worker, Dispatch and SeedAttempt are set on EntryDispatched
+	// (and Worker/Dispatch on EntryCompleted for attribution).
+	Worker      string `json:"worker,omitempty"`
+	Dispatch    int    `json:"dispatch,omitempty"`
+	SeedAttempt int    `json:"seed_attempt,omitempty"`
 	// Attempt is set on EntryStarted.
 	Attempt int `json:"attempt,omitempty"`
-	// State, Error and Fingerprint are set on EntryFinished.
+
+	// Reason is set on EntryRequeued: "lease-expired" or
+	// "infra-retry".
+	Reason string `json:"reason,omitempty"`
+
+	// State, Error and Fingerprint are set on EntryCompleted.
 	State       State     `json:"state,omitempty"`
 	Error       *RunError `json:"error,omitempty"`
 	Fingerprint string    `json:"fingerprint,omitempty"`
 }
 
-// Journal is the run lifecycle's append-only JSONL ledger
-// (internal/jsonl): every write is flushed and synced before Record
-// returns, and after a crash the journal may miss at most the
-// transition in flight, never hold a torn prefix of one. A nil
+// Journal is the run lifecycle's append-only JSONL ledger; a nil
 // journal discards records.
 type Journal = jsonl.Log[Entry]
 
-// OpenJournal opens (creating if needed) the journal at path, first
-// reading back every intact record for recovery. A damaged or torn
-// tail — the write the previous process died inside — is dropped, not
-// an error.
+// OpenJournal opens (creating if needed) the journal at path, reading
+// back every intact record for recovery; damaged tails are truncated,
+// not errors.
 func OpenJournal(path string) (*Journal, []Entry, error) { return jsonl.Open[Entry](path) }
 
-// Recover reconstructs run records from journal entries: terminal runs
-// come back as journaled, and any run submitted or started but never
-// finished is marked StateInterrupted — the previous daemon died while
-// holding it. The returned runs carry enough spec to resubmit.
-func Recover(entries []Entry) (suites map[string]string, runs []*Run) {
+// replay reconstructs suites and runs from journal entries. Terminal
+// runs come back as completed (first completion wins — duplicate
+// completed records, which a crash between journaling and
+// acknowledging can replay, never rewrite a terminal run); every
+// other submitted run comes back queued, keeping the dispatch count
+// and seed attempt it had reached so restart cannot reset a run's
+// budget. runs is in submission order; finished lists the terminal
+// ones in the order they finished.
+func replay(entries []Entry) (suites map[string]string, runs, finished []*runRec) {
 	suites = map[string]string{}
-	byID := map[string]*Run{}
-	finished := map[string]bool{}
+	byID := map[string]*runRec{}
 	for _, e := range entries {
 		switch e.Type {
 		case EntrySuite:
 			suites[e.Suite] = e.SuiteName
+			continue
 		case EntrySubmitted:
-			r := &Run{ID: e.Run, Suite: e.Suite, State: StateInterrupted, SubmittedAt: e.Time}
+			rec := &runRec{run: &Run{ID: e.Run, Suite: e.Suite, State: StateQueued, SubmittedAt: e.Time}}
 			if e.Spec != nil {
-				r.Spec = *e.Spec
+				rec.run.Spec = *e.Spec
 			}
-			byID[e.Run] = r
-			runs = append(runs, r)
+			byID[e.Run] = rec
+			runs = append(runs, rec)
+			continue
+		}
+		rec := byID[e.Run]
+		if rec == nil || rec.run.State.Terminal() {
+			continue
+		}
+		switch e.Type {
 		case EntryStarted:
-			if r := byID[e.Run]; r != nil {
-				r.Attempts = e.Attempt
-				r.StartedAt = e.Time
+			e.Dispatch, e.SeedAttempt = e.Attempt, e.Attempt
+			fallthrough
+		case EntryDispatched:
+			rec.dispatches, rec.seedAttempt = e.Dispatch, e.SeedAttempt
+			rec.run.Attempts, rec.run.StartedAt = e.Dispatch, e.Time
+		case EntryRequeued:
+			if e.SeedAttempt > 0 {
+				rec.seedAttempt = e.SeedAttempt
 			}
-		case EntryFinished:
-			if r := byID[e.Run]; r != nil && !finished[e.Run] {
-				// First completion wins: a duplicate finished record
-				// (a crash between journaling and acking can replay
-				// one) must not rewrite an already-terminal run.
-				finished[e.Run] = true
-				r.State = e.State
-				r.Error = e.Error
-				r.FinishedAt = e.Time
-				if e.Fingerprint != "" {
-					r.Result = &CaseResult{Kind: r.Spec.EffectiveKind(), Fingerprint: e.Fingerprint}
-				}
+		case EntryCancelRequested:
+			rec.cancelReq = true
+		case EntryCompleted, EntryFinished:
+			rec.run.State, rec.run.Error, rec.run.FinishedAt = e.State, e.Error, e.Time
+			if e.Fingerprint != "" {
+				rec.run.Result = &CaseResult{Kind: rec.run.Spec.EffectiveKind(), Fingerprint: e.Fingerprint}
 			}
+			finished = append(finished, rec)
 		}
 	}
-	return suites, runs
+	return suites, runs, finished
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,10 +77,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalMarksInterrupted: a run journaled as started but never
-// finished — the daemon died holding it — recovers as interrupted and
-// can be resubmitted.
-func TestJournalMarksInterrupted(t *testing.T) {
+// TestJournalRequeuesOrphan: a run journaled as dispatched but never
+// completed — the daemon died holding it — comes back queued with its
+// attempt count, and the restarted runner runs it again with no client
+// action, to its solo fingerprint.
+func TestJournalRequeuesOrphan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, _, err := OpenJournal(path)
 	if err != nil {
@@ -90,7 +92,7 @@ func TestJournalMarksInterrupted(t *testing.T) {
 	for _, e := range []Entry{
 		{Type: EntrySuite, Time: now, Suite: "s-1", SuiteName: "crashed"},
 		{Type: EntrySubmitted, Time: now, Suite: "s-1", Run: "r-1", Spec: &spec},
-		{Type: EntryStarted, Time: now, Suite: "s-1", Run: "r-1", Attempt: 1},
+		{Type: EntryDispatched, Time: now, Suite: "s-1", Run: "r-1", Worker: "w-1", Dispatch: 1, SeedAttempt: 1},
 	} {
 		if err := j.Record(e); err != nil {
 			t.Fatalf("Record: %v", err)
@@ -104,22 +106,105 @@ func TestJournalMarksInterrupted(t *testing.T) {
 	}
 	defer j2.Close()
 	r := NewRunner(Config{Workers: 1, Journal: j2}, entries)
+	rec, ok := r.GetRun("r-1")
+	if !ok || rec.State != StateQueued {
+		t.Fatalf("recovered run = %+v, want queued", rec)
+	}
+	if rec.Attempts != 1 || rec.Dispatches != 1 {
+		t.Fatalf("recovered attempts = %d, dispatches = %d, want 1 and 1", rec.Attempts, rec.Dispatches)
+	}
 	r.Start()
 	defer r.Drain(context.Background()) //nolint:errcheck
-	rec, ok := r.GetRun("r-1")
-	if !ok || rec.State != StateInterrupted {
-		t.Fatalf("recovered run = %+v, want interrupted", rec)
+	got := waitTerminal(t, r, "r-1", 60*time.Second)
+	if got.State != StatePassed {
+		t.Fatalf("requeued run state = %s (err %+v)", got.State, got.Error)
 	}
-	if rec.Attempts != 1 {
-		t.Fatalf("recovered attempts = %d, want 1", rec.Attempts)
-	}
-	// The interrupted run resumes as a fresh supervised run.
-	run, err := r.Resubmit("r-1")
+	solo, err := RunCaseSolo(&spec, 5)
 	if err != nil {
-		t.Fatalf("Resubmit: %v", err)
+		t.Fatal(err)
 	}
-	if got := waitTerminal(t, r, run.ID, 60*time.Second); got.State != StatePassed {
-		t.Fatalf("resubmitted run state = %s (err %+v)", got.State, got.Error)
+	if got.Result.Fingerprint != solo.Fingerprint || got.SeedAttempt != 1 {
+		t.Fatalf("requeued run: fingerprint %s at seed attempt %d, want solo %s at 1", got.Result.Fingerprint, got.SeedAttempt, solo.Fingerprint)
+	}
+}
+
+// TestReplaysRunnerJournal: a journal the daemon wrote before both
+// daemons shared one schema — started and finished records, no
+// dispatches — replays without re-executing its history. The finished
+// run comes back terminal with its fingerprint and attempts and is
+// never leased; the run started but never finished is leased once and
+// passes with its solo fingerprint, with no client action; and new IDs
+// continue past the recovered ones.
+func TestReplaysRunnerJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	const fp = "6f1d2c3b4a5968778695a4b3c2d1e0f00112233445566778899aabbccddeeff0"
+	at := `"time":"2026-01-02T03:04:05.123456789Z"`
+	legacy := strings.Join([]string{
+		`{"type":"suite",` + at + `,"suite":"s-1","suite_name":"first"}`,
+		`{"type":"suite",` + at + `,"suite":"s-2","suite_name":"second"}`,
+		`{"type":"submitted",` + at + `,"suite":"s-1","run":"r-1","spec":{"name":"done","tree":{"leaves":40,"duration":20,"seed":4},"infra_crash_prob":0.5}}`,
+		`{"type":"started",` + at + `,"suite":"s-1","run":"r-1","attempt":1}`,
+		`{"type":"started",` + at + `,"suite":"s-1","run":"r-1","attempt":2}`,
+		`{"type":"finished",` + at + `,"suite":"s-1","run":"r-1","state":"passed","fingerprint":"` + fp + `"}`,
+		`{"type":"submitted",` + at + `,"suite":"s-2","run":"r-2","spec":{"name":"orphan","tree":{"leaves":40,"duration":20,"seed":6}}}`,
+		`{"type":"started",` + at + `,"suite":"s-2","run":"r-2","attempt":1}`,
+	}, "\n") + "\n"
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, entries, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	r := NewRunner(Config{Workers: 1, Journal: j}, entries)
+	if got, ok := r.GetRun("r-1"); !ok || got.State != StatePassed || got.Result == nil || got.Result.Fingerprint != fp || got.Attempts != 2 {
+		t.Fatalf("finished run after replay: ok=%v %+v, want passed with its fingerprint after 2 attempts", ok, got)
+	}
+	if got, _ := r.GetRun("r-2"); got.State != StateQueued || got.Attempts != 1 {
+		t.Fatalf("unfinished run after replay: %+v, want queued after 1 attempt", got)
+	}
+	r.Start()
+	got := waitTerminal(t, r, "r-2", 60*time.Second)
+	spec := got.Spec
+	solo, err := RunCaseSolo(&spec, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StatePassed || got.Result.Fingerprint != solo.Fingerprint {
+		t.Fatalf("requeued run: %s (%+v), fingerprint %v, want passed with solo %s", got.State, got.Error, got.Result, solo.Fingerprint)
+	}
+	s, err := r.CreateSuite("third")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := r.Submit(s.ID, CaseSpec{Name: "fresh", Tree: quickTree(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ID != "s-3" || run.ID != "r-3" {
+		t.Fatalf("new IDs %s and %s, want s-3 and r-3", s.ID, run.ID)
+	}
+	if err := r.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, all, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := map[string]int{}
+	for _, e := range all[len(entries):] {
+		if e.Type == EntryDispatched {
+			leases[e.Run]++
+		}
+	}
+	if leases["r-1"] != 0 || leases["r-2"] != 1 {
+		t.Fatalf("leases after replay: %v, want none of r-1 and one of r-2\n%s", leases, raw)
 	}
 }
 
@@ -146,10 +231,10 @@ func TestJournalMultiRecordTornTail(t *testing.T) {
 		t.Fatalf("recovered %+v, want the 2-record pre-damage prefix", entries)
 	}
 	// The finished record after the hole was dropped, so the run
-	// recovers as interrupted, not passed.
-	_, runs := Recover(entries)
-	if len(runs) != 1 || runs[0].State != StateInterrupted {
-		t.Fatalf("recovered runs = %+v, want one interrupted run", runs)
+	// recovers queued, not passed.
+	_, runs, _ := NewRunner(Config{}, entries).GetSuite("s-1")
+	if len(runs) != 1 || runs[0].State != StateQueued {
+		t.Fatalf("recovered runs = %+v, want one queued run", runs)
 	}
 }
 
@@ -167,7 +252,7 @@ func TestJournalDuplicateCompletion(t *testing.T) {
 		{Type: EntryFinished, Suite: "s-1", Run: "r-1", State: StateFailed,
 			Error: &RunError{Kind: ErrRun, Message: "replayed stale record"}},
 	}
-	_, runs := Recover(entries)
+	_, runs, _ := NewRunner(Config{}, entries).GetSuite("s-1")
 	if len(runs) != 1 {
 		t.Fatalf("recovered %d runs, want 1", len(runs))
 	}

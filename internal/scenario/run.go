@@ -24,16 +24,12 @@ const (
 	// StateCancelled: stopped by an explicit cancel or daemon drain
 	// before completing.
 	StateCancelled State = "cancelled"
-	// StateInterrupted: journal recovery found the run started but
-	// never finished — the previous daemon process died while holding
-	// it.
-	StateInterrupted State = "interrupted"
 )
 
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool {
 	switch s {
-	case StatePassed, StateFailed, StateCancelled, StateInterrupted:
+	case StatePassed, StateFailed, StateCancelled:
 		return true
 	}
 	return false
@@ -62,8 +58,8 @@ const (
 	// ErrRun: any other executor error (bad config reaching the
 	// executor, simulation error).
 	ErrRun ErrorKind = "error"
-	// ErrWorkerLost: the fleet coordinator exhausted its dispatch
-	// budget for the run — every worker that leased it crashed, hung
+	// ErrWorkerLost: the coordinator exhausted its dispatch budget
+	// for the run — every worker that leased it crashed, hung
 	// or partitioned away before reporting a result.
 	ErrWorkerLost ErrorKind = "worker-lost"
 )
@@ -80,8 +76,8 @@ type RunError struct {
 
 func (e *RunError) Error() string { return string(e.Kind) + ": " + e.Message }
 
-// Run is one supervised case execution. Fields are snapshots guarded
-// by the runner's lock; handlers copy them out via Snapshot.
+// Run is one supervised case execution. Fields are guarded by the
+// coordinator's lock; handlers copy them out via Snapshot.
 type Run struct {
 	// ID is unique across the daemon's lifetime (journal recovery
 	// included).
@@ -92,7 +88,7 @@ type Run struct {
 	Spec CaseSpec `json:"spec"`
 	// State is the current lifecycle position.
 	State State `json:"state"`
-	// Attempts counts execution attempts so far.
+	// Attempts counts dispatches (execution attempts) so far.
 	Attempts int `json:"attempts"`
 	// Error is set for failed/cancelled runs.
 	Error *RunError `json:"error,omitempty"`
@@ -147,7 +143,8 @@ type FigureCaseResult struct {
 	Rendered string `json:"rendered"`
 }
 
-// Snapshot returns a copy safe to marshal outside the runner's lock.
+// Snapshot returns a copy safe to marshal outside the coordinator's
+// lock.
 func (r *Run) Snapshot() Run {
 	cp := *r
 	return cp

@@ -31,7 +31,7 @@ func newTestRunner(t *testing.T, cfg Config) *Runner {
 	return r
 }
 
-func waitTerminal(t *testing.T, r *Runner, id string, timeout time.Duration) Run {
+func waitTerminal(t *testing.T, r *Runner, id string, timeout time.Duration) RunStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -346,7 +346,7 @@ func TestRunnerQueueBackpressure(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var queued []*Run
+	var queued []*RunStatus
 	for i := 0; i < 2; i++ {
 		run, err := r.Submit(s.ID, CaseSpec{Name: "queued", Tree: quickTree(int64(20 + i))})
 		if err != nil {

@@ -17,23 +17,19 @@ import (
 //	GET    /suites            list suites
 //	GET    /suites/{id}       suite + run snapshots
 //	POST   /suites/{id}/cases CaseSpec                 -> run (503 + Retry-After when full)
-//	GET    /runs/{id}         run snapshot
+//	GET    /runs/{id}         run snapshot (410 once evicted from the run history)
 //	DELETE /runs/{id}         cancel the run
-//	POST   /runs/{id}/resubmit re-queue an interrupted run
 //	GET    /healthz           liveness + queue depth
 //	GET    /readyz            schedulability: 200 only when accepting work
+//	GET    /stats             exactly-once accounting counters
 type Server struct {
-	runner *Runner
-	mux    *http.ServeMux
+	mux *http.ServeMux
 }
 
 // NewServer wires the routes.
 func NewServer(r *Runner) *Server {
-	s := &Server{runner: r, mux: http.NewServeMux()}
-	MountClientRoutes[Run](s.mux, r)
-	s.mux.HandleFunc("POST /runs/{id}/resubmit", s.resubmitRun)
-	s.mux.HandleFunc("GET /healthz", s.healthz)
-	s.mux.HandleFunc("GET /readyz", s.readyz)
+	s := &Server{mux: http.NewServeMux()}
+	MountRoutes(s.mux, r.Coordinator)
 	return s
 }
 
@@ -41,54 +37,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	s.mux.ServeHTTP(w, req)
 }
 
-// Backend is the supervisor behind the suite/case client routes: the
-// local Runner, or a fleet coordinator. S is its run snapshot type —
-// Run, or a struct embedding it, so Client decodes either daemon's
-// bodies.
-type Backend[S any] interface {
-	CreateSuite(name string) (*Suite, error)
-	Submit(suiteID string, spec CaseSpec) (S, error)
-	Cancel(runID string) error
-	GetRun(id string) (S, bool)
-	GetSuite(id string) (Suite, []S, bool)
-	Suites() []Suite
-}
-
-// Evicter is implemented by a Backend that keeps a bounded run
-// history. Evicted reports whether id names a run the backend issued
-// and has since dropped from memory; the client routes answer such an
-// ID 410 Gone, pointing at the journal, where an ID never issued is
-// 404.
-type Evicter interface {
-	Evicted(id string) bool
-}
-
-// SuiteStatusOf is the GET /suites/{id} (and POST /suites) body: the
+// SuiteStatus is the GET /suites/{id} (and POST /suites) body: the
 // suite plus snapshots of its runs.
-type SuiteStatusOf[S any] struct {
-	Suite Suite `json:"suite"`
-	Runs  []S   `json:"runs"`
+type SuiteStatus struct {
+	Suite Suite       `json:"suite"`
+	Runs  []RunStatus `json:"runs"`
 }
 
-// SuiteStatus is the body as Client decodes it.
-type SuiteStatus = SuiteStatusOf[Run]
-
-// MountClientRoutes registers the six client routes of the suite/case
-// API (the first six of Server's route table) on mux, served from b.
-// Both daemons mount them, so one client speaks to either.
-func MountClientRoutes[S any](mux *http.ServeMux, b Backend[S]) {
-	h := clientRoutes[S]{b}
+// MountRoutes registers Server's route table on mux, served from c.
+// Both daemons mount it, so one client speaks to either.
+func MountRoutes(mux *http.ServeMux, c *Coordinator) {
+	h := routes{c}
 	mux.HandleFunc("POST /suites", h.createSuite)
 	mux.HandleFunc("GET /suites", h.listSuites)
 	mux.HandleFunc("GET /suites/{id}", h.getSuite)
 	mux.HandleFunc("POST /suites/{id}/cases", h.submitCase)
 	mux.HandleFunc("GET /runs/{id}", h.getRun)
 	mux.HandleFunc("DELETE /runs/{id}", h.cancelRun)
+	mux.HandleFunc("GET /healthz", h.healthz)
+	mux.HandleFunc("GET /readyz", h.readyz)
+	mux.HandleFunc("GET /stats", h.stats)
 }
 
-type clientRoutes[S any] struct{ b Backend[S] }
+type routes struct{ c *Coordinator }
 
-func (h clientRoutes[S]) createSuite(w http.ResponseWriter, req *http.Request) {
+func (h routes) createSuite(w http.ResponseWriter, req *http.Request) {
 	var spec SuiteSpec
 	if !DecodeBody(w, req, &spec) {
 		return
@@ -105,13 +78,13 @@ func (h clientRoutes[S]) createSuite(w http.ResponseWriter, req *http.Request) {
 		HTTPError(w, http.StatusBadRequest, errors.New("suite has no name"))
 		return
 	}
-	suite, err := h.b.CreateSuite(spec.Name)
+	suite, err := h.c.CreateSuite(spec.Name)
 	if err != nil {
 		reject(w, err)
 		return
 	}
 	for i := range spec.Cases {
-		if _, err := h.b.Submit(suite.ID, spec.Cases[i]); err != nil {
+		if _, err := h.c.Submit(suite.ID, spec.Cases[i]); err != nil {
 			// Partial admission is visible in the suite state; report
 			// the stall so the client can resubmit the remainder.
 			w.Header().Set("Retry-After", "1")
@@ -119,29 +92,29 @@ func (h clientRoutes[S]) createSuite(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	got, runs, _ := h.b.GetSuite(suite.ID)
-	WriteJSON(w, http.StatusCreated, SuiteStatusOf[S]{Suite: got, Runs: runs})
+	got, runs, _ := h.c.GetSuite(suite.ID)
+	WriteJSON(w, http.StatusCreated, SuiteStatus{Suite: got, Runs: runs})
 }
 
-func (h clientRoutes[S]) listSuites(w http.ResponseWriter, req *http.Request) {
-	WriteJSON(w, http.StatusOK, h.b.Suites())
+func (h routes) listSuites(w http.ResponseWriter, req *http.Request) {
+	WriteJSON(w, http.StatusOK, h.c.Suites())
 }
 
-func (h clientRoutes[S]) getSuite(w http.ResponseWriter, req *http.Request) {
-	suite, runs, ok := h.b.GetSuite(req.PathValue("id"))
+func (h routes) getSuite(w http.ResponseWriter, req *http.Request) {
+	suite, runs, ok := h.c.GetSuite(req.PathValue("id"))
 	if !ok {
 		HTTPError(w, http.StatusNotFound, errors.New("no such suite"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, SuiteStatusOf[S]{Suite: suite, Runs: runs})
+	WriteJSON(w, http.StatusOK, SuiteStatus{Suite: suite, Runs: runs})
 }
 
-func (h clientRoutes[S]) submitCase(w http.ResponseWriter, req *http.Request) {
+func (h routes) submitCase(w http.ResponseWriter, req *http.Request) {
 	var spec CaseSpec
 	if !DecodeBody(w, req, &spec) {
 		return
 	}
-	run, err := h.b.Submit(req.PathValue("id"), spec)
+	run, err := h.c.Submit(req.PathValue("id"), spec)
 	if err != nil {
 		reject(w, err)
 		return
@@ -149,8 +122,8 @@ func (h clientRoutes[S]) submitCase(w http.ResponseWriter, req *http.Request) {
 	WriteJSON(w, http.StatusAccepted, run)
 }
 
-func (h clientRoutes[S]) getRun(w http.ResponseWriter, req *http.Request) {
-	run, ok := h.b.GetRun(req.PathValue("id"))
+func (h routes) getRun(w http.ResponseWriter, req *http.Request) {
+	run, ok := h.c.GetRun(req.PathValue("id"))
 	if !ok {
 		h.missing(w, req.PathValue("id"), errors.New("no such run"))
 		return
@@ -158,23 +131,50 @@ func (h clientRoutes[S]) getRun(w http.ResponseWriter, req *http.Request) {
 	WriteJSON(w, http.StatusOK, run)
 }
 
-func (h clientRoutes[S]) cancelRun(w http.ResponseWriter, req *http.Request) {
-	if err := h.b.Cancel(req.PathValue("id")); err != nil {
+func (h routes) cancelRun(w http.ResponseWriter, req *http.Request) {
+	if err := h.c.Cancel(req.PathValue("id")); err != nil {
 		h.missing(w, req.PathValue("id"), err)
 		return
 	}
-	run, _ := h.b.GetRun(req.PathValue("id"))
+	run, _ := h.c.GetRun(req.PathValue("id"))
 	WriteJSON(w, http.StatusOK, run)
 }
 
-// missing answers a run ID the backend does not hold: 410 Gone when
-// it was issued and evicted, else 404 with err.
-func (h clientRoutes[S]) missing(w http.ResponseWriter, id string, err error) {
-	if e, ok := h.b.(Evicter); ok && e.Evicted(id) {
+// missing answers a run ID the coordinator does not hold: 410 Gone
+// when it was issued and evicted, else 404 with err.
+func (h routes) missing(w http.ResponseWriter, id string, err error) {
+	if h.c.Evicted(id) {
 		HTTPError(w, http.StatusGone, fmt.Errorf("run %s has left the server's bounded run history; its outcome is in the journal", id))
 		return
 	}
 	HTTPError(w, http.StatusNotFound, err)
+}
+
+func (h routes) healthz(w http.ResponseWriter, req *http.Request) {
+	st := h.c.Health()
+	WriteJSON(w, http.StatusOK, map[string]any{
+		"status":    "ok",
+		"queue":     st.QueueDepth,
+		"queue_cap": st.QueueCap,
+		"workers":   st.Workers,
+	})
+}
+
+// readyz distinguishes live from schedulable: a draining daemon or a
+// full queue answers 503 (with the same body) so a client or smoke
+// test can tell "up" from "will accept a run right now".
+func (h routes) readyz(w http.ResponseWriter, req *http.Request) {
+	st := h.c.Health()
+	code := http.StatusOK
+	if !st.Ready() {
+		code = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteJSON(w, code, st)
+}
+
+func (h routes) stats(w http.ResponseWriter, req *http.Request) {
+	WriteJSON(w, http.StatusOK, h.c.Stats())
 }
 
 // NewHTTPServer is the http.Server both daemons serve h with. It bounds
@@ -190,37 +190,6 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-}
-
-func (s *Server) resubmitRun(w http.ResponseWriter, req *http.Request) {
-	run, err := s.runner.Resubmit(req.PathValue("id"))
-	if err != nil {
-		reject(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusAccepted, run)
-}
-
-func (s *Server) healthz(w http.ResponseWriter, req *http.Request) {
-	depth, capacity := s.runner.QueueDepth()
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"queue":     depth,
-		"queue_cap": capacity,
-	})
-}
-
-// readyz distinguishes live from schedulable: a draining daemon or a
-// full queue answers 503 (with the same body) so a fleet coordinator
-// or smoke test can tell "up" from "will accept a run right now".
-func (s *Server) readyz(w http.ResponseWriter, req *http.Request) {
-	h := s.runner.Health()
-	code := http.StatusOK
-	if !h.Ready() {
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
-	}
-	WriteJSON(w, code, h)
 }
 
 // reject answers a refused admission; backpressure and a failing
@@ -252,16 +221,19 @@ func DecodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
 	return false
 }
 
-// StatusFor maps admission errors to HTTP statuses: an entry too large
-// to journal is 413 (retrying cannot help); backpressure, shutdown and
-// a failing journal are 503 (retryable); anything else — a bad spec,
-// an unknown suite — is 400.
+// StatusFor maps refusals to HTTP statuses: an entry too large to
+// journal is 413 (retrying cannot help); backpressure, shutdown, a
+// failing journal and a full worker registry are 503 (retryable); a
+// forgotten worker or a never-issued run is 410; anything else — a bad
+// spec, an unknown suite — is 400.
 func StatusFor(err error) int {
 	switch {
 	case errors.Is(err, jsonl.ErrTooLarge):
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrJournal):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrJournal), errors.Is(err, ErrFleetFull):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrUnknownWorker), errors.Is(err, ErrUnknownRun):
+		return http.StatusGone
 	default:
 		return http.StatusBadRequest
 	}

@@ -4,13 +4,15 @@
 // A suite is a named batch of cases; a case is one simulation to run —
 // either a tree scenario (a TreeSpec, the same knobs as cmd/hbpsim's
 // flags) or a whole figure regeneration (a FigureSpec naming a
-// cmd/figures generator). Cases are submitted into a bounded queue and
-// executed by a fixed worker pool, each run in its own goroutine under
-// a supervisor that enforces wall-clock and simulated-event deadlines,
-// isolates panics, retries infrastructure faults with jittered
-// exponential backoff, and audits teardown for resource leaks. Every
-// state transition is journaled to an append-only log so a restarted
-// daemon knows which runs it was holding when it died.
+// cmd/figures generator). One Coordinator owns the run lifecycle for
+// both daemons: a bounded admission queue, leases to workers,
+// requeue with jittered exponential backoff, first-completion-wins
+// dedup, a bounded run history and a journal replayed on restart.
+// Runner puts in-process executors behind it (cmd/hbpsimd);
+// internal/fleet serves it to remote workers (cmd/hbpfleet). Every
+// attempt runs under SupervisedAttempt, which enforces wall-clock and
+// simulated-event deadlines, isolates panics and audits teardown for
+// resource leaks.
 //
 // The package is a wall-clock supervisor *around* the deterministic
 // simulator, never part of it: a healthy case produces a result
@@ -66,8 +68,9 @@ type CaseSpec struct {
 	InfraCrashProb float64 `json:"infra_crash_prob,omitempty"`
 	// PanicForTest makes the executor panic — the supervisor's
 	// panic-isolation path is not reachable from valid specs, so the
-	// chaos tests need an explicit trapdoor.
-	PanicForTest bool `json:"panic_for_test,omitempty"`
+	// in-process chaos tests need an explicit trapdoor. It is not part
+	// of the wire spec: no decoded document sets it.
+	PanicForTest bool `json:"-"`
 }
 
 // TreeSpec mirrors cmd/hbpsim's flag set as a JSON document. Zero

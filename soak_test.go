@@ -172,14 +172,14 @@ func TestSoakScenarioSupervisor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	submit := func(spec scenario.CaseSpec) *scenario.Run {
+	submit := func(spec scenario.CaseSpec) *scenario.RunStatus {
 		run, err := r.Submit(s.ID, spec)
 		if err != nil {
 			t.Fatalf("submit %s: %v", spec.Name, err)
 		}
 		return &run
 	}
-	var healthy []*scenario.Run
+	var healthy []*scenario.RunStatus
 	for _, seed := range healthySeeds {
 		healthy = append(healthy, submit(healthySpec(seed)))
 	}
@@ -232,7 +232,7 @@ func TestSoakScenarioSupervisor(t *testing.T) {
 			t.Fatalf("healthy run %d leaked: %+v", i, got.Result.Tree.Leak)
 		}
 	}
-	expect := func(run *scenario.Run, state scenario.State, kind scenario.ErrorKind) {
+	expect := func(run *scenario.RunStatus, state scenario.State, kind scenario.ErrorKind) {
 		t.Helper()
 		got, _ := r.GetRun(run.ID)
 		if got.State != state || got.Error == nil || got.Error.Kind != kind {
