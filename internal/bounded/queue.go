@@ -65,6 +65,32 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
+// Peek returns the oldest element without removing it; ok is false on
+// an empty queue.
+func (q *Queue[T]) Peek() (v T, ok bool) {
+	if q.n == 0 {
+		return v, false
+	}
+	return q.buf[q.head], true
+}
+
+// Remove deletes the oldest element match accepts, keeping the others
+// in order, and reports whether there was one. The freed slot admits
+// the next Push.
+func (q *Queue[T]) Remove(match func(T) bool) bool {
+	for i := 0; i < q.n; i++ {
+		if !match(q.buf[(q.head+i)%len(q.buf)]) {
+			continue
+		}
+		for ; i > 0; i-- { // shift the older elements up over it
+			q.buf[(q.head+i)%len(q.buf)] = q.buf[(q.head+i-1)%len(q.buf)]
+		}
+		q.Pop()
+		return true
+	}
+	return false
+}
+
 // grow doubles the backing store up to the capacity, starting small so
 // a mostly-idle queue does not pay for its worst case.
 func (q *Queue[T]) grow() {

@@ -107,3 +107,37 @@ func TestDedupReset(t *testing.T) {
 		t.Fatal("post-reset eviction order wrong")
 	}
 }
+
+// TestQueueRemove: Remove takes out the oldest match anywhere in a
+// wrapped ring, keeps the rest in order, and frees its slot.
+func TestQueueRemove(t *testing.T) {
+	q := NewQueue[int](4)
+	for i := 0; i < 6; i++ { // wrap the ring: head is not at index 0
+		q.Push(i)
+		if i >= 2 {
+			q.Pop()
+		}
+	}
+	q.Push(6)
+	q.Push(7) // holds 4 5 6 7, full
+	if v, ok := q.Peek(); !ok || v != 4 || q.Len() != 4 {
+		t.Fatalf("peek = %d,%v len %d, want 4,true len 4", v, ok, q.Len())
+	}
+	if q.Remove(func(v int) bool { return v == 9 }) {
+		t.Fatal("removed an element that is not queued")
+	}
+	if !q.Remove(func(v int) bool { return v == 6 }) || q.Full() {
+		t.Fatalf("remove 6: len %d, want a free slot", q.Len())
+	}
+	if !q.Push(8) {
+		t.Fatal("push rejected after remove freed a slot")
+	}
+	for _, w := range []int{4, 5, 7, 8} {
+		if v, _ := q.Pop(); v != w {
+			t.Fatalf("pop = %d, want %d", v, w)
+		}
+	}
+	if _, ok := q.Peek(); ok {
+		t.Fatal("peek on an empty queue succeeded")
+	}
+}

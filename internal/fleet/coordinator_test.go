@@ -31,7 +31,6 @@ func soloFingerprint(t *testing.T, spec scenario.CaseSpec, seed int64) string {
 func fastCfg() Config {
 	return Config{
 		LeaseDuration: 150 * time.Millisecond,
-		SweepInterval: 25 * time.Millisecond,
 		BackoffBase:   10 * time.Millisecond,
 		BackoffMax:    50 * time.Millisecond,
 	}

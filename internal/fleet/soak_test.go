@@ -33,7 +33,6 @@ func TestChaosSoak(t *testing.T) {
 	cfg := Config{
 		QueueCap:      runs,
 		LeaseDuration: 300 * time.Millisecond,
-		SweepInterval: 50 * time.Millisecond,
 		MaxDispatches: 10,
 		BackoffBase:   10 * time.Millisecond,
 		BackoffMax:    100 * time.Millisecond,

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -21,11 +22,9 @@ type CoordinatorConfig struct {
 	// already-admitted run.
 	QueueCap int
 	// LeaseDuration is how long a dispatch survives without a
-	// heartbeat (default 15 s).
+	// heartbeat (default 15 s); expired leases are collected every
+	// LeaseDuration/4.
 	LeaseDuration time.Duration
-	// SweepInterval is how often expired leases are collected
-	// (default LeaseDuration/4).
-	SweepInterval time.Duration
 	// MaxDispatches bounds lease grants per run; exhausting it
 	// records a typed worker-lost failure (default 5).
 	MaxDispatches int
@@ -48,9 +47,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.LeaseDuration <= 0 {
 		c.LeaseDuration = 15 * time.Second
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.LeaseDuration / 4
 	}
 	if c.MaxDispatches <= 0 {
 		c.MaxDispatches = 5
@@ -78,8 +74,8 @@ const (
 	// parked still returns within one poll.
 	LeaseWait = 50 * time.Millisecond
 	// HistoryCap is how many terminal runs the coordinator keeps in
-	// memory; older ones are evicted, live and on journal replay, and
-	// their outcome stays in the journal only.
+	// memory; older ones are evicted and their outcome stays in the
+	// journal only.
 	HistoryCap = 256
 )
 
@@ -88,6 +84,7 @@ const (
 // lock.
 type runRec struct {
 	run *Run
+	seq int64 // submission order: the Admitted count that admitted it
 
 	dispatches  int    // leases granted so far
 	seedAttempt int    // seed attempt the next/current dispatch runs at
@@ -122,6 +119,7 @@ type Coordinator struct {
 	history    *bounded.Queue[string] // terminal run IDs, oldest first (cap = HistoryCap)
 	runs       map[string]*runRec     // every non-terminal run plus the history
 	suites     map[string]*Suite
+	suiteList  []*Suite // suites in creation order
 	workers    map[string]*workerRec
 	stats      Stats
 	nextSuite  int
@@ -140,10 +138,10 @@ type Coordinator struct {
 	sweepDone chan struct{}
 }
 
-// NewCoordinator builds a coordinator, replaying journaled history:
-// the newest HistoryCap terminal runs are restored as-is and every
-// orphaned in-flight or queued run returns to the dispatch queue with
-// its budget intact.
+// NewCoordinator builds a coordinator holding what the generation
+// that wrote recoveredEntries held when it died — applyLocked folded
+// over them — and returns every run a dead worker held to the dispatch
+// queue with its budget intact.
 func NewCoordinator(cfg CoordinatorConfig, recoveredEntries []Entry) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -154,51 +152,23 @@ func NewCoordinator(cfg CoordinatorConfig, recoveredEntries []Entry) *Coordinato
 		suites:  map[string]*Suite{},
 		workers: map[string]*workerRec{},
 	}
-	suiteNames, runs, finished := replay(recoveredEntries)
-	// Memory holds what it would hold had this generation lived
-	// through the journal: the newest HistoryCap terminal runs, in the
-	// order they finished.
-	evicted := map[*runRec]bool{}
-	if n := len(finished) - HistoryCap; n > 0 {
-		for _, rec := range finished[:n] {
-			evicted[rec] = true
-		}
-		finished = finished[n:]
-	}
-	for _, rec := range finished {
-		c.history.Push(rec.run.ID)
-	}
 	for _, e := range recoveredEntries {
 		// Worker IDs stay unique across generations: a survivor's
 		// stale ID must draw ErrUnknownWorker, never alias a worker
 		// that registers after the restart.
 		jsonl.BumpCounter(&c.nextWorker, e.Worker)
+		switch e.Type {
+		case EntryStarted:
+			e.Type, e.Dispatch, e.SeedAttempt = EntryDispatched, e.Attempt, e.Attempt
+		case EntryFinished:
+			e.Type = EntryCompleted
+		}
+		c.applyLocked(e)
 	}
-	for id, name := range suiteNames {
-		c.suites[id] = &Suite{ID: id, Name: name}
-		jsonl.BumpCounter(&c.nextSuite, id)
-	}
-	for _, rec := range runs {
-		jsonl.BumpCounter(&c.nextRun, rec.run.ID)
-		c.stats.Admitted++
-		if rec.run.State.Terminal() {
-			c.stats.Completed++
-		}
-		if evicted[rec] {
-			continue
-		}
-		rec.seedAttempt = max(rec.seedAttempt, 1)
-		c.runs[rec.run.ID] = rec
-		if s := c.suites[rec.run.Suite]; s != nil {
-			s.Runs = append(s.Runs, rec.run.ID)
-		}
-		if !rec.run.State.Terminal() {
-			// Orphaned: the previous generation died holding it.
-			// Requeue it — the exactly-once dedup makes automatic
-			// resubmission safe, and a possibly still-running worker's
-			// late report will simply win or be ignored.
-			c.requeue = append(c.requeue, rec.run.ID)
-		}
+	// The exactly-once dedup makes requeueing orphans safe: a possibly
+	// still-running worker's late report will simply win or be ignored.
+	for _, rec := range c.runsLocked(func(rec *runRec) bool { return rec.run.State == StateRunning }) {
+		c.applyLocked(Entry{Type: EntryRequeued, Suite: rec.run.Suite, Run: rec.run.ID})
 	}
 	return c
 }
@@ -215,10 +185,10 @@ func (c *Coordinator) Start() {
 	go c.sweep(c.stop, c.sweepDone)
 }
 
-// sweep expires leases every SweepInterval until stop closes.
+// sweep expires leases every LeaseDuration/4 until stop closes.
 func (c *Coordinator) sweep(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	t := time.NewTicker(c.cfg.SweepInterval)
+	t := time.NewTicker(c.cfg.LeaseDuration / 4)
 	defer t.Stop()
 	for {
 		select {
@@ -258,13 +228,13 @@ func (c *Coordinator) CreateSuite(name string) (*Suite, error) {
 		c.mu.Unlock()
 		return nil, ErrDraining
 	}
-	c.nextSuite++
-	s := &Suite{ID: fmt.Sprintf("s-%d", c.nextSuite), Name: name}
-	c.suites[s.ID] = s
+	entry := c.applyLocked(Entry{Type: EntrySuite, Time: time.Now(), Suite: fmt.Sprintf("s-%d", c.nextSuite+1), SuiteName: name})
+	s := c.suites[entry.Suite]
 	c.mu.Unlock()
-	if err := c.cfg.Journal.Record(Entry{Type: EntrySuite, Time: time.Now(), Suite: s.ID, SuiteName: name}); err != nil {
+	if err := c.cfg.Journal.Record(entry); err != nil {
 		c.mu.Lock()
 		delete(c.suites, s.ID)
+		c.suiteList = slices.DeleteFunc(c.suiteList, func(x *Suite) bool { return x == s })
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
@@ -287,33 +257,22 @@ func (c *Coordinator) Submit(suiteID string, spec CaseSpec) (RunStatus, error) {
 		c.mu.Unlock()
 		return RunStatus{}, fmt.Errorf("scenario: no suite %q", suiteID)
 	}
-	run := &Run{
-		ID:          fmt.Sprintf("r-%d", c.nextRun+1),
-		Suite:       suiteID,
-		Spec:        spec,
-		State:       StateQueued,
-		SubmittedAt: time.Now(),
-	}
-	if !c.queue.Push(run.ID) {
+	if c.queue.Full() {
 		c.stats.RejectedFull++
 		c.mu.Unlock()
 		return RunStatus{}, ErrQueueFull
 	}
-	c.nextRun++
-	rec := &runRec{run: run, seedAttempt: 1}
-	c.runs[run.ID] = rec
-	s.Runs = append(s.Runs, run.ID)
-	c.stats.Admitted++
-	status := c.statusLocked(rec)
+	entry := c.applyLocked(Entry{
+		Type: EntrySubmitted, Time: time.Now(),
+		Suite: s.ID, Run: fmt.Sprintf("r-%d", c.nextRun+1), Spec: &spec,
+	})
+	status := c.statusLocked(c.runs[entry.Run])
 	c.mu.Unlock()
 
-	if err := c.cfg.Journal.Record(Entry{
-		Type: EntrySubmitted, Time: run.SubmittedAt,
-		Suite: suiteID, Run: run.ID, Spec: &spec,
-	}); err != nil {
+	if err := c.cfg.Journal.Record(entry); err != nil {
 		// Admitted in memory but unknown to a restart: withdraw the
 		// run rather than let it dispatch unrecorded.
-		c.cancel(run.ID, "submission could not be journaled") //nolint:errcheck // the journal is already failing
+		c.cancel(entry.Run, "submission could not be journaled") //nolint:errcheck // the journal is already failing
 		return RunStatus{}, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	// Wake a parked lease only now, so the dispatch it journals lands
@@ -348,21 +307,21 @@ func (c *Coordinator) cancel(runID, whyQueued string) error {
 		c.mu.Unlock()
 		return nil
 	}
+	now := time.Now()
 	if rec.worker == "" { // queued
 		entry := c.finalizeLocked(rec, Outcome{
 			State: StateCancelled,
 			Error: &RunError{Kind: ErrCancelled, Message: whyQueued},
-		}, "")
+		}, "", now)
 		c.mu.Unlock()
 		return c.cfg.Journal.Record(entry)
 	}
-	rec.cancelReq = true
+	entry := c.applyLocked(Entry{
+		Type: EntryCancelRequested, Time: now,
+		Suite: rec.run.Suite, Run: runID,
+	})
 	if rec.stop != nil {
 		rec.stop()
-	}
-	entry := Entry{
-		Type: EntryCancelRequested, Time: time.Now(),
-		Suite: rec.run.Suite, Run: runID,
 	}
 	c.mu.Unlock()
 	// Journal before acknowledging: an acked cancel living only in
@@ -399,12 +358,12 @@ func (c *Coordinator) GetSuite(id string) (Suite, []RunStatus, bool) {
 	return suiteCopy(s), runs, true
 }
 
-// Suites lists all suites.
+// Suites lists all suites in creation order.
 func (c *Coordinator) Suites() []Suite {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Suite, 0, len(c.suites))
-	for _, s := range c.suites {
+	out := make([]Suite, 0, len(c.suiteList))
+	for _, s := range c.suiteList {
 		out = append(out, suiteCopy(s))
 	}
 	return out
@@ -547,21 +506,18 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 		entry := c.finalizeLocked(rec, Outcome{
 			State: StateCancelled,
 			Error: &RunError{Kind: ErrCancelled, Message: "cancel requested before coordinator restart"},
-		}, "")
+		}, "", now)
 		c.mu.Unlock()
 		if err := c.cfg.Journal.Record(entry); err != nil {
 			return nil, nil, err
 		}
 		return c.tryLease(workerID)
 	}
-	rec.dispatches++
-	rec.dispatch = rec.dispatches
-	rec.worker = workerID
-	rec.leaseExpiry = now.Add(c.cfg.LeaseDuration)
-	rec.run.State = StateRunning
-	rec.run.StartedAt = now
-	rec.run.Attempts = rec.dispatches
-	w.inFlight++
+	entry := c.applyLocked(Entry{
+		Type: EntryDispatched, Time: now,
+		Suite: rec.run.Suite, Run: rec.run.ID,
+		Worker: workerID, Dispatch: rec.dispatches + 1, SeedAttempt: rec.seedAttempt,
+	})
 	a = &Assignment{
 		Run:         rec.run.ID,
 		Suite:       rec.run.Suite,
@@ -571,11 +527,6 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 		BaseSeed:    rec.run.Spec.BaseSeed(),
 		LeaseMillis: c.cfg.LeaseDuration.Milliseconds(),
 	}
-	entry := Entry{
-		Type: EntryDispatched, Time: now,
-		Suite: rec.run.Suite, Run: rec.run.ID,
-		Worker: workerID, Dispatch: rec.dispatch, SeedAttempt: rec.seedAttempt,
-	}
 	c.mu.Unlock()
 	// Journal before the assignment leaves the coordinator: a crash
 	// after the worker starts but before the dispatch is durable
@@ -583,11 +534,12 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 	// late completion for it arrive — still deduplicated, but the
 	// budget accounting would be blind to the lease.
 	if err := c.cfg.Journal.Record(entry); err != nil {
-		// Undo the grant; the run returns to the queue.
+		// Undo the grant, unless the lease already ended: the run
+		// returns to the queue, as at a restart.
 		c.mu.Lock()
-		c.releaseLeaseLocked(rec)
-		rec.run.State = StateQueued
-		c.requeue = append(c.requeue, rec.run.ID)
+		if rec.worker == workerID && rec.dispatch == a.Dispatch {
+			c.applyLocked(Entry{Type: EntryRequeued, Suite: rec.run.Suite, Run: rec.run.ID})
+		}
 		c.mu.Unlock()
 		return nil, nil, err
 	}
@@ -624,34 +576,33 @@ func (c *Coordinator) wakeLocked() {
 	}
 }
 
-// nextEligibleLocked picks the next dispatchable run: failover
-// re-queues (oldest first, gated by their backoff) before fresh
-// admissions. Terminal entries — cancelled while queued, completed by
-// a late report — are skipped and dropped.
+// nextEligibleLocked picks the next dispatchable run without taking
+// it off its queue: failover re-queues (oldest first, gated by their
+// backoff) before fresh admissions. Both queues hold queued runs only;
+// applying a record that ends a run's wait takes it off.
 func (c *Coordinator) nextEligibleLocked(now time.Time) *runRec {
-	for i, id := range c.requeue {
-		rec := c.runs[id]
-		if rec == nil || rec.run.State.Terminal() || rec.worker != "" {
-			c.requeue = append(c.requeue[:i], c.requeue[i+1:]...)
-			return c.nextEligibleLocked(now)
+	for _, id := range c.requeue {
+		if rec := c.runs[id]; !now.Before(rec.notBefore) {
+			return rec
 		}
-		if now.Before(rec.notBefore) {
-			continue
-		}
-		c.requeue = append(c.requeue[:i], c.requeue[i+1:]...)
-		return rec
 	}
-	for {
-		id, ok := c.queue.Pop()
-		if !ok {
-			return nil
-		}
-		rec := c.runs[id]
-		if rec == nil || rec.run.State.Terminal() || rec.worker != "" {
-			continue
-		}
-		return rec
+	if id, ok := c.queue.Peek(); ok {
+		return c.runs[id]
 	}
+	return nil
+}
+
+// unqueueLocked takes a queued run off whichever queue holds it.
+func (c *Coordinator) unqueueLocked(rec *runRec) {
+	if rec.run.State != StateQueued {
+		return
+	}
+	id := rec.run.ID
+	if i := slices.Index(c.requeue, id); i >= 0 {
+		c.requeue = slices.Delete(c.requeue, i, i+1)
+		return
+	}
+	c.queue.Remove(func(q string) bool { return q == id })
 }
 
 // Heartbeat extends a live lease and tells the worker whether to keep
@@ -692,9 +643,7 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 		c.mu.Unlock()
 		return nil
 	}
-	switch out.State {
-	case StatePassed, StateFailed, StateCancelled:
-	default:
+	if !out.State.Terminal() {
 		c.mu.Unlock()
 		return fmt.Errorf("scenario: non-terminal outcome state %q for run %s", out.State, runID)
 	}
@@ -721,49 +670,154 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 	}
 	if out.State == StateFailed && out.Error != nil && out.Error.Kind == ErrInfra &&
 		rec.seedAttempt < maxAttempts && rec.dispatches < c.cfg.MaxDispatches && !rec.cancelReq {
-		c.releaseLeaseLocked(rec)
-		rec.seedAttempt++
-		rec.run.State = StateQueued
-		rec.notBefore = time.Now().Add(Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.seedAttempt))
-		c.requeue = append(c.requeue, rec.run.ID)
-		c.stats.InfraRetries++
-		entry := Entry{
+		entry := c.applyLocked(Entry{
 			Type: EntryRequeued, Time: time.Now(),
 			Suite: rec.run.Suite, Run: rec.run.ID,
-			Worker: workerID, Dispatch: dispatch, SeedAttempt: rec.seedAttempt,
-			Reason: "infra-retry",
-		}
+			Worker: workerID, Dispatch: dispatch, SeedAttempt: rec.seedAttempt + 1,
+			Reason: reasonInfraRetry,
+		})
 		c.mu.Unlock()
 		return c.cfg.Journal.Record(entry)
 	}
 
-	entry := c.finalizeLocked(rec, out, workerID)
+	entry := c.finalizeLocked(rec, out, workerID, time.Now())
 	c.mu.Unlock()
 	return c.cfg.Journal.Record(entry)
 }
 
-// finalizeLocked commits a terminal state and builds its journal
-// entry. Caller holds the lock and must Record the returned entry
-// after unlocking.
-func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string) Entry {
-	c.releaseLeaseLocked(rec)
-	rec.run.State = out.State
-	rec.run.Error = out.Error
-	rec.run.Result = out.Result
-	rec.run.FinishedAt = time.Now()
-	c.stats.Completed++
-	c.rememberLocked(rec.run.ID)
-	c.wakeLocked()
+// finalizeLocked ends rec with out: it applies the completed record,
+// carrying the full result the journal keeps only the fingerprint of,
+// and returns it for the caller to Record after unlocking.
+func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string, now time.Time) Entry {
 	e := Entry{
-		Type: EntryCompleted, Time: rec.run.FinishedAt,
+		Type: EntryCompleted, Time: now,
 		Suite: rec.run.Suite, Run: rec.run.ID,
 		Worker: workerID, Dispatch: rec.dispatch,
 		State: out.State, Error: out.Error,
+		result: out.Result,
 	}
 	if out.Result != nil {
 		e.Fingerprint = out.Result.Fingerprint
 	}
+	return c.applyLocked(e)
+}
+
+// applyLocked applies one journal record and returns it for the caller
+// to Record after unlocking. It is the only code that changes a suite,
+// a run, the queues or the counters a record names, and NewCoordinator
+// folds it over a recovered journal, so replay equals live. It reads
+// no clock and does no I/O; a record no live call would have built (a
+// second submission, a transition of an unknown or terminal run, a
+// non-terminal completion) changes nothing.
+func (c *Coordinator) applyLocked(e Entry) Entry {
+	switch e.Type {
+	case EntrySuite:
+		if c.suites[e.Suite] == nil {
+			s := &Suite{ID: e.Suite, Name: e.SuiteName}
+			c.suites[s.ID] = s
+			c.suiteList = append(c.suiteList, s)
+			jsonl.BumpCounter(&c.nextSuite, s.ID)
+		}
+		return e
+	case EntrySubmitted:
+		if c.runs[e.Run] != nil {
+			return e
+		}
+		c.stats.Admitted++
+		rec := &runRec{
+			run:         &Run{ID: e.Run, Suite: e.Suite, State: StateQueued, SubmittedAt: e.Time},
+			seq:         c.stats.Admitted,
+			seedAttempt: 1,
+		}
+		if e.Spec != nil {
+			rec.run.Spec = *e.Spec
+		}
+		c.runs[e.Run] = rec
+		jsonl.BumpCounter(&c.nextRun, e.Run)
+		if s := c.suites[e.Suite]; s != nil {
+			s.Runs = append(s.Runs, e.Run)
+		}
+		// Only replay under a smaller QueueCap overflows the queue; the
+		// run then waits with the cap-exempt re-queues, never lost.
+		if !c.queue.Push(e.Run) {
+			c.requeue = append(c.requeue, e.Run)
+		}
+		return e
+	}
+	rec := c.runs[e.Run]
+	if rec == nil || rec.run.State.Terminal() {
+		return e
+	}
+	switch e.Type {
+	case EntryDispatched:
+		c.unqueueLocked(rec)
+		c.releaseLeaseLocked(rec)
+		rec.dispatches, rec.dispatch = e.Dispatch, e.Dispatch
+		rec.seedAttempt = max(e.SeedAttempt, 1)
+		rec.worker = e.Worker
+		if w := c.workers[e.Worker]; w != nil {
+			w.inFlight++
+		}
+		rec.leaseExpiry = e.Time.Add(c.cfg.LeaseDuration)
+		rec.run.State, rec.run.StartedAt, rec.run.Attempts = StateRunning, e.Time, e.Dispatch
+	case EntryRequeued:
+		c.unqueueLocked(rec)
+		c.releaseLeaseLocked(rec)
+		if e.SeedAttempt > 0 {
+			rec.seedAttempt = e.SeedAttempt
+		}
+		// The backoff gate counts from the record's time; a requeue
+		// naming no reason (a restart's) waits for nothing.
+		rec.notBefore = e.Time
+		switch e.Reason {
+		case reasonInfraRetry:
+			rec.notBefore = e.Time.Add(c.backoff(rec, rec.seedAttempt))
+			c.stats.InfraRetries++
+		case reasonLeaseExpired:
+			rec.notBefore = e.Time.Add(c.backoff(rec, rec.dispatches))
+			c.stats.Redispatches++
+		}
+		rec.run.State = StateQueued
+		c.requeue = append(c.requeue, rec.run.ID)
+	case EntryCancelRequested:
+		rec.cancelReq = true
+	case EntryCompleted:
+		if !e.State.Terminal() {
+			return e
+		}
+		c.unqueueLocked(rec)
+		c.releaseLeaseLocked(rec)
+		rec.run.State, rec.run.Error, rec.run.FinishedAt = e.State, e.Error, e.Time
+		rec.run.Result = e.result
+		if rec.run.Result == nil && e.Fingerprint != "" {
+			rec.run.Result = &CaseResult{Kind: rec.run.Spec.EffectiveKind(), Fingerprint: e.Fingerprint}
+		}
+		c.stats.Completed++
+		if e.Error != nil && e.Error.Kind == ErrWorkerLost {
+			c.stats.WorkersLost++
+		}
+		c.rememberLocked(rec.run.ID)
+		c.wakeLocked()
+	}
 	return e
+}
+
+// backoff is rec's jittered exponential delay before the given
+// attempt's re-dispatch.
+func (c *Coordinator) backoff(rec *runRec, attempt int) time.Duration {
+	return Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), attempt)
+}
+
+// runsLocked returns the runs keep selects, in submission order.
+func (c *Coordinator) runsLocked(keep func(*runRec) bool) []*runRec {
+	var out []*runRec
+	for _, rec := range c.runs {
+		if keep(rec) {
+			out = append(out, rec)
+		}
+	}
+	slices.SortFunc(out, func(a, b *runRec) int { return cmp.Compare(a.seq, b.seq) })
+	return out
 }
 
 // releaseLeaseLocked clears the current lease and returns the slot to
@@ -818,53 +872,41 @@ func (c *Coordinator) issuedLocked(id string) bool {
 }
 
 // ExpireLeases reclaims every lease whose heartbeat stopped before
-// now: cancelled runs finalize, exhausted budgets record a typed
-// worker-lost failure, everything else re-queues under jittered
-// exponential backoff. The sweeper calls it on a ticker; tests may
-// call it directly.
+// now, in submission order: cancelled runs finalize, exhausted budgets
+// record a typed worker-lost failure, everything else re-queues under
+// jittered exponential backoff. The sweeper calls it on a ticker; tests
+// may call it directly.
 func (c *Coordinator) ExpireLeases(now time.Time) {
 	c.mu.Lock()
-	var entries []Entry
-	for _, rec := range c.runs {
-		if rec.worker == "" || rec.run.State.Terminal() || now.Before(rec.leaseExpiry) {
-			continue
-		}
+	expired := c.runsLocked(func(rec *runRec) bool { return rec.worker != "" && !now.Before(rec.leaseExpiry) })
+	entries := make([]Entry, 0, len(expired))
+	for _, rec := range expired {
 		c.stats.LeaseExpiries++
+		var out Outcome
 		switch {
 		case rec.cancelReq:
-			entries = append(entries, c.finalizeLocked(rec, Outcome{
-				State: StateCancelled,
-				Error: &RunError{
-					Kind:    ErrCancelled,
-					Message: "lease expired after cancel request",
-					Attempt: rec.dispatches,
-				},
-			}, rec.worker))
+			out = Outcome{State: StateCancelled, Error: &RunError{
+				Kind:    ErrCancelled,
+				Message: "lease expired after cancel request",
+				Attempt: rec.dispatches,
+			}}
 		case rec.dispatches >= c.cfg.MaxDispatches:
-			c.stats.WorkersLost++
-			entries = append(entries, c.finalizeLocked(rec, Outcome{
-				State: StateFailed,
-				Error: &RunError{
-					Kind: ErrWorkerLost,
-					Message: fmt.Sprintf("dispatch budget exhausted: %d leases granted, every worker crashed, hung or partitioned away",
-						rec.dispatches),
-					Attempt: rec.dispatches,
-				},
-			}, rec.worker))
+			out = Outcome{State: StateFailed, Error: &RunError{
+				Kind: ErrWorkerLost,
+				Message: fmt.Sprintf("dispatch budget exhausted: %d leases granted, every worker crashed, hung or partitioned away",
+					rec.dispatches),
+				Attempt: rec.dispatches,
+			}}
 		default:
-			worker := rec.worker
-			c.releaseLeaseLocked(rec)
-			rec.run.State = StateQueued
-			rec.notBefore = now.Add(Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, rec.run.Spec.BaseSeed(), rec.dispatches))
-			c.requeue = append(c.requeue, rec.run.ID)
-			c.stats.Redispatches++
-			entries = append(entries, Entry{
+			entries = append(entries, c.applyLocked(Entry{
 				Type: EntryRequeued, Time: now,
 				Suite: rec.run.Suite, Run: rec.run.ID,
-				Worker: worker, Dispatch: rec.dispatches, SeedAttempt: rec.seedAttempt,
-				Reason: "lease-expired",
-			})
+				Worker: rec.worker, Dispatch: rec.dispatches, SeedAttempt: rec.seedAttempt,
+				Reason: reasonLeaseExpired,
+			}))
+			continue
 		}
+		entries = append(entries, c.finalizeLocked(rec, out, rec.worker, now))
 	}
 	c.mu.Unlock()
 	for _, e := range entries {
@@ -909,7 +951,7 @@ func (c *Coordinator) drain(ctx context.Context, idle func() bool) error {
 func (c *Coordinator) inFlightLocked() int {
 	n := 0
 	for _, rec := range c.runs {
-		if rec.worker != "" && !rec.run.State.Terminal() {
+		if rec.worker != "" {
 			n++
 		}
 	}

@@ -40,10 +40,11 @@ const (
 
 // Entry is one append-only journal record (internal/jsonl: flushed
 // and fsynced before acknowledgement, torn tails truncated on
-// reopen). The journal reconstructs every run's dispatch position
-// after a restart: a run with a submitted entry but no completed entry
-// was queued or in flight when the daemon died and is requeued with
-// its budget intact.
+// reopen). Each record is one transition of the coordinator's state
+// (Coordinator.applyLocked): the live path applies what it journals,
+// and a restart folds the same function over the journal, so a run
+// with a submitted entry but no completed entry comes back queued or
+// held, and held runs are requeued with their budget intact.
 type Entry struct {
 	Type EntryType `json:"type"`
 	Time time.Time `json:"time"`
@@ -72,7 +73,18 @@ type Entry struct {
 	State       State     `json:"state,omitempty"`
 	Error       *RunError `json:"error,omitempty"`
 	Fingerprint string    `json:"fingerprint,omitempty"`
+
+	// result is the full result a live completion carries; the journal
+	// keeps only its Fingerprint, from which replay rebuilds one.
+	result *CaseResult
 }
+
+// The reasons an EntryRequeued record gives; each names the Stats
+// counter it bumps and the attempt its backoff counts.
+const (
+	reasonLeaseExpired = "lease-expired"
+	reasonInfraRetry   = "infra-retry"
+)
 
 // Journal is the run lifecycle's append-only JSONL ledger; a nil
 // journal discards records.
@@ -82,56 +94,3 @@ type Journal = jsonl.Log[Entry]
 // back every intact record for recovery; damaged tails are truncated,
 // not errors.
 func OpenJournal(path string) (*Journal, []Entry, error) { return jsonl.Open[Entry](path) }
-
-// replay reconstructs suites and runs from journal entries. Terminal
-// runs come back as completed (first completion wins — duplicate
-// completed records, which a crash between journaling and
-// acknowledging can replay, never rewrite a terminal run); every
-// other submitted run comes back queued, keeping the dispatch count
-// and seed attempt it had reached so restart cannot reset a run's
-// budget. runs is in submission order; finished lists the terminal
-// ones in the order they finished.
-func replay(entries []Entry) (suites map[string]string, runs, finished []*runRec) {
-	suites = map[string]string{}
-	byID := map[string]*runRec{}
-	for _, e := range entries {
-		switch e.Type {
-		case EntrySuite:
-			suites[e.Suite] = e.SuiteName
-			continue
-		case EntrySubmitted:
-			rec := &runRec{run: &Run{ID: e.Run, Suite: e.Suite, State: StateQueued, SubmittedAt: e.Time}}
-			if e.Spec != nil {
-				rec.run.Spec = *e.Spec
-			}
-			byID[e.Run] = rec
-			runs = append(runs, rec)
-			continue
-		}
-		rec := byID[e.Run]
-		if rec == nil || rec.run.State.Terminal() {
-			continue
-		}
-		switch e.Type {
-		case EntryStarted:
-			e.Dispatch, e.SeedAttempt = e.Attempt, e.Attempt
-			fallthrough
-		case EntryDispatched:
-			rec.dispatches, rec.seedAttempt = e.Dispatch, e.SeedAttempt
-			rec.run.Attempts, rec.run.StartedAt = e.Dispatch, e.Time
-		case EntryRequeued:
-			if e.SeedAttempt > 0 {
-				rec.seedAttempt = e.SeedAttempt
-			}
-		case EntryCancelRequested:
-			rec.cancelReq = true
-		case EntryCompleted, EntryFinished:
-			rec.run.State, rec.run.Error, rec.run.FinishedAt = e.State, e.Error, e.Time
-			if e.Fingerprint != "" {
-				rec.run.Result = &CaseResult{Kind: rec.run.Spec.EffectiveKind(), Fingerprint: e.Fingerprint}
-			}
-			finished = append(finished, rec)
-		}
-	}
-	return suites, runs, finished
-}

@@ -98,7 +98,9 @@ type RunStatus struct {
 // Stats are the coordinator's exactly-once accounting counters; the
 // chaos soaks assert their invariants (Completed == terminal runs,
 // Lost == 0 by construction — a lost run would be a non-terminal run
-// with no lease and no queue position).
+// with no lease and no queue position). Counters a journal record
+// names survive a restart; RejectedFull, DuplicateCompletions and
+// LeaseExpiries count the current generation only.
 type Stats struct {
 	// Admitted counts runs accepted into the queue.
 	Admitted int64 `json:"admitted"`

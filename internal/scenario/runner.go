@@ -128,15 +128,10 @@ func (r *Runner) Drain(ctx context.Context) error {
 	err := r.drain(ctx, r.settledLocked)
 	if err != nil {
 		r.mu.Lock()
-		var live []string
-		for id, rec := range r.runs {
-			if !rec.run.State.Terminal() {
-				live = append(live, id)
-			}
-		}
+		live := r.runsLocked(func(rec *runRec) bool { return !rec.run.State.Terminal() })
 		r.mu.Unlock()
-		for _, id := range live {
-			r.Cancel(id) //nolint:errcheck // best effort during forced drain
+		for _, rec := range live {
+			r.Cancel(rec.run.ID) //nolint:errcheck // best effort during forced drain
 		}
 		r.drain(context.Background(), r.settledLocked) //nolint:errcheck // cannot expire
 	}
@@ -145,16 +140,10 @@ func (r *Runner) Drain(ctx context.Context) error {
 	return err
 }
 
-// settledLocked reports whether every admitted run is terminal: the
-// runner's drain finishes its queue.
-func (r *Runner) settledLocked() bool {
-	for _, rec := range r.runs {
-		if !rec.run.State.Terminal() {
-			return false
-		}
-	}
-	return true
-}
+// settledLocked reports whether every admitted run is terminal — every
+// run in memory is in the history: the runner's drain finishes its
+// queue.
+func (r *Runner) settledLocked() bool { return len(r.runs) == r.history.Len() }
 
 // executor is one pool slot: lease, execute, report, until Stop. With
 // nothing to lease it waits for a wake, or at most LeaseWait, which
