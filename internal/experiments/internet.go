@@ -158,9 +158,14 @@ type InternetResult struct {
 // from the access router, the first armed router is the frontier.
 // Unarmed chains fall back to the level-1 subtree head — one hop from
 // AS 0 — so the victim side always sees full per-packet traffic while
-// the quiet stub edge stays aggregated. All lookups are local to the
-// part: topology is immutable, and the session tables consulted
-// belong to the part's own defense.
+// the quiet stub edge stays aggregated. When that head is the member's
+// own access router, the ingress is the member's port only if it is
+// already built: the head holds no session for dst (the walk just
+// checked), so no filter reads the port, and asking for it would build
+// an endpoint for nothing. An armed access router gets the port built,
+// since a capture blocks it. All lookups are local to the part:
+// topology is immutable, and the session tables consulted belong to
+// the part's own defense.
 type armedFrontierOracle struct {
 	it  *topology.Internet
 	def *core.Defense
@@ -184,6 +189,9 @@ func (o *armedFrontierOracle) Expand(member, dst netsim.NodeID) (*netsim.Node, *
 		as = p
 	}
 	r := o.it.Routers[as]
+	if o.it.HostAS[idx] == as {
+		return r, r.EndpointPort(member)
+	}
 	return r, r.NextHop(member)
 }
 
@@ -231,8 +239,22 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	for j := 0; j < cfg.Zombies; j++ {
 		isZombie[j*nh/cfg.Zombies] = true
 	}
+	// Count first, then fill at exact capacity: growing the lists by
+	// append made several times their content in garbage.
+	nAtk, nLegit := make([]int, it.Parts), make([]int, it.Parts)
+	for i, as := range it.HostAS {
+		if isZombie[i] {
+			nAtk[it.PartOf[as]]++
+		} else {
+			nLegit[it.PartOf[as]]++
+		}
+	}
 	atkMembers := make([][]netsim.NodeID, it.Parts)
 	legitMembers := make([][]netsim.NodeID, it.Parts)
+	for part := range atkMembers {
+		atkMembers[part] = make([]netsim.NodeID, 0, nAtk[part])
+		legitMembers[part] = make([]netsim.NodeID, 0, nLegit[part])
+	}
 	for i, as := range it.HostAS {
 		part := int(it.PartOf[as])
 		if isZombie[i] {

@@ -15,6 +15,13 @@ import "fmt"
 // the first time its own port towards that ID is asked for. From then
 // on the endpoint is an ordinary node on an ordinary duplex link of the
 // owner's part network.
+//
+// Asking for that port is what builds the endpoint, so a caller that
+// could do without it does not ask: EndpointPort returns the port only
+// if it exists, and Node.Inject takes a nil ingress for a packet from
+// a host that has none yet. A macro flow injecting at a host's own
+// access router therefore builds the host only once something needs
+// its port — in an internet run, a filter that must block it.
 
 // leafDir is a cluster's directory of reserved endpoint IDs: the
 // contiguous range [min, min+len(owner)) that follows the last eager
@@ -114,11 +121,24 @@ func (n *Node) leafSlot(id NodeID) (run *leafRun, i int) {
 	return nil, 0
 }
 
+// EndpointPort returns n's port towards reserved endpoint id if that
+// endpoint has been materialised, and nil when n does not own id or
+// nothing has needed the endpoint yet. Unlike NextHop it never builds
+// the endpoint: a caller that only needs the port when it exists —
+// say, to inject a packet as arriving from the host, where a missing
+// port means nil ingress — asks here.
+func (n *Node) EndpointPort(id NodeID) *Port {
+	if run, i := n.leafSlot(id); run != nil {
+		return run.port[i]
+	}
+	return nil
+}
+
 // leafNode returns the materialised endpoint id behind n, or nil when n
 // does not own id or nothing has needed the endpoint yet.
 func (n *Node) leafNode(id NodeID) *Node {
-	if run, i := n.leafSlot(id); run != nil && run.port[i] != nil {
-		return run.port[i].peer.node
+	if pt := n.EndpointPort(id); pt != nil {
+		return pt.peer.node
 	}
 	return nil
 }

@@ -139,6 +139,61 @@ func TestLeafMaterialisesOnceOnItsOwner(t *testing.T) {
 	}
 }
 
+// TestInjectFromUnbuiltEndpoint: a packet injected at an endpoint's
+// owner with nil ingress — the endpoint has no port yet — forwards like
+// any other, hooks see in == nil, and nothing is built. Once the port
+// exists and is blocked, a packet injected through it is dropped.
+func TestInjectFromUnbuiltEndpoint(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		lc := newLeafCluster(shards, []int{0, shards - 1}, RouteAuto)
+		cl := lc.cl
+		part := cl.Part(1)
+		id := lc.b + 1
+		nodes, links := len(part.Nodes()), len(part.Links())
+		var got, nilIn int
+		lc.s.Handler = func(p *Packet, in *Port) { got++ }
+		lc.r1.AddHook(ForwardFunc(func(_ *Node, p *Packet, in, out *Port) bool {
+			if in == nil && p.TrueSrc == id {
+				nilIn++
+			}
+			return true
+		}))
+		inject := func(in *Port) {
+			p := lc.r1.NewPacket()
+			p.Src, p.TrueSrc, p.Dst, p.Size, p.Type = id, id, lc.s.ID, 500, Data
+			lc.r1.Inject(p, in)
+		}
+		if lc.r1.EndpointPort(id) != nil {
+			t.Fatalf("shards=%d: endpoint %d has a port before anything built it", shards, id)
+		}
+		lc.r1.Network().Sim.At(0.001, func() { inject(lc.r1.EndpointPort(id)) })
+		if err := lc.ss.RunUntil(0.05); err != nil {
+			t.Fatal(err)
+		}
+		if got != 1 || nilIn != 1 || lc.r1.Stats.Forwarded != 1 {
+			t.Fatalf("shards=%d: server got %d, hook saw nil ingress %d times, r1 forwarded %d; want 1 1 1",
+				shards, got, nilIn, lc.r1.Stats.Forwarded)
+		}
+		if len(part.Nodes()) != nodes || len(part.Links()) != links || cl.Node(id) != nil || lc.r1.EndpointPort(id) != nil {
+			t.Fatalf("shards=%d: a nil-ingress injection built endpoint %d", shards, id)
+		}
+
+		pt := lc.r1.NextHop(id)
+		if pt == nil || lc.r1.EndpointPort(id) != pt {
+			t.Fatalf("shards=%d: EndpointPort does not return the built port", shards)
+		}
+		pt.BlockedIngress = true
+		lc.r1.Network().Sim.At(0.05, func() { inject(lc.r1.EndpointPort(id)) })
+		if err := lc.ss.RunUntil(0.1); err != nil {
+			t.Fatal(err)
+		}
+		if got != 1 || lc.r1.Stats.Drops[DropIngressBlocked] != 1 || pt.IngressDrops != 1 {
+			t.Fatalf("shards=%d: server got %d, r1 dropped %d as ingress-blocked (port %d); want 1 1 1",
+				shards, got, lc.r1.Stats.Drops[DropIngressBlocked], pt.IngressDrops)
+		}
+	}
+}
+
 func TestLeafPathHops(t *testing.T) {
 	lc := newLeafCluster(2, []int{0, 1}, RouteAuto)
 	cl := lc.cl

@@ -225,13 +225,17 @@ func (n *Node) Send(p *Packet) {
 }
 
 // Inject delivers p to this node as though it had just arrived from
-// the wire on port in, which must be one of n's ports. Flow-level
+// the wire on port in, which must be one of n's ports or nil. Flow-level
 // macro-agents use it to materialize an aggregated flow as a real
 // packet at the expansion boundary (the armed router or bottleneck)
 // instead of simulating every upstream hop. The packet is subject to
 // the normal arrival pipeline — ingress blocking, TTL decrement,
-// forwarding hooks. Inject fills a default TTL when unset and takes
-// ownership of p (see the Packet ownership rule).
+// forwarding hooks. A nil in means the packet came from a reserved
+// endpoint whose port has not been built (see EndpointPort): no
+// ingress block applies, since a port that does not exist cannot be
+// blocked, and hooks see in == nil as for a packet n sends itself.
+// Inject fills a default TTL when unset and takes ownership of p (see
+// the Packet ownership rule).
 //
 //hbplint:hotpath macro-agent expansion entry; aggregated flows materialize per-packet traffic here
 func (n *Node) Inject(p *Packet, in *Port) {
@@ -241,14 +245,15 @@ func (n *Node) Inject(p *Packet, in *Port) {
 	n.receive(p, in)
 }
 
-// receive handles a packet arriving from the wire on port in.
+// receive handles a packet arriving from the wire on port in, or
+// injected from an unbuilt endpoint when in is nil.
 func (n *Node) receive(p *Packet, in *Port) {
 	if n.down {
 		n.Stats.Drops[DropNodeDown]++
 		n.net.freePacket(p)
 		return
 	}
-	if in.BlockedIngress {
+	if in != nil && in.BlockedIngress {
 		n.Stats.Drops[DropIngressBlocked]++
 		in.IngressDrops++
 		n.net.freePacket(p)

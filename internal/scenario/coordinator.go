@@ -651,11 +651,14 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 	// A cancelled report from a stale lease is a worker obeying an
 	// abort directive, not a verdict: a live re-dispatched copy (or a
 	// future one) owns the run now. Ignore it unless the client really
-	// asked for a cancel. Pass/fail reports stay welcome from stale
-	// leases — determinism makes the result as good as the current
-	// holder's.
+	// asked for a cancel. An infra fault from a stale lease is ignored
+	// too: it failed an attempt the run has already moved past, and
+	// retrying on it would abort the holder's healthy one. Pass/fail
+	// reports stay welcome from stale leases — determinism makes the
+	// result as good as the current holder's.
 	stale := rec.worker != workerID || rec.dispatch != dispatch
-	if stale && out.State == StateCancelled && !rec.cancelReq {
+	infra := out.State == StateFailed && out.Error != nil && out.Error.Kind == ErrInfra
+	if stale && (infra || out.State == StateCancelled && !rec.cancelReq) {
 		c.stats.DuplicateCompletions++
 		c.mu.Unlock()
 		return nil
@@ -668,8 +671,7 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 	if maxAttempts <= 0 {
 		maxAttempts = c.cfg.MaxAttempts
 	}
-	if out.State == StateFailed && out.Error != nil && out.Error.Kind == ErrInfra &&
-		rec.seedAttempt < maxAttempts && rec.dispatches < c.cfg.MaxDispatches && !rec.cancelReq {
+	if infra && rec.seedAttempt < maxAttempts && rec.dispatches < c.cfg.MaxDispatches && !rec.cancelReq {
 		entry := c.applyLocked(Entry{
 			Type: EntryRequeued, Time: time.Now(),
 			Suite: rec.run.Suite, Run: rec.run.ID,

@@ -127,6 +127,49 @@ func TestExpireLeasesInSubmissionOrder(t *testing.T) {
 	}
 }
 
+// TestStaleInfraFaultLeavesHolderAlone: an infra fault reported from
+// an expired lease is not a retry of the run. The worker that holds it
+// now keeps its lease, the seed attempt stays 1, and the holder's
+// pass finalizes the run.
+func TestStaleInfraFaultLeavesHolderAlone(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{LeaseDuration: time.Microsecond, BackoffBase: time.Nanosecond, BackoffMax: time.Nanosecond}, nil)
+	s, _ := c.CreateSuite("stale")
+	a, _ := c.Register(WorkerInfo{Name: "a", Capacity: 1})
+	b, _ := c.Register(WorkerInfo{Name: "b", Capacity: 1})
+	run, err := c.Submit(s.ID, CaseSpec{Name: "x", Tree: quickTree(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, _, err := c.tryLease(a); g == nil || err != nil || g.Dispatch != 1 {
+		t.Fatalf("lease to a = %+v, %v; want dispatch 1", g, err)
+	}
+	time.Sleep(time.Microsecond)
+	c.ExpireLeases(time.Now())
+	time.Sleep(time.Microsecond)
+	g, _, err := c.tryLease(b)
+	if g == nil || err != nil || g.Dispatch != 2 || g.SeedAttempt != 1 {
+		t.Fatalf("lease to b = %+v, %v; want dispatch 2 at seed attempt 1", g, err)
+	}
+	if err := c.Complete(a, run.ID, 1, Outcome{State: StateFailed, Error: &RunError{Kind: ErrInfra}}); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := c.Heartbeat(b, run.ID, 2); err != nil || d != DirectiveContinue {
+		t.Fatalf("b's heartbeat after a stale infra fault = %q, %v; want %q", d, err, DirectiveContinue)
+	}
+	if st, _ := c.GetRun(run.ID); st.SeedAttempt != 1 || st.State != StateRunning {
+		t.Fatalf("after a stale infra fault the run is %s at seed attempt %d, want running at 1", st.State, st.SeedAttempt)
+	}
+	if err := c.Complete(b, run.ID, 2, Outcome{State: StatePassed, Result: &CaseResult{Kind: "tree", Fingerprint: "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := c.GetRun(run.ID); st.State != StatePassed || st.Result == nil || st.Result.Fingerprint != "f" {
+		t.Fatalf("b's pass left the run %+v, want passed with b's fingerprint", st)
+	}
+	if st := c.Stats(); st.InfraRetries != 0 || st.DuplicateCompletions != 1 {
+		t.Fatalf("stats %+v: want no infra retry and one duplicate completion", st)
+	}
+}
+
 // runView is what a restart must reproduce of one run.
 type runView struct {
 	State                             State

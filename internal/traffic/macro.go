@@ -8,9 +8,10 @@ import (
 // ExpansionOracle decides where a macro flow's next packet
 // materializes. Expand returns the node at which the aggregated
 // member's packet enters per-packet simulation and the ingress port
-// it appears to arrive on (nil ingress = locally originated). A nil
-// node skips the emission entirely — the flow stays aggregated past
-// links nobody observes — and is counted in MacroFlow.Skipped.
+// it appears to arrive on (nil ingress = no port: locally originated,
+// or from a reserved endpoint not yet built; see netsim.Node.Inject).
+// A nil node skips the emission entirely — the flow stays aggregated
+// past links nobody observes — and is counted in MacroFlow.Skipped.
 //
 // Implementations must derive their answer from topology and
 // schedule state local to the flow's shard: an oracle that reads
