@@ -2,6 +2,7 @@ package asnet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hashchain"
 	"repro/internal/hbp"
@@ -19,8 +20,9 @@ type Schedule struct {
 	// Member is this server's index within the pool.
 	Member int
 
-	chain  *hashchain.Chain
-	epochs int
+	// honeypot[e] is the member's role in epoch e, derived from the
+	// chain's active set once, when the schedule is made.
+	honeypot []bool
 }
 
 // NewSchedule derives a schedule from a chain seed.
@@ -38,30 +40,26 @@ func NewSchedule(seed []byte, n, k, member int, m, guard float64, epochs int) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Schedule{M: m, Guard: guard, N: n, K: k, Member: member, chain: chain, epochs: epochs}, nil
+	honeypot := make([]bool, epochs)
+	for e := range honeypot {
+		key, _ := chain.Key(e) // e is inside the chain
+		honeypot[e] = !slices.Contains(hashchain.ActiveSet(key, n, k), member)
+	}
+	return &Schedule{M: m, Guard: guard, N: n, K: k, Member: member, honeypot: honeypot}, nil
 }
 
 // Epochs returns the schedule length.
-func (s *Schedule) Epochs() int { return s.epochs }
+func (s *Schedule) Epochs() int { return len(s.honeypot) }
 
 // HoneypotAt reports whether the member acts as a honeypot in the
 // epoch.
 func (s *Schedule) HoneypotAt(epoch int) bool {
-	key, err := s.chain.Key(epoch)
-	if err != nil {
-		return false
-	}
-	for _, idx := range hashchain.ActiveSet(key, s.N, s.K) {
-		if idx == s.Member {
-			return false
-		}
-	}
-	return true
+	return epoch >= 0 && epoch < len(s.honeypot) && s.honeypot[epoch]
 }
 
 // NextHoneypotEpoch returns the first honeypot epoch >= from, or -1.
 func (s *Schedule) NextHoneypotEpoch(from int) int {
-	for e := from; e < s.epochs; e++ {
+	for e := from; e < len(s.honeypot); e++ {
 		if s.HoneypotAt(e) {
 			return e
 		}

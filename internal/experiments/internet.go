@@ -197,9 +197,20 @@ func (o *armedFrontierOracle) Expand(member, dst netsim.NodeID) (*netsim.Node, *
 
 // internetPart is the per-part state of an internet run.
 type internetPart struct {
+	pool  *roaming.Pool
 	def   *core.Defense
 	atk   *traffic.MacroFlow
 	legit *traffic.MacroFlow
+}
+
+// internetRun is an internet scenario built and not yet run.
+type internetRun struct {
+	cfg   InternetConfig
+	it    *topology.Internet
+	res   *InternetResult
+	parts []*internetPart
+	defs  []*core.Defense
+	eager int
 }
 
 // RunInternet executes one internet-scale scenario end to end on the
@@ -208,9 +219,20 @@ type internetPart struct {
 // traffic riding the cut channels and remote deployment answered
 // topologically (every AS router deploys). Parts other than 0 hold an
 // unstarted replica pool — roaming.NewPool is deterministic in the
-// chain seed and ActiveSetAt is pure, so each part derives the same
-// schedule with zero cross-shard reads.
+// chain seed and a pool's active sets depend on the chain alone, so
+// each part derives (and memoizes) the same schedule with zero
+// cross-shard reads.
 func RunInternet(cfg InternetConfig) (*InternetResult, error) {
+	r, err := buildInternet(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.run()
+}
+
+// buildInternet builds an internet scenario: topology, per-part pools,
+// defenses and macro flows, with the flows' start and stop scheduled.
+func buildInternet(cfg InternetConfig) (*internetRun, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -273,7 +295,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt := &internetPart{}
+		pt := &internetPart{pool: pool}
 		parts[part] = pt
 		var servers []*netsim.Node
 		if part == 0 {
@@ -339,11 +361,18 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 			sim.At(cfg.AttackEnd, atk.Stop)
 		}
 	}
+	return &internetRun{cfg: cfg, it: it, res: res, parts: parts, defs: defs, eager: eager}, nil
+}
 
+// run runs a built internet scenario to its horizon and collects the
+// result.
+func (r *internetRun) run() (*InternetResult, error) {
+	cfg, it, res, parts := r.cfg, r.it, r.res, r.parts
+	cl := it.Cluster
 	mon := metrics.NewBottleneckMonitor(cl.Part(0).Sim, it.Bottleneck, it.ServerGW, 1)
 
 	var capAt []float64
-	err := res.run("internet", cl, defs, cfg.Duration, func(i int) string {
+	err := res.run("internet", cl, r.defs, cfg.Duration, func(i int) string {
 		pt := parts[i]
 		for _, c := range pt.def.Captures() {
 			capAt = append(capAt, c.Time)
@@ -370,7 +399,7 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 	res.MeanDuringAttack = series.MeanBetween(cfg.AttackStart, cfg.AttackEnd)
 	sort.Float64s(capAt)
 	res.CaptureTimes = metrics.CaptureTimes(capAt, cfg.AttackStart)
-	res.Endpoints = -eager
+	res.Endpoints = -r.eager
 	for part := 0; part < it.Parts; part++ {
 		res.Endpoints += len(cl.Part(part).Nodes())
 	}
@@ -378,22 +407,19 @@ func RunInternet(cfg InternetConfig) (*InternetResult, error) {
 }
 
 // epochDest returns a Dest closure that targets the roaming schedule's
-// active set for the current epoch, derived purely from the pool's
-// hash chain (no mutable pool state — safe on any shard), rotating
-// round-robin within the set and caching per epoch.
+// active set for the current epoch, read from the part's own pool
+// memo (derived from the hash chain, never from another shard's
+// state), rotating round-robin within the set.
 func epochDest(sim *des.Simulator, pool *roaming.Pool, cfg roaming.Config) func() netsim.NodeID {
-	var active []netsim.NodeID
-	cached := -1
 	seq := 0
 	return func() netsim.NodeID {
 		e := int(sim.Now() / cfg.EpochLen)
 		if e >= cfg.Epochs {
 			e = cfg.Epochs - 1
 		}
-		if e != cached {
-			if set, err := pool.ActiveSetAt(e); err == nil && len(set) > 0 {
-				active, cached = set, e
-			}
+		active, err := pool.ActiveSetAt(e)
+		if err != nil {
+			panic(err) // e is clamped into the chain
 		}
 		seq++
 		return active[seq%len(active)]

@@ -137,24 +137,24 @@ func ActiveSet(key Key, n, k int) []int {
 		panic(fmt.Sprintf("hashchain: invalid active set %d of %d", k, n))
 	}
 	// Deterministic Fisher–Yates over [0,n) driven by an HMAC-based
-	// stream keyed on the epoch key.
+	// stream keyed on the epoch key: draw c is the first 8 bytes of
+	// HMAC(key, bigendian(c)). One keyed MAC serves every draw; Reset
+	// returns it to the keyed state.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	ctr := uint64(0)
-	next := func(bound int) int {
-		mac := hmac.New(sha256.New, key[:])
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], ctr)
-		ctr++
-		mac.Write(buf[:])
-		sum := mac.Sum(nil)
-		v := binary.BigEndian.Uint64(sum[:8])
-		return int(v % uint64(bound))
+	mac := hmac.New(sha256.New, key[:])
+	var st struct {
+		ctr [8]byte
+		sum [sha256.Size]byte
 	}
-	for i := n - 1; i > 0; i-- {
-		j := next(i + 1)
+	for i, c := n-1, uint64(0); i > 0; i, c = i-1, c+1 {
+		binary.BigEndian.PutUint64(st.ctr[:], c)
+		mac.Reset()
+		mac.Write(st.ctr[:])
+		v := binary.BigEndian.Uint64(mac.Sum(st.sum[:0]))
+		j := int(v % uint64(i+1))
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	out := make([]int, k)

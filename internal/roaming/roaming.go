@@ -5,11 +5,18 @@
 // Idle servers act as honeypots; traffic they receive is attack
 // traffic by construction, which is the signature source for honeypot
 // back-propagation (internal/core).
+//
+// A Pool derives each epoch's active set once, on first use, and
+// every reader of that epoch — the epoch broadcast, subscriptions
+// issued from the pool, the servers' honeypot look-ahead — shares the
+// one slice. Shared sets are read-only: a caller that needs to reorder
+// or edit one copies it first.
 package roaming
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/hashchain"
@@ -61,6 +68,8 @@ func (c Config) HoneypotProbability() float64 {
 // schedule implement it.
 type Listener interface {
 	// EpochStart fires at each epoch boundary with the new active set.
+	// The slice is the pool's memoized set, shared with every other
+	// reader of the epoch: read-only.
 	EpochStart(epoch int, active []netsim.NodeID)
 }
 
@@ -77,8 +86,11 @@ type Pool struct {
 	servers []*netsim.Node
 	chain   *hashchain.Chain
 
+	// sets memoizes ActiveSetAt: entry e is nil until epoch e's set
+	// is first derived (K >= 1, so a derived set is never nil).
+	sets [][]netsim.NodeID
+
 	epoch     int
-	active    map[netsim.NodeID]bool
 	activeIDs []netsim.NodeID
 	listeners []Listener
 	started   bool
@@ -98,7 +110,10 @@ func NewPool(sim *des.Simulator, servers []*netsim.Node, cfg Config) (*Pool, err
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{cfg: cfg, sim: sim, servers: servers, chain: chain, epoch: -1}, nil
+	return &Pool{
+		cfg: cfg, sim: sim, servers: servers, chain: chain,
+		sets: make([][]netsim.NodeID, cfg.Epochs), epoch: -1,
+	}, nil
 }
 
 // Config returns the pool configuration.
@@ -142,24 +157,26 @@ func (p *Pool) advanceEpoch() {
 		panic(err) // bounds checked above
 	}
 	p.activeIDs = set
-	p.active = make(map[netsim.NodeID]bool, len(set))
-	for _, id := range set {
-		p.active[id] = true
-	}
 	for _, l := range p.listeners {
 		l.EpochStart(p.epoch, p.activeIDs)
 	}
 }
 
-// ActiveSetAt computes the active server IDs for an epoch from the
-// chain, without advancing pool state. Any holder of the epoch key
-// obtains the same answer.
+// ActiveSetAt returns the active server IDs for an epoch, derived from
+// the chain on the first call and memoized after, without advancing
+// the schedule. Any holder of the epoch key obtains the same answer.
+// The returned slice is shared by every caller: read-only.
 func (p *Pool) ActiveSetAt(epoch int) ([]netsim.NodeID, error) {
 	key, err := p.chain.Key(epoch)
 	if err != nil {
 		return nil, err
 	}
-	return ActiveServers(key, p.servers, p.cfg.K), nil
+	if set := p.sets[epoch]; set != nil {
+		return set, nil
+	}
+	set := ActiveServers(key, p.servers, p.cfg.K)
+	p.sets[epoch] = set
+	return set, nil
 }
 
 // ActiveServers maps a chain key to the active subset of servers.
@@ -177,9 +194,9 @@ func ActiveServers(key hashchain.Key, servers []*netsim.Node, k int) []netsim.No
 func (p *Pool) Epoch() int { return p.epoch }
 
 // IsActive reports whether the server is in the current active set.
-func (p *Pool) IsActive(id netsim.NodeID) bool { return p.active[id] }
+func (p *Pool) IsActive(id netsim.NodeID) bool { return slices.Contains(p.activeIDs, id) }
 
-// Active returns the current active server IDs.
+// Active returns the current active server IDs (read-only).
 func (p *Pool) Active() []netsim.NodeID { return p.activeIDs }
 
 // EpochStartTime returns the simulation time at which the given epoch
@@ -197,14 +214,7 @@ func (p *Pool) NextHoneypotEpoch(id netsim.NodeID, from int) int {
 		if err != nil {
 			return -1
 		}
-		active := false
-		for _, s := range set {
-			if s == id {
-				active = true
-				break
-			}
-		}
-		if !active {
+		if !slices.Contains(set, id) {
 			return e
 		}
 	}

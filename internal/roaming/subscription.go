@@ -12,9 +12,13 @@ import (
 // holder derive active sets for every epoch up to and including t
 // (Sec. 4). Subscriptions never learn keys past their horizon; an
 // expired client must renew.
+//
+// A subscription only ever holds a key of its issuing pool's chain
+// (from Issue, or a Renew that verified against the held key), so the
+// set it would derive for an epoch is the pool's: it reads the pool's
+// memo instead of walking the chain itself.
 type Subscription struct {
-	servers  []*netsim.Node
-	k        int
+	pool     *Pool
 	epochLen float64
 
 	key      hashchain.Key
@@ -34,8 +38,7 @@ func (p *Pool) Issue(horizon int) (*Subscription, error) {
 		return nil, fmt.Errorf("roaming: issue: %w", err)
 	}
 	return &Subscription{
-		servers:  p.servers,
-		k:        p.cfg.K,
+		pool:     p,
 		epochLen: p.cfg.EpochLen,
 		key:      key,
 		keyEpoch: horizon,
@@ -59,17 +62,15 @@ func (s *Subscription) EpochAt(now float64) int {
 // Expired reports whether the epoch lies beyond the key horizon.
 func (s *Subscription) Expired(epoch int) bool { return epoch > s.keyEpoch }
 
-// ActiveServers derives the active set for an epoch from the client's
-// own key (no oracle access to the pool). It fails past the horizon.
+// ActiveServers returns the active set for an epoch the client's key
+// covers: what Derive from the held key would give, read from the
+// issuing pool's memo. It fails past the horizon. The slice is shared
+// with every other reader of the epoch: read-only.
 func (s *Subscription) ActiveServers(epoch int) ([]netsim.NodeID, error) {
 	if s.Expired(epoch) {
 		return nil, fmt.Errorf("roaming: subscription expired (epoch %d > horizon %d)", epoch, s.keyEpoch)
 	}
-	key, err := hashchain.Derive(s.key, s.keyEpoch, epoch)
-	if err != nil {
-		return nil, err
-	}
-	return ActiveServers(key, s.servers, s.k), nil
+	return s.pool.ActiveSetAt(epoch)
 }
 
 // Renew replaces the key with a later-horizon key, verifying it
