@@ -1,7 +1,8 @@
 // Package des implements a deterministic discrete-event simulation
-// engine: a simulator clock, a binary-heap event queue whose entries
-// carry their own ordering keys, stable FIFO ordering for simultaneous
-// events, and helpers for periodic and conditional scheduling.
+// engine: a simulator clock, an event queue of sorted delay runs whose
+// heads sit in a binary heap of keyed entries, stable FIFO ordering
+// for simultaneous events, and helpers for periodic and conditional
+// scheduling.
 //
 // Time is modelled as float64 seconds from the start of the run.
 // Events scheduled for the same instant fire in the order they were
@@ -23,16 +24,32 @@
 //
 // # Event queue
 //
+// Most events are scheduled at an offset from now that a still-pending
+// event also used: a link's propagation delay, a packet's serialization
+// time, a source's gap. Events scheduled at one offset come due in the
+// order they were scheduled, so they are already sorted. The queue
+// keeps each such stream as a delay run: a list linked through the
+// slab, whose head alone sits in a binary heap. A schedule whose
+// offset matches a non-empty run, and whose key is above the run's
+// tail, is linked behind the tail — no heap operation. Every other
+// event (an offset collision in the small run table, a key not above
+// the tail, a cross-shard delivery) goes on the heap as the head of a
+// run of its own. Dispatch replaces the root with the next event of
+// its run and sifts it down once.
+//
 // The heap holds small entries — the event's ordering key plus its
-// slab index — so a sift compares keys without touching the slab. The
-// dispatch loop does not pop the root before calling the handler: it
-// leaves the root vacant, and the handler's first schedule writes its
-// event there and sifts it down once (a heapreplace). Most handlers
-// schedule their successor, so most dispatches cost one sift instead
-// of a pop and a push. Whatever else reads the queue first settles the
-// vacant root (pops it for real) or accounts for it. Dispatch order is
-// unaffected: (time, class, key) is a strict total order, so every
-// correct priority queue pops the same sequence.
+// slab index — so a sift compares keys without touching the slab. When
+// the dispatched event's run is empty, the loop does not pop the root
+// before calling the handler: it leaves the root vacant, and the
+// handler's first heap-bound schedule writes its event there and sifts
+// it down once (a heapreplace). Whatever else reads the queue first
+// settles the vacant root (pops it for real).
+//
+// Cancel is lazy: a cancelled event drops its references and leaves
+// Pending at once, but its slot stays queued until it reaches the root,
+// where it is released without firing. Dispatch order is unaffected by
+// any of this: (time, class, key) is a strict total order, every run
+// is sorted by it, and so every pop returns the unique minimum.
 package des
 
 import (
@@ -53,21 +70,61 @@ type Handler func()
 // which box into `any` without allocating.
 type TypedFunc func(a, b any, kind uint8)
 
-// eventRec is one slab slot. Slots are addressed by index; heapIdx is
-// the slot's position in the heap (-1 when the slot is free) and gen
-// is bumped every time the slot is handed out, invalidating handles
-// from earlier occupancies. The ordering key lives in the slot's heap
-// entry, not here.
+// eventRec is one slab slot. Slots are addressed by index; gen is
+// bumped every time the slot is released, invalidating handles and run
+// tails from the occupancy that ended. k is the k half of the event's
+// ordering key (see heapEntry), kept so a run's next event can take
+// the heap position of the one before it; next is the slab index of
+// that next event, -1 at the run's tail. A queued slot whose h and fn
+// are both nil was cancelled.
 type eventRec struct {
-	time    float64
-	gen     uint32
-	heapIdx int32
-	kind    uint8
-	h       Handler
-	fn      TypedFunc
-	a, b    any
-	name    string
+	time float64
+	k    uint64
+	gen  uint32
+	next int32
+	kind uint8
+	h    Handler
+	fn   TypedFunc
+	a, b any
+	name string
 }
+
+// key returns the record's heap entry.
+func (r *eventRec) key(idx int32) heapEntry {
+	return heapEntry{t: timeKey(r.time), k: r.k, idx: idx}
+}
+
+// live reports whether a queued record will fire: cancelling drops its
+// handler.
+func (r *eventRec) live() bool { return r.h != nil || r.fn != nil }
+
+// drop clears the record's payload, so the slab retains no handler or
+// packet past the event's life.
+func (r *eventRec) drop() {
+	r.h = nil
+	r.fn = nil
+	r.a = nil
+	r.b = nil
+	r.name = ""
+}
+
+// run is one slot of the delay-run table: the offset its events were
+// scheduled at (float64 bits) and the run's tail as a handle (slab
+// index + 1, 0 for none, and generation). The run is empty once the
+// tail's slot is released, which bumps its generation.
+type run struct {
+	off  uint64
+	tail int32
+	gen  uint32
+}
+
+// runBits sizes the run table: 1<<runBits slots, indexed by a hash of
+// the offset.
+const runBits = 6
+
+// runSlot hashes an offset's bits onto the run table (Fibonacci
+// hashing: the multiply mixes every bit into the top ones).
+func runSlot(off uint64) uint64 { return off * 0x9E3779B97F4A7C15 >> (64 - runBits) }
 
 // heapEntry is one heap position: an event's ordering key, held
 // inline so sifting never loads a slab record, and its slab index.
@@ -110,9 +167,10 @@ func below(a, b heapEntry) uint64 {
 
 // Event is a generation-stamped handle to a scheduled callback. The
 // zero Event is valid and inert: Pending reports false and Cancel is a
-// no-op. Handles stay safe after the event fires or is cancelled —
-// the underlying slot's generation stamp no longer matches, so every
-// operation degrades to a no-op instead of touching a recycled event.
+// no-op. Handles stay safe after the event fires or is cancelled — a
+// cancelled record has dropped its handler, and a recycled slot's
+// generation stamp no longer matches, so every operation degrades to a
+// no-op instead of touching a recycled event.
 type Event struct {
 	s   *Simulator
 	id  int32 // slab index + 1; 0 means "no event"
@@ -126,7 +184,7 @@ func (e Event) rec() *eventRec {
 		return nil
 	}
 	r := &e.s.recs[e.id-1]
-	if r.gen != e.gen || r.heapIdx < 0 {
+	if r.gen != e.gen || !r.live() {
 		return nil
 	}
 	return r
@@ -153,21 +211,18 @@ func (e Event) Name() string {
 // Pending reports whether the event is still queued and will fire.
 func (e Event) Pending() bool { return e.rec() != nil }
 
-// Cancel removes the event from the queue so it will not fire.
-// Cancelling an event that already fired, was already cancelled, or is
-// the zero Event is a safe no-op. The slot is recycled immediately, so
-// Pending() of the simulator drops by one.
+// Cancel makes the event not fire. Cancelling an event that already
+// fired, was already cancelled, or is the zero Event is a safe no-op.
+// The event drops its handler and operands and leaves the simulator's
+// Pending count at once; its slot stays queued, touching no heap entry,
+// and is recycled when the event's time comes round to the root.
 func (e Event) Cancel() {
 	r := e.rec()
 	if r == nil {
 		return
 	}
-	// A vacant root needs no settling first: it holds the key of the
-	// event being dispatched, which is below every pending key, so no
-	// sift of the removal crosses it.
-	s := e.s
-	s.heapRemove(r.heapIdx)
-	s.release(e.id - 1)
+	r.drop()
+	e.s.live--
 }
 
 // Simulator owns the virtual clock and the pending-event queue.
@@ -177,13 +232,19 @@ type Simulator struct {
 	now  float64
 	recs []eventRec
 	free []int32     // free slab slots (LIFO for cache locality)
-	heap []heapEntry // binary min-heap of keyed slab indices, by below
-	// vacant marks heap[0] as the event runWindow last took: its slot
-	// is already released and its key is stale. The handler's first
-	// schedule overwrites it (push); whatever reads the queue next
-	// settles it or, like Pending and Cancel, works around it. It
-	// outlives runWindow only when a handler panics.
+	heap []heapEntry // binary min-heap of run heads, by below
+	// vacant marks heap[0] as the event runWindow last took, whose run
+	// had no next event: its slot is already released and its key is
+	// stale. The handler's first heap-bound schedule overwrites it
+	// (push); whatever reads the queue next settles it. It outlives
+	// runWindow only when a handler panics.
 	vacant bool
+	// runs is the delay-run table (see "Event queue"): which run an
+	// event at a given offset may join.
+	runs [1 << runBits]run
+	// live counts queued events that are neither cancelled nor being
+	// dispatched: the Pending count.
+	live int
 
 	seq     uint64
 	fired   uint64
@@ -223,18 +284,13 @@ func (s *Simulator) Now() float64 { return s.now }
 // Fired returns the number of events that have been dispatched.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending returns the number of live events still queued. Cancelled
-// events are removed from the queue immediately and never counted, and
-// neither is the event being dispatched.
-func (s *Simulator) Pending() int {
-	if s.vacant {
-		return len(s.heap) - 1
-	}
-	return len(s.heap)
-}
+// Pending returns the number of live events still queued. A cancelled
+// event stops counting when it is cancelled, though its slot is
+// recycled only when its time comes; the event being dispatched is not
+// counted either.
+func (s *Simulator) Pending() int { return s.live }
 
-// alloc takes a slot off the free list (or grows the slab) and bumps
-// its generation.
+// alloc takes a slot off the free list (or grows the slab).
 func (s *Simulator) alloc() int32 {
 	var idx int32
 	if n := len(s.free); n > 0 {
@@ -245,20 +301,16 @@ func (s *Simulator) alloc() int32 {
 		s.recs = append(s.recs, eventRec{})
 		idx = int32(len(s.recs) - 1)
 	}
-	s.recs[idx].gen++
 	return idx
 }
 
-// release returns a slot to the free list, dropping references so the
-// slab does not retain handlers or packets past the event's life.
+// release returns a slot to the free list, dropping its payload and
+// bumping its generation, which invalidates its handles and ends a
+// run whose tail it was.
 func (s *Simulator) release(idx int32) {
 	r := &s.recs[idx]
-	r.h = nil
-	r.fn = nil
-	r.a = nil
-	r.b = nil
-	r.name = ""
-	r.heapIdx = -1
+	r.drop()
+	r.gen++
 	//hbplint:ignore hotalloc free-list append into capacity released by alloc's pops; it can only grow to the slab's own length.
 	s.free = append(s.free, idx)
 }
@@ -277,15 +329,35 @@ func (s *Simulator) schedule(t float64, name string, h Handler, fn TypedFunc, a,
 	idx := s.alloc()
 	r := &s.recs[idx]
 	r.time = t
+	r.k = s.seq
+	r.next = -1
 	r.h = h
 	r.fn = fn
 	r.a = a
 	r.b = b
 	r.kind = kind
 	r.name = name
-	s.push(heapEntry{t: timeKey(t), k: s.seq, idx: idx})
 	s.seq++
-	return Event{s: s, id: idx + 1, gen: r.gen}
+	s.live++
+	e := Event{s: s, id: idx + 1, gen: r.gen}
+	key := r.key(idx)
+	off := math.Float64bits(t - s.now)
+	rn := &s.runs[runSlot(off)]
+	if rn.tail != 0 && s.recs[rn.tail-1].gen == rn.gen {
+		// The slot's run is non-empty. The event joins it if it has the
+		// run's offset and sorts after its tail; otherwise it goes on
+		// the heap and the run keeps the slot.
+		if tail := &s.recs[rn.tail-1]; rn.off == off && below(tail.key(rn.tail-1), key) != 0 {
+			tail.next = idx
+			rn.tail, rn.gen = e.id, e.gen
+			return e
+		}
+	} else {
+		// The event starts the slot's run from the heap.
+		*rn = run{off: off, tail: e.id, gen: e.gen}
+	}
+	s.push(key)
+	return e
 }
 
 // At schedules h to run at absolute time t. Scheduling in the past
@@ -450,14 +522,16 @@ func (s *Simulator) Run() error {
 
 // RunUntil dispatches events with time <= end, then advances the clock
 // to end (if any event was pending beyond it, the clock still becomes
-// end, never more). It returns ErrEventLimit if the event budget is
-// exhausted.
+// end, never more). A run that Stop ended keeps the clock at the last
+// dispatched event's time, so a resumed run fires what is still
+// pending without the clock going backwards. It returns ErrEventLimit
+// if the event budget is exhausted.
 func (s *Simulator) RunUntil(end float64) error {
 	s.stopped = false
 	if err := s.runWindow(end, true); err != nil {
 		return err
 	}
-	if !math.IsInf(end, 1) && end > s.now {
+	if !s.stopped && !math.IsInf(end, 1) && end > s.now {
 		s.now = end
 	}
 	return nil
@@ -470,10 +544,20 @@ func (s *Simulator) RunUntil(end float64) error {
 // it once per conservative window and performs both at run boundaries.
 func (s *Simulator) runWindow(bound float64, inclusive bool) error {
 	for {
-		// The previous handler scheduled nothing: pop its root now.
+		// The previous handler scheduled nothing on the heap: pop its
+		// root now.
 		s.settle()
 		if len(s.heap) == 0 || s.stopped {
 			return nil
+		}
+		idx := s.heap[0].idx
+		r := &s.recs[idx]
+		if !r.live() {
+			// Cancelled: recycle the slot and fire nothing, as head
+			// does for the queue's other readers.
+			s.pop()
+			s.release(idx)
+			continue
 		}
 		// Cooperative checkpoint: polled between events (never
 		// mid-handler, never after the head event is taken) so an
@@ -486,19 +570,23 @@ func (s *Simulator) runWindow(bound float64, inclusive bool) error {
 			}
 			s.nextPoll += s.interruptEvery
 		}
-		idx := s.heap[0].idx
-		r := &s.recs[idx]
 		if r.time > bound || (!inclusive && r.time == bound) {
 			return nil
 		}
 		// Copy the dispatch fields out and recycle the slot before the
 		// callback runs: the callback may schedule (growing the slab) or
 		// hold a stale handle to this very slot, both of which the
-		// generation stamp already guards. The root stays in the heap,
+		// generation stamp already guards. The run's next event takes
+		// the root; at the end of the run the root stays in the heap,
 		// vacant, for the callback's first schedule to take over.
 		t, h, fn, a, b, kind := r.time, r.h, r.fn, r.a, r.b, r.kind
+		if r.next >= 0 {
+			s.replaceRoot(r.next)
+		} else {
+			s.vacant = true
+		}
 		s.release(idx)
-		s.vacant = true
+		s.live--
 		s.now = t
 		s.fired++
 		if s.EventLimit > 0 && s.fired > s.EventLimit {
@@ -514,11 +602,25 @@ func (s *Simulator) runWindow(bound float64, inclusive bool) error {
 	}
 }
 
+// head settles a vacant root and releases the cancelled events that
+// have reached the root, and reports whether a live event is next.
+func (s *Simulator) head() bool {
+	s.settle()
+	for len(s.heap) > 0 {
+		idx := s.heap[0].idx
+		if s.recs[idx].live() {
+			return true
+		}
+		s.pop()
+		s.release(idx)
+	}
+	return false
+}
+
 // nextEventTime returns the timestamp of the earliest pending event.
 // The coordinator uses it to size the next conservative window.
 func (s *Simulator) nextEventTime() (float64, bool) {
-	s.settle()
-	if len(s.heap) == 0 {
+	if !s.head() {
 		return 0, false
 	}
 	return s.recs[s.heap[0].idx].time, true
@@ -527,19 +629,23 @@ func (s *Simulator) nextEventTime() (float64, bool) {
 // scheduleMsg injects a cross-shard channel delivery: a typed event in
 // ordering class 1 whose seq is the partition-independent channel key
 // (channel id, per-channel sequence) rather than a draw from the local
-// seq counter. The coordinator calls it at window barriers only.
+// seq counter. It goes on the heap, in no delay run. The coordinator
+// calls it at window barriers only.
 func (s *Simulator) scheduleMsg(t float64, fn TypedFunc, a, b any, kind uint8, key uint64) {
 	s.checkTime(t, "channel delivery")
 	idx := s.alloc()
 	r := &s.recs[idx]
 	r.time = t
+	r.k = clsDelivery | key
+	r.next = -1
 	r.h = nil
 	r.fn = fn
 	r.a = a
 	r.b = b
 	r.kind = kind
 	r.name = ""
-	s.push(heapEntry{t: timeKey(t), k: clsDelivery | key, idx: idx})
+	s.live++
+	s.push(r.key(idx))
 }
 
 // DrainedEvent is one pending event handed back by DrainPending. For
@@ -565,18 +671,19 @@ type DrainedEvent struct {
 // resources: Reset alone drops the slab's references, which silently
 // strands any pooled packet still riding an in-flight event.
 func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
-	s.settle()
-	for len(s.heap) > 0 {
+	for s.head() {
 		idx := s.heap[0].idx
 		r := &s.recs[idx]
-		if visit != nil {
-			visit(DrainedEvent{
-				Time: r.time, Name: r.name,
-				Handler: r.h, Fn: r.fn, A: r.a, B: r.b, Kind: r.kind,
-			})
+		ev := DrainedEvent{
+			Time: r.time, Name: r.name,
+			Handler: r.h, Fn: r.fn, A: r.a, B: r.b, Kind: r.kind,
 		}
-		s.heapRemove(0)
+		s.pop()
 		s.release(idx)
+		s.live--
+		if visit != nil {
+			visit(ev)
+		}
 	}
 }
 
@@ -593,11 +700,7 @@ func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
 // (packets in typed link events), DrainPending first, so the pool's
 // accounting survives the teardown.
 func (s *Simulator) Reset() {
-	s.settle()
-	for _, e := range s.heap {
-		s.release(e.idx)
-	}
-	s.heap = s.heap[:0]
+	s.DrainPending(nil)
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
@@ -606,7 +709,7 @@ func (s *Simulator) Reset() {
 	s.interruptEvery = 0
 }
 
-// --- keyed heap over the slab ----------------------------------------
+// --- binary heap of run heads ----------------------------------------
 
 // push inserts e: into the vacant root when there is one — one sift
 // down instead of the pop and push it replaces — else at the tail.
@@ -614,43 +717,55 @@ func (s *Simulator) push(e heapEntry) {
 	if s.vacant {
 		s.vacant = false
 		s.heap[0] = e
-		s.siftDown(0)
+		s.siftDown()
 		return
 	}
-	//hbplint:ignore hotalloc amortized heap growth: the heap's capacity tracks peak pending events, mirroring the slab; steady state is append-into-capacity.
+	//hbplint:ignore hotalloc amortized heap growth: the heap's capacity tracks peak concurrent runs, mirroring the slab; steady state is append-into-capacity.
 	s.heap = append(s.heap, e)
-	s.siftUp(int32(len(s.heap) - 1))
+	s.siftUp()
+}
+
+// replaceRoot puts the run successor next in the root's place.
+func (s *Simulator) replaceRoot(next int32) {
+	s.heap[0] = s.recs[next].key(next)
+	s.siftDown()
+}
+
+// pop removes the root, whose slot the caller releases: the next event
+// of its run takes its place, or at the end of the run the heap
+// shrinks.
+func (s *Simulator) pop() {
+	if next := s.recs[s.heap[0].idx].next; next >= 0 {
+		s.replaceRoot(next)
+		return
+	}
+	s.removeRoot()
 }
 
 // settle pops a vacant root: the dispatched event's handler scheduled
-// nothing (or has not returned, having panicked), so nothing took its
-// place.
+// nothing on the heap (or has not returned, having panicked), so
+// nothing took its place.
 func (s *Simulator) settle() {
 	if s.vacant {
 		s.vacant = false
-		s.heapRemove(0)
+		s.removeRoot()
 	}
 }
 
-// heapRemove deletes the element at heap position pos, restoring heap
-// order. The removed slot's heapIdx is left untouched (the caller
-// releases it).
-func (s *Simulator) heapRemove(pos int32) {
-	n := int32(len(s.heap)) - 1
-	if pos != n {
-		s.heap[pos] = s.heap[n]
-	}
+// removeRoot deletes the heap's root, restoring heap order.
+func (s *Simulator) removeRoot() {
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
 	s.heap = s.heap[:n]
-	if pos < n {
-		if !s.siftDown(pos) {
-			s.siftUp(pos)
-		}
+	if n > 1 {
+		s.siftDown()
 	}
 }
 
-func (s *Simulator) siftUp(pos int32) {
-	h, recs := s.heap, s.recs
-	i := int(pos)
+// siftUp moves the heap's last entry up to its place.
+func (s *Simulator) siftUp() {
+	h := s.heap
+	i := len(h) - 1
 	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -658,19 +773,15 @@ func (s *Simulator) siftUp(pos int32) {
 			break
 		}
 		h[i] = h[parent]
-		recs[h[i].idx].heapIdx = int32(i)
 		i = parent
 	}
 	h[i] = e
-	recs[e.idx].heapIdx = int32(i)
 }
 
-// siftDown moves the entry at pos down to its place and reports
-// whether it moved. It always records the entry's final position in
-// its slab slot, so a caller that just wrote an entry at pos need not.
-func (s *Simulator) siftDown(pos int32) bool {
-	h, recs := s.heap, s.recs
-	i := int(pos)
+// siftDown moves the root down to its place.
+func (s *Simulator) siftDown() {
+	h := s.heap
+	i := 0
 	e := h[i]
 	for {
 		c := 2*i + 1
@@ -678,7 +789,6 @@ func (s *Simulator) siftDown(pos int32) bool {
 			// At most one child: the bottom of the heap.
 			if c < len(h) && below(h[c], e) != 0 {
 				h[i] = h[c]
-				recs[h[i].idx].heapIdx = int32(i)
 				i = c
 			}
 			break
@@ -688,10 +798,7 @@ func (s *Simulator) siftDown(pos int32) bool {
 			break
 		}
 		h[i] = h[c]
-		recs[h[i].idx].heapIdx = int32(i)
 		i = c
 	}
 	h[i] = e
-	recs[e.idx].heapIdx = int32(i)
-	return i > int(pos)
 }

@@ -150,8 +150,15 @@ func TestStaleHandleIsInert(t *testing.T) {
 	s := New()
 	stale := s.At(1, func() { t.Error("cancelled event fired") })
 	stale.Cancel()
+	// A cancelled event's slot is released when its time comes round.
+	if err := s.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
 	fired := false
 	fresh := s.At(1, func() { fired = true }) // reuses the freed slot
+	if fresh.id != stale.id {
+		t.Fatalf("fresh event in slot %d, want the cancelled event's slot %d", fresh.id, stale.id)
+	}
 	if stale.Pending() {
 		t.Fatal("stale handle reports pending")
 	}
@@ -671,5 +678,42 @@ func TestCancelFiredEventNoOp(t *testing.T) {
 	}
 	if e1.Pending() {
 		t.Fatal("cancelled fired event reported pending")
+	}
+}
+
+// TestStoppedRunKeepsClock: a handler stops RunUntil(10) at t = 1 with
+// an event pending at t = 2. The clock stays at 1 rather than jumping
+// to 10, so the resumed RunUntil(20) fires the event at 2 without the
+// clock going backwards, and only then ends at 20. Both engines, the
+// sharded one with the events on one shard of one and of two.
+func TestStoppedRunKeepsClock(t *testing.T) {
+	type engine struct {
+		name string
+		sim  *Simulator // the events' simulator
+		run  func(end float64) error
+	}
+	seq := New()
+	one, two := NewSharded(1, 1), NewSharded(1, 2)
+	for _, e := range []engine{
+		{"sequential", seq, seq.RunUntil},
+		{"sharded width 1", one.Shard(0), one.RunUntil},
+		{"sharded width 2", two.Shard(1), two.RunUntil},
+	} {
+		s := e.sim
+		var seen []float64
+		s.At(1, func() { seen = append(seen, s.Now()); s.Stop() })
+		s.At(2, func() { seen = append(seen, s.Now()) })
+		if err := e.run(10); err != nil {
+			t.Fatal(err)
+		}
+		if s.Now() != 1 || s.Pending() != 1 {
+			t.Errorf("%s: clock %v, pending %d after a Stop at t=1; want 1 and 1", e.name, s.Now(), s.Pending())
+		}
+		if err := e.run(20); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(seen) != "[1 2]" || s.Now() != 20 {
+			t.Errorf("%s: handlers saw clocks %v, final clock %v; want [1 2] and 20", e.name, seen, s.Now())
+		}
 	}
 }

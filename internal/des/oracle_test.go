@@ -116,7 +116,9 @@ func (o *oracle) RunUntil(end float64) error {
 		}
 		e.h()
 	}
-	o.now = max(o.now, end)
+	if !o.stopped {
+		o.now = max(o.now, end)
+	}
 	return nil
 }
 

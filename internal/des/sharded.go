@@ -282,7 +282,8 @@ func channelID(n int) uint32 {
 }
 
 // Now returns the completed simulation horizon: the minimum shard
-// clock. After RunUntil(end) returns nil every shard clock reads end.
+// clock. After RunUntil(end) returns nil every shard clock reads end,
+// unless a Stop ended the run.
 func (ss *ShardedSimulator) Now() float64 {
 	t := math.Inf(1)
 	for _, s := range ss.shards {
@@ -338,9 +339,12 @@ func (ss *ShardedSimulator) SetBarrier(hook func()) {
 func (ss *ShardedSimulator) Run() error { return ss.RunUntil(math.Inf(1)) }
 
 // RunUntil dispatches events with time <= end across all shards in
-// conservative windows, then advances every shard clock to end. The
-// result — which events fire, at what logical times, in what
-// causality-relevant order — is bit-identical for any shard count.
+// conservative windows, then advances every shard clock to end. A run
+// that a shard's Stop ended leaves every shard clock where its last
+// event put it, so a resumed run fires what is still pending without a
+// clock going backwards. The result — which events fire, at what
+// logical times, in what causality-relevant order — is bit-identical
+// for any shard count.
 func (ss *ShardedSimulator) RunUntil(end float64) error {
 	for _, s := range ss.shards {
 		s.stopped = false
@@ -350,6 +354,7 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 		}
 	}
 	defer ss.stopWorkers()
+	stopped := false
 	for {
 		if ss.interrupt != nil {
 			if err := ss.interrupt(); err != nil {
@@ -366,7 +371,7 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 		// One pass over the shards: a Stop ends the run, and each
 		// shard's next-event time sizes the window here and picks the
 		// runnable set in runWindows.
-		stopped, t := false, math.Inf(1)
+		t := math.Inf(1)
 		for i, s := range ss.shards {
 			stopped = stopped || s.stopped
 			nt, ok := s.nextEventTime()
@@ -400,7 +405,7 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 			return err
 		}
 	}
-	if !math.IsInf(end, 1) {
+	if !stopped && !math.IsInf(end, 1) {
 		for _, s := range ss.shards {
 			if end > s.now {
 				s.now = end
