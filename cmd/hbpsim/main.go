@@ -2,8 +2,9 @@
 // prints the legitimate-throughput time series plus a run summary. It
 // is a thin client of the scenario service: the flags build a
 // scenario.TreeSpec (the same document the hbpsimd API accepts), and
-// -server submits it to a running hbpsimd daemon or hbpfleet
-// coordinator (they serve the same API) instead of executing locally.
+// -server submits it to a running hbpsimd daemon or fleet coordinator
+// (hbpsimd -workers 0; they serve the same API) instead of executing
+// locally.
 // The internet-scale sweep is a figure: figures -fig internet.
 //
 // Usage:
@@ -13,7 +14,7 @@
 //	hbpsim -defense none
 //	hbpsim -defense hbp -onoff 0.5,6.5 -progressive
 //	hbpsim -server http://127.0.0.1:8080   # run on a hbpsimd daemon
-//	hbpsim -server http://127.0.0.1:9090   # or on a hbpfleet coordinator
+//	hbpsim -server http://127.0.0.1:9090   # or on a fleet coordinator (hbpsimd -workers 0)
 //
 // SIGINT cancels the run at the next event-batch checkpoint; the
 // process exits non-zero after noting the partial results.
@@ -55,7 +56,7 @@ func main() {
 	watchdog := flag.Bool("watchdog", false, "enable the stall watchdog that re-seeds evicted session trees (hbp only)")
 	byzantine := flag.Int("byzantine", 0, "number of subverted routers forging/replaying/amplifying control frames (hbp only)")
 	byzRate := flag.Float64("byz-rate", 2, "hostile frames per second per subverted router")
-	server := flag.String("server", "", "submit to a running hbpsimd daemon or hbpfleet coordinator at this base URL instead of executing locally")
+	server := flag.String("server", "", "submit to a running hbpsimd daemon or fleet coordinator (hbpsimd -workers 0) at this base URL instead of executing locally")
 	flag.Parse()
 
 	spec := scenario.TreeSpec{
@@ -161,7 +162,7 @@ func main() {
 	}
 }
 
-// remote submits the case to a hbpsimd daemon or hbpfleet coordinator
+// remote submits the case to a hbpsimd daemon or fleet coordinator
 // (they serve the same API) and polls it to a terminal state, printing
 // the remote result summary. Submission rides out 503 backpressure:
 // the client honors the server's Retry-After under a capped jittered

@@ -3,10 +3,9 @@
 // per-run deadlines, panic isolation, bounded retry of infrastructure
 // faults, admission control on the submission queue, a bounded run
 // history, crash-safe journaling and graceful drain on SIGINT/SIGTERM.
-// It runs the same coordinator as hbpfleet, with -workers in-process
-// executors in place of remote workers, so a restart on the same
-// -journal requeues the runs the previous process died holding, and
-// they run again with no client action.
+// Its coordinator hands runs to -workers in-process executors, so a
+// restart on the same -journal requeues the runs the previous process
+// died holding, and they run again with no client action.
 //
 // Daemon mode:
 //
@@ -14,16 +13,23 @@
 //	curl -X POST localhost:8080/suites -d @suite.json
 //	curl localhost:8080/suites/s-1
 //
-// Batch mode runs one suite to completion and exits (no HTTP):
+// With -workers 0 it is a fleet coordinator instead: it leases runs
+// to worker processes (-lease, -max-dispatches, -max-workers) and
+// re-dispatches a lost worker's run at the same seed attempt, so the
+// failed-over result is bit-identical to a solo run:
 //
-//	hbpsimd -suite examples/scenario-service/experiments-suite.json -out results/
+//	hbpsimd -addr 127.0.0.1:9090 -journal fleet.jsonl -workers 0
 //
-// Worker mode joins a hbpfleet coordinator instead of serving its own
-// API: the daemon pulls leased assignments, executes them with the
+// Worker mode joins such a coordinator instead of serving its own
+// API: it pulls leased assignments, executes them with the
 // same deterministic executor, heartbeats while running, and reports
 // outcomes; SIGINT/SIGTERM stops pulling and exits:
 //
 //	hbpsimd -worker -coordinator http://127.0.0.1:9090 -name w1 -workers 2
+//
+// Batch mode runs one suite to completion and exits (no HTTP):
+//
+//	hbpsimd -suite examples/scenario-service/experiments-suite.json -out results/
 package main
 
 import (
@@ -33,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -46,15 +53,18 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (daemon mode)")
 	journalPath := flag.String("journal", "", "append-only run journal; restart recovery requeues unfinished runs")
-	workers := flag.Int("workers", 2, "execution pool size")
+	workers := flag.Int("workers", 2, "execution pool size; 0 makes the daemon a fleet coordinator that leases runs to -worker processes")
 	queueCap := flag.Int("queue-cap", 64, "submission queue capacity (full queue -> 503 + Retry-After)")
 	wallDeadline := flag.Float64("wall-deadline", 120, "default per-attempt wall-clock deadline in seconds")
 	maxEvents := flag.Uint64("max-events", 0, "default simulated-event deadline (0 = none)")
 	maxAttempts := flag.Int("max-attempts", 3, "default seed attempts for reported infrastructure faults (a case's max_attempts overrides it)")
-	drainTimeout := flag.Float64("drain-timeout", 60, "seconds to let in-flight runs finish on shutdown before cancelling them")
+	lease := flag.Float64("lease", 15, "-workers 0: lease duration in seconds; a worker missing heartbeats this long forfeits its run")
+	maxDispatches := flag.Int("max-dispatches", 5, "-workers 0: lease grants per run before it fails as worker-lost")
+	maxWorkers := flag.Int("max-workers", 64, "-workers 0: worker registry capacity")
+	drainTimeout := flag.Float64("drain-timeout", 60, "seconds to let in-flight runs finish on shutdown before giving up on them")
 	suitePath := flag.String("suite", "", "batch mode: run this suite spec (JSON) to completion and exit")
 	outDir := flag.String("out", "", "batch mode: write one JSON artifact per case into this directory")
-	worker := flag.Bool("worker", false, "worker mode: pull leased runs from a hbpfleet coordinator instead of serving HTTP")
+	worker := flag.Bool("worker", false, "worker mode: pull leased runs from a coordinator (hbpsimd -workers 0) instead of serving HTTP")
 	coordinator := flag.String("coordinator", "", "worker mode: coordinator base URL, e.g. http://127.0.0.1:9090")
 	name := flag.String("name", "", "worker mode: worker name (default the hostname)")
 	flag.Parse()
@@ -76,26 +86,34 @@ func main() {
 		}
 		defer journal.Close()
 	}
-
-	runner := scenario.NewRunner(scenario.Config{
+	runnerCfg := scenario.Config{
 		Workers:      *workers,
 		QueueCap:     *queueCap,
 		WallDeadline: wall,
 		MaxEvents:    *maxEvents,
 		MaxAttempts:  *maxAttempts,
 		Journal:      journal,
-	}, recovered)
-	runner.Start()
+	}
 
 	if *suitePath != "" {
+		runner := scenario.NewRunner(runnerCfg, recovered)
+		runner.Start()
 		os.Exit(batch(ctx, runner, *suitePath, *outDir, time.Duration(*drainTimeout*float64(time.Second))))
 	}
 
+	coord, handler, drain := newDaemon(runnerCfg, scenario.CoordinatorConfig{
+		QueueCap:      *queueCap,
+		LeaseDuration: time.Duration(*lease * float64(time.Second)),
+		MaxDispatches: *maxDispatches,
+		MaxAttempts:   *maxAttempts,
+		MaxWorkers:    *maxWorkers,
+		Journal:       journal,
+	}, recovered)
 	if len(recovered) > 0 {
-		log.Printf("recovered journal: %d entries, %d runs back in the queue", len(recovered), runner.Health().QueueDepth)
+		log.Printf("recovered journal: %d entries, %d runs back in the queue", len(recovered), coord.Health().QueueDepth)
 	}
 
-	srv := scenario.NewHTTPServer(*addr, scenario.NewServer(runner))
+	srv := scenario.NewHTTPServer(*addr, handler)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("hbpsimd listening on %s (%d workers, queue %d)", *addr, *workers, *queueCap)
@@ -111,14 +129,29 @@ func main() {
 	if err := srv.Shutdown(shutCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := runner.Drain(shutCtx); err != nil {
-		log.Printf("drain expired; live runs were cancelled: %v", err)
+	if err := drain(shutCtx); err != nil {
+		log.Printf("drain expired; live runs were cancelled, or stay leased and are requeued from the journal: %v", err)
 		os.Exit(1)
 	}
 	log.Print("drained cleanly")
 }
 
-// workerMode registers with a hbpfleet coordinator and executes
+// newDaemon starts daemon mode's coordinator, with runnerCfg.Workers
+// in-process executors or, when that is 0, as a fleet coordinator
+// (fleetCfg) that also serves the worker routes. It returns the
+// coordinator, its handler and its drain.
+func newDaemon(runnerCfg scenario.Config, fleetCfg scenario.CoordinatorConfig, recovered []scenario.Entry) (*scenario.Coordinator, http.Handler, func(context.Context) error) {
+	if runnerCfg.Workers == 0 {
+		c := scenario.NewCoordinator(fleetCfg, recovered)
+		c.Start()
+		return c, fleet.NewServer(c), c.Drain
+	}
+	r := scenario.NewRunner(runnerCfg, recovered)
+	r.Start()
+	return r.Coordinator, scenario.NewServer(r), r.Drain
+}
+
+// workerMode registers with a fleet coordinator and executes
 // leased assignments until ctx is done. The fleet layer owns all
 // failure handling — a worker that dies mid-run simply stops
 // heartbeating and the coordinator re-dispatches. wallDeadline and

@@ -10,6 +10,57 @@ import (
 	"repro/internal/scenario"
 )
 
+// TestFleetCoordinatorMode: with -workers 0 the daemon is a fleet
+// coordinator. A worker-mode process leases a case from it over HTTP,
+// a client submits and waits through the same route table, and the run
+// passes with the solo fingerprint; the coordinator then drains.
+func TestFleetCoordinatorMode(t *testing.T) {
+	coord, handler, drain := newDaemon(scenario.Config{Workers: 0}, scenario.CoordinatorConfig{LeaseDuration: 2 * time.Second}, nil)
+	ts := httptest.NewServer(handler)
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan int, 1)
+	go func() { exited <- workerMode(ctx, ts.URL, "w1", 1, time.Minute, 0) }()
+
+	spec := scenario.CaseSpec{Name: "fleet", Tree: &scenario.TreeSpec{Leaves: 40, DurationSec: 20, Seed: 3}}
+	client := scenario.NewClient(ts.URL)
+	suite, err := client.CreateSuite(ctx, scenario.SuiteSpec{Name: "workers-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := client.SubmitCase(ctx, suite.Suite.ID, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, done := context.WithTimeout(ctx, 30*time.Second)
+	defer done()
+	got, err := client.WaitRun(waitCtx, run.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := scenario.RunCaseSolo(&spec, spec.BaseSeed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != scenario.StatePassed || got.Result == nil || got.Result.Fingerprint != solo.Fingerprint {
+		t.Fatalf("run ended %s (%+v), want passed with the solo fingerprint %s", got.State, got.Error, solo.Fingerprint)
+	}
+	if s := coord.Stats(); s.Admitted != 1 || s.Completed != 1 {
+		t.Fatalf("stats %+v, want one admitted and completed run", s)
+	}
+
+	cancel()
+	if code := <-exited; code != 0 {
+		t.Fatalf("worker exited %d", code)
+	}
+	drainCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	if err := drain(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
 // TestWorkerModeAppliesWallDeadline: the -wall-deadline flag is the
 // worker's default per-attempt deadline, as it is the daemon's. A case
 // that names no deadline of its own and would simulate for seconds

@@ -33,6 +33,8 @@ var daemons = []daemon{
 		})
 		return r.Coordinator, scenario.NewServer(r)
 	}},
+	// The fleet coordinator (hbpsimd -workers 0) with one remote-style
+	// worker; the row keeps the name of the binary that once served it.
 	{"hbpfleet", func(t *testing.T) (*Coordinator, http.Handler) {
 		c := NewCoordinator(fastCfg(), nil)
 		c.Start()

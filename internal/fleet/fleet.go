@@ -2,8 +2,9 @@
 // /fleet/ worker routes that serve a scenario.Coordinator to hbpsimd
 // worker processes, the HTTP client those workers use (RemoteCoord),
 // and the worker itself. Admission, leases, requeue, dedup, the
-// journal and its replay are scenario.Coordinator's; cmd/hbpsimd runs
-// the same coordinator with in-process executors.
+// journal and its replay are scenario.Coordinator's. cmd/hbpsimd
+// serves these routes with -workers 0, and otherwise runs the same
+// coordinator with in-process executors.
 //
 // The contract is exactly-once with solo-identical results: every
 // admitted run either completes exactly once, with a fingerprint

@@ -11,8 +11,8 @@ import (
 )
 
 // RemoteCoord is the HTTP implementation of Coord: what a worker
-// process (hbpsimd -worker) uses to talk to a remote hbpfleet
-// coordinator over the /fleet/ routes.
+// process (hbpsimd -worker) uses to talk to a remote fleet coordinator
+// (hbpsimd -workers 0) over the /fleet/ routes.
 type RemoteCoord struct {
 	// Base is the coordinator's base URL.
 	Base string

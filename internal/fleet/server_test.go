@@ -196,9 +196,9 @@ func TestServerRefusesOversizedBody(t *testing.T) {
 }
 
 // TestServerJournalFailure: an admission whose journal record cannot
-// be written is withdrawn, not left as a ghost — the run is finalized
-// cancelled so no worker can lease it, the suite is not registered,
-// the accounting stays balanced, and the client is told to retry (503
+// be written is never admitted, not left as a ghost — the suite holds
+// no run, no suite is registered, the accounting shows no admission,
+// no worker can lease anything, and the client is told to retry (503
 // + Retry-After).
 func TestServerJournalFailure(t *testing.T) {
 	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "fleet.jsonl"))
@@ -239,22 +239,20 @@ func TestServerJournalFailure(t *testing.T) {
 				post.url, resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
 	}
-	_, runs, _ := c.GetSuite(suite.ID)
-	if len(runs) != 1 || runs[0].State != scenario.StateCancelled || runs[0].Dispatches != 0 ||
-		runs[0].Error == nil || runs[0].Error.Kind != scenario.ErrCancelled {
-		t.Fatalf("unjournaled run was not withdrawn: %+v", runs)
+	if _, runs, _ := c.GetSuite(suite.ID); len(runs) != 0 {
+		t.Fatalf("unjournaled run was admitted: %+v", runs)
 	}
 	if suites := c.Suites(); len(suites) != 1 {
 		t.Fatalf("unjournaled suite stayed registered: %+v", suites)
 	}
-	if s := c.Stats(); s.Admitted != 1 || s.Completed != 1 {
-		t.Fatalf("withdrawn admission unbalanced the accounting: %+v", s)
+	if s := c.Stats(); s.Admitted != 0 || s.Completed != 0 {
+		t.Fatalf("refused admission moved the accounting: %+v", s)
 	}
 	id, err := c.Register(WorkerInfo{Name: "w", Capacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, err := c.Lease(id); a != nil || err != nil {
-		t.Fatalf("withdrawn run was leased: %+v, %v", a, err)
+		t.Fatalf("lease after a refused admission = %+v, %v; want nothing", a, err)
 	}
 }

@@ -1,15 +1,14 @@
 // Package jsonl is the crash-safe append-only JSONL ledger shared by
 // the scenario service's run journal and the fleet coordinator's
-// dispatch journal. One record per line, every write flushed and
-// fsynced before Record returns: after a crash the file may miss at
-// most the record in flight, never hold a torn prefix of one. Opening
-// a journal replays the intact prefix and truncates everything from
-// the first damaged line onward, so a journal survives its writer
-// dying mid-append on any record, not just the last.
+// dispatch journal. One record per line, written by Append and made
+// durable by a later Sync: after a crash the file holds the records in
+// append order minus an unacknowledged suffix, never a torn prefix of
+// an acknowledged one. Opening a journal replays the intact prefix and
+// truncates everything from the first damaged line onward, so a
+// journal survives its writer dying mid-append on any record.
 package jsonl
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -25,7 +24,7 @@ import (
 // longer than it before reading them in full.
 const MaxLine = 16 * 1024 * 1024
 
-// ErrTooLarge is Record's refusal of an entry whose encoding exceeds
+// ErrTooLarge is Append's refusal of an entry whose encoding exceeds
 // MaxLine. Retrying cannot help: the same entry is refused again.
 var ErrTooLarge = errors.New("jsonl: journal entry exceeds the record bound")
 
@@ -45,7 +44,7 @@ func Parse[E any](raw []byte) (entries []E, valid int64) {
 			return entries, valid
 		}
 		if nl > MaxLine {
-			// Longer than Record ever writes: damage, not data.
+			// Longer than Append ever writes: damage, not data.
 			return entries, valid
 		}
 		line := raw[:nl]
@@ -71,11 +70,15 @@ func BumpCounter(ctr *int, id string) {
 	}
 }
 
-// Log is an append-only JSONL file of E records.
+// Log is an append-only JSONL file of E records. The first write or
+// fsync that fails poisons it: every later Append and Sync returns
+// that failure. Linux reports a failed writeback to one fsync only, so
+// a retried fsync could succeed over pages the kernel dropped.
 type Log[E any] struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+	mu     sync.Mutex // guards writes to f and err; never held across an fsync
+	err    error      // the failure that poisoned the log
+	syncMu sync.Mutex // orders fsyncs, so one after a failed fsync sees it
+	f      *os.File
 }
 
 // Open opens (creating if needed) the journal at path, first reading
@@ -101,7 +104,7 @@ func Open[E any](path string) (*Log[E], []E, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("jsonl: seek journal: %w", err)
 	}
-	return &Log[E]{f: f, w: bufio.NewWriter(f)}, entries, nil
+	return &Log[E]{f: f}, entries, nil
 }
 
 // readAll reads the whole file from the start into one buffer sized
@@ -119,9 +122,11 @@ func readAll(f *os.File) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// Record appends one entry durably: marshal, write, flush, fsync.
-// A nil log discards the entry — callers run journal-less in tests.
-func (l *Log[E]) Record(e E) error {
+// Append writes one entry to the file, not yet durably, in one write
+// under a mutex no fsync holds. A refused entry (ErrTooLarge, a marshal
+// error) leaves the file and the log as they were. A nil log discards
+// the entry — callers run journal-less in tests.
+func (l *Log[E]) Append(e E) error {
 	if l == nil {
 		return nil
 	}
@@ -134,26 +139,56 @@ func (l *Log[E]) Record(e E) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("jsonl: write journal: %w", err)
+	if l.err == nil {
+		if _, err := l.f.Write(append(b, '\n')); err != nil {
+			l.err = fmt.Errorf("jsonl: write journal: %w", err)
+		}
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("jsonl: flush journal: %w", err)
-	}
-	//hbplint:ignore locksafety write-then-fsync under the lock IS the durability contract: releasing before the fsync would let a second Record interleave and ack an entry the disk never confirmed. Record still carries its blockingFact, so callers holding their own locks across it are flagged.
-	return l.f.Sync()
+	return l.err
 }
 
-// Close flushes and closes the underlying file.
+// Sync makes every entry appended so far durable.
+func (l *Log[E]) Sync() error {
+	if l == nil {
+		return nil
+	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if err := l.failure(nil); err != nil {
+		return err
+	}
+	//hbplint:ignore locksafety syncMu orders fsyncs so that one after a failed fsync sees the poison instead of acknowledging what the kernel dropped; Append never takes syncMu, so no append waits behind an fsync. Sync keeps its blockingFact, so callers holding their own locks across it are flagged.
+	if err := l.f.Sync(); err != nil {
+		return l.failure(fmt.Errorf("jsonl: fsync journal: %w", err))
+	}
+	return nil
+}
+
+// failure poisons the log with err unless it already failed, and
+// returns the poison (nil while healthy).
+func (l *Log[E]) failure(err error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err == nil {
+		l.err = err
+	}
+	return l.err
+}
+
+// Record appends one entry durably: Append, then Sync.
+func (l *Log[E]) Record(e E) error {
+	if err := l.Append(e); err != nil {
+		return err
+	}
+	return l.Sync()
+}
+
+// Close closes the underlying file.
 func (l *Log[E]) Close() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return err
-	}
 	return l.f.Close()
 }

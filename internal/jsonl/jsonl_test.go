@@ -226,3 +226,49 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// TestFailedSyncPoisonsLog: after an fsync fails, the log refuses every
+// later Append and Sync, even once writes would succeed again — Linux
+// reports a failed writeback to one fsync only, so a later fsync could
+// "succeed" over data the kernel dropped. A refused oversized entry, by
+// contrast, poisons nothing.
+func TestFailedSyncPoisonsLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	l, _ := openT(t, path)
+	if err := l.Record(rec{Kind: strings.Repeat("x", MaxLine)}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Record of an entry longer than MaxLine: %v, want ErrTooLarge", err)
+	}
+	if err := l.Append(rec{Kind: "a"}); err != nil {
+		t.Fatalf("Append after a refused entry: %v", err)
+	}
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync on a closed file succeeded")
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = f
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		if err := l.Append(rec{Kind: "after", N: i}); err == nil {
+			t.Fatalf("Append %d after a failed fsync succeeded", i)
+		}
+		if err := l.Sync(); err == nil {
+			t.Fatalf("Sync %d after a failed fsync succeeded", i)
+		}
+	}
+	if err := l.Record(rec{Kind: "after"}); err == nil {
+		t.Fatal("Record after a failed fsync succeeded")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"kind":"a","n":0}` + "\n"; string(raw) != want {
+		t.Fatalf("file holds %q, want only the record appended before the failure, %q", raw, want)
+	}
+}

@@ -20,10 +20,18 @@ import (
 //
 // The check is the postdominance query over the flow CFG: from each
 // grant statement, every path to the normal exit must pass a barrier —
-// a Record call on a Journal or Log, or a return whose result carries
-// an Entry (the finalizeLocked shape: the obligation transfers to the
-// caller, who records it after unlocking). Paths that panic are
-// exempt; an unwinding run never completes the transition.
+// a Sync call on a Journal or Log (the fsync of the commit path; an
+// Append alone only reaches the page cache), a Record call (Append
+// then Sync), or a return whose result carries an Entry (a function
+// that makes the record hands the obligation to its caller, who
+// commits it).
+// Paths that panic are exempt; an unwinding run never completes the
+// transition.
+//
+// A function that takes an Entry applies a record rather than deciding
+// one (Coordinator.applyLocked): its caller appended the record before
+// applying it and syncs before acknowledging, or is replaying a record
+// already on disk, so its mutations carry no obligation of their own.
 //
 // Scope is deliberately narrow: methods whose receiver is the
 // Coordinator or Runner — the two types that own dispatch state.
@@ -57,7 +65,7 @@ func runJournalOrder(pass *Pass) {
 	}
 	ds := collectDecls(pass)
 	for _, fn := range ds.funcs {
-		if !dispatchMethod(fn) {
+		if !dispatchMethod(fn) || appliesEntry(fn) {
 			continue
 		}
 		body := ds.body[fn].Body
@@ -88,7 +96,7 @@ func runJournalOrder(pass *Pass) {
 					if g.EveryPathHits(p, barrier) {
 						continue
 					}
-					ig.report(n.Pos(), "%s %s is not journaled on every path to return: a crash after this method acknowledges undoes the transition on replay, so the run re-executes as if it never happened; Record the entry (or return it to the recording caller) before every return", what, lockLabel(sel))
+					ig.report(n.Pos(), "%s %s is not journaled on every path to return: a crash after this method acknowledges undoes the transition on replay, so the run re-executes as if it never happened; Sync the appended entry (or return it to the committing caller) before every return", what, lockLabel(sel))
 				}
 			}
 			return true
@@ -106,6 +114,18 @@ func dispatchMethod(fn *types.Func) bool {
 	switch namedTypeName(sig.Recv().Type()) {
 	case "Coordinator", "Runner":
 		return true
+	}
+	return false
+}
+
+// appliesEntry reports whether fn takes a journal Entry parameter: it
+// applies a record its caller is responsible for.
+func appliesEntry(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if carriesEntry(params.At(i).Type()) {
+			return true
+		}
 	}
 	return false
 }
@@ -149,9 +169,9 @@ func isQueuedExpr(e ast.Expr) bool {
 	return false
 }
 
-// isJournalBarrier reports whether s durably journals: it calls Record
-// on a Journal or Log, or returns an Entry-carrying value (handing the
-// append obligation to the caller).
+// isJournalBarrier reports whether s durably journals: it calls Sync or
+// Record on a Journal or Log, or returns an Entry-carrying value
+// (handing the obligation to the caller).
 func isJournalBarrier(info *types.Info, s ast.Stmt) bool {
 	if ret, ok := s.(*ast.ReturnStmt); ok {
 		for _, r := range ret.Results {
@@ -170,7 +190,7 @@ func isJournalBarrier(info *types.Info, s ast.Stmt) bool {
 			return false
 		case *ast.CallExpr:
 			callee := staticCallee(info, n)
-			if callee == nil || callee.Name() != "Record" {
+			if callee == nil || callee.Name() != "Sync" && callee.Name() != "Record" {
 				return true
 			}
 			callee = callee.Origin()

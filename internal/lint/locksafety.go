@@ -15,7 +15,7 @@ import (
 // A coordinator or runner mutex guards the dispatch tables every
 // request path touches; a goroutine that parks inside the critical
 // section — on an fsync, an HTTP round-trip, a channel operation, a
-// sleep — stalls every Lease, Heartbeat and Record in the process. The
+// sleep — stalls every Lease, Heartbeat and Submit in the process. The
 // house rule throughout those packages is mutate-under-lock,
 // block-after-unlock; this analyzer turns the rule into a machine
 // check.
@@ -37,7 +37,7 @@ import (
 //
 // Suppressed sites keep their blockingFact: an //hbplint:ignore vouches
 // that holding this lock across this operation is the intended
-// protocol (jsonl.Record's write-then-fsync), not that the function
+// protocol (jsonl.Sync's ordered fsyncs), not that the function
 // returns promptly — callers holding their own locks across it still
 // get flagged.
 var LockSafety = &Analyzer{
@@ -318,7 +318,7 @@ func scanLockEvents(pass *Pass, root ast.Node, skip map[ast.Stmt]bool, local map
 			if callee == nil {
 				return true
 			}
-			// Instantiated generic methods (jsonl.Log[Entry].Record)
+			// Instantiated generic methods (jsonl.Log[Entry].Sync)
 			// resolve to their origin, where the fact lives.
 			callee = callee.Origin()
 			full := callee.FullName()

@@ -35,6 +35,12 @@ type Journal struct{}
 // Record appends one entry durably.
 func (j *Journal) Record(e Entry) error { return nil }
 
+// Append writes one entry, not yet durably.
+func (j *Journal) Append(e Entry) error { return nil }
+
+// Sync makes every appended entry durable.
+func (j *Journal) Sync() error { return nil }
+
 type runRec struct {
 	run       *Run
 	cancelReq bool
@@ -72,6 +78,32 @@ func (c *Coordinator) BadGrant(rec *runRec, lucky bool) error {
 func (c *Coordinator) finalize(rec *runRec, to State) Entry {
 	rec.run.State = to // exempt: returned Entry is the barrier
 	return Entry{Run: rec.run.ID, State: to}
+}
+
+// apply mirrors applyLocked: it applies a record its caller appended
+// and syncs (or replays from disk).
+func (c *Coordinator) apply(e Entry) {
+	if rec := c.runs[e.Run]; rec != nil {
+		rec.run.State = e.State // exempt: the caller committed e
+	}
+}
+
+func (c *Coordinator) GoodCommit(rec *runRec) error {
+	if err := c.journal.Append(Entry{Run: rec.run.ID, State: StateRunning}); err != nil {
+		return err
+	}
+	rec.run.State = StateRunning // exempt: the Sync below is on every path
+	return c.journal.Sync()
+}
+
+func (c *Coordinator) BadAppendWithoutSync(rec *runRec) error {
+	if err := c.journal.Append(Entry{Run: rec.run.ID, State: StateRunning}); err != nil {
+		return err
+	}
+	// Appended to the page cache only, then acknowledged before any
+	// fsync.
+	rec.run.State = StateRunning // want `run state transition rec\.run\.State is not journaled on every path`
+	return nil
 }
 
 func (c *Coordinator) GoodRequeue(rec *runRec) {

@@ -147,6 +147,6 @@ func (l *Ledger) GoodDeferred() {
 func (l *Ledger) SanctionedFsync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//hbplint:ignore locksafety corpus fixture: pretend write-then-fsync durability contract, mirroring the real jsonl.Record
+	//hbplint:ignore locksafety corpus fixture: pretend write-then-fsync durability contract, mirroring the real jsonl.Sync
 	return l.f.Sync()
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Client talks to a scenario daemon (hbpsimd) or a fleet coordinator
-// (hbpfleet) — both serve the same suite/case API. It is the polite
+// (hbpsimd -workers 0) — both serve the same suite/case API. It is the polite
 // counterpart of the server's admission control: a 503 with
 // Retry-After is backpressure, not failure, so submissions wait out
 // the advertised delay under a capped jittered exponential backoff

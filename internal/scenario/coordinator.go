@@ -193,7 +193,7 @@ func (c *Coordinator) sweep(stop <-chan struct{}, done chan<- struct{}) {
 	for {
 		select {
 		case <-t.C:
-			c.ExpireLeases(time.Now())
+			c.ExpireLeases(time.Now()) //nolint:errcheck // a failing journal fails the next acknowledged call too
 		case <-stop:
 			return
 		}
@@ -228,15 +228,12 @@ func (c *Coordinator) CreateSuite(name string) (*Suite, error) {
 		c.mu.Unlock()
 		return nil, ErrDraining
 	}
-	entry := c.applyLocked(Entry{Type: EntrySuite, Time: time.Now(), Suite: fmt.Sprintf("s-%d", c.nextSuite+1), SuiteName: name})
-	s := c.suites[entry.Suite]
+	e := Entry{Type: EntrySuite, Time: time.Now(), Suite: fmt.Sprintf("s-%d", c.nextSuite+1), SuiteName: name}
+	err := c.commitLocked(e)
+	s := c.suites[e.Suite]
 	c.mu.Unlock()
-	if err := c.cfg.Journal.Record(entry); err != nil {
-		c.mu.Lock()
-		delete(c.suites, s.ID)
-		c.suiteList = slices.DeleteFunc(c.suiteList, func(x *Suite) bool { return x == s })
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
+	if err := c.settle(err); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -262,24 +259,19 @@ func (c *Coordinator) Submit(suiteID string, spec CaseSpec) (RunStatus, error) {
 		c.mu.Unlock()
 		return RunStatus{}, ErrQueueFull
 	}
-	entry := c.applyLocked(Entry{
+	e := Entry{
 		Type: EntrySubmitted, Time: time.Now(),
 		Suite: s.ID, Run: fmt.Sprintf("r-%d", c.nextRun+1), Spec: &spec,
-	})
-	status := c.statusLocked(c.runs[entry.Run])
-	c.mu.Unlock()
-
-	if err := c.cfg.Journal.Record(entry); err != nil {
-		// Admitted in memory but unknown to a restart: withdraw the
-		// run rather than let it dispatch unrecorded.
-		c.cancel(entry.Run, "submission could not be journaled") //nolint:errcheck // the journal is already failing
-		return RunStatus{}, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
-	// Wake a parked lease only now, so the dispatch it journals lands
-	// after the submission.
-	c.mu.Lock()
-	c.wakeLocked()
+	err := c.commitLocked(e)
+	var status RunStatus
+	if err == nil {
+		status = c.statusLocked(c.runs[e.Run])
+	}
 	c.mu.Unlock()
+	if err := c.settle(err); err != nil {
+		return RunStatus{}, err
+	}
 	return status, nil
 }
 
@@ -287,16 +279,10 @@ func (c *Coordinator) Submit(suiteID string, spec CaseSpec) (RunStatus, error) {
 // get DirectiveAbort on their next heartbeat (an in-process attempt is
 // cancelled at once) and finalize as cancelled when the worker reports
 // — or at lease expiry if it never does. The request itself is
-// journaled before Cancel returns, so an acknowledged cancel survives
-// a restart instead of the run silently re-executing. Cancelling a
+// durable before Cancel returns, so an acknowledged cancel survives a
+// restart instead of the run silently re-executing. Cancelling a
 // terminal run is a no-op.
 func (c *Coordinator) Cancel(runID string) error {
-	return c.cancel(runID, "cancelled while queued")
-}
-
-// cancel is Cancel with the message a still-queued run is finalized
-// under.
-func (c *Coordinator) cancel(runID, whyQueued string) error {
 	c.mu.Lock()
 	rec := c.runs[runID]
 	if rec == nil {
@@ -307,27 +293,20 @@ func (c *Coordinator) cancel(runID, whyQueued string) error {
 		c.mu.Unlock()
 		return nil
 	}
-	now := time.Now()
+	var err error
 	if rec.worker == "" { // queued
-		entry := c.finalizeLocked(rec, Outcome{
+		err = c.commitLocked(completedEntry(rec, Outcome{
 			State: StateCancelled,
-			Error: &RunError{Kind: ErrCancelled, Message: whyQueued},
-		}, "", now)
-		c.mu.Unlock()
-		return c.cfg.Journal.Record(entry)
-	}
-	entry := c.applyLocked(Entry{
-		Type: EntryCancelRequested, Time: now,
+			Error: &RunError{Kind: ErrCancelled, Message: "cancelled while queued"},
+		}, "", time.Now()))
+	} else if err = c.commitLocked(Entry{
+		Type: EntryCancelRequested, Time: time.Now(),
 		Suite: rec.run.Suite, Run: runID,
-	})
-	if rec.stop != nil {
+	}); err == nil && rec.stop != nil {
 		rec.stop()
 	}
 	c.mu.Unlock()
-	// Journal before acknowledging: an acked cancel living only in
-	// memory would vanish with a coordinator crash, and recovery would
-	// requeue and re-execute a run the client was told is stopping.
-	return c.cfg.Journal.Record(entry)
+	return c.settle(err)
 }
 
 // GetRun returns a snapshot of the run.
@@ -480,7 +459,9 @@ func (c *Coordinator) grant(ctx context.Context, workerID string) (*Assignment, 
 // tryLease grants the worker its next assignment without waiting. When
 // there is none and the caller may park (the coordinator is started),
 // it also returns the channel that is closed when it is worth asking
-// again; wake is nil whenever a or err is set.
+// again; wake is nil whenever a or err is set. A grant is durable
+// before it leaves the coordinator, so its lease counts against the
+// run's budget after a crash.
 func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan struct{}, err error) {
 	now := time.Now()
 	c.mu.Lock()
@@ -489,61 +470,47 @@ func (c *Coordinator) tryLease(workerID string) (a *Assignment, wake <-chan stru
 		c.mu.Unlock()
 		return nil, nil, ErrUnknownWorker
 	}
-	var rec *runRec
-	if w.inFlight < w.info.Capacity {
-		rec = c.nextEligibleLocked(now)
-	}
-	if rec == nil {
-		if c.stop != nil {
-			wake = c.waitLocked()
+	for a == nil && err == nil && w.inFlight < w.info.Capacity {
+		rec := c.nextEligibleLocked(now)
+		if rec == nil {
+			break
 		}
-		c.mu.Unlock()
-		return nil, wake, nil
-	}
-	if rec.cancelReq {
-		// A journal-recovered cancel request: the client was told this
-		// run is stopping, so finalize it instead of re-dispatching.
-		entry := c.finalizeLocked(rec, Outcome{
-			State: StateCancelled,
-			Error: &RunError{Kind: ErrCancelled, Message: "cancel requested before coordinator restart"},
-		}, "", now)
-		c.mu.Unlock()
-		if err := c.cfg.Journal.Record(entry); err != nil {
-			return nil, nil, err
+		if rec.cancelReq {
+			// A journal-recovered cancel request: the client was told this
+			// run is stopping, so finalize it instead of re-dispatching.
+			err = c.commitLocked(completedEntry(rec, Outcome{
+				State: StateCancelled,
+				Error: &RunError{Kind: ErrCancelled, Message: "cancel requested before coordinator restart"},
+			}, "", now))
+		} else if err = c.commitLocked(Entry{
+			Type: EntryDispatched, Time: now,
+			Suite: rec.run.Suite, Run: rec.run.ID,
+			Worker: workerID, Dispatch: rec.dispatches + 1, SeedAttempt: rec.seedAttempt,
+		}); err == nil {
+			a = &Assignment{
+				Run:         rec.run.ID,
+				Suite:       rec.run.Suite,
+				Spec:        rec.run.Spec,
+				Dispatch:    rec.dispatch,
+				SeedAttempt: rec.seedAttempt,
+				BaseSeed:    rec.run.Spec.BaseSeed(),
+				LeaseMillis: c.cfg.LeaseDuration.Milliseconds(),
+			}
 		}
-		return c.tryLease(workerID)
 	}
-	entry := c.applyLocked(Entry{
-		Type: EntryDispatched, Time: now,
-		Suite: rec.run.Suite, Run: rec.run.ID,
-		Worker: workerID, Dispatch: rec.dispatches + 1, SeedAttempt: rec.seedAttempt,
-	})
-	a = &Assignment{
-		Run:         rec.run.ID,
-		Suite:       rec.run.Suite,
-		Spec:        rec.run.Spec,
-		Dispatch:    rec.dispatch,
-		SeedAttempt: rec.seedAttempt,
-		BaseSeed:    rec.run.Spec.BaseSeed(),
-		LeaseMillis: c.cfg.LeaseDuration.Milliseconds(),
+	if a == nil && err == nil && c.stop != nil {
+		wake = c.waitLocked()
 	}
 	c.mu.Unlock()
-	// Journal before the assignment leaves the coordinator: a crash
-	// after the worker starts but before the dispatch is durable
-	// would otherwise recover the run as never-dispatched *and* let a
-	// late completion for it arrive — still deduplicated, but the
-	// budget accounting would be blind to the lease.
-	if err := c.cfg.Journal.Record(entry); err != nil {
-		// Undo the grant, unless the lease already ended: the run
-		// returns to the queue, as at a restart.
-		c.mu.Lock()
-		if rec.worker == workerID && rec.dispatch == a.Dispatch {
-			c.applyLocked(Entry{Type: EntryRequeued, Suite: rec.run.Suite, Run: rec.run.ID})
-		}
-		c.mu.Unlock()
+	// Only a grant is acknowledged here; a finalized cancel becomes
+	// durable with the next fsync, and replay would finalize it again.
+	if a != nil || err != nil {
+		err = c.settle(err)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	return a, nil, nil
+	return a, wake, nil
 }
 
 // watch ties lease a to the in-process attempt that stop cancels, so
@@ -671,26 +638,23 @@ func (c *Coordinator) Complete(workerID, runID string, dispatch int, out Outcome
 	if maxAttempts <= 0 {
 		maxAttempts = c.cfg.MaxAttempts
 	}
+	e := completedEntry(rec, out, workerID, time.Now())
 	if infra && rec.seedAttempt < maxAttempts && rec.dispatches < c.cfg.MaxDispatches && !rec.cancelReq {
-		entry := c.applyLocked(Entry{
-			Type: EntryRequeued, Time: time.Now(),
+		e = Entry{
+			Type: EntryRequeued, Time: e.Time,
 			Suite: rec.run.Suite, Run: rec.run.ID,
 			Worker: workerID, Dispatch: dispatch, SeedAttempt: rec.seedAttempt + 1,
 			Reason: reasonInfraRetry,
-		})
-		c.mu.Unlock()
-		return c.cfg.Journal.Record(entry)
+		}
 	}
-
-	entry := c.finalizeLocked(rec, out, workerID, time.Now())
+	err := c.commitLocked(e)
 	c.mu.Unlock()
-	return c.cfg.Journal.Record(entry)
+	return c.settle(err)
 }
 
-// finalizeLocked ends rec with out: it applies the completed record,
-// carrying the full result the journal keeps only the fingerprint of,
-// and returns it for the caller to Record after unlocking.
-func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string, now time.Time) Entry {
+// completedEntry is the record that ends rec with out, carrying the
+// full result the journal keeps only the fingerprint of.
+func completedEntry(rec *runRec, out Outcome, workerID string, now time.Time) Entry {
 	e := Entry{
 		Type: EntryCompleted, Time: now,
 		Suite: rec.run.Suite, Run: rec.run.ID,
@@ -701,17 +665,42 @@ func (c *Coordinator) finalizeLocked(rec *runRec, out Outcome, workerID string, 
 	if out.Result != nil {
 		e.Fingerprint = out.Result.Fingerprint
 	}
-	return c.applyLocked(e)
+	return e
 }
 
-// applyLocked applies one journal record and returns it for the caller
-// to Record after unlocking. It is the only code that changes a suite,
-// a run, the queues or the counters a record names, and NewCoordinator
-// folds it over a recovered journal, so replay equals live. It reads
-// no clock and does no I/O; a record no live call would have built (a
-// second submission, a transition of an unknown or terminal run, a
-// non-terminal completion) changes nothing.
-func (c *Coordinator) applyLocked(e Entry) Entry {
+// commitLocked is every journaled transition's one path: append e,
+// then apply it, both under c.mu, so journal order is apply order. A
+// record the journal refuses changes nothing. The caller unlocks,
+// settles, and acknowledges only after that.
+func (c *Coordinator) commitLocked(e Entry) error {
+	if err := c.cfg.Journal.Append(e); err != nil {
+		return err
+	}
+	c.applyLocked(e)
+	return nil
+}
+
+// settle fsyncs what commitLocked appended (err nil) outside c.mu;
+// any failure is ErrJournal. A failed fsync leaves the transition
+// applied and the journal refusing every later record.
+func (c *Coordinator) settle(err error) error {
+	if err == nil {
+		err = c.cfg.Journal.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrJournal, err)
+	}
+	return nil
+}
+
+// applyLocked applies one journal record. It is the only code that
+// changes a suite, a run, the queues or the counters a record names,
+// live (commitLocked) and folded over a recovered journal by
+// NewCoordinator, so replay equals live. It reads no clock and does no
+// I/O; a record no live call would have built (a second submission, a
+// transition of an unknown or terminal run, a non-terminal completion)
+// changes nothing.
+func (c *Coordinator) applyLocked(e Entry) {
 	switch e.Type {
 	case EntrySuite:
 		if c.suites[e.Suite] == nil {
@@ -720,10 +709,10 @@ func (c *Coordinator) applyLocked(e Entry) Entry {
 			c.suiteList = append(c.suiteList, s)
 			jsonl.BumpCounter(&c.nextSuite, s.ID)
 		}
-		return e
+		return
 	case EntrySubmitted:
 		if c.runs[e.Run] != nil {
-			return e
+			return
 		}
 		c.stats.Admitted++
 		rec := &runRec{
@@ -744,11 +733,12 @@ func (c *Coordinator) applyLocked(e Entry) Entry {
 		if !c.queue.Push(e.Run) {
 			c.requeue = append(c.requeue, e.Run)
 		}
-		return e
+		c.wakeLocked()
+		return
 	}
 	rec := c.runs[e.Run]
 	if rec == nil || rec.run.State.Terminal() {
-		return e
+		return
 	}
 	switch e.Type {
 	case EntryDispatched:
@@ -785,7 +775,7 @@ func (c *Coordinator) applyLocked(e Entry) Entry {
 		rec.cancelReq = true
 	case EntryCompleted:
 		if !e.State.Terminal() {
-			return e
+			return
 		}
 		c.unqueueLocked(rec)
 		c.releaseLeaseLocked(rec)
@@ -801,7 +791,6 @@ func (c *Coordinator) applyLocked(e Entry) Entry {
 		c.rememberLocked(rec.run.ID)
 		c.wakeLocked()
 	}
-	return e
 }
 
 // backoff is rec's jittered exponential delay before the given
@@ -878,42 +867,42 @@ func (c *Coordinator) issuedLocked(id string) bool {
 // record a typed worker-lost failure, everything else re-queues under
 // jittered exponential backoff. The sweeper calls it on a ticker; tests
 // may call it directly.
-func (c *Coordinator) ExpireLeases(now time.Time) {
+func (c *Coordinator) ExpireLeases(now time.Time) error {
 	c.mu.Lock()
 	expired := c.runsLocked(func(rec *runRec) bool { return rec.worker != "" && !now.Before(rec.leaseExpiry) })
-	entries := make([]Entry, 0, len(expired))
+	var err error
 	for _, rec := range expired {
-		c.stats.LeaseExpiries++
-		var out Outcome
+		e := Entry{
+			Type: EntryRequeued, Time: now,
+			Suite: rec.run.Suite, Run: rec.run.ID,
+			Worker: rec.worker, Dispatch: rec.dispatches, SeedAttempt: rec.seedAttempt,
+			Reason: reasonLeaseExpired,
+		}
 		switch {
 		case rec.cancelReq:
-			out = Outcome{State: StateCancelled, Error: &RunError{
+			e = completedEntry(rec, Outcome{State: StateCancelled, Error: &RunError{
 				Kind:    ErrCancelled,
 				Message: "lease expired after cancel request",
 				Attempt: rec.dispatches,
-			}}
+			}}, rec.worker, now)
 		case rec.dispatches >= c.cfg.MaxDispatches:
-			out = Outcome{State: StateFailed, Error: &RunError{
+			e = completedEntry(rec, Outcome{State: StateFailed, Error: &RunError{
 				Kind: ErrWorkerLost,
 				Message: fmt.Sprintf("dispatch budget exhausted: %d leases granted, every worker crashed, hung or partitioned away",
 					rec.dispatches),
 				Attempt: rec.dispatches,
-			}}
-		default:
-			entries = append(entries, c.applyLocked(Entry{
-				Type: EntryRequeued, Time: now,
-				Suite: rec.run.Suite, Run: rec.run.ID,
-				Worker: rec.worker, Dispatch: rec.dispatches, SeedAttempt: rec.seedAttempt,
-				Reason: reasonLeaseExpired,
-			}))
-			continue
+			}}, rec.worker, now)
 		}
-		entries = append(entries, c.finalizeLocked(rec, out, rec.worker, now))
+		if err = c.commitLocked(e); err != nil {
+			break
+		}
+		c.stats.LeaseExpiries++
 	}
 	c.mu.Unlock()
-	for _, e := range entries {
-		c.cfg.Journal.Record(e) //nolint:errcheck // in-memory state already moved on; the journal is best-effort here
+	if len(expired) == 0 {
+		return nil
 	}
+	return c.settle(err)
 }
 
 // Drain stops admissions and new leases, releases parked leases, then

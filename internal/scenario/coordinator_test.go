@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,8 +241,10 @@ func viewOf(c *Coordinator, asRestarted bool) coordView {
 }
 
 // replaySchedule drives ops seeded random client and worker calls
-// against c, with expiries at chosen lease deadlines.
-func replaySchedule(t *testing.T, c *Coordinator, rng *rand.Rand, ops int) {
+// against c, with expiries at chosen lease deadlines. Before op
+// closeAt (never, if it is out of range) it closes c's journal; from
+// then on every call that would journal must fail with ErrJournal.
+func replaySchedule(t *testing.T, c *Coordinator, rng *rand.Rand, ops, closeAt int) {
 	var suites, workers []string
 	for i := 0; i < 3; i++ {
 		w, err := c.Register(WorkerInfo{Name: "w", Capacity: 1 + rng.Intn(3)})
@@ -255,25 +259,36 @@ func replaySchedule(t *testing.T, c *Coordinator, rng *rand.Rand, ops int) {
 		return c.runsLocked(func(rec *runRec) bool { return rec.worker != "" })
 	}
 	anyRun := func() string { return fmt.Sprintf("r-%d", 1+rng.Intn(c.nextRun+1)) }
+	closed := false
+	check := func(err error) {
+		if err != nil && !(closed && errors.Is(err, ErrJournal)) {
+			t.Fatal(err)
+		}
+	}
 	for op := 0; op < ops; op++ {
+		if op == closeAt {
+			if err := c.cfg.Journal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			closed = true
+		}
 		switch p := rng.Intn(100); {
 		case p < 4 || len(suites) == 0:
 			s, err := c.CreateSuite(fmt.Sprintf("suite-%d", op))
-			if err != nil {
-				t.Fatal(err)
+			check(err)
+			if err == nil {
+				suites = append(suites, s.ID)
 			}
-			suites = append(suites, s.ID)
 		case p < 34:
 			spec := CaseSpec{Name: "case", Tree: quickTree(rng.Int63n(1000)), MaxAttempts: rng.Intn(4)}
-			if _, err := c.Submit(suites[rng.Intn(len(suites))], spec); err != nil && err != ErrQueueFull {
-				t.Fatal(err)
+			if _, err := c.Submit(suites[rng.Intn(len(suites))], spec); err != ErrQueueFull {
+				check(err)
 			}
 		case p < 42:
 			c.Cancel(anyRun()) //nolint:errcheck // unknown and evicted runs are part of the schedule
 		case p < 67:
-			if _, _, err := c.tryLease(workers[rng.Intn(len(workers))]); err != nil {
-				t.Fatal(err)
-			}
+			_, _, err := c.tryLease(workers[rng.Intn(len(workers))])
+			check(err)
 		case p < 93:
 			worker, run, dispatch := workers[rng.Intn(len(workers))], anyRun(), 1+rng.Intn(3)
 			if h := held(); len(h) > 0 && rng.Intn(4) > 0 {
@@ -291,15 +306,15 @@ func replaySchedule(t *testing.T, c *Coordinator, rng *rand.Rand, ops int) {
 			default:
 				out = Outcome{State: StateCancelled, Error: &RunError{Kind: ErrCancelled, Message: "aborted"}}
 			}
-			if err := c.Complete(worker, run, dispatch, out); err != nil && err != ErrUnknownRun {
-				t.Fatal(err)
+			if err := c.Complete(worker, run, dispatch, out); err != ErrUnknownRun {
+				check(err)
 			}
 		default:
 			at := time.Now()
 			if h := held(); len(h) > 0 {
 				at = h[rng.Intn(len(h))].leaseExpiry
 			}
-			c.ExpireLeases(at)
+			check(c.ExpireLeases(at))
 		}
 	}
 }
@@ -310,7 +325,9 @@ func replaySchedule(t *testing.T, c *Coordinator, rng *rand.Rand, ops int) {
 // the live one held — the same runs, suites, counters, queues and
 // backoff gates and the same next IDs — except that what a worker held
 // is back on the re-queue. Every twentieth schedule runs long enough
-// to evict from the bounded history.
+// to evict from the bounded history. In every fourth the journal is
+// closed partway: the transitions it refuses must change nothing, so
+// what reached the file still replays to the live state.
 func TestReplayEqualsLive(t *testing.T) {
 	dir := t.TempDir()
 	cfg := CoordinatorConfig{
@@ -335,9 +352,15 @@ func TestReplayEqualsLive(t *testing.T) {
 		if seed%20 == 0 {
 			ops = 2500
 		}
-		replaySchedule(t, live, rng, ops)
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
+		closeAt := -1
+		if seed%4 == 2 {
+			closeAt = ops * int(1+seed%7) / 8
+		}
+		replaySchedule(t, live, rng, ops, closeAt)
+		if closeAt < 0 {
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if live.Stats().Completed > HistoryCap {
 			evicted++
@@ -355,6 +378,157 @@ func TestReplayEqualsLive(t *testing.T) {
 	}
 	if evicted == 0 {
 		t.Fatal("no schedule completed more than HistoryCap runs: eviction went untested")
+	}
+}
+
+// TestReplayEqualsLiveConcurrent: the same equality when a client, two
+// workers and the lease sweeper call the coordinator at once against a
+// real journal. Replay skips a dispatch or a completion that precedes
+// its run's submission in the file, so unless each record reaches the
+// journal in the order it was applied, a run the client was told had
+// passed can come back queued and execute a second time.
+func TestReplayEqualsLiveConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	for trial := int64(1); trial <= 10; trial++ {
+		path := filepath.Join(dir, fmt.Sprintf("journal-%d.jsonl", trial))
+		j, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := CoordinatorConfig{
+			QueueCap:      16,
+			LeaseDuration: 2 * time.Millisecond,
+			MaxDispatches: 4,
+			BackoffBase:   time.Nanosecond,
+			BackoffMax:    2 * time.Nanosecond,
+			Journal:       j,
+		}
+		live := NewCoordinator(cfg, nil)
+		concurrentSchedule(t, live, trial)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, entries, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Journal = nil
+		want := viewOf(live, true)
+		got := viewOf(NewCoordinator(cfg, entries), false)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: the restarted coordinator differs from the live one\n%s", trial, viewDiff(got, want))
+		}
+	}
+}
+
+// concurrentSchedule runs, at once, a client submitting 40 runs and
+// cancelling some, two workers of capacity 4 leasing and reporting
+// passes, failures and infra faults, and a sweeper expiring leases,
+// each on its own seeded stream.
+func concurrentSchedule(t *testing.T, c *Coordinator, seed int64) {
+	suite, err := c.CreateSuite("concurrent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var errs []error
+	fail := func(err error) {
+		mu.Lock()
+		errs = append(errs, err)
+		mu.Unlock()
+	}
+	clientDone := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(clientDone)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 40; i++ {
+			spec := CaseSpec{Name: "case", Tree: quickTree(rng.Int63n(1000))}
+			if _, err := c.Submit(suite.ID, spec); err != nil && err != ErrQueueFull {
+				fail(err)
+			}
+			if rng.Intn(5) == 0 {
+				c.Cancel(fmt.Sprintf("r-%d", 1+rng.Intn(i+1))) //nolint:errcheck // a refused submission leaves no run to cancel
+			}
+		}
+	}()
+	workersDone := make(chan struct{})
+	var workers sync.WaitGroup
+	for w := int64(1); w <= 2; w++ {
+		id, err := c.Register(WorkerInfo{Name: "w", Capacity: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			rng := rand.New(rand.NewSource(seed*10 + w))
+			var held []*Assignment
+			for {
+				a, _, err := c.tryLease(id)
+				if err != nil {
+					fail(err)
+					return
+				}
+				if a != nil {
+					held = append(held, a)
+				} else if len(held) == 0 && isClosed(clientDone) {
+					return
+				}
+				if len(held) == 0 || rng.Intn(3) == 0 {
+					continue
+				}
+				i := rng.Intn(len(held))
+				a = held[i]
+				held = slices.Delete(held, i, i+1)
+				out := Outcome{State: StatePassed, Result: &CaseResult{Kind: "tree", Fingerprint: fmt.Sprintf("%016x", rng.Uint64())}}
+				switch rng.Intn(4) {
+				case 0:
+					out = Outcome{State: StateFailed, Error: &RunError{Kind: ErrRun, Message: "boom"}}
+				case 1:
+					out = Outcome{State: StateFailed, Error: &RunError{Kind: ErrInfra, Message: "crash"}}
+				}
+				if err := c.Complete(id, a.Run, a.Dispatch, out); err != nil {
+					fail(err)
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		workers.Wait()
+		close(workersDone)
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if err := c.ExpireLeases(time.Now()); err != nil {
+				fail(err)
+				return
+			}
+			select {
+			case <-workersDone:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	wg.Wait()
+	if len(errs) > 0 {
+		t.Fatal(errors.Join(errs...))
+	}
+}
+
+// isClosed reports whether ch is closed.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -38,13 +38,14 @@ const (
 	EntryFinished EntryType = "finished"
 )
 
-// Entry is one append-only journal record (internal/jsonl: flushed
-// and fsynced before acknowledgement, torn tails truncated on
-// reopen). Each record is one transition of the coordinator's state
-// (Coordinator.applyLocked): the live path applies what it journals,
-// and a restart folds the same function over the journal, so a run
-// with a submitted entry but no completed entry comes back queued or
-// held, and held runs are requeued with their budget intact.
+// Entry is one append-only journal record (internal/jsonl: torn tails
+// truncated on reopen) and one transition of the coordinator's state
+// (Coordinator.applyLocked). The live path writes each record before
+// it applies it, both under the coordinator lock, so journal order is
+// apply order, and acknowledges only after the fsync that follows. A
+// restart folds applyLocked over the journal: a run with a submitted
+// entry but no completed entry comes back queued or held, and held
+// runs are requeued with their budget intact.
 type Entry struct {
 	Type EntryType `json:"type"`
 	Time time.Time `json:"time"`

@@ -56,8 +56,10 @@ var ErrQueueFull = errors.New("scenario: submission queue full")
 // shutdown.
 var ErrDraining = errors.New("scenario: draining")
 
-// ErrJournal rejects an admission whose journal record could not be
-// written; the admission is withdrawn and the client may retry.
+// ErrJournal is a transition the journal refused or could not make
+// durable: a refused suite or case leaves nothing behind; after a
+// failed fsync the journal refuses everything until a restart. The
+// client may retry (503 + Retry-After).
 var ErrJournal = errors.New("scenario: journal write failed")
 
 // Suite groups runs for reporting.
@@ -123,7 +125,9 @@ func (r *Runner) Start() {
 // returns when every admitted run is terminal and the executors have
 // stopped. If ctx expires first every live run is cancelled (finishing
 // as StateCancelled) and Drain still waits for the executors to unwind
-// before returning ctx's error — the pool never outlives the call.
+// before returning ctx's error — the pool never outlives the call. An
+// executor reports its cancelled attempt before it stops, so every
+// cancelled run is terminal by then.
 func (r *Runner) Drain(ctx context.Context) error {
 	err := r.drain(ctx, r.settledLocked)
 	if err != nil {
@@ -133,7 +137,6 @@ func (r *Runner) Drain(ctx context.Context) error {
 		for _, rec := range live {
 			r.Cancel(rec.run.ID) //nolint:errcheck // best effort during forced drain
 		}
-		r.drain(context.Background(), r.settledLocked) //nolint:errcheck // cannot expire
 	}
 	r.Stop()
 	r.wg.Wait()
@@ -147,18 +150,19 @@ func (r *Runner) settledLocked() bool { return len(r.runs) == r.history.Len() }
 
 // executor is one pool slot: lease, execute, report, until Stop. With
 // nothing to lease it waits for a wake, or at most LeaseWait, which
-// also paces retry backoff gates and a journal that refused a
-// dispatch.
+// also paces retry backoff gates. A journal that refused a dispatch
+// refuses every later record too, so that ends the executor as well:
+// its runs stay in the journal for the next generation.
 func (r *Runner) executor(id string) {
 	defer r.wg.Done()
 	for {
-		a, wake, err := r.tryLease(id)
+		a, wake, _ := r.tryLease(id)
 		if a != nil {
 			r.execute(id, a)
 			continue
 		}
-		if wake == nil && err == nil {
-			return // stopped
+		if wake == nil {
+			return // stopped, or the journal failed
 		}
 		t := time.NewTimer(LeaseWait)
 		select {
@@ -176,7 +180,7 @@ func (r *Runner) execute(id string, a *Assignment) {
 	defer stop()
 	r.watch(a, stop)
 	res, err := SupervisedAttempt(ctx, &a.Spec, a.BaseSeed, a.SeedAttempt, r.cfg.WallDeadline, r.cfg.MaxEvents)
-	r.Complete(id, a.Run, a.Dispatch, NewOutcome(res, err, a.SeedAttempt, ctx.Err() != nil)) //nolint:errcheck // the in-memory state is already terminal
+	r.Complete(id, a.Run, a.Dispatch, NewOutcome(res, err, a.SeedAttempt, ctx.Err() != nil)) //nolint:errcheck // a refused report leaves the lease held; the failed journal refuses everything after it, and a restart requeues the run
 }
 
 // ClassifyError maps an executor error to its typed RunError.

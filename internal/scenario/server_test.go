@@ -296,6 +296,8 @@ func TestServerRefusesUnjournalableEntry(t *testing.T) {
 	}
 	defer j.Close()
 	r := NewRunner(Config{Workers: 1, Journal: j}, nil)
+	r.Start()
+	defer r.Drain(context.Background()) //nolint:errcheck // nothing was admitted
 	srv := NewServer(r)
 	suite, err := r.CreateSuite("small")
 	if err != nil {
@@ -319,15 +321,29 @@ func TestServerRefusesUnjournalableEntry(t *testing.T) {
 	if suites := r.Suites(); len(suites) != 1 {
 		t.Fatalf("refused suite stayed registered: %d suites", len(suites))
 	}
-	if _, runs, _ := r.GetSuite(suite.ID); len(runs) != 1 || runs[0].State != StateCancelled {
-		t.Fatalf("refused case was not withdrawn: %+v", runs)
+	assertNothingAdmitted(t, r, suite.ID)
+}
+
+// assertNothingAdmitted: the suite holds no run, the accounting shows
+// no admission, and the started runner's executor finds nothing to
+// lease.
+func assertNothingAdmitted(t *testing.T, r *Runner, suiteID string) {
+	t.Helper()
+	if _, runs, _ := r.GetSuite(suiteID); len(runs) != 0 {
+		t.Fatalf("refused case left runs behind: %+v", runs)
+	}
+	if s := r.Stats(); s.Admitted != 0 || s.Completed != 0 {
+		t.Fatalf("refused case moved the accounting: %+v", s)
+	}
+	if a, _, err := r.tryLease("w-1"); a != nil || err != nil {
+		t.Fatalf("lease after a refused case = %+v, %v; want nothing", a, err)
 	}
 }
 
 // TestServerJournalFailure: an admission whose journal record cannot
-// be written is withdrawn, not left as a ghost — the run is finalized
-// cancelled and never executes, the suite is not registered, and the
-// client is told to retry (503 + Retry-After).
+// be written is never admitted — no run, no suite, no count in the
+// accounting, nothing to lease — and the client is told to retry (503
+// + Retry-After).
 func TestServerJournalFailure(t *testing.T) {
 	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "runs.jsonl"))
 	if err != nil {
@@ -357,12 +373,8 @@ func TestServerJournalFailure(t *testing.T) {
 				post.url, resp.StatusCode, resp.Header.Get("Retry-After"), body)
 		}
 	}
-	_, runs, _ := r.GetSuite(created.Suite.ID)
-	if len(runs) != 1 || runs[0].State != StateCancelled || runs[0].Attempts != 0 ||
-		runs[0].Error == nil || runs[0].Error.Kind != ErrCancelled {
-		t.Fatalf("unjournaled run was not withdrawn: %+v", runs)
-	}
 	if suites := r.Suites(); len(suites) != 1 {
 		t.Fatalf("unjournaled suite stayed registered: %+v", suites)
 	}
+	assertNothingAdmitted(t, r, created.Suite.ID)
 }

@@ -9,7 +9,7 @@
 // requeue with jittered exponential backoff, first-completion-wins
 // dedup, a bounded run history and a journal replayed on restart.
 // Runner puts in-process executors behind it (cmd/hbpsimd);
-// internal/fleet serves it to remote workers (cmd/hbpfleet). Every
+// internal/fleet serves it to remote workers (hbpsimd -workers 0). Every
 // attempt runs under SupervisedAttempt, which enforces wall-clock and
 // simulated-event deadlines, isolates panics and audits teardown for
 // resource leaks.
