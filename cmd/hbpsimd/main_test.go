@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -105,5 +109,54 @@ func TestWorkerModeAppliesWallDeadline(t *testing.T) {
 			t.Fatalf("run still %s after 30 s; the worker ignores its wall deadline", got.State)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBatchEndsOnJournalFailure: a journal that fails mid-suite ends
+// batch mode with a non-zero exit once the failure is seen, instead of
+// a drain that waits forever for runs that can no longer finish.
+func TestBatchEndsOnJournalFailure(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := scenario.OpenJournal(filepath.Join(dir, "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := scenario.NewRunner(scenario.Config{Workers: 1, Journal: j}, nil)
+	runner.Start()
+	spec := scenario.SuiteSpec{Name: "journal-fails"}
+	for i := 1; i <= 3; i++ {
+		spec.Cases = append(spec.Cases, scenario.CaseSpec{Name: fmt.Sprint("c", i), Tree: &scenario.TreeSpec{Leaves: 40, DurationSec: 40, Seed: int64(i)}})
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "suite.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const drainTimeout = 3 * time.Second
+	exited := make(chan int, 1)
+	go func() { exited <- batch(context.Background(), runner, path, "", drainTimeout) }()
+	for runner.Stats().Completed == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := time.Now()
+	select {
+	case code := <-exited:
+		if code == 0 {
+			t.Fatal("batch exited 0 on a failed journal")
+		}
+		if s := runner.Stats(); s.Completed == 3 {
+			t.Fatalf("all 3 cases completed before the journal failure was seen: %+v", s)
+		}
+		if wait := time.Since(closed); wait > drainTimeout/2 {
+			t.Fatalf("batch took %v after the journal failed", wait)
+		}
+	case <-time.After(2 * drainTimeout):
+		t.Fatalf("batch still draining %v after the journal failed (%d of 3 completed)", 2*drainTimeout, runner.Stats().Completed)
 	}
 }

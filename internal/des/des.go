@@ -50,6 +50,13 @@
 // where it is released without firing. Dispatch order is unaffected by
 // any of this: (time, class, key) is a strict total order, every run
 // is sorted by it, and so every pop returns the unique minimum.
+//
+// An event that may never be needed need not be queued at all: Reserve
+// takes the key it would have had, Passed reports whether dispatch
+// order has gone beyond that key, and ScheduleReserved places the
+// event there after all, on the heap. The packet simulator reserves
+// each transmission's end this way and schedules it only when a packet
+// queues behind it, so an idle hop costs one event, the arrival.
 package des
 
 import (
@@ -249,6 +256,17 @@ type Simulator struct {
 	seq     uint64
 	fired   uint64
 	stopped bool
+	// curK is the dispatch frontier at now: every local key below it at
+	// time now has been dispatched, and none above (see Passed). For a
+	// local event it is the dispatching event's key. A delivery sorts
+	// after every local event at its time that exists when it is taken,
+	// but a local event scheduled at now from its handler still fires
+	// after it, so for a delivery it is seq at dispatch. A completed
+	// RunUntil raises it to seq, since every event due by then has fired.
+	curK uint64
+	// floor is seq at the last Reset: a reservation below it belongs to
+	// a discarded run.
+	floor uint64
 	// EventLimit, when non-zero, aborts Run with ErrEventLimit after
 	// that many events have fired. It guards against runaway
 	// self-rescheduling loops in tests. It is configuration, not run
@@ -387,14 +405,72 @@ func (s *Simulator) AfterNamed(d float64, name string, h Handler) Event {
 // ScheduleTyped schedules the typed event fn(a, b, kind) at absolute
 // time t. Unlike At, the operands ride in the event record itself, so
 // no closure needs to be allocated per event — this is the
-// steady-state scheduling path of the packet simulator (two events per
-// hop). fn must be non-nil; pass a package-level function to keep the
-// call allocation-free.
+// steady-state scheduling path of the packet simulator (one event per
+// hop through an idle port, an arrival; a second, at a reserved key,
+// only when a packet waits behind the transmission). fn must be
+// non-nil; pass a package-level function to keep the call
+// allocation-free.
 func (s *Simulator) ScheduleTyped(t float64, fn TypedFunc, a, b any, kind uint8) Event {
 	if fn == nil {
 		panic("des: nil typed handler")
 	}
 	return s.schedule(t, "", nil, fn, a, b, kind)
+}
+
+// Reservation is an event key held in reserve: the (time, seq) slot
+// an event scheduled at Reserve's call would have taken, kept without
+// an event behind it. The zero Reservation holds no key and reads as
+// passed.
+type Reservation struct {
+	t float64
+	n uint64 // the reserved seq + 1
+}
+
+// Reserve consumes one seq exactly as scheduling an event at time t
+// would, and returns that key without queueing anything. Passed tells
+// whether dispatch order has gone beyond it; ScheduleReserved places
+// an event there after all. t follows At's rules.
+func (s *Simulator) Reserve(t float64) Reservation {
+	s.checkTime(t, "reservation")
+	s.seq++
+	return Reservation{t: t, n: s.seq}
+}
+
+// Passed reports whether dispatch order has gone beyond r: the clock
+// is past r's time, or at it with an event of a higher key dispatching
+// or dispatched (or after a RunUntil that ended there, having fired
+// every event due). An event scheduled at r would have fired by then.
+// After Reset every earlier reservation reads as passed; DrainPending
+// fires nothing and leaves reservations as they were.
+func (s *Simulator) Passed(r Reservation) bool {
+	return r.n <= s.floor || s.now > r.t || (s.now == r.t && s.curK >= r.n)
+}
+
+// ScheduleReserved schedules the typed event fn(a, b, kind) at r's
+// key, so it fires exactly where an event scheduled at the Reserve
+// call would have. It goes on the heap, in no delay run. Schedule at a
+// reservation at most once, and only while Passed reports false.
+func (s *Simulator) ScheduleReserved(r Reservation, fn TypedFunc, a, b any, kind uint8) Event {
+	if fn == nil {
+		panic("des: nil typed handler")
+	}
+	if s.Passed(r) {
+		panic(fmt.Sprintf("des: scheduling at a reservation (%.9f) dispatch has passed", r.t))
+	}
+	idx := s.alloc()
+	rec := &s.recs[idx]
+	rec.time = r.t
+	rec.k = r.n - 1
+	rec.next = -1
+	rec.h = nil
+	rec.fn = fn
+	rec.a = a
+	rec.b = b
+	rec.kind = kind
+	rec.name = ""
+	s.live++
+	s.push(rec.key(idx))
+	return Event{s: s, id: idx + 1, gen: rec.gen}
 }
 
 // Cancel marks an event so that it will not fire. Cancelling an event
@@ -531,10 +607,20 @@ func (s *Simulator) RunUntil(end float64) error {
 	if err := s.runWindow(end, true); err != nil {
 		return err
 	}
-	if !s.stopped && !math.IsInf(end, 1) && end > s.now {
-		s.now = end
+	if !s.stopped {
+		s.ranTo(end)
 	}
 	return nil
+}
+
+// ranTo records a run that fired every event due by end: the clock
+// moves up to end (never back, and not to +Inf), and every key
+// reserved so far at the clock's time counts as passed.
+func (s *Simulator) ranTo(end float64) {
+	if !math.IsInf(end, 1) && end > s.now {
+		s.now = end
+	}
+	s.curK = s.seq
 }
 
 // runWindow dispatches events with time < bound (time <= bound when
@@ -579,7 +665,7 @@ func (s *Simulator) runWindow(bound float64, inclusive bool) error {
 		// generation stamp already guards. The run's next event takes
 		// the root; at the end of the run the root stays in the heap,
 		// vacant, for the callback's first schedule to take over.
-		t, h, fn, a, b, kind := r.time, r.h, r.fn, r.a, r.b, r.kind
+		t, k, h, fn, a, b, kind := r.time, r.k, r.h, r.fn, r.a, r.b, r.kind
 		if r.next >= 0 {
 			s.replaceRoot(r.next)
 		} else {
@@ -587,7 +673,7 @@ func (s *Simulator) runWindow(bound float64, inclusive bool) error {
 		}
 		s.release(idx)
 		s.live--
-		s.now = t
+		s.now, s.curK = t, min(k, s.seq)
 		s.fired++
 		if s.EventLimit > 0 && s.fired > s.EventLimit {
 			// The over-budget event is dropped.
@@ -695,14 +781,17 @@ func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
 // applies afresh to the next run. An installed interrupt hook is
 // removed: it is run state (typically a closure over the cancelled
 // run's context), and a stale checkpoint must not leak into the next
-// run on a reused simulator. Reset drops event payload references
-// without visiting them; when pending events may hold pooled resources
+// run on a reused simulator. Every outstanding Reservation reads as
+// passed from then on: the seq counter is not rewound (keys order
+// only against each other), and floor marks the keys below it as the
+// discarded run's. Reset drops event payload references without
+// visiting them; when pending events may hold pooled resources
 // (packets in typed link events), DrainPending first, so the pool's
 // accounting survives the teardown.
 func (s *Simulator) Reset() {
 	s.DrainPending(nil)
 	s.now = 0
-	s.seq = 0
+	s.floor, s.curK = s.seq, 0
 	s.fired = 0
 	s.stopped = false
 	s.interrupt = nil

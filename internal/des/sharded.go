@@ -405,11 +405,9 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 			return err
 		}
 	}
-	if !stopped && !math.IsInf(end, 1) {
+	if !stopped {
 		for _, s := range ss.shards {
-			if end > s.now {
-				s.now = end
-			}
+			s.ranTo(end)
 		}
 	}
 	return nil

@@ -290,8 +290,8 @@ func TestTreeGoldenFingerprint(t *testing.T) {
 		captures int
 		digest   string
 	}{
-		{1, 4018592, 25, "99ae1d4700906fcecd0e29251e41e5b254d0bc108642d4c0700f65e6d55fa07d"},
-		{7, 4079877, 25, "b0ff82e0f9f33c084f24cfb8583ed853c00a5948ca4630678a6d9c3632821a2d"},
+		{1, 2398337, 25, "4a38e0076dc387524890fd51e80617d6c54e0842fd172e0644976f0aa99b3f2f"},
+		{7, 2427512, 25, "b62fac543a16166ee8bef99560902a52466bfab144d0d004bbbc101aaa687480"},
 	} {
 		cfg := DefaultTreeConfig()
 		cfg.Seed = want.seed

@@ -262,10 +262,10 @@ func TestInternetGoldenFingerprint(t *testing.T) {
 		peakState int
 		endpoints int
 	}{
-		{"small/seed1", small(1), false, "06e010efd08f8b857d34583a4dee73993f0a19b997c83ce65541b65a361e47e8", 595266, 50, 34404, 128, 62, 50},
-		{"small/seed7", small(7), false, "d59420ff132ff4a75e12e498bb8cdf9e089090bd4a4528501df5fb0efaf687d0", 480539, 50, 6869, 128, 62, 50},
-		{"bench/shards1", bench(1), true, "c6ea316b8d3854ac2832e10b7268739d13c575601e4361a75f7082a74f95e0bd", 678592, 10000, 42945, 8018, 4003, 10000},
-		{"bench/shards2", bench(2), true, "c6ea316b8d3854ac2832e10b7268739d13c575601e4361a75f7082a74f95e0bd", 678592, 10000, 42945, 8018, 4003, 10000},
+		{"small/seed1", small(1), false, "06e010efd08f8b857d34583a4dee73993f0a19b997c83ce65541b65a361e47e8", 507196, 50, 34404, 128, 62, 50},
+		{"small/seed7", small(7), false, "d59420ff132ff4a75e12e498bb8cdf9e089090bd4a4528501df5fb0efaf687d0", 394170, 50, 6869, 128, 62, 50},
+		{"bench/shards1", bench(1), true, "c6ea316b8d3854ac2832e10b7268739d13c575601e4361a75f7082a74f95e0bd", 576258, 10000, 42945, 8018, 4003, 10000},
+		{"bench/shards2", bench(2), true, "c6ea316b8d3854ac2832e10b7268739d13c575601e4361a75f7082a74f95e0bd", 576258, 10000, 42945, 8018, 4003, 10000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.long && testing.Short() {

@@ -131,8 +131,8 @@ func TestForestGoldenFingerprint(t *testing.T) {
 		captures int
 		digest   string
 	}{
-		{1, 5935477, 22, "5b51f930d3ecd0b6be644fc604a85827ddf8b66970320a36fe119bac346dae3b"},
-		{7, 6017092, 17, "43d098a7797324a38933af0ad06725bf238c1d0243825a13c6cbd84a3d566df9"},
+		{1, 3542021, 22, "5b51f930d3ecd0b6be644fc604a85827ddf8b66970320a36fe119bac346dae3b"},
+		{7, 3548572, 17, "43d098a7797324a38933af0ad06725bf238c1d0243825a13c6cbd84a3d566df9"},
 	} {
 		cfg := DefaultForestConfig()
 		cfg.Parts = 8
@@ -184,7 +184,7 @@ func TestForestCapturesEveryAttackerGivenTime(t *testing.T) {
 	if want := cfg.Parts * cfg.AttackersPerPart; res.Captures != want || len(attackers) != want {
 		t.Fatalf("%d captures of %d distinct attackers, want %d of %d", res.Captures, len(attackers), want, want)
 	}
-	if res.EventsFired != 11853459 {
-		t.Errorf("%d events, want 11853459", res.EventsFired)
+	if res.EventsFired != 7073903 {
+		t.Errorf("%d events, want 7073903", res.EventsFired)
 	}
 }

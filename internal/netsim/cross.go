@@ -183,7 +183,7 @@ func (cl *Cluster) Connect(a, b *Node, bandwidth, delay float64) {
 	}
 	mk := func(n *Node, nw *Network) *Port {
 		l := &Link{Bandwidth: bandwidth, Delay: delay, net: nw}
-		pt := &Port{node: n, link: l, q: newOutQueue(), index: len(n.ports)}
+		pt := &Port{node: n, link: l, q: newOutQueue(), index: int32(len(n.ports))}
 		l.a = pt
 		n.ports = append(n.ports, pt)
 		nw.links = append(nw.links, l)

@@ -183,7 +183,7 @@ func (n *Node) materialise(run *leafRun, i int) *Port {
 	e.ports[0] = &e.far
 	e.node = Node{ID: id, net: nw, rt: n.rt, ports: e.ports[:]}
 	e.link = Link{Bandwidth: run.bandwidth, Delay: run.delay, a: &e.near, b: &e.far, net: nw}
-	e.near = Port{node: n, link: &e.link, peer: &e.far, q: newOutQueue(), index: len(n.ports) - 1}
+	e.near = Port{node: n, link: &e.link, peer: &e.far, q: newOutQueue(), index: int32(len(n.ports) - 1)}
 	e.far = Port{node: &e.node, link: &e.link, peer: &e.near, q: newOutQueue()}
 	run.port[i] = &e.near
 	return &e.near

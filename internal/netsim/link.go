@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 )
@@ -30,17 +31,35 @@ type Link struct {
 	// loss models (e.g. per-direction Gilbert–Elliott state) can key on
 	// it. internal/faults installs these hooks; they must be
 	// deterministic functions of (packet order, seeded RNG) for runs to
-	// stay reproducible.
+	// stay reproducible. The hook is read when a packet starts
+	// serializing: a lossy link keeps the end-of-serialization event on
+	// every packet (see Port.startTx), so install it before traffic
+	// flows.
 	Loss func(p *Packet, from *Port) bool
 	// LostToNoise counts packets destroyed by the Loss hook.
 	LostToNoise int64
 }
 
-// SetDown fails or restores the link. While down, packets entering
-// transmission are lost (queued packets stay queued only until their
-// turn; in-flight propagation completes — the failure model is "the
-// wire goes dark", matching the common DES convention).
-func (l *Link) SetDown(down bool) { l.down = down }
+// SetDown fails or restores the link. A packet whose serialization
+// ends while the link is down is lost (queued packets stay queued only
+// until their turn; in-flight propagation completes — the failure
+// model is "the wire goes dark", matching the common DES convention).
+// The check is made at the end of serialization, so a link that fails
+// and recovers within one packet's transmission loses nothing: failing
+// the link gives each transmission in progress whose arrival is
+// already scheduled its end event, at its reserved key, where the
+// check is made (Port.endTx).
+func (l *Link) SetDown(down bool) {
+	l.down = down
+	if !down {
+		return
+	}
+	for _, pt := range [2]*Port{l.a, l.b} {
+		if pt != nil && !pt.busy && !pt.node.net.Sim.Passed(pt.txEnd) {
+			pt.scheduleTxEnd()
+		}
+	}
+}
 
 // Down reports whether the link is failed.
 func (l *Link) Down() bool { return l.down }
@@ -65,12 +84,18 @@ func (l *Link) String() string {
 // filtering (the paper's MAC/switch-port capture) happens at the
 // receiving port.
 type Port struct {
-	node  *Node
-	link  *Link
-	peer  *Port
-	q     outQueue
-	busy  bool
-	index int // position in node.ports, cached at attachment
+	node *Node
+	link *Link
+	peer *Port
+	q    outQueue
+
+	// txEnd is the reserved key of the end of the latest one-event
+	// transmission, whose arrival event is arrival (see startTx). The
+	// port transmits until dispatch order passes txEnd; the end event
+	// is scheduled there only once something waits on it
+	// (txEndQueued): a queued packet or a link failure.
+	txEnd   des.Reservation
+	arrival des.Event
 
 	// remote/far are set only on cross-part egress ports (Cluster
 	// links whose endpoints live on different part networks). remote is
@@ -81,16 +106,25 @@ type Port struct {
 	remote *des.Channel
 	far    *Port
 
-	// BlockedIngress, when set, drops every packet arriving at this
-	// port. It models the access-switch port shutdown installed when
-	// intra-AS back-propagation reaches an attack host (Sec. 5.2).
-	BlockedIngress bool
 	// IngressDrops counts packets lost to BlockedIngress.
 	IngressDrops int64
 
 	// RxLegitDataBytes counts ground-truth legitimate data payload
 	// arriving on this port; metrics use it to compute goodput.
 	RxLegitDataBytes int64
+
+	// The small fields share one word: a materialised endpoint holds
+	// two ports and must stay in its size class (TestEndpointSizeClass).
+	index int32 // position in node.ports, cached at attachment
+	// busy marks a transmission on the two-event path: its evTxDone
+	// is pending.
+	busy        bool
+	txEndQueued bool
+
+	// BlockedIngress, when set, drops every packet arriving at this
+	// port. It models the access-switch port shutdown installed when
+	// intra-AS back-propagation reaches an attack host (Sec. 5.2).
+	BlockedIngress bool
 }
 
 // Node returns the owning node.
@@ -125,7 +159,7 @@ func (pt *Port) farNode() *Node {
 // simulator analogue of an interface identifier. Edge-router packet
 // marking uses it on every marked packet, so the value is cached at
 // attachment time rather than scanned for.
-func (pt *Port) Index() int { return pt.index }
+func (pt *Port) Index() int { return int(pt.index) }
 
 // QueueLen returns the current output-queue occupancy (both lanes).
 func (pt *Port) QueueLen() int { return pt.q.len() }
@@ -136,8 +170,9 @@ func (pt *Port) QueueDrops() int64 { return pt.q.DataDrops }
 // QueueEnqueued returns cumulative data-lane accepted packets.
 func (pt *Port) QueueEnqueued() int64 { return pt.q.DataEnqueued }
 
-// SetQueueLimit overrides the data-lane capacity (packets).
-func (pt *Port) SetQueueLimit(pkts int) { pt.q.dataLimit = pkts }
+// SetQueueLimit overrides the data-lane capacity (packets); limits
+// beyond math.MaxInt32 are taken as math.MaxInt32.
+func (pt *Port) SetQueueLimit(pkts int) { pt.q.dataLimit = int32(min(pkts, math.MaxInt32)) }
 
 // enqueue accepts a packet for transmission out this port.
 func (pt *Port) enqueue(p *Packet) {
@@ -155,18 +190,30 @@ func (pt *Port) enqueue(p *Packet) {
 		pt.node.net.freePacket(p)
 		return
 	}
-	if !pt.busy {
+	switch {
+	case pt.busy:
+		// txDone starts the next packet.
+	case !pt.node.net.Sim.Passed(pt.txEnd):
+		pt.scheduleTxEnd()
+	default:
 		pt.startTx()
 	}
 }
 
 // Link-event kinds dispatched through des.ScheduleTyped. Using typed
 // events (port + packet + kind riding in the event record) instead of
-// anonymous closures keeps the two events of every packet hop — end of
-// serialization, end of propagation — allocation-free.
+// anonymous closures keeps the events of every packet hop
+// allocation-free.
 const (
-	evTxDone uint8 = iota // serialization finished at the sending port
-	evArrive              // propagation finished; packet reaches the peer port
+	// evTxDone: serialization finished at the sending port, on the
+	// two-event path (see startTx); the packet rides the event.
+	evTxDone uint8 = iota
+	// evArrive: propagation finished; the packet reaches the peer port.
+	evArrive
+	// evTxEnd: serialization finished at the sending port whose
+	// packet's arrival is already scheduled; it fires at the reserved
+	// key only when something waits on it, and carries no packet.
+	evTxEnd
 	// kindCrossArrive tags a propagation completion that crossed a
 	// part boundary through a des.Channel. The distinct kind lets
 	// teardown drains recognise a packet whose pool-ownership transfer
@@ -174,36 +221,93 @@ const (
 	kindCrossArrive
 )
 
+// forceTxDone sends every transmission down the two-event path. Tests
+// set it to hold the one-event path to the model it replaces.
+var forceTxDone bool
+
 // linkDispatch is the des.TypedFunc for link events. It is a
 // package-level function so scheduling it never allocates.
 //
 //hbplint:hotpath per-hop forwarding entry; hbpbench netsim.forward_hop_ns measures it, TestAllocsPerPacketHop pins 0 allocs/hop
 func linkDispatch(a, b any, kind uint8) {
 	pt := a.(*Port)
-	p := b.(*Packet)
-	if kind == evTxDone {
-		pt.txDone(p)
-	} else {
-		pt.arrive(p)
+	switch kind {
+	case evArrive:
+		pt.arrive(b.(*Packet))
+	case evTxDone:
+		pt.txDone(b.(*Packet))
+	default:
+		pt.endTx()
 	}
 }
 
-// startTx begins transmitting the head-of-line packet, scheduling the
-// serialization completion as a typed event.
+// startTx begins transmitting the head-of-line packet. The store-and-
+// forward model has two events per hop: the end of serialization at
+// this port (evTxDone), then the end of propagation at the peer
+// (evArrive). A local link that is up and has no Loss hook decides
+// nothing at the end of serialization but whether the next packet
+// starts, so startTx schedules the arrival now, at the time it would
+// have had (end + Delay), and reserves the key the end event would
+// have taken:
+// the port counts as transmitting until dispatch order passes that
+// key, and the end event is scheduled there only when a packet waits
+// behind it or the link fails (endTx). Queue contents, drops and
+// control-lane order are thus the same at every event as on the
+// two-event path; only the arrival's tie-break seq is drawn earlier.
+// Cut links (the channel send stays at the end of serialization),
+// lossy links (Loss draws stay in end-of-serialization order) and
+// links down at the start keep the two-event path.
 func (pt *Port) startTx() {
 	p := pt.q.pop()
 	if p == nil {
 		pt.busy = false
 		return
 	}
-	pt.busy = true
+	l := pt.link
 	sim := pt.node.net.Sim
-	sim.ScheduleTyped(sim.Now()+pt.link.TxTime(p.Size), linkDispatch, pt, p, evTxDone)
+	end := sim.Now() + l.TxTime(p.Size)
+	if pt.remote != nil || l.Loss != nil || l.down || forceTxDone {
+		pt.busy = true
+		sim.ScheduleTyped(end, linkDispatch, pt, p, evTxDone)
+		return
+	}
+	pt.busy = false
+	pt.txEnd = sim.Reserve(end)
+	pt.arrival = sim.ScheduleTyped(end+l.Delay, linkDispatch, pt.peer, p, evArrive)
+	if pt.q.len() > 0 {
+		pt.scheduleTxEnd()
+	}
 }
 
-// txDone handles the end of p's serialization out this port: the
-// packet either dies on a failed/lossy link or starts propagating, and
-// the next queued packet enters transmission.
+// scheduleTxEnd gives the transmission in progress, whose arrival is
+// already scheduled, its end event at the reserved key, unless it has
+// one.
+func (pt *Port) scheduleTxEnd() {
+	if !pt.txEndQueued {
+		pt.txEndQueued = true
+		pt.node.net.Sim.ScheduleReserved(pt.txEnd, linkDispatch, pt, nil, evTxEnd)
+	}
+}
+
+// endTx handles the end of a serialization whose arrival was scheduled
+// when it started. If the link failed meanwhile and is still down the
+// packet dies, as in txDone: the arrival is cancelled, and the packet
+// it held goes to the garbage collector rather than the pool, charged
+// as a free so the leak gauge balances. The next queued packet then
+// enters transmission.
+func (pt *Port) endTx() {
+	pt.txEndQueued = false
+	if pt.link.down {
+		pt.arrival.Cancel()
+		pt.link.LostToFailure++
+		pt.node.net.pktFrees++
+	}
+	pt.startTx()
+}
+
+// txDone handles the end of p's serialization out this port on the
+// two-event path: the packet either dies on a failed/lossy link or
+// starts propagating, and the next queued packet enters transmission.
 func (pt *Port) txDone(p *Packet) {
 	if pt.link.down {
 		pt.link.LostToFailure++

@@ -215,8 +215,8 @@ func (nw *Network) Connect(a, b *Node, bandwidth, delay float64) *Link {
 		panic("netsim: negative delay")
 	}
 	l := &Link{Bandwidth: bandwidth, Delay: delay, net: nw}
-	pa := &Port{node: a, link: l, q: newOutQueue(), index: len(a.ports)}
-	pb := &Port{node: b, link: l, q: newOutQueue(), index: len(b.ports)}
+	pa := &Port{node: a, link: l, q: newOutQueue(), index: int32(len(a.ports))}
+	pb := &Port{node: b, link: l, q: newOutQueue(), index: int32(len(b.ports))}
 	pa.peer, pb.peer = pb, pa
 	l.a, l.b = pa, pb
 	a.ports = append(a.ports, pa)
@@ -343,8 +343,8 @@ func (nw *Network) reclaimDrained(ev des.DrainedEvent) {
 }
 
 // flushPorts returns every queued packet to the pool and clears the
-// transmit-busy latches — the port half of Drain. Cross-part half
-// links have only their local port.
+// transmission state — the port half of Drain. Cross-part half links
+// have only their local port.
 func (nw *Network) flushPorts() {
 	for _, l := range nw.links {
 		for _, pt := range [2]*Port{l.a, l.b} {
@@ -352,7 +352,8 @@ func (nw *Network) flushPorts() {
 				continue
 			}
 			pt.q.flush(nw)
-			pt.busy = false
+			pt.busy, pt.txEndQueued = false, false
+			pt.txEnd, pt.arrival = des.Reservation{}, des.Event{}
 		}
 	}
 }

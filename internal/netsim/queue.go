@@ -54,8 +54,8 @@ type outQueue struct {
 	ctrl pktRing
 	// dataLimit and ctrlLimit are packet-count capacities. A packet
 	// arriving at a full lane is dropped (drop-tail).
-	dataLimit int
-	ctrlLimit int
+	dataLimit int32
+	ctrlLimit int32
 
 	// Drops counts packets lost to queue overflow, by lane.
 	DataDrops int64
@@ -91,7 +91,7 @@ func newOutQueue() outQueue {
 // packet). Control packets take the control lane.
 func (q *outQueue) push(p *Packet) bool {
 	if p.Type == Control {
-		if q.ctrl.n >= q.ctrlLimit {
+		if q.ctrl.n >= int(q.ctrlLimit) {
 			q.CtrlDrops++
 			return false
 		}
@@ -104,7 +104,7 @@ func (q *outQueue) push(p *Packet) bool {
 		q.DataDrops++
 		return false
 	}
-	if q.data.n >= q.dataLimit {
+	if q.data.n >= int(q.dataLimit) {
 		q.DataDrops++
 		return false
 	}

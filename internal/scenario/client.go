@@ -127,7 +127,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (retr
 	return retryAfter, nil
 }
 
-// retry503 runs op under the submission retry policy: a 503 waits out
+// retry503 runs op under the retry policy: a 503 waits out
 // max(server Retry-After, jittered exponential backoff) capped at
 // BackoffMax, up to MaxSubmitRetries times; every other error is
 // final.
@@ -194,10 +194,12 @@ func (c *Client) GetSuite(ctx context.Context, id string) (SuiteStatus, error) {
 	return out, err
 }
 
-// CancelRun asks the daemon to cancel a run.
+// CancelRun asks the daemon to cancel a run, riding out 503s (a
+// journal that cannot record the cancel).
 func (c *Client) CancelRun(ctx context.Context, id string) error {
-	_, err := c.do(ctx, http.MethodDelete, "/runs/"+id, nil, nil)
-	return err
+	return c.retry503(ctx, func() (time.Duration, error) {
+		return c.do(ctx, http.MethodDelete, "/runs/"+id, nil, nil)
+	})
 }
 
 // WaitRun polls until the run reaches a terminal state or ctx ends.

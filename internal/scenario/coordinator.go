@@ -126,6 +126,10 @@ type Coordinator struct {
 	nextRun    int
 	nextWorker int
 	draining   bool
+	// journalErr is the failure that poisoned the journal, once settle
+	// has seen one: the journal refuses every later record, so no run
+	// can end and a drain cannot finish.
+	journalErr error
 	// wake is closed, and cleared, whenever a parked Lease or a Drain
 	// may find a different answer: a submission, a re-queue, a released
 	// lease, a finalized run, the start of a drain, Stop. It exists
@@ -682,15 +686,26 @@ func (c *Coordinator) commitLocked(e Entry) error {
 
 // settle fsyncs what commitLocked appended (err nil) outside c.mu;
 // any failure is ErrJournal. A failed fsync leaves the transition
-// applied and the journal refusing every later record.
+// applied and the journal refusing every later record. A failure that
+// poisoned the journal (a refused record does not, and Sync then
+// succeeds) is kept in journalErr, and wakes a drain to report it.
 func (c *Coordinator) settle(err error) error {
 	if err == nil {
 		err = c.cfg.Journal.Sync()
 	}
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrJournal, err)
+	if err == nil {
+		return nil
 	}
-	return nil
+	err = fmt.Errorf("%w: %w", ErrJournal, err)
+	if c.cfg.Journal.Sync() != nil {
+		c.mu.Lock()
+		if c.journalErr == nil {
+			c.journalErr = err
+			c.wakeLocked()
+		}
+		c.mu.Unlock()
+	}
+	return err
 }
 
 // applyLocked applies one journal record. It is the only code that
@@ -919,12 +934,18 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 
 // drain stops admissions, wakes every parked call, and waits until
 // idle, evaluated under the lock at each wake, holds or ctx ends. Each
-// daemon states what drained means for it as idle.
+// daemon states what drained means for it as idle. Once the journal
+// has failed nothing can become idle, and drain returns that failure
+// (ErrJournal).
 func (c *Coordinator) drain(ctx context.Context, idle func() bool) error {
 	c.mu.Lock()
 	c.draining = true
 	c.wakeLocked()
 	for !idle() {
+		if err := c.journalErr; err != nil {
+			c.mu.Unlock()
+			return err
+		}
 		wake := c.waitLocked()
 		c.mu.Unlock()
 		select {

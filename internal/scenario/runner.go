@@ -127,15 +127,30 @@ func (r *Runner) Start() {
 // as StateCancelled) and Drain still waits for the executors to unwind
 // before returning ctx's error — the pool never outlives the call. An
 // executor reports its cancelled attempt before it stops, so every
-// cancelled run is terminal by then.
+// cancelled run is terminal by then. Once the journal has failed no
+// run can end: Drain stops the running attempts unrecorded and returns
+// the failure (ErrJournal) when the executors have stopped.
 func (r *Runner) Drain(ctx context.Context) error {
 	err := r.drain(ctx, r.settledLocked)
 	if err != nil {
 		r.mu.Lock()
 		live := r.runsLocked(func(rec *runRec) bool { return !rec.run.State.Terminal() })
+		failed := r.journalErr != nil
+		if failed {
+			// A cancel cannot be journaled either: stop the attempts
+			// unrecorded. Their runs stay in the journal, for the next
+			// generation to run again.
+			for _, rec := range live {
+				if rec.stop != nil {
+					rec.stop()
+				}
+			}
+		}
 		r.mu.Unlock()
-		for _, rec := range live {
-			r.Cancel(rec.run.ID) //nolint:errcheck // best effort during forced drain
+		if !failed {
+			for _, rec := range live {
+				r.Cancel(rec.run.ID) //nolint:errcheck // best effort during forced drain
+			}
 		}
 	}
 	r.Stop()

@@ -18,7 +18,7 @@ import (
 //	GET    /suites/{id}       suite + run snapshots
 //	POST   /suites/{id}/cases CaseSpec                 -> run (503 + Retry-After when full)
 //	GET    /runs/{id}         run snapshot (410 once evicted from the run history)
-//	DELETE /runs/{id}         cancel the run
+//	DELETE /runs/{id}         cancel the run (503 + Retry-After when the journal fails)
 //	GET    /healthz           liveness + queue depth
 //	GET    /readyz            schedulability: 200 only when accepting work
 //	GET    /stats             exactly-once accounting counters
@@ -133,6 +133,10 @@ func (h routes) getRun(w http.ResponseWriter, req *http.Request) {
 
 func (h routes) cancelRun(w http.ResponseWriter, req *http.Request) {
 	if err := h.c.Cancel(req.PathValue("id")); err != nil {
+		if errors.Is(err, ErrJournal) {
+			reject(w, err)
+			return
+		}
 		h.missing(w, req.PathValue("id"), err)
 		return
 	}

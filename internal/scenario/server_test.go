@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -377,4 +378,79 @@ func TestServerJournalFailure(t *testing.T) {
 		t.Fatalf("unjournaled suite stayed registered: %+v", suites)
 	}
 	assertNothingAdmitted(t, r, created.Suite.ID)
+}
+
+// TestCancelRunStatuses: DELETE /runs/{id} answers a journal that
+// cannot record the cancel with 503 + Retry-After, which
+// Client.CancelRun rides out like a submission, while a run ID never
+// issued is still 404 and one evicted from the bounded history 410.
+func TestCancelRunStatuses(t *testing.T) {
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not started: every run stays queued until cancelled.
+	r := NewRunner(Config{Workers: 1, Journal: j}, nil)
+	var deletes atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodDelete {
+			deletes.Add(1)
+		}
+		NewServer(r).ServeHTTP(w, req)
+	}))
+	defer srv.Close()
+	suite, err := r.CreateSuite("cancels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first RunStatus
+	for i := 0; i <= HistoryCap; i++ {
+		run, err := r.Submit(suite.ID, CaseSpec{Name: fmt.Sprint("c", i), Tree: quickTree(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = run
+		}
+		if err := r.Cancel(run.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := r.Submit(suite.ID, CaseSpec{Name: "live", Tree: quickTree(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := func(id string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/runs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE %s: %v", id, err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := del(first.ID); resp.StatusCode != http.StatusGone {
+		t.Fatalf("DELETE of an evicted run = %d, want 410", resp.StatusCode)
+	}
+	if resp := del("r-99999"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE of a run never issued = %d, want 404", resp.StatusCode)
+	}
+
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp := del(live.ID)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("DELETE on a closed journal = %d (Retry-After %q), want 503 + Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if got, _ := r.GetRun(live.ID); got.State != StateQueued {
+		t.Fatalf("unjournaled cancel moved the run to %s", got.State)
+	}
+	deletes.Store(0)
+	client := &Client{Base: srv.URL, MaxSubmitRetries: 2, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond, Seed: 1}
+	err = client.CancelRun(context.Background(), live.ID)
+	if ae, ok := err.(*apiError); !ok || ae.Status != http.StatusServiceUnavailable || deletes.Load() != 3 {
+		t.Fatalf("CancelRun on a closed journal = %v after %d requests, want a 503 after 3", err, deletes.Load())
+	}
 }
