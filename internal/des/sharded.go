@@ -25,12 +25,17 @@
 //
 // # Workers
 //
-// A run on more than one shard keeps one worker goroutine per shard
-// for its whole length; each barrier hands the next window to the
-// shards that have work before its bound and waits until they finish.
-// A lone runnable shard runs inline on the coordinating goroutine.
-// Every return from RunUntil stops the workers, so none outlives the
-// run.
+// The goroutine that calls RunUntil runs shard 0's windows itself; a
+// run on more than one shard keeps one worker goroutine for each other
+// shard for its whole length, so a shard's working set stays with one
+// goroutine. Each barrier hands the next window to the shards that
+// have work before its bound and waits until they finish. When every
+// shard fits on a P and a CPU of its own (runtime.GOMAXPROCS,
+// runtime.NumCPU), a worker waits for its next window, and the
+// coordinator for the window's end, by spinning for a bounded time
+// before parking: a parked goroutine wakes on whichever P is free, and
+// its shard's working set moves with it. Every return from RunUntil
+// stops the workers, so none outlives the run.
 //
 // # Determinism
 //
@@ -60,7 +65,9 @@ package des
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // message is one buffered cross-shard send.
@@ -150,21 +157,36 @@ type ShardedSimulator struct {
 	// window bound. Both are sized once, so a barrier allocates nothing.
 	next     []float64
 	runnable []int
-	// workers run the shards' windows while workersUp; done counts the
-	// windows (or, at shutdown, the exits) still outstanding.
+	// workers[i-1] runs shard i's windows while workersUp; shard 0 runs
+	// on the coordinating goroutine. done counts the windows (or, at
+	// shutdown, the exits) still outstanding; left counts the same
+	// windows and is what a spinning coordinator polls.
 	workers   []*worker
 	workersUp bool
 	done      sync.WaitGroup
+	left      atomic.Int32
+	// spin is taken once per RunUntil: every shard has a P and a CPU of
+	// its own, so a goroutine that spins holds none that another shard
+	// needs.
+	spin bool
 }
 
+// spinLoads bounds a spinning wait, in atomic loads: ≈ 0.2 ms on a
+// 2-vCPU x86 VM, about one forest-sharded window, after which the
+// waiter parks.
+const spinLoads = 200_000
+
 // worker runs one shard's windows on its own goroutine for the length
-// of a RunUntil. The coordinator arms it with a window under mu and
-// wakes it; the worker takes the window, runs it, records its error
-// and reports to the simulator's done group.
+// of a RunUntil. The coordinator arms it with a window under mu, sets
+// ready and wakes it; the worker takes the window, runs it, records its
+// error and reports to the simulator's done group and left count.
 type worker struct {
 	s    *Simulator
 	mu   sync.Mutex
 	wake sync.Cond
+	// ready is set with armed or quit; a worker spinning between
+	// windows polls it instead of taking mu.
+	ready atomic.Bool
 	// Guarded by mu: a window is handed over and not yet taken, or the
 	// run is over.
 	armed, quit bool
@@ -176,9 +198,12 @@ type worker struct {
 }
 
 // loop is a worker goroutine's body: wait for a window or the end of
-// the run, run the window, report, repeat.
-func (w *worker) loop(done *sync.WaitGroup) {
+// the run, run the window, report, repeat. With spin it polls ready
+// for up to spinLoads loads before it parks.
+func (w *worker) loop(done *sync.WaitGroup, left *atomic.Int32, spin bool) {
 	for {
+		for i := 0; spin && i < spinLoads && !w.ready.Load(); i++ {
+		}
 		w.mu.Lock()
 		for !w.armed && !w.quit {
 			w.wake.Wait()
@@ -189,10 +214,14 @@ func (w *worker) loop(done *sync.WaitGroup) {
 			return
 		}
 		w.armed = false
+		w.ready.Store(false)
 		bound, inclusive := w.bound, w.inclusive
 		w.mu.Unlock()
 		w.err = w.s.runWindow(bound, inclusive)
+		// Done before the countdown: a coordinator that reads left == 0
+		// finds the group at zero, so its Wait returns without parking.
 		done.Done()
+		left.Add(-1)
 	}
 }
 
@@ -200,6 +229,7 @@ func (w *worker) loop(done *sync.WaitGroup) {
 func (w *worker) arm(bound float64, inclusive bool) {
 	w.mu.Lock()
 	w.bound, w.inclusive, w.armed = bound, inclusive, true
+	w.ready.Store(true)
 	w.mu.Unlock()
 	w.wake.Signal()
 }
@@ -208,6 +238,7 @@ func (w *worker) arm(bound float64, inclusive bool) {
 func (w *worker) stop() {
 	w.mu.Lock()
 	w.quit = true
+	w.ready.Store(true)
 	w.mu.Unlock()
 	w.wake.Signal()
 }
@@ -353,6 +384,7 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 			s.EventLimit = 0
 		}
 	}
+	ss.spin = len(ss.shards) <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	defer ss.stopWorkers()
 	stopped := false
 	for {
@@ -443,45 +475,61 @@ func (c *Channel) unlink() *Channel {
 
 // runWindows executes one conservative window on every shard whose
 // next event (ss.next, taken at this barrier) falls before the bound.
-// A lone runnable shard executes inline; otherwise every runnable
-// shard runs on its worker — shards share no state and channel
-// outboxes are single-writer, so the only synchronization needed is
-// the barrier itself — and the coordinator waits for them all. Errors
-// surface in shard order.
+// Shard 0 runs on the coordinating goroutine and every other runnable
+// shard on its worker — shards share no state and channel outboxes
+// are single-writer, so the only synchronization needed is the barrier
+// itself. Errors surface in shard order.
 func (ss *ShardedSimulator) runWindows(bound float64, inclusive bool) error {
-	n := 0
+	own, n := false, 0
 	for i, nt := range ss.next {
 		if nt < bound || (inclusive && nt == bound && !math.IsInf(nt, 1)) {
+			if i == 0 {
+				own = true
+				continue
+			}
 			ss.runnable[n] = i
 			n++
 		}
 	}
 	run := ss.runnable[:n]
-	if n == 1 {
-		return ss.shards[run[0]].runWindow(bound, inclusive)
+	if n > 0 {
+		if !ss.workersUp {
+			ss.startWorkers()
+		}
+		ss.done.Add(n)
+		ss.left.Add(int32(n))
+		for _, i := range run {
+			ss.workers[i-1].arm(bound, inclusive)
+		}
 	}
-	if !ss.workersUp {
-		ss.startWorkers()
+	var err error
+	if own {
+		err = ss.shards[0].runWindow(bound, inclusive)
 	}
-	ss.done.Add(n)
-	for _, i := range run {
-		ss.workers[i].arm(bound, inclusive)
+	if n == 0 {
+		return err
+	}
+	for i := 0; ss.spin && i < spinLoads && ss.left.Load() != 0; i++ {
 	}
 	ss.done.Wait()
+	if err != nil {
+		return err
+	}
 	for _, i := range run {
-		if err := ss.workers[i].err; err != nil {
+		if err := ss.workers[i-1].err; err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// startWorkers starts one worker goroutine per shard for the current
-// run. The worker records are built on first use and kept.
+// startWorkers starts one worker goroutine for each shard but shard 0
+// for the current run. The worker records are built on first use and
+// kept.
 func (ss *ShardedSimulator) startWorkers() {
 	if ss.workers == nil {
-		ss.workers = make([]*worker, len(ss.shards))
-		for i, s := range ss.shards {
+		ss.workers = make([]*worker, len(ss.shards)-1)
+		for i, s := range ss.shards[1:] {
 			w := &worker{s: s}
 			w.wake.L = &w.mu
 			ss.workers[i] = w
@@ -489,7 +537,7 @@ func (ss *ShardedSimulator) startWorkers() {
 	}
 	for _, w := range ss.workers {
 		//hbplint:ignore determinism conservative-window parallelism: each worker runs one shard's private heap between barriers, shards share no state, and the barrier merge orders cross-shard deliveries by partition-independent keys.
-		go w.loop(&ss.done)
+		go w.loop(&ss.done, &ss.left, ss.spin)
 	}
 	ss.workersUp = true
 }
@@ -507,6 +555,7 @@ func (ss *ShardedSimulator) stopWorkers() {
 	ss.done.Wait()
 	for _, w := range ss.workers {
 		w.quit, w.err = false, nil
+		w.ready.Store(false)
 	}
 	ss.workersUp = false
 }

@@ -363,11 +363,13 @@ func goroutineID() string {
 	return strings.Fields(string(buf))[1]
 }
 
-// TestWorkersEndWithRun: a run keeps one worker per shard for its
-// whole length — every window a shard runs, it runs on the same
-// goroutine — and every return path ends them: completion, the event
-// limit, an interrupt, and a shard's Stop.
+// TestWorkersEndWithRun: shard 0 runs every window on the goroutine
+// that called RunUntil, every other shard runs every window on one
+// worker of its own — also in the windows where it is the only shard
+// with work — and every return path ends the n−1 workers: completion,
+// the event limit, an interrupt, and a shard's Stop.
 func TestWorkersEndWithRun(t *testing.T) {
+	const shards = 3
 	boom := errors.New("cancelled")
 	cases := []struct {
 		name  string
@@ -375,14 +377,15 @@ func TestWorkersEndWithRun(t *testing.T) {
 		want  error
 	}{
 		{"done", func(*ShardedSimulator) {}, nil},
-		{"event-limit", func(ss *ShardedSimulator) { ss.EventLimit = 15 }, ErrEventLimit},
+		{"event-limit", func(ss *ShardedSimulator) { ss.EventLimit = 25 }, ErrEventLimit},
 		{"interrupt", func(ss *ShardedSimulator) {
 			barriers := 0
+			prev := ss.interrupt
 			ss.SetInterrupt(func() error {
-				if barriers++; barriers > 8 {
+				if barriers++; barriers > 14 {
 					return boom
 				}
-				return nil
+				return prev()
 			})
 		}, boom},
 		{"stop", func(ss *ShardedSimulator) {
@@ -393,33 +396,63 @@ func TestWorkersEndWithRun(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			ss := NewSharded(1, 2)
+			caller := goroutineID()
+			ss := NewSharded(1, shards)
 			ss.NewChannel(0, 1, 1)
-			// Both shards tick at 0, 1, 2, …, so both are runnable in
-			// every window.
-			ids := make([]map[string]int, 2)
+			// Every shard ticks at 0, 1, 2, …; shards 0 and 1 stop
+			// after 10, so from then on shard 2 is the only runnable
+			// shard.
+			ids := make([]map[string]int, shards)
 			for i := range ids {
 				ids[i] = map[string]int{}
-				sim, seen := ss.Shard(i), ids[i]
+				sim, seen, last := ss.Shard(i), ids[i], 10.0
+				if i == shards-1 {
+					last = math.Inf(1)
+				}
 				var tick func()
 				tick = func() {
 					seen[goroutineID()]++
-					sim.After(1, tick)
+					if sim.Now() < last {
+						sim.After(1, tick)
+					}
 				}
 				sim.At(0, tick)
 			}
+			// The interrupt checkpoint runs on the coordinator at every
+			// barrier: it counts the goroutines the run keeps.
+			extra := 0
+			ss.SetInterrupt(func() error {
+				extra = max(extra, runtime.NumGoroutine()-base)
+				return nil
+			})
 			tc.setup(ss)
 			if err := ss.RunUntil(20.5); !errors.Is(err, tc.want) {
 				t.Fatalf("RunUntil = %v, want %v", err, tc.want)
 			}
+			workers := map[string]int{}
 			for i, seen := range ids {
 				ticks := 0
-				for _, n := range seen {
+				for id, n := range seen {
 					ticks += n
+					if i == 0 && id != caller {
+						t.Errorf("shard 0 ran %d ticks on goroutine %s, not on the caller %s", n, id, caller)
+					}
+					if i > 0 {
+						if id == caller {
+							t.Errorf("shard %d ran %d ticks on the caller's goroutine", i, n)
+						}
+						if j, ok := workers[id]; ok && j != i {
+							t.Errorf("shards %d and %d share goroutine %s", j, i, id)
+						}
+						workers[id] = i
+					}
 				}
 				if len(seen) != 1 || ticks < 5 {
 					t.Errorf("shard %d ran %d ticks on %d goroutines, want at least 5 on one: %v", i, ticks, len(seen), seen)
 				}
+			}
+			if extra != shards-1 {
+				t.Errorf("the run kept %d goroutines besides the caller, want %d workers", extra, shards-1)
 			}
 			deadline := time.Now().Add(time.Second)
 			for runtime.NumGoroutine() > base {
@@ -429,6 +462,55 @@ func TestWorkersEndWithRun(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestParkingWhenShardsExceedProcs: with more shards than Ps a
+// spinning waiter would hold the P that the shard it waits for needs,
+// so such a run parks its goroutines between windows instead — and
+// still dispatches exactly what the one-shard run does. A four-shard
+// ping-pong runs at GOMAXPROCS 1.
+func TestParkingWhenShardsExceedProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func(shards int) (*ShardedSimulator, string) {
+		ss := NewSharded(1, shards)
+		// Four cells, cell i on shard i mod shards, bounce messages
+		// around a ring; each cell keeps its own trace.
+		traces := make([][]string, 4)
+		chans := make([]*Channel, 4)
+		for i := range chans {
+			chans[i] = ss.NewChannel(i%shards, (i+1)%4%shards, 1)
+		}
+		var hop TypedFunc
+		hop = func(a, b any, _ uint8) {
+			cell, n := (a.(int)+1)%4, b.(int)
+			traces[cell] = append(traces[cell], fmt.Sprintf("%g#%d", ss.Shard(cell%shards).Now(), n))
+			if n < 200 {
+				chans[cell].Send(1+float64(n%3)*0.25, hop, cell, n+1, 0)
+			}
+		}
+		for i, ch := range chans {
+			ch.Send(1+float64(i)*0.25, hop, i, 0, 0)
+		}
+		if err := ss.RunUntil(1000); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for i, tr := range traces {
+			fmt.Fprintf(&sb, "cell%d:%s\n", i, strings.Join(tr, ","))
+		}
+		return ss, sb.String()
+	}
+	one, want := run(1)
+	four, got := run(4)
+	if four.spin {
+		t.Fatal("a 4-shard run at GOMAXPROCS 1 spins; want it to park")
+	}
+	if got != want || four.Fired() != one.Fired() {
+		t.Fatalf("4 shards at GOMAXPROCS 1 fired %d events, 1 shard %d; traces equal: %v", four.Fired(), one.Fired(), got == want)
+	}
+	if one.Fired() != 4*201 {
+		t.Fatalf("the ping-pong fired %d events, want %d", one.Fired(), 4*201)
 	}
 }
 
