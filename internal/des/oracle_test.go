@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -564,14 +565,24 @@ func FuzzEngineMatchesOracle(f *testing.F) {
 }
 
 // TestEngineMatchesOracle is the tier-1 sweep of the same check: 200
-// seeded programs of 16–255 bytes.
+// seeded programs of 16–255 bytes, at the host's GOMAXPROCS and at
+// GOMAXPROCS 1. There every width above 1 has more shards than Ps, so
+// its goroutines park between windows instead of spinning, whatever
+// the host's core count.
 func TestEngineMatchesOracle(t *testing.T) {
-	rng := NewRNG(27)
-	for i := 0; i < 200; i++ {
-		data := make([]byte, 16+rng.Intn(240))
-		for j := range data {
-			data[j] = byte(rng.Intn(256))
+	sweep := func(t *testing.T) {
+		rng := NewRNG(27)
+		for i := 0; i < 200; i++ {
+			data := make([]byte, 16+rng.Intn(240))
+			for j := range data {
+				data[j] = byte(rng.Intn(256))
+			}
+			checkProgram(t, data)
 		}
-		checkProgram(t, data)
 	}
+	t.Run("host", sweep)
+	t.Run("gomaxprocs-1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		sweep(t)
+	})
 }

@@ -34,7 +34,9 @@
 // runtime.NumCPU), a worker waits for its next window, and the
 // coordinator for the window's end, by spinning for a bounded time
 // before parking: a parked goroutine wakes on whichever P is free, and
-// its shard's working set moves with it. Every return from RunUntil
+// its shard's working set moves with it. The coordinator stops
+// spinning early for a worker that has not yet taken its window,
+// which is parked or off its CPU. Every return from RunUntil
 // stops the workers, so none outlives the run.
 //
 // # Determinism
@@ -171,10 +173,12 @@ type ShardedSimulator struct {
 	spin bool
 }
 
-// spinLoads bounds a spinning wait, in atomic loads: ≈ 0.2 ms on a
-// 2-vCPU x86 VM, about one forest-sharded window, after which the
-// waiter parks.
-const spinLoads = 200_000
+// spinCheck: every spinCheck loads of its spin (spinLoads, about one
+// forest-sharded window) the coordinator also looks for a worker that
+// has not taken its window, and parks at once if it finds one: that
+// worker is parked or off its CPU, and the rest of the budget would
+// burn for nothing.
+const spinCheck = 1 << 12
 
 // worker runs one shard's windows on its own goroutine for the length
 // of a RunUntil. The coordinator arms it with a window under mu, sets
@@ -509,7 +513,10 @@ func (ss *ShardedSimulator) runWindows(bound float64, inclusive bool) error {
 	if n == 0 {
 		return err
 	}
-	for i := 0; ss.spin && i < spinLoads && ss.left.Load() != 0; i++ {
+	for i := 1; ss.spin && i <= spinLoads && ss.left.Load() != 0; i++ {
+		if i%spinCheck == 0 && ss.untaken(run) {
+			break
+		}
 	}
 	ss.done.Wait()
 	if err != nil {
@@ -521,6 +528,17 @@ func (ss *ShardedSimulator) runWindows(bound float64, inclusive bool) error {
 		}
 	}
 	return nil
+}
+
+// untaken reports whether a worker in run has not yet taken the window
+// it was armed with.
+func (ss *ShardedSimulator) untaken(run []int) bool {
+	for _, i := range run {
+		if ss.workers[i-1].ready.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // startWorkers starts one worker goroutine for each shard but shard 0

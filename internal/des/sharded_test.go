@@ -465,55 +465,6 @@ func TestWorkersEndWithRun(t *testing.T) {
 	}
 }
 
-// TestParkingWhenShardsExceedProcs: with more shards than Ps a
-// spinning waiter would hold the P that the shard it waits for needs,
-// so such a run parks its goroutines between windows instead — and
-// still dispatches exactly what the one-shard run does. A four-shard
-// ping-pong runs at GOMAXPROCS 1.
-func TestParkingWhenShardsExceedProcs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run := func(shards int) (*ShardedSimulator, string) {
-		ss := NewSharded(1, shards)
-		// Four cells, cell i on shard i mod shards, bounce messages
-		// around a ring; each cell keeps its own trace.
-		traces := make([][]string, 4)
-		chans := make([]*Channel, 4)
-		for i := range chans {
-			chans[i] = ss.NewChannel(i%shards, (i+1)%4%shards, 1)
-		}
-		var hop TypedFunc
-		hop = func(a, b any, _ uint8) {
-			cell, n := (a.(int)+1)%4, b.(int)
-			traces[cell] = append(traces[cell], fmt.Sprintf("%g#%d", ss.Shard(cell%shards).Now(), n))
-			if n < 200 {
-				chans[cell].Send(1+float64(n%3)*0.25, hop, cell, n+1, 0)
-			}
-		}
-		for i, ch := range chans {
-			ch.Send(1+float64(i)*0.25, hop, i, 0, 0)
-		}
-		if err := ss.RunUntil(1000); err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for i, tr := range traces {
-			fmt.Fprintf(&sb, "cell%d:%s\n", i, strings.Join(tr, ","))
-		}
-		return ss, sb.String()
-	}
-	one, want := run(1)
-	four, got := run(4)
-	if four.spin {
-		t.Fatal("a 4-shard run at GOMAXPROCS 1 spins; want it to park")
-	}
-	if got != want || four.Fired() != one.Fired() {
-		t.Fatalf("4 shards at GOMAXPROCS 1 fired %d events, 1 shard %d; traces equal: %v", four.Fired(), one.Fired(), got == want)
-	}
-	if one.Fired() != 4*201 {
-		t.Fatalf("the ping-pong fired %d events, want %d", one.Fired(), 4*201)
-	}
-}
-
 // idleCell is one end of a busy channel in the idle-channel workload.
 // It hashes every event it sees, in dispatch order.
 type idleCell struct {

@@ -258,30 +258,6 @@ func TestClusterPoolsOwnTheirCacheLines(t *testing.T) {
 	}
 }
 
-// TestPacketOwnsItsCacheLines: packets move between shards' pools, so
-// two cores write packets that sat side by side in one span. A packet
-// fills the 128-byte size class exactly, which lays its objects out on
-// 128-byte boundaries: a field added later must not move it into a
-// class whose objects share lines, as the 112-byte class did.
-func TestPacketOwnsItsCacheLines(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 128 {
-		t.Fatalf("Packet is %d bytes, want 128 (its own 128-byte size class)", got)
-	}
-	nw := New(des.New())
-	pkts := make([]*Packet, 64)
-	for i := range pkts {
-		pkts[i] = nw.NewPacket()
-		if addr := uintptr(unsafe.Pointer(pkts[i])); addr%128 != 0 {
-			t.Errorf("packet %d at %#x is not on a 128-byte boundary", i, addr)
-		}
-	}
-	// Returning them to the pool keeps them on the heap, where a
-	// simulation's packets live.
-	for _, p := range pkts {
-		nw.freePacket(p)
-	}
-}
-
 // TestClusterRoutesSpanParts checks global route computation over cut
 // edges: hop counts through the 3-part chain and next-hop egress ports
 // across the boundary.

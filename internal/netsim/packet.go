@@ -107,13 +107,6 @@ type Packet struct {
 	// fails loudly. hbplint's packetretain analyzer covers the
 	// unexercised paths statically.
 	freed bool
-
-	// The pad rounds the 97 bytes above up to 128, a size class the Go
-	// allocator lays out on 128-byte boundaries, so no cache line holds
-	// two packets. Packets cross between shards' pools (cut links,
-	// Cluster.topUpPools); in the 112-byte class two shards' cores
-	// wrote neighbouring packets on one line.
-	_ [128 - 97]byte
 }
 
 // Spoofed reports whether the claimed source differs from the true
