@@ -282,7 +282,7 @@ func (h *HSM) openSession(s *Server, epoch int) {
 	} else {
 		sess.Epoch = epoch
 	}
-	sess.RearmLease(h.d.g.Sim, h.d.Cfg.SessionLifetime, "asnet-session-lease", func() {
+	sess.RearmLease(h.d.g.Sim, h.d.Cfg.SessionLifetime, func() {
 		h.d.LeaseExpiries++
 		h.closeSession(s, false)
 	})
@@ -304,7 +304,7 @@ func (h *HSM) closeSession(s *Server, propagate bool) {
 		return
 	}
 	delete(h.sessions, s)
-	sess.Drop(h.d.g.Sim)
+	sess.Drop()
 	if !propagate {
 		return
 	}
@@ -361,7 +361,7 @@ func (h *HSM) observe(s *Server, from ASID, origin *Attacker) {
 		// the honeypot epoch, so re-arm its lease past the phase
 		// model's completion horizon.
 		s2 := s
-		sess.RearmLease(sim, model.Horizon(h, origin), "asnet-session-lease", func() {
+		sess.RearmLease(sim, model.Horizon(h, origin), func() {
 			h.d.LeaseExpiries++
 			h.closeSession(s2, false)
 		})

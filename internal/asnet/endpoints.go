@@ -97,7 +97,6 @@ func NewServer(d *Defense, home *AS, sched *Schedule) *Server {
 		Tau:                 d.Cfg.Tau,
 		Watchdog:            d.Cfg.Watchdog,
 		WatchdogInterval:    d.Cfg.WatchdogInterval,
-		EventPrefix:         "asnet",
 	})
 	d.servers = append(d.servers, s)
 	d.ensureChain(sched.Epochs())
@@ -107,8 +106,8 @@ func NewServer(d *Defense, home *AS, sched *Schedule) *Server {
 			continue
 		}
 		e := e
-		sim.AtNamed(sched.StartTime(e)+sched.Guard, "asnet-window-open", func() { s.OpenWindow(e) })
-		sim.AtNamed(sched.StartTime(e)+sched.M-sched.Guard, "asnet-window-close", func() { s.CloseWindow(e) })
+		sim.At(sched.StartTime(e)+sched.Guard, func() { s.OpenWindow(e) })
+		sim.At(sched.StartTime(e)+sched.M-sched.Guard, func() { s.CloseWindow(e) })
 	}
 	return s
 }

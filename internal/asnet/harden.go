@@ -202,7 +202,7 @@ func (h *HSM) evictWeaker(dist int, s *Server) bool {
 	if !ok {
 		return false
 	}
-	evicted.Drop(h.d.g.Sim)
+	evicted.Drop()
 	h.d.Sec.SessionEvictions++
 	return true
 }

@@ -240,7 +240,7 @@ func TestAsnetWatchdogReseeds(t *testing.T) {
 					continue
 				}
 				for s, sess := range a.hsm.sessions {
-					sim.Cancel(sess.Expiry)
+					sess.Expiry.Cancel()
 					delete(a.hsm.sessions, s)
 				}
 			}

@@ -291,7 +291,7 @@ func (s *IntraASNet) start(job *traceJob) {
 	// Safety deadline: a traceback stranded by lease expiry or
 	// eviction must not wedge the queue. No capture is recorded — the
 	// zombie escapes until the next epoch re-seeds the session.
-	job.deadline = s.sim.AfterNamed(2*s.model.estimate(rate)+0.5, "intra-as-deadline", func() {
+	job.deadline = s.sim.After(2*s.model.estimate(rate)+0.5, func() {
 		if s.cur != job {
 			return
 		}
@@ -309,7 +309,7 @@ func (s *IntraASNet) onCapture(c core.Capture) {
 	if job == nil || c.Attacker != job.leaf.ID {
 		return
 	}
-	s.sim.Cancel(job.deadline)
+	job.deadline.Cancel()
 	s.teardown(job)
 	job.complete()
 	s.next()

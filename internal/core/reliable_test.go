@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/netsim"
@@ -15,7 +16,8 @@ func relCfg() Config {
 // TestRetryBackoffTable drives the sender state machine through its
 // three outcomes — acked on the first try, acked after k losses,
 // budget exhausted — plus the lost-ack path, by dropping scripted
-// packets on the server—gateway link.
+// packets on the server—gateway link. A row with wantGaps also pins the
+// backoff schedule: the time between consecutive Request transmissions.
 func TestRetryBackoffTable(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -25,13 +27,16 @@ func TestRetryBackoffTable(t *testing.T) {
 		wantGiveUps int64
 		wantAcksRx  int64
 		wantSession bool
+		wantGaps    []float64
 	}{
 		{name: "ack-first-try", wantSession: true, wantAcksRx: 1},
 		{name: "ack-after-2-losses", reqDrops: 2, wantRetrans: 2, wantAcksRx: 1, wantSession: true},
 		{name: "lost-ack-duplicate-request", ackDrops: 1, wantRetrans: 1, wantAcksRx: 1, wantSession: true},
 		// maxRetries is 5: initial send + 5 retransmissions,
 		// then one give-up.
-		{name: "budget-exhausted", reqDrops: 100, wantRetrans: 5, wantGiveUps: 1},
+		// The timeout doubles after every attempt: AckTimeout·2^k.
+		{name: "budget-exhausted", reqDrops: 100, wantRetrans: 5, wantGiveUps: 1,
+			wantGaps: []float64{0.05, 0.1, 0.2, 0.4, 0.8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,14 +45,18 @@ func TestRetryBackoffTable(t *testing.T) {
 			sp := server.Ports()[0]
 			gw := sp.Peer().Node()
 			reqLeft, ackLeft := tc.reqDrops, tc.ackDrops
+			var sent []float64 // Request transmission times
 			sp.Link().Loss = func(p *netsim.Packet, from *netsim.Port) bool {
 				m, ok := p.Payload.(*Message)
 				if !ok {
 					return false
 				}
-				if from == sp && m.Kind == Request && reqLeft > 0 {
-					reqLeft--
-					return true
+				if from == sp && m.Kind == Request {
+					sent = append(sent, h.sim.Now())
+					if reqLeft > 0 {
+						reqLeft--
+						return true
+					}
 				}
 				if from == sp.Peer() && m.Kind == Ack && ackLeft > 0 {
 					ackLeft--
@@ -82,6 +91,17 @@ func TestRetryBackoffTable(t *testing.T) {
 			}
 			if len(h.def.pending) != 0 {
 				t.Errorf("%d transfers still pending after settle", len(h.def.pending))
+			}
+			if tc.wantGaps == nil {
+				return
+			}
+			if len(sent) != len(tc.wantGaps)+1 {
+				t.Fatalf("%d Request transmissions, want %d", len(sent), len(tc.wantGaps)+1)
+			}
+			for i, want := range tc.wantGaps {
+				if gap := sent[i+1] - sent[i]; math.Abs(gap-want) > 1e-9 {
+					t.Errorf("gap before transmission %d = %g s, want %g s", i+2, gap, want)
+				}
 			}
 		})
 	}

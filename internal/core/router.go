@@ -120,7 +120,7 @@ func (a *RouterAgent) openSession(m *Message) {
 				a.d.rec(trace.SessionRefused, int(a.Node.ID), -1, int(m.Server), "table full")
 				return
 			}
-			evicted.Drop(a.d.sim)
+			evicted.Drop()
 			a.d.openSessions--
 			a.d.Sec.SessionEvictions++
 			a.d.rec(trace.SessionEvicted, int(a.Node.ID), -1, int(evicted.server), "budget")
@@ -152,7 +152,7 @@ func (a *RouterAgent) openSession(m *Message) {
 		life = a.d.Cfg.SessionLifetime
 	}
 	server := m.Server
-	s.RearmLease(a.d.sim, life, "hbp-session-lease", func() {
+	s.RearmLease(a.d.sim, life, func() {
 		a.d.Ctrl.LeaseExpiries++
 		a.d.rec(trace.LeaseExpired, int(a.Node.ID), -1, int(server), "")
 		a.closeSession(&Message{Kind: Cancel, Server: server, Epoch: s.Epoch}, false)
@@ -171,7 +171,7 @@ func (a *RouterAgent) closeSession(m *Message, propagate bool) {
 	a.d.openSessions--
 	a.SessionsClosed++
 	a.d.rec(trace.SessionClosed, int(a.Node.ID), -1, int(m.Server), "")
-	s.Drop(a.d.sim)
+	s.Drop()
 	if len(a.sessions) == 0 && a.hookRemove != nil {
 		a.hookRemove()
 		a.hookRemove = nil
@@ -237,7 +237,7 @@ func (a *RouterAgent) crash() int {
 	}
 	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	for _, server := range servers {
-		a.sessions[server].Drop(a.d.sim)
+		a.sessions[server].Drop()
 		delete(a.sessions, server)
 	}
 	if a.hookRemove != nil {

@@ -48,7 +48,6 @@ func newServerCore(d *Defense, node *netsim.Node) *ServerDefense {
 		Tau:                 d.Cfg.Tau,
 		Watchdog:            d.Cfg.Watchdog,
 		WatchdogInterval:    d.Cfg.WatchdogInterval,
-		EventPrefix:         "hbp",
 	})
 	prev := node.Handler
 	node.Handler = func(p *netsim.Packet, in *netsim.Port) {

@@ -93,7 +93,6 @@ type eventRec struct {
 	h    Handler
 	fn   TypedFunc
 	a, b any
-	name string
 }
 
 // key returns the record's heap entry.
@@ -112,7 +111,6 @@ func (r *eventRec) drop() {
 	r.fn = nil
 	r.a = nil
 	r.b = nil
-	r.name = ""
 }
 
 // run is one slot of the delay-run table: the offset its events were
@@ -206,15 +204,6 @@ func (e Event) Time() float64 {
 	return 0
 }
 
-// Name returns the optional debug label given at scheduling time (""
-// once the event is no longer pending).
-func (e Event) Name() string {
-	if r := e.rec(); r != nil {
-		return r.name
-	}
-	return ""
-}
-
 // Pending reports whether the event is still queued and will fire.
 func (e Event) Pending() bool { return e.rec() != nil }
 
@@ -277,9 +266,8 @@ type Simulator struct {
 	// interrupt, when non-nil, is polled whenever the fired counter
 	// reaches nextPoll, a multiple of interruptEvery; a non-nil return
 	// aborts RunUntil with that error. See SetInterrupt.
-	interrupt      func() error
-	interruptEvery uint64
-	nextPoll       uint64
+	interrupt func() error
+	nextPoll  uint64
 
 	// outbox heads the list of channels this shard has sent on since
 	// the last barrier of a sharded run (see Channel.Send). Between
@@ -333,30 +321,32 @@ func (s *Simulator) release(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-func (s *Simulator) checkTime(t float64, name string) {
+func (s *Simulator) checkTime(t float64) {
 	if t < s.now {
-		panic(fmt.Sprintf("des: scheduling event %q at %.9f before now %.9f", name, t, s.now))
+		panic(fmt.Sprintf("des: scheduling an event at %.9f before now %.9f", t, s.now))
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("des: scheduling event %q at non-finite time %v", name, t))
+		panic(fmt.Sprintf("des: scheduling an event at non-finite time %v", t))
 	}
 }
 
-func (s *Simulator) schedule(t float64, name string, h Handler, fn TypedFunc, a, b any, kind uint8) Event {
-	s.checkTime(t, name)
+// record takes a slot and fills it as a live event keyed (t, k) with
+// the given payload (h for a closure event, else fn(a, b, kind)) and no
+// run successor yet. Every way of queueing an event writes its record
+// here.
+func (s *Simulator) record(t float64, k uint64, h Handler, fn TypedFunc, a, b any, kind uint8) (int32, *eventRec) {
 	idx := s.alloc()
 	r := &s.recs[idx]
-	r.time = t
-	r.k = s.seq
-	r.next = -1
-	r.h = h
-	r.fn = fn
-	r.a = a
-	r.b = b
-	r.kind = kind
-	r.name = name
-	s.seq++
+	r.time, r.k, r.next = t, k, -1
+	r.h, r.fn, r.a, r.b, r.kind = h, fn, a, b, kind
 	s.live++
+	return idx, r
+}
+
+func (s *Simulator) schedule(t float64, h Handler, fn TypedFunc, a, b any, kind uint8) Event {
+	s.checkTime(t)
+	idx, r := s.record(t, s.seq, h, fn, a, b, kind)
+	s.seq++
 	e := Event{s: s, id: idx + 1, gen: r.gen}
 	key := r.key(idx)
 	off := math.Float64bits(t - s.now)
@@ -381,25 +371,15 @@ func (s *Simulator) schedule(t float64, name string, h Handler, fn TypedFunc, a,
 // At schedules h to run at absolute time t. Scheduling in the past
 // (t < Now) panics: it would corrupt causality.
 func (s *Simulator) At(t float64, h Handler) Event {
-	return s.AtNamed(t, "", h)
-}
-
-// AtNamed is At with a debug label attached to the event.
-func (s *Simulator) AtNamed(t float64, name string, h Handler) Event {
 	if h == nil {
 		panic("des: nil handler")
 	}
-	return s.schedule(t, name, h, nil, nil, nil, 0)
+	return s.schedule(t, h, nil, nil, nil, 0)
 }
 
 // After schedules h to run d seconds from now. Negative d panics.
 func (s *Simulator) After(d float64, h Handler) Event {
-	return s.AtNamed(s.now+d, "", h)
-}
-
-// AfterNamed is After with a debug label.
-func (s *Simulator) AfterNamed(d float64, name string, h Handler) Event {
-	return s.AtNamed(s.now+d, name, h)
+	return s.At(s.now+d, h)
 }
 
 // ScheduleTyped schedules the typed event fn(a, b, kind) at absolute
@@ -414,7 +394,7 @@ func (s *Simulator) ScheduleTyped(t float64, fn TypedFunc, a, b any, kind uint8)
 	if fn == nil {
 		panic("des: nil typed handler")
 	}
-	return s.schedule(t, "", nil, fn, a, b, kind)
+	return s.schedule(t, nil, fn, a, b, kind)
 }
 
 // Reservation is an event key held in reserve: the (time, seq) slot
@@ -431,7 +411,7 @@ type Reservation struct {
 // whether dispatch order has gone beyond it; ScheduleReserved places
 // an event there after all. t follows At's rules.
 func (s *Simulator) Reserve(t float64) Reservation {
-	s.checkTime(t, "reservation")
+	s.checkTime(t)
 	s.seq++
 	return Reservation{t: t, n: s.seq}
 }
@@ -457,26 +437,10 @@ func (s *Simulator) ScheduleReserved(r Reservation, fn TypedFunc, a, b any, kind
 	if s.Passed(r) {
 		panic(fmt.Sprintf("des: scheduling at a reservation (%.9f) dispatch has passed", r.t))
 	}
-	idx := s.alloc()
-	rec := &s.recs[idx]
-	rec.time = r.t
-	rec.k = r.n - 1
-	rec.next = -1
-	rec.h = nil
-	rec.fn = fn
-	rec.a = a
-	rec.b = b
-	rec.kind = kind
-	rec.name = ""
-	s.live++
+	idx, rec := s.record(r.t, r.n-1, nil, fn, a, b, kind)
 	s.push(rec.key(idx))
 	return Event{s: s, id: idx + 1, gen: rec.gen}
 }
-
-// Cancel marks an event so that it will not fire. Cancelling an event
-// that already fired or was already cancelled is a no-op. It is
-// equivalent to e.Cancel.
-func (s *Simulator) Cancel(e Event) { e.Cancel() }
 
 // Every schedules h to run every period seconds, starting at time
 // start. It returns a stop function; calling it prevents all future
@@ -504,72 +468,21 @@ func (s *Simulator) Every(start, period float64, h Handler) (stop func()) {
 	}
 }
 
-// Timer is a cancellable, reschedulable one-shot timer created by
-// AfterFunc. Retransmission logic uses it: arm, then Stop on ack or
-// Reset with a backed-off delay on timeout.
-type Timer struct {
-	sim  *Simulator
-	h    Handler
-	name string
-	e    Event
-}
-
-// AfterFunc schedules h to run d seconds from now and returns a Timer
-// that can stop or reschedule it. Unlike a bare Event, the Timer keeps
-// the handler, so Reset can re-arm after the event has fired.
-func (s *Simulator) AfterFunc(d float64, h Handler) *Timer {
-	return s.AfterFuncNamed(d, "", h)
-}
-
-// AfterFuncNamed is AfterFunc with a debug label on the underlying
-// events.
-func (s *Simulator) AfterFuncNamed(d float64, name string, h Handler) *Timer {
-	if h == nil {
-		panic("des: nil handler")
-	}
-	t := &Timer{sim: s, h: h, name: name}
-	t.e = s.AtNamed(s.now+d, name, h)
-	return t
-}
-
-// Stop cancels the pending firing. It reports whether it actually
-// prevented one; stopping a timer that already fired (or was already
-// stopped) is a safe no-op returning false.
-func (t *Timer) Stop() bool {
-	if !t.e.Pending() {
-		return false
-	}
-	t.e.Cancel()
-	return true
-}
-
-// Reset re-arms the timer to fire d seconds from now, cancelling any
-// pending firing first. It works whether or not the timer has already
-// fired, which is what a retransmission loop needs.
-func (t *Timer) Reset(d float64) {
-	t.Stop()
-	t.e = t.sim.AtNamed(t.sim.Now()+d, t.name, t.h)
-}
-
-// Pending reports whether a firing is scheduled.
-func (t *Timer) Pending() bool { return t.e.Pending() }
-
 // Stop makes Run return after the currently dispatching event (if any)
 // completes. Pending events remain queued.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// DefaultInterruptEvery is the event-batch size between interrupt
-// polls when SetInterrupt is given a non-positive interval. Checking
-// roughly once per thousand events keeps the poll invisible next to
-// dispatch work while bounding cancellation latency to well under a
-// millisecond of wall time.
-const DefaultInterruptEvery = 1024
+// interruptEvery is the event-batch size between interrupt polls.
+// Checking roughly once per thousand events keeps the poll invisible
+// next to dispatch work while bounding cancellation latency to well
+// under a millisecond of wall time.
+const interruptEvery = 1024
 
 // SetInterrupt installs a cooperative cancellation checkpoint: check
-// is polled once per `every` fired events (DefaultInterruptEvery when
-// every <= 0), and a non-nil return makes RunUntil stop — after the
-// currently dispatching event, never mid-handler — and return that
-// error. Pending events stay queued, so the owner can drain or resume.
+// is polled once per 1024 fired events (interruptEvery), and a non-nil
+// return makes RunUntil stop — after the currently dispatching event,
+// never mid-handler — and return that error. Pending events stay
+// queued, so the owner can drain or resume.
 //
 // The checkpoint never perturbs event order or the simulated clock; a
 // run that is not interrupted is bit-identical with or without an
@@ -577,15 +490,12 @@ const DefaultInterruptEvery = 1024
 // check is a closure over a context.Context's Err method, giving the
 // run-to-completion loops of the experiment runners a supervised,
 // cancellable lifecycle.
-func (s *Simulator) SetInterrupt(every uint64, check func() error) {
-	if every == 0 {
-		every = DefaultInterruptEvery
-	}
+func (s *Simulator) SetInterrupt(check func() error) {
 	s.interrupt = check
-	s.interruptEvery = every
-	// The first multiple of every not below fired; runWindow then steps
-	// by every with a compare instead of dividing on each event.
-	s.nextPoll = (s.fired + every - 1) / every * every
+	// The first multiple of interruptEvery not below fired; runWindow
+	// then steps by interruptEvery with a compare instead of dividing on
+	// each event.
+	s.nextPoll = (s.fired + interruptEvery - 1) / interruptEvery * interruptEvery
 }
 
 // Run dispatches events until the queue is empty, Stop is called, or
@@ -654,7 +564,7 @@ func (s *Simulator) runWindow(bound float64, inclusive bool) error {
 			if err := s.interrupt(); err != nil {
 				return err
 			}
-			s.nextPoll += s.interruptEvery
+			s.nextPoll += interruptEvery
 		}
 		if r.time > bound || (!inclusive && r.time == bound) {
 			return nil
@@ -718,19 +628,8 @@ func (s *Simulator) nextEventTime() (float64, bool) {
 // seq counter. It goes on the heap, in no delay run. The coordinator
 // calls it at window barriers only.
 func (s *Simulator) scheduleMsg(t float64, fn TypedFunc, a, b any, kind uint8, key uint64) {
-	s.checkTime(t, "channel delivery")
-	idx := s.alloc()
-	r := &s.recs[idx]
-	r.time = t
-	r.k = clsDelivery | key
-	r.next = -1
-	r.h = nil
-	r.fn = fn
-	r.a = a
-	r.b = b
-	r.kind = kind
-	r.name = ""
-	s.live++
+	s.checkTime(t)
+	idx, r := s.record(t, clsDelivery|key, nil, fn, a, b, kind)
 	s.push(r.key(idx))
 }
 
@@ -742,7 +641,6 @@ func (s *Simulator) scheduleMsg(t float64, fn TypedFunc, a, b any, kind uint8, k
 // events, above all) instead of leaking them when a run is torn down.
 type DrainedEvent struct {
 	Time    float64
-	Name    string
 	Handler Handler
 	Fn      TypedFunc
 	A, B    any
@@ -760,10 +658,7 @@ func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
 	for s.head() {
 		idx := s.heap[0].idx
 		r := &s.recs[idx]
-		ev := DrainedEvent{
-			Time: r.time, Name: r.name,
-			Handler: r.h, Fn: r.fn, A: r.a, B: r.b, Kind: r.kind,
-		}
+		ev := DrainedEvent{Time: r.time, Handler: r.h, Fn: r.fn, A: r.a, B: r.b, Kind: r.kind}
 		s.pop()
 		s.release(idx)
 		s.live--
@@ -795,7 +690,6 @@ func (s *Simulator) Reset() {
 	s.fired = 0
 	s.stopped = false
 	s.interrupt = nil
-	s.interruptEvery = 0
 }
 
 // --- binary heap of run heads ----------------------------------------

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmptyRun(t *testing.T) {
@@ -115,7 +116,7 @@ func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
 	e := s.At(1, func() { fired = true })
-	s.Cancel(e)
+	e.Cancel()
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +126,8 @@ func TestCancel(t *testing.T) {
 	if e.Pending() {
 		t.Fatal("Pending() = true after Cancel")
 	}
-	s.Cancel(Event{}) // zero handle must not panic
-	s.Cancel(e)       // double cancel must not panic
+	Event{}.Cancel() // zero handle must not panic
+	e.Cancel()       // double cancel must not panic
 }
 
 func TestCancelledEventsNotPending(t *testing.T) {
@@ -172,8 +173,16 @@ func TestStaleHandleIsInert(t *testing.T) {
 	if !fired {
 		t.Fatal("fresh event did not fire")
 	}
-	if stale.Time() != 0 || stale.Name() != "" {
+	if stale.Time() != 0 {
 		t.Fatal("stale handle leaks recycled slot state")
+	}
+}
+
+// TestEventRecordSize pins the slab record at 80 bytes: every queued
+// event holds one, so a field added for debugging would grow them all.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(eventRec{}); got != 80 {
+		t.Fatalf("eventRec is %d bytes, want 80", got)
 	}
 }
 
@@ -490,7 +499,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 		cancelled := map[int]bool{}
 		for i := range events {
 			if i < len(mask) && mask[i] {
-				s.Cancel(events[i])
+				events[i].Cancel()
 				cancelled[i] = true
 			}
 		}
@@ -586,77 +595,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestAfterFuncTimer(t *testing.T) {
-	sim := New()
-	fired := 0
-	tm := sim.AfterFunc(1, func() { fired++ })
-	if !tm.Pending() {
-		t.Fatal("freshly armed timer not pending")
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1", fired)
-	}
-	if tm.Pending() {
-		t.Fatal("fired timer still pending")
-	}
-	// Reset after firing re-arms with the same handler.
-	tm.Reset(2)
-	if !tm.Pending() {
-		t.Fatal("Reset did not re-arm a fired timer")
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 || sim.Now() != 3 {
-		t.Fatalf("fired=%d now=%v, want 2 at t=3", fired, sim.Now())
-	}
-}
-
-func TestTimerStop(t *testing.T) {
-	sim := New()
-	fired := 0
-	tm := sim.AfterFunc(1, func() { fired++ })
-	if !tm.Stop() {
-		t.Fatal("Stop on a pending timer reported false")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop reported true")
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Fatal("stopped timer fired")
-	}
-	// Stop after firing is a safe no-op returning false.
-	tm.Reset(1)
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if tm.Stop() {
-		t.Fatal("Stop after firing reported true")
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1", fired)
-	}
-}
-
-func TestTimerResetWhilePending(t *testing.T) {
-	sim := New()
-	var at float64
-	tm := sim.AfterFunc(1, func() { at = sim.Now() })
-	sim.At(0.5, func() { tm.Reset(3) })
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 3.5 {
-		t.Fatalf("reset timer fired at %v, want 3.5", at)
-	}
-}
-
 func TestCancelFiredEventNoOp(t *testing.T) {
 	// Regression: cancelling an event that already fired must be a safe
 	// no-op — it must not panic, corrupt the queue, or affect later
@@ -668,8 +606,8 @@ func TestCancelFiredEventNoOp(t *testing.T) {
 	if err := sim.RunUntil(1.5); err != nil {
 		t.Fatal(err)
 	}
-	sim.Cancel(e1) // already fired
-	sim.Cancel(e1) // twice, still a no-op
+	e1.Cancel() // already fired
+	e1.Cancel() // twice, still a no-op
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

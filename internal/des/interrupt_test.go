@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// interruptStop is the fired count at which the tests' checks start
+// failing: a few poll batches in, and not on a batch boundary.
+const interruptStop = 3*interruptEvery + 20
+
 func TestInterruptStopsRun(t *testing.T) {
 	sim := New()
 	stop := errors.New("cancelled")
@@ -17,9 +21,9 @@ func TestInterruptStopsRun(t *testing.T) {
 	}
 	sim.After(1, schedule)
 	polls := 0
-	sim.SetInterrupt(8, func() error {
+	sim.SetInterrupt(func() error {
 		polls++
-		if fired >= 20 {
+		if fired >= interruptStop {
 			return stop
 		}
 		return nil
@@ -31,9 +35,9 @@ func TestInterruptStopsRun(t *testing.T) {
 	if polls == 0 {
 		t.Fatal("interrupt never polled")
 	}
-	// Polled once per batch of 8, not once per event.
-	if polls > fired/8+2 {
-		t.Fatalf("polled %d times over %d events with batch 8", polls, fired)
+	// Polled once per batch of interruptEvery, not once per event.
+	if polls > fired/interruptEvery+2 {
+		t.Fatalf("polled %d times over %d events with batch %d", polls, fired, interruptEvery)
 	}
 	// The self-rescheduling chain means exactly one event is pending:
 	// an interrupted run keeps its queue intact.
@@ -51,9 +55,9 @@ func TestInterruptResumeRepolls(t *testing.T) {
 	tick = func() { sim.After(1, tick) }
 	sim.After(1, tick)
 	polls := 0
-	sim.SetInterrupt(8, func() error {
+	sim.SetInterrupt(func() error {
 		polls++
-		if sim.Fired() >= 20 {
+		if sim.Fired() >= interruptStop {
 			return stop
 		}
 		return nil
@@ -78,21 +82,24 @@ func TestInterruptResumeRepolls(t *testing.T) {
 func TestInterruptDoesNotPerturbRun(t *testing.T) {
 	trace := func(check func() error) string {
 		sim := New()
-		var log string
-		for i := 0; i < 50; i++ {
-			i := i
-			sim.At(float64(i%7)+1, func() { log += fmt.Sprintf("%d@%.0f ", i, sim.Now()) })
+		var log []byte
+		for i := 0; i < interruptStop; i++ {
+			sim.At(float64(i%7)+1, func() { log = fmt.Appendf(log, "%d@%.0f ", i, sim.Now()) })
 		}
 		if check != nil {
-			sim.SetInterrupt(4, check)
+			sim.SetInterrupt(check)
 		}
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return log
+		return string(log)
 	}
 	plain := trace(nil)
-	checked := trace(func() error { return nil })
+	polls := 0
+	checked := trace(func() error { polls++; return nil })
+	if polls < 3 {
+		t.Fatalf("checkpoint polled %d times, want several", polls)
+	}
 	if plain != checked {
 		t.Fatalf("interrupt checkpoint changed the event stream:\n%s\n%s", plain, checked)
 	}
@@ -103,7 +110,7 @@ func TestInterruptAlreadyCancelled(t *testing.T) {
 	stop := errors.New("cancelled before start")
 	fired := false
 	sim.At(1, func() { fired = true })
-	sim.SetInterrupt(0, func() error { return stop })
+	sim.SetInterrupt(func() error { return stop })
 	if err := sim.Run(); !errors.Is(err, stop) {
 		t.Fatalf("Run returned %v, want immediate interrupt", err)
 	}
@@ -114,7 +121,7 @@ func TestInterruptAlreadyCancelled(t *testing.T) {
 		t.Fatalf("pending = %d, want the untouched event", sim.Pending())
 	}
 	// Removing the checkpoint lets the run resume and finish.
-	sim.SetInterrupt(0, nil)
+	sim.SetInterrupt(nil)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestDrainPending(t *testing.T) {
 	x, y := &op{1, 2}, &op{3, 4}
 	sim.At(5, func() {})
 	sim.ScheduleTyped(2, func(a, b any, kind uint8) { t.Fatal("typed event fired during drain") }, x, y, 7)
-	e := sim.AtNamed(9, "late", func() {})
+	e := sim.At(9, func() {})
 	if err := sim.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +155,8 @@ func TestDrainPending(t *testing.T) {
 	if drained[1].Time != 5 || drained[1].Handler == nil {
 		t.Fatalf("closure drain record wrong: %+v", drained[1])
 	}
-	if drained[2].Time != 9 || drained[2].Name != "late" {
-		t.Fatalf("named drain record wrong: %+v", drained[2])
+	if drained[2].Time != 9 || drained[2].Handler == nil {
+		t.Fatalf("late drain record wrong: %+v", drained[2])
 	}
 	// Clock and fired counter survive; stale handles are inert.
 	if sim.Now() != 1 {

@@ -127,27 +127,6 @@ func (o *oracle) Now() float64  { return o.now }
 func (o *oracle) Fired() uint64 { return o.fired }
 func (o *oracle) Pending() int  { return len(o.q) }
 
-type oTimer struct {
-	o *oracle
-	h func()
-	e *oEvent
-}
-
-func (t *oTimer) Stop() bool {
-	if !t.e.Pending() {
-		return false
-	}
-	t.e.Cancel()
-	return true
-}
-
-func (t *oTimer) Reset(d float64) {
-	t.Stop()
-	t.e = t.o.at(t.o.now+d, t.h)
-}
-
-func (t *oTimer) Pending() bool { return t.e.Pending() }
-
 // ---- one program, three engines -------------------------------------
 
 type handle interface {
@@ -155,18 +134,41 @@ type handle interface {
 	Pending() bool
 }
 
-type timer interface {
-	Stop() bool
-	Reset(d float64)
-	Pending() bool
+// timer is a re-armable one-shot built from any engine's at: it keeps
+// its handler beside its event, as a retransmission loop does, so Reset
+// can schedule it again after it has fired.
+type timer struct {
+	eng engine
+	h   func()
+	e   handle
 }
+
+func newTimer(eng engine, d float64, h func()) *timer {
+	return &timer{eng: eng, h: h, e: eng.at(eng.now()+d, h)}
+}
+
+// Stop cancels the pending firing and reports whether there was one.
+func (t *timer) Stop() bool {
+	if !t.e.Pending() {
+		return false
+	}
+	t.e.Cancel()
+	return true
+}
+
+// Reset cancels any pending firing and schedules the handler d from now.
+func (t *timer) Reset(d float64) {
+	t.Stop()
+	t.e = t.eng.at(t.eng.now()+d, t.h)
+}
+
+func (t *timer) Pending() bool { return t.e.Pending() }
 
 // engine is what a program part sees of the engine it runs on.
 type engine interface {
 	now() float64
 	at(t float64, h func()) handle
 	typed(t float64, h func()) handle
-	afterFunc(d float64, h func()) timer
 	every(start, period float64, h func()) func()
 	send(ch int, delay float64, h func())
 	stop()
@@ -185,9 +187,6 @@ func (v oracleView) at(t float64, h func()) handle    { return v.o.at(t, h) }
 func (v oracleView) typed(t float64, h func()) handle { return v.o.at(t, h) }
 func (v oracleView) every(s, p float64, h func()) func() {
 	return v.o.every(s, p, h)
-}
-func (v oracleView) afterFunc(d float64, h func()) timer {
-	return &oTimer{o: v.o, h: h, e: v.o.at(v.o.now+d, h)}
 }
 func (v oracleView) send(ch int, delay float64, h func()) {
 	v.seq[ch]++
@@ -217,7 +216,6 @@ func (v simView) typed(t float64, h func()) handle {
 func (v simView) every(s, p float64, h func()) func() {
 	return v.sim.Every(s, p, h)
 }
-func (v simView) afterFunc(d float64, h func()) timer { return v.sim.AfterFunc(d, h) }
 func (v simView) send(ch int, delay float64, h func()) {
 	if v.chans != nil {
 		v.chans[ch].Send(delay, callTyped, h, nil, 0)
@@ -292,7 +290,7 @@ type part struct {
 	cur     int
 	made    int
 	handles []handle
-	timers  []timer
+	timers  []*timer
 	everys  []func()
 	trace   []string
 	global  *[]string // the whole run's log on a single-threaded engine
@@ -358,7 +356,7 @@ func (pt *part) step(ops int) {
 			}
 		case 3:
 			if l, ok := pt.spend('t'); ok {
-				pt.timers = append(pt.timers, pt.eng.afterFunc(d, pt.fire(l)))
+				pt.timers = append(pt.timers, newTimer(pt.eng, d, pt.fire(l)))
 			}
 		case 4:
 			if len(pt.timers) == 0 {

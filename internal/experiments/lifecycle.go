@@ -26,7 +26,7 @@ import (
 func newSim(ctx context.Context) *des.Simulator {
 	sim := des.New()
 	if ctx != nil {
-		sim.SetInterrupt(0, ctx.Err)
+		sim.SetInterrupt(ctx.Err)
 	}
 	return sim
 }

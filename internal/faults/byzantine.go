@@ -112,7 +112,7 @@ func (inj *Injector) applyByzantine(sim *des.Simulator, root *des.RNG, hooks Hoo
 			if at >= b.End {
 				break
 			}
-			sim.AtNamed(at, "fault-byzantine", func() {
+			sim.At(at, func() {
 				if node.Down() {
 					return
 				}

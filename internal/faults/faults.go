@@ -204,14 +204,14 @@ func Apply(sim *des.Simulator, nw *netsim.Network, plan Plan, hooks Hooks) *Inje
 
 	for _, w := range plan.Windows {
 		link := nw.Links()[w.Link]
-		sim.AtNamed(w.Start, "fault-link-down", func() { link.SetDown(true) })
-		sim.AtNamed(w.End, "fault-link-up", func() { link.SetDown(false) })
+		sim.At(w.Start, func() { link.SetDown(true) })
+		sim.At(w.End, func() { link.SetDown(false) })
 	}
 
 	for _, c := range plan.Crashes {
 		c := c
 		node := nw.Node(c.Node)
-		sim.AtNamed(c.At, "fault-crash", func() {
+		sim.At(c.At, func() {
 			inj.CrashesInjected++
 			node.SetDown(true)
 			if hooks.OnCrash != nil {
@@ -219,7 +219,7 @@ func Apply(sim *des.Simulator, nw *netsim.Network, plan Plan, hooks Hooks) *Inje
 			}
 		})
 		if c.RestartAfter > 0 {
-			sim.AtNamed(c.At+c.RestartAfter, "fault-restart", func() {
+			sim.At(c.At+c.RestartAfter, func() {
 				inj.RestartsInjected++
 				node.SetDown(false)
 				if hooks.OnRestart != nil {

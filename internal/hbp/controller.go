@@ -33,7 +33,7 @@ type Plane[ID ~int] interface {
 
 // ControllerConfig carries the victim-side parameters: the fields the
 // planes' Config types share under the same names (defaults already
-// filled), plus the plane's timer prefix.
+// filled).
 type ControllerConfig struct {
 	ActivationThreshold int
 	Progressive         bool
@@ -41,9 +41,6 @@ type ControllerConfig struct {
 	Tau                 float64
 	Watchdog            bool
 	WatchdogInterval    float64
-	// EventPrefix labels the controller's timers in des
-	// instrumentation: "<prefix>-progressive-arm", "<prefix>-watchdog".
-	EventPrefix string
 }
 
 // Controller is the victim-side algorithm of Sec. 5/6, shared by both
@@ -59,10 +56,9 @@ type ControllerConfig struct {
 // cancel, direct cancels in ascending ID order; in a stalled tick,
 // root request, direct requests in ascending ID order, then re-arm.
 type Controller[ID ~int] struct {
-	cfg     ControllerConfig
-	sim     *des.Simulator
-	plane   Plane[ID]
-	armName string
+	cfg   ControllerConfig
+	sim   *des.Simulator
+	plane Plane[ID]
 
 	windowOpen bool
 	epoch      int
@@ -105,12 +101,11 @@ type intermediate[ID ~int] struct {
 // NewController returns a controller with no window open.
 func NewController[ID ~int](sim *des.Simulator, plane Plane[ID], cfg ControllerConfig) Controller[ID] {
 	return Controller[ID]{
-		cfg:     cfg,
-		sim:     sim,
-		plane:   plane,
-		armName: cfg.EventPrefix + "-progressive-arm",
-		epoch:   -1,
-		wd:      Watchdog{Interval: cfg.WatchdogInterval, EventName: cfg.EventPrefix + "-watchdog"},
+		cfg:   cfg,
+		sim:   sim,
+		plane: plane,
+		epoch: -1,
+		wd:    Watchdog{Interval: cfg.WatchdogInterval},
 	}
 }
 
@@ -141,7 +136,7 @@ func (c *Controller[ID]) OpenWindow(epoch int) {
 	c.intermediates = slices.DeleteFunc(c.intermediates, func(e *intermediate[ID]) bool {
 		stale := e.armedEpoch >= 0 && e.armedEpoch < epoch && e.reportedEpoch < e.armedEpoch
 		if stale {
-			c.sim.Cancel(e.armEvent)
+			e.armEvent.Cancel()
 			c.Rule1Removals++
 		}
 		return stale
@@ -153,7 +148,7 @@ func (c *Controller[ID]) OpenWindow(epoch int) {
 // armed for it (which then emit their frontier reports).
 func (c *Controller[ID]) CloseWindow(epoch int) {
 	c.windowOpen = false
-	c.wd.Disarm(c.sim)
+	c.wd.Disarm()
 	if c.requested && c.plane.Cancel(epoch) {
 		c.CancelsSent++
 	}
@@ -197,7 +192,7 @@ func (c *Controller[ID]) Report(origin ID, epoch int, sentAt float64) {
 	// Rule 2 (ρ): an intermediate that keeps reporting without
 	// progress is dropped to bound the list.
 	if e.consecutive >= c.cfg.Rho {
-		c.sim.Cancel(e.armEvent)
+		e.armEvent.Cancel()
 		c.intermediates = slices.Delete(c.intermediates, i, i+1)
 		c.RhoRemovals++
 		return
@@ -217,7 +212,7 @@ func (c *Controller[ID]) scheduleArm(e *intermediate[ID], afterEpoch int) {
 		return
 	}
 	at := max(opensAt-e.tdist-c.cfg.Tau, c.sim.Now())
-	e.armEvent = c.sim.AtNamed(at, c.armName, func() {
+	e.armEvent = c.sim.At(at, func() {
 		if c.plane.DirectRequest(e.id, next) {
 			c.DirectRequestsSent++
 			e.armedEpoch = next

@@ -86,7 +86,6 @@ func newTestController(cfg ControllerConfig) (*des.Simulator, *fakePlane, *Contr
 	cfg.Progressive = true
 	cfg.Rho = 3
 	cfg.Tau = 0.05
-	cfg.EventPrefix = "test"
 	if cfg.ActivationThreshold == 0 {
 		cfg.ActivationThreshold = 1
 	}

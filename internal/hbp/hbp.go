@@ -65,19 +65,19 @@ func Weaker(a, b *SessionCore) (weaker, tied bool) {
 }
 
 // RearmLease re-arms the session's safety expiry: the previous lease
-// (if any) is cancelled and, for a positive lifetime, a fresh named
-// timer is scheduled. A non-positive lifetime disables expiry — the
-// paper's idealized teardown-by-cancel-only model.
-func (c *SessionCore) RearmLease(sim *des.Simulator, life float64, name string, expire func()) {
-	sim.Cancel(c.Expiry)
+// (if any) is cancelled and, for a positive lifetime, a fresh expiry
+// is scheduled. A non-positive lifetime disables expiry — the paper's
+// idealized teardown-by-cancel-only model.
+func (c *SessionCore) RearmLease(sim *des.Simulator, life float64, expire func()) {
+	c.Expiry.Cancel()
 	c.Expiry = des.Event{}
 	if life > 0 {
-		c.Expiry = sim.AfterNamed(life, name, expire)
+		c.Expiry = sim.After(life, expire)
 	}
 }
 
 // Drop cancels the session's lease; callers delete the session from
 // their table around it.
-func (c *SessionCore) Drop(sim *des.Simulator) {
-	sim.Cancel(c.Expiry)
+func (c *SessionCore) Drop() {
+	c.Expiry.Cancel()
 }

@@ -153,9 +153,9 @@ func TestRearmLease(t *testing.T) {
 	sim := des.New()
 	var c SessionCore
 	fired := 0
-	c.RearmLease(sim, 1.0, "test-lease", func() { fired++ })
+	c.RearmLease(sim, 1.0, func() { fired++ })
 	// Re-arming replaces the first lease entirely.
-	c.RearmLease(sim, 2.0, "test-lease", func() { fired += 10 })
+	c.RearmLease(sim, 2.0, func() { fired += 10 })
 	if err := sim.RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRearmLease(t *testing.T) {
 	}
 	// Non-positive lifetime disables expiry.
 	fired = 0
-	c.RearmLease(sim, 0, "test-lease", func() { fired++ })
+	c.RearmLease(sim, 0, func() { fired++ })
 	if err := sim.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestRearmLease(t *testing.T) {
 		t.Fatal("zero lifetime must not schedule an expiry")
 	}
 	// Drop cancels a pending lease.
-	c.RearmLease(sim, 1.0, "test-lease", func() { fired++ })
-	c.Drop(sim)
+	c.RearmLease(sim, 1.0, func() { fired++ })
+	c.Drop()
 	if err := sim.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRearmLease(t *testing.T) {
 
 func TestWatchdog(t *testing.T) {
 	sim := des.New()
-	w := &Watchdog{Interval: 1, EventName: "test-watchdog"}
+	w := &Watchdog{Interval: 1}
 	ticks := 0
 	var tick func()
 	tick = func() {
@@ -220,7 +220,7 @@ func TestWatchdog(t *testing.T) {
 	// Disarm cancels the pending tick.
 	fired := false
 	w.Arm(sim, 0, 0, func() { fired = true })
-	w.Disarm(sim)
+	w.Disarm()
 	if err := sim.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}

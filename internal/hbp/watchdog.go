@@ -18,10 +18,6 @@ import (
 type Watchdog struct {
 	// Interval is the stall-check period in seconds.
 	Interval float64
-	// EventName labels the tick timer in des instrumentation
-	// ("hbp-watchdog" on the router plane, "asnet-watchdog" on the AS
-	// plane).
-	EventName string
 
 	lastHp, lastCaptures int
 	event                des.Event
@@ -30,12 +26,12 @@ type Watchdog struct {
 // Arm snapshots progress at window open and schedules the first tick.
 func (w *Watchdog) Arm(sim *des.Simulator, hp, captures int, tick func()) {
 	w.lastHp, w.lastCaptures = hp, captures
-	w.event = sim.AfterNamed(w.Interval, w.EventName, tick)
+	w.event = sim.After(w.Interval, tick)
 }
 
 // Disarm cancels the pending tick at window close.
-func (w *Watchdog) Disarm(sim *des.Simulator) {
-	sim.Cancel(w.event)
+func (w *Watchdog) Disarm() {
+	w.event.Cancel()
 }
 
 // Stalled reports the stall condition: the session tree was requested,
@@ -54,5 +50,5 @@ func (w *Watchdog) Observe(hp, captures int) {
 // messages (if any) enter the event heap before the tick timer —
 // fixed-seed fingerprints depend on that insertion order.
 func (w *Watchdog) Rearm(sim *des.Simulator, tick func()) {
-	w.event = sim.AfterNamed(w.Interval, w.EventName, tick)
+	w.event = sim.After(w.Interval, tick)
 }

@@ -105,13 +105,13 @@ func (a *ServerAgent) EpochStart(epoch int, active []netsim.NodeID) {
 	sim := a.Node.Network().Sim
 	// Guarded window: [start+Guard, start+m-Guard]. With Guard == 0
 	// the window spans the whole epoch.
-	sim.AfterNamed(cfg.Guard, "honeypot-window-open", func() {
+	sim.After(cfg.Guard, func() {
 		if a.curEpoch != epoch {
 			return // schedule moved on (short epochs + large delays)
 		}
 		a.openWindow(epoch)
 	})
-	sim.AfterNamed(cfg.EpochLen-cfg.Guard, "honeypot-window-close", func() {
+	sim.After(cfg.EpochLen-cfg.Guard, func() {
 		a.closeWindow(epoch)
 	})
 }

@@ -132,7 +132,7 @@ func (s *Sender) Start() {
 // Stop silences the sender (state is kept; Start resumes).
 func (s *Sender) Stop() {
 	s.running = false
-	s.sim.Cancel(s.rtoTimer)
+	s.rtoTimer.Cancel()
 }
 
 // Retarget migrates the connection to a new server: the checkpoint
@@ -286,11 +286,11 @@ func (s *Sender) rto() float64 {
 }
 
 func (s *Sender) armRTO() {
-	s.sim.Cancel(s.rtoTimer)
+	s.rtoTimer.Cancel()
 	if s.sendMax <= s.cumAcked {
 		return // nothing in flight
 	}
-	s.rtoTimer = s.sim.AfterNamed(s.rto(), "tcp-rto", s.onRTO)
+	s.rtoTimer = s.sim.After(s.rto(), s.onRTO)
 }
 
 func (s *Sender) onRTO() {
