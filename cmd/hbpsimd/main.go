@@ -56,7 +56,7 @@ func main() {
 	workers := flag.Int("workers", 2, "execution pool size; 0 makes the daemon a fleet coordinator that leases runs to -worker processes")
 	queueCap := flag.Int("queue-cap", 64, "submission queue capacity (full queue -> 503 + Retry-After)")
 	wallDeadline := flag.Float64("wall-deadline", 120, "default per-attempt wall-clock deadline in seconds")
-	maxEvents := flag.Uint64("max-events", 0, "default simulated-event deadline (0 = none)")
+	maxEvents := flag.Uint64("max-events", 0, "default simulated-event deadline of tree cases (0 = none)")
 	maxAttempts := flag.Int("max-attempts", 3, "default seed attempts for reported infrastructure faults (a case's max_attempts overrides it)")
 	lease := flag.Float64("lease", 15, "-workers 0: lease duration in seconds; a worker missing heartbeats this long forfeits its run")
 	maxDispatches := flag.Int("max-dispatches", 5, "-workers 0: lease grants per run before it fails as worker-lost")

@@ -253,14 +253,9 @@ type Simulator struct {
 	// after it, so for a delivery it is seq at dispatch. A completed
 	// RunUntil raises it to seq, since every event due by then has fired.
 	curK uint64
-	// floor is seq at the last Reset: a reservation below it belongs to
-	// a discarded run.
-	floor uint64
 	// EventLimit, when non-zero, aborts Run with ErrEventLimit after
 	// that many events have fired. It guards against runaway
-	// self-rescheduling loops in tests. It is configuration, not run
-	// state: Reset preserves it (but zeroes the fired counter, so the
-	// budget restarts with the new run).
+	// self-rescheduling loops.
 	EventLimit uint64
 
 	// interrupt, when non-nil, is polled whenever the fired counter
@@ -420,10 +415,9 @@ func (s *Simulator) Reserve(t float64) Reservation {
 // is past r's time, or at it with an event of a higher key dispatching
 // or dispatched (or after a RunUntil that ended there, having fired
 // every event due). An event scheduled at r would have fired by then.
-// After Reset every earlier reservation reads as passed; DrainPending
-// fires nothing and leaves reservations as they were.
+// DrainPending fires nothing and leaves reservations as they were.
 func (s *Simulator) Passed(r Reservation) bool {
-	return r.n <= s.floor || s.now > r.t || (s.now == r.t && s.curK >= r.n)
+	return s.now > r.t || (s.now == r.t && s.curK >= r.n)
 }
 
 // ScheduleReserved schedules the typed event fn(a, b, kind) at r's
@@ -652,8 +646,8 @@ type DrainedEvent struct {
 // The clock, fired counter and event limit are untouched, so a drain
 // composes with result collection after RunUntil. This is the
 // teardown path a completed run must take before leak-checking pooled
-// resources: Reset alone drops the slab's references, which silently
-// strands any pooled packet still riding an in-flight event.
+// resources: a pooled packet still riding an in-flight event comes back
+// only through its visit.
 func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
 	for s.head() {
 		idx := s.heap[0].idx
@@ -666,30 +660,6 @@ func (s *Simulator) DrainPending(visit func(DrainedEvent)) {
 			visit(ev)
 		}
 	}
-}
-
-// Reset discards all pending events and rewinds the clock to zero. The
-// slab and free list are retained for reuse, and every outstanding
-// Event handle is invalidated (Pending reports false; Cancel is a
-// no-op). EventLimit is preserved — it is configuration, not run state
-// — while the fired counter restarts at zero, so the event budget
-// applies afresh to the next run. An installed interrupt hook is
-// removed: it is run state (typically a closure over the cancelled
-// run's context), and a stale checkpoint must not leak into the next
-// run on a reused simulator. Every outstanding Reservation reads as
-// passed from then on: the seq counter is not rewound (keys order
-// only against each other), and floor marks the keys below it as the
-// discarded run's. Reset drops event payload references without
-// visiting them; when pending events may hold pooled resources
-// (packets in typed link events), DrainPending first, so the pool's
-// accounting survives the teardown.
-func (s *Simulator) Reset() {
-	s.DrainPending(nil)
-	s.now = 0
-	s.floor, s.curK = s.seq, 0
-	s.fired = 0
-	s.stopped = false
-	s.interrupt = nil
 }
 
 // --- binary heap of run heads ----------------------------------------

@@ -398,51 +398,6 @@ func TestEventLimit(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New()
-	s.At(1, func() {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.Fired() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
-func TestResetSemantics(t *testing.T) {
-	s := New()
-	s.EventLimit = 5
-	var tick func()
-	tick = func() { s.After(1, tick) }
-	s.At(0, tick)
-	if err := s.Run(); err != ErrEventLimit {
-		t.Fatalf("err = %v, want ErrEventLimit", err)
-	}
-	e := s.At(s.Now()+1, func() {})
-	s.Reset()
-	// Handles from before Reset are invalidated, pending events gone.
-	if e.Pending() {
-		t.Fatal("pre-Reset handle still pending")
-	}
-	e.Cancel() // must be a no-op, not corrupt the fresh queue
-	// EventLimit is configuration and survives Reset; the fired budget
-	// restarts, so the same limit applies to the new run.
-	if s.EventLimit != 5 {
-		t.Fatalf("Reset cleared EventLimit: %d", s.EventLimit)
-	}
-	n := 0
-	for i := 0; i < 5; i++ {
-		s.At(float64(i), func() { n++ })
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("run within restarted budget: %v", err)
-	}
-	if n != 5 {
-		t.Fatalf("fired %d, want 5", n)
-	}
-}
-
 func TestNilHandlerPanics(t *testing.T) {
 	s := New()
 	defer func() {

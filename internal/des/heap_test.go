@@ -139,25 +139,21 @@ func TestCancelWhileRootVacant(t *testing.T) {
 
 // TestPanickingHandlerLeavesQueueUsable: a handler that panics before
 // scheduling leaves the root vacant. DrainPending then visits only
-// live events, Reset frees each slot once, and the simulator runs on.
+// live events, frees each slot once, and the simulator runs on.
 func TestPanickingHandlerLeavesQueueUsable(t *testing.T) {
-	setup := func() *Simulator {
-		s := New()
-		s.At(1, func() { panic("boom") })
-		for i := 2; i <= 5; i++ {
-			s.At(float64(i), func() {})
-		}
-		func() {
-			defer func() { _ = recover() }()
-			_ = s.Run()
-		}()
-		if s.Pending() != 4 {
-			t.Fatalf("pending %d after the panic, want 4", s.Pending())
-		}
-		return s
+	s := New()
+	s.At(1, func() { panic("boom") })
+	for i := 2; i <= 5; i++ {
+		s.At(float64(i), func() {})
+	}
+	func() {
+		defer func() { _ = recover() }()
+		_ = s.Run()
+	}()
+	if s.Pending() != 4 {
+		t.Fatalf("pending %d after the panic, want 4", s.Pending())
 	}
 
-	s := setup()
 	n := 0
 	s.DrainPending(func(ev DrainedEvent) {
 		if ev.Handler == nil {
@@ -169,19 +165,14 @@ func TestPanickingHandlerLeavesQueueUsable(t *testing.T) {
 		t.Fatalf("drained %d, pending %d; want 4 and 0", n, s.Pending())
 	}
 
-	s = setup()
-	s.Reset()
-	if s.Pending() != 0 {
-		t.Fatalf("pending %d after Reset", s.Pending())
-	}
 	var got []int
 	for i := 0; i < 6; i++ {
-		s.At(float64(6-i), func() { got = append(got, i) })
+		s.At(float64(7-i), func() { got = append(got, i) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[5 4 3 2 1 0]" {
-		t.Fatalf("after Reset fired %v, want [5 4 3 2 1 0]", got)
+		t.Fatalf("after the drain fired %v, want [5 4 3 2 1 0]", got)
 	}
 }

@@ -276,9 +276,10 @@ func decodeProgram(data []byte) program {
 }
 
 // exact reports whether the program needs the engines' exact promise:
-// Stop, EventLimit and the pending count are compared only sequentially
-// and at width 1. A wider engine stops and budgets per window, and a
-// shard's handler sees only what its own shard and the barrier know.
+// Stop and the pending count are compared only sequentially and at
+// width 1, EventLimit only sequentially (the sharded engine has no
+// budget of its own). A wider engine stops per window, and a shard's
+// handler sees only what its own shard and the barrier know.
 func (p *program) exact() bool { return p.stops || p.limit > 0 }
 
 type part struct {
@@ -449,7 +450,6 @@ func (p program) run(width int) outcome {
 		drv = sim
 	default:
 		ss := NewSharded(1, width)
-		ss.EventLimit = p.limit
 		chans := make([]*Channel, len(p.chans))
 		for i, c := range p.chans {
 			chans[i] = ss.NewChannel(c.src%width, c.dst%width, c.look)
@@ -496,7 +496,10 @@ func checkProgram(t *testing.T, data []byte) {
 	p := decodeProgram(data)
 	want := p.run(-1)
 	widths := []int{0, 1, 2, 3, 4}
-	if p.exact() {
+	switch {
+	case p.limit > 0:
+		widths = widths[:1]
+	case p.stops:
 		widths = widths[:2]
 	}
 	for _, w := range widths {

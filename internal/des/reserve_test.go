@@ -194,9 +194,9 @@ func TestReservationPassedAtItsTime(t *testing.T) {
 	}
 }
 
-// TestReservationSurvivesDrainNotReset: DrainPending leaves a
-// reservation usable at its key; Reset ends it.
-func TestReservationSurvivesDrainNotReset(t *testing.T) {
+// TestReservationSurvivesDrain: DrainPending leaves a reservation
+// usable at its key.
+func TestReservationSurvivesDrain(t *testing.T) {
 	sim := New()
 	var order []string
 	note := func(s string) TypedFunc { return func(any, any, uint8) { order = append(order, s) } }
@@ -213,30 +213,5 @@ func TestReservationSurvivesDrainNotReset(t *testing.T) {
 	}
 	if strings.Join(order, ",") != "reserved,after" {
 		t.Fatalf("fired %v, want [reserved after]", order)
-	}
-
-	r = sim.Reserve(5)
-	sim.Reset()
-	if !sim.Passed(r) {
-		t.Fatal("a reservation from before Reset reads as pending")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("scheduling at a reservation from before Reset did not panic")
-			}
-		}()
-		sim.ScheduleReserved(r, note("stale"), nil, nil, 0)
-	}()
-	// The reset simulator reserves afresh.
-	order = order[:0]
-	r = sim.Reserve(1)
-	sim.ScheduleTyped(1, note("after"), nil, nil, 0)
-	sim.ScheduleReserved(r, note("reserved"), nil, nil, 0)
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(order, ",") != "reserved,after" {
-		t.Fatalf("after Reset fired %v, want [reserved after]", order)
 	}
 }

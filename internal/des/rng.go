@@ -26,10 +26,10 @@ func (g *RNG) Split(label int64) *RNG {
 // finalizer, yielding an independent child seed. It is a pure function
 // of (base, label): the result does not depend on how many other
 // children exist or in which order they are derived, so seeds keyed by
-// a stable model label (a shard index, an AS number, a retry attempt)
+// a stable model label (a part index, an AS number, a retry attempt)
 // are identical across partitionings of the same scenario. The
-// scenario runner's retry seeds (scenario.AttemptSeed) and the sharded
-// engine's per-shard RNG streams both use it.
+// sharded runners' per-part streams and the scenario runner's retry
+// seeds (scenario.AttemptSeed) use it.
 func DeriveSeed(base, label int64) int64 {
 	mix := uint64(base) ^ (uint64(label) * 0xbf58476d1ce4e5b9)
 	mix ^= mix >> 27

@@ -16,8 +16,8 @@ import (
 // per part, so a delay run there is a few events deep. A long program
 // keeps hundreds of events in flight at a few hot offsets, scatters
 // more schedules over more offsets than the run table has slots,
-// cancels at a run's head, middle and tail, and drains or resets the
-// queue halfway, while the runs are deep.
+// cancels at a run's head, middle and tail, and may drain the queue
+// halfway, while the runs are deep.
 
 const (
 	longHorizon = 4.0
@@ -32,14 +32,16 @@ type longProgram struct {
 	seed  int64
 	parts int
 	chans []oChan
-	// mid is what happens at half the horizon: 0 DrainPending, 1 Reset
-	// (the oracle and the sequential engine only), 2 nothing.
-	mid int
+	// drain makes the program DrainPending at half the horizon.
+	drain bool
 }
 
 func genLong(seed int64) longProgram {
 	rng := NewRNG(seed)
-	lp := longProgram{seed: seed, parts: 1 + rng.Intn(4), mid: rng.Intn(3)}
+	// Two of the draw's three values drain. It stays a draw of three
+	// because the sweep's depth and offset requirements hold for the
+	// twelve programs these draws make.
+	lp := longProgram{seed: seed, parts: 1 + rng.Intn(4), drain: rng.Intn(3) < 2}
 	for n := rng.Intn(5); n > 0; n-- {
 		lp.chans = append(lp.chans, oChan{
 			src:  rng.Intn(lp.parts),
@@ -330,7 +332,6 @@ func (lp longProgram) run(t *testing.T, width int) longOutcome {
 		res   longOutcome
 		drv   driver
 		drain func()
-		reset func()
 		check = func(string) {}
 	)
 	draining := func(on bool) {
@@ -357,12 +358,6 @@ func (lp longProgram) run(t *testing.T, width int) longOutcome {
 				heap.Pop(&o.q).(*oEvent).h()
 			}
 		}
-		reset = func() {
-			for len(o.q) > 0 {
-				heap.Pop(&o.q)
-			}
-			o.now, o.fired = 0, 0
-		}
 	case width == 0:
 		sim := New()
 		v := runView{
@@ -374,7 +369,6 @@ func (lp longProgram) run(t *testing.T, width int) longOutcome {
 		}
 		drv = sim
 		drain = func() { sim.DrainPending(visit) }
-		reset = sim.Reset
 		check = func(when string) {
 			shape, err := checkRuns(sim, v.offs)
 			if err != nil {
@@ -405,16 +399,11 @@ func (lp longProgram) run(t *testing.T, width int) longOutcome {
 	}
 	if segment(longHorizon / 2) {
 		check("at half the horizon")
-		switch lp.mid {
-		case 0:
+		if lp.drain {
 			draining(true)
 			drain()
 			draining(false)
-		case 1:
-			reset()
-		}
-		if lp.mid < 2 {
-			check("after the drain or reset")
+			check("after the drain")
 			res.ends = append(res.ends, fmt.Sprintf("pending %d", drv.Pending()))
 			for _, pt := range parts {
 				pt.start()
@@ -451,11 +440,7 @@ func checkLong(t *testing.T, lp longProgram) runShape {
 	if want.err != nil {
 		t.Fatalf("seed %d: oracle: %v", lp.seed, want.err)
 	}
-	widths := []int{0, 1, 2, 3, 4}
-	if lp.mid == 1 {
-		widths = widths[:1] // a ShardedSimulator has no Reset
-	}
-	for _, w := range widths {
+	for _, w := range []int{0, 1, 2, 3, 4} {
 		name := "sequential engine"
 		if w > 0 {
 			name = fmt.Sprintf("sharded engine at width %d", w)
@@ -493,20 +478,22 @@ func checkLong(t *testing.T, lp longProgram) runShape {
 // TestEngineMatchesOracleLong is the tier-1 sweep of long programs. It
 // also requires the sweep to have reached what it exists for: a run
 // hundreds deep, more offsets queued at once than the run table has
-// slots, and a drain, a reset and neither halfway.
+// slots, and both a drain and none halfway.
 func TestEngineMatchesOracleLong(t *testing.T) {
 	var widest runShape
-	var mids [3]int
+	var drains int
 	for seed := int64(1); seed <= 12; seed++ {
 		lp := genLong(seed)
-		mids[lp.mid]++
+		if lp.drain {
+			drains++
+		}
 		shape := checkLong(t, lp)
 		widest.deepest = max(widest.deepest, shape.deepest)
 		widest.offsets = max(widest.offsets, shape.offsets)
 	}
-	if widest.deepest < 256 || widest.offsets <= 1<<runBits || min(mids[0], mids[1], mids[2]) == 0 {
-		t.Fatalf("deepest run %d events, at most %d offsets queued, drain/reset/neither %v; want >= 256, > %d and each",
-			widest.deepest, widest.offsets, 1<<runBits, mids)
+	if widest.deepest < 256 || widest.offsets <= 1<<runBits || drains == 0 || drains == 12 {
+		t.Fatalf("deepest run %d events, at most %d offsets queued, %d of 12 drained; want >= 256, > %d and some but not all",
+			widest.deepest, widest.offsets, drains, 1<<runBits)
 	}
 	t.Logf("deepest run %d events, up to %d offsets queued at once", widest.deepest, widest.offsets)
 }

@@ -128,28 +128,17 @@ func (c *Channel) Send(delay float64, fn TypedFunc, a, b any, kind uint8) {
 
 // ShardedSimulator drives K per-shard Simulators in conservative
 // lookahead windows. It mirrors the single Simulator's run-driver
-// surface (Run/RunUntil, SetInterrupt, EventLimit, DrainPending,
-// Now/Fired/Pending) but schedules nothing itself: model code
-// schedules on its own shard's Simulator (Shard(i)), and a handler
-// that wants the run to end calls that Simulator's Stop. With one
-// shard and no channels it degenerates to the ordinary sequential
-// engine.
+// surface (Run/RunUntil, SetInterrupt, DrainPending, Now/Fired/Pending)
+// but schedules nothing itself: model code schedules on its own
+// shard's Simulator (Shard(i)), and a handler that wants the run to
+// end calls that Simulator's Stop. With one shard and no channels it
+// degenerates to the ordinary sequential engine.
 type ShardedSimulator struct {
 	shards []*Simulator
-	rngs   []*RNG
 	chans  []*Channel
 	// lookahead caches the minimum channel lookahead (+Inf with no
 	// channels, in which case the first window runs to the horizon).
 	lookahead float64
-
-	// EventLimit, when non-zero, bounds the total events fired across
-	// all shards: a run that would dispatch more returns ErrEventLimit.
-	// The check is exact at window barriers; within one window each
-	// shard stops after at most the remaining budget, so the overshoot
-	// before the abort is bounded by one window per shard. With the
-	// whole model on one shard it is exact, matching the sequential
-	// engine.
-	EventLimit uint64
 
 	interrupt func() error
 	barrier   func()
@@ -247,29 +236,23 @@ func (w *worker) stop() {
 	w.wake.Signal()
 }
 
-// NewSharded returns a sharded simulator with n empty shards. Shard
-// RNG streams derive from seed via ShardSeed.
+// NewSharded returns a sharded simulator with n empty shards. seed is
+// unused: the engine draws no random numbers, and model code derives
+// its streams from stable model labels with DeriveSeed. The parameter
+// keeps the signature cmd/hbpbench calls and goes with ROADMAP item 13,
+// the next change to the benchmark harness.
 func NewSharded(seed int64, n int) *ShardedSimulator {
 	if n < 1 {
 		panic("des: need at least one shard")
 	}
 	ss := &ShardedSimulator{lookahead: math.Inf(1)}
 	ss.shards = make([]*Simulator, n)
-	ss.rngs = make([]*RNG, n)
 	ss.next = make([]float64, n)
 	ss.runnable = make([]int, n)
 	for i := range ss.shards {
 		ss.shards[i] = New()
-		ss.rngs[i] = NewRNG(ShardSeed(seed, i))
 	}
 	return ss
-}
-
-// ShardSeed derives shard i's RNG seed from the scenario seed with the
-// splitmix mixing of DeriveSeed. It is a pure function of (seed, i) —
-// stable across partitionings and shard counts.
-func ShardSeed(seed int64, shard int) int64 {
-	return DeriveSeed(seed, int64(shard)+1)
 }
 
 // Shards returns the shard count.
@@ -278,12 +261,6 @@ func (ss *ShardedSimulator) Shards() int { return len(ss.shards) }
 // Shard returns shard i's Simulator. Model components belonging to
 // shard i bind to it exactly as they would to a standalone Simulator.
 func (ss *ShardedSimulator) Shard(i int) *Simulator { return ss.shards[i] }
-
-// ShardRNG returns shard i's private RNG stream. Note that streams
-// keyed by shard index move with repartitioning; model code that needs
-// placement-independent draws should derive its own streams from
-// stable model labels with DeriveSeed.
-func (ss *ShardedSimulator) ShardRNG(i int) *RNG { return ss.rngs[i] }
 
 // NewChannel creates the cross-shard edge src→dst with the given
 // lookahead (must be positive: a zero-lookahead cut would collapse the
@@ -369,8 +346,7 @@ func (ss *ShardedSimulator) SetBarrier(hook func()) {
 	ss.barrier = hook
 }
 
-// Run dispatches until every shard is idle, a shard's Stop is called,
-// or the event limit is hit.
+// Run dispatches until every shard is idle or a shard's Stop is called.
 func (ss *ShardedSimulator) Run() error { return ss.RunUntil(math.Inf(1)) }
 
 // RunUntil dispatches events with time <= end across all shards in
@@ -383,10 +359,6 @@ func (ss *ShardedSimulator) Run() error { return ss.RunUntil(math.Inf(1)) }
 func (ss *ShardedSimulator) RunUntil(end float64) error {
 	for _, s := range ss.shards {
 		s.stopped = false
-		if ss.EventLimit == 0 {
-			// Clear the per-shard budgets an earlier limited run set.
-			s.EventLimit = 0
-		}
 	}
 	ss.spin = len(ss.shards) <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	defer ss.stopWorkers()
@@ -419,19 +391,6 @@ func (ss *ShardedSimulator) RunUntil(end float64) error {
 		}
 		if stopped || math.IsInf(t, 1) || t > end {
 			break
-		}
-		if ss.EventLimit > 0 {
-			// Like the sequential engine, fail only when another event
-			// is due: a run that fires exactly the budget and then goes
-			// idle succeeds.
-			fired := ss.Fired()
-			if fired >= ss.EventLimit {
-				return ErrEventLimit
-			}
-			remaining := ss.EventLimit - fired
-			for _, s := range ss.shards {
-				s.EventLimit = s.fired + remaining
-			}
 		}
 		bound, inclusive := t+ss.lookahead, false
 		if bound > end || math.IsInf(bound, 1) {

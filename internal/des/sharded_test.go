@@ -117,32 +117,6 @@ func TestShardedMatchesAcrossShardCounts(t *testing.T) {
 	}
 }
 
-func TestShardSeedsDistinctAndStable(t *testing.T) {
-	for _, base := range []int64{0, 1, 42, -7, 1 << 40} {
-		seen := map[int64]int{}
-		for i := 0; i < 64; i++ {
-			s := ShardSeed(base, i)
-			if j, dup := seen[s]; dup {
-				t.Fatalf("base %d: shards %d and %d share seed %d", base, j, i, s)
-			}
-			if s == base {
-				t.Fatalf("base %d: shard %d seed equals the base seed", base, i)
-			}
-			seen[s] = i
-		}
-	}
-	// Stability across partitionings: the seed for a given shard label
-	// is a pure function of (base, label), independent of how many
-	// shards the engine was built with.
-	small, large := NewSharded(7, 2), NewSharded(7, 16)
-	for i := 0; i < 2; i++ {
-		a, b := small.ShardRNG(i).Int63(), large.ShardRNG(i).Int63()
-		if a != b {
-			t.Fatalf("shard %d stream differs between 2-shard and 16-shard engines: %d vs %d", i, a, b)
-		}
-	}
-}
-
 func TestChannelSendBelowLookaheadPanics(t *testing.T) {
 	ss := NewSharded(1, 2)
 	ch := ss.NewChannel(0, 1, 0.5)
@@ -152,20 +126,6 @@ func TestChannelSendBelowLookaheadPanics(t *testing.T) {
 		}
 	}()
 	ch.Send(0.25, ringDeliver, nil, &ringMsg{}, 0)
-}
-
-func TestShardedEventLimit(t *testing.T) {
-	ss := NewSharded(1, 2)
-	ss.EventLimit = 50
-	for i := 0; i < 2; i++ {
-		sim := ss.Shard(i)
-		var loop func()
-		loop = func() { sim.After(0.001, loop) }
-		sim.At(0, loop)
-	}
-	if err := ss.Run(); !errors.Is(err, ErrEventLimit) {
-		t.Fatalf("want ErrEventLimit, got %v", err)
-	}
 }
 
 func TestShardedStopAndInterrupt(t *testing.T) {
@@ -292,30 +252,6 @@ func TestShardedRunUntilAdvancesClocks(t *testing.T) {
 	}
 }
 
-// TestShardedEventLimitCleared: a budget set for one run is gone once
-// the sharded budget is cleared — the next run is unlimited.
-func TestShardedEventLimitCleared(t *testing.T) {
-	ss := NewSharded(1, 2)
-	for i := 0; i < 2; i++ {
-		sim := ss.Shard(i)
-		var tick func()
-		tick = func() { sim.After(1, tick) }
-		sim.At(0, tick)
-	}
-	ss.EventLimit = 10
-	if err := ss.RunUntil(3); err != nil {
-		t.Fatalf("limited run: %v", err)
-	}
-	ss.EventLimit = 0
-	if err := ss.RunUntil(100); err != nil {
-		t.Fatalf("run after clearing the limit: %v after %d events", err, ss.Fired())
-	}
-	// Ticks at 0, 1, …, 100 on both shards.
-	if got := ss.Fired(); got != 202 {
-		t.Fatalf("fired %d events, want 202", got)
-	}
-}
-
 // pingDeliver bounces a message back over the reverse channel: a is
 // the channel to reply on, b the one the message came through.
 func pingDeliver(a, b any, _ uint8) {
@@ -341,6 +277,26 @@ func pingPongMallocs(t *testing.T, windows int) uint64 {
 		t.Fatalf("%d windows: fired %d, want %d", windows, got, want)
 	}
 	return after.Mallocs - before.Mallocs
+}
+
+// TestNewShardedAllocBytes: building a sharded simulator costs each
+// shard its Simulator and its slots in the per-barrier tables, under
+// 2 KB a shard. An RNG stream per shard (a math/rand source of about
+// 4.9 KB) would not fit.
+func TestNewShardedAllocBytes(t *testing.T) {
+	const shards, builds = 8, 100
+	keep := make([]*ShardedSimulator, builds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewSharded(1, shards)
+	}
+	runtime.ReadMemStats(&after)
+	perShard := (after.TotalAlloc - before.TotalAlloc) / (builds * shards)
+	if perShard >= 2048 {
+		t.Fatalf("NewSharded(1, %d) allocates %d B per shard, want < 2048", shards, perShard)
+	}
+	t.Logf("%d B per shard", perShard)
 }
 
 // TestBarrierAllocsFlatInWindows: a barrier allocates nothing, so a
@@ -377,7 +333,7 @@ func TestWorkersEndWithRun(t *testing.T) {
 		want  error
 	}{
 		{"done", func(*ShardedSimulator) {}, nil},
-		{"event-limit", func(ss *ShardedSimulator) { ss.EventLimit = 25 }, ErrEventLimit},
+		{"event-limit", func(ss *ShardedSimulator) { ss.Shard(2).EventLimit = 15 }, ErrEventLimit},
 		{"interrupt", func(ss *ShardedSimulator) {
 			barriers := 0
 			prev := ss.interrupt

@@ -108,11 +108,10 @@ type TreeConfig struct {
 	// agent.
 	Faults *faults.Plan
 	// FaultCrashes adds that many seeded random router crash/restart
-	// cycles inside the attack window. They are drawn in RunTree (the
-	// router IDs are topology-dependent) and merged into Faults.
+	// cycles inside the attack window, each router down for 5 s. They
+	// are drawn in RunTree (the router IDs are topology-dependent) and
+	// merged into Faults.
 	FaultCrashes int
-	// FaultRestartAfter is the crash downtime in seconds (default 5).
-	FaultRestartAfter float64
 	// EpochAuth enables HBP's authenticated control plane: per-epoch
 	// MACs on every control message (derived from a dedicated control
 	// hash chain), anti-replay windows, and source-mark validation.

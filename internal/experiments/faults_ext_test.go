@@ -97,7 +97,6 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 func TestCrashRestartSelfHealsInTree(t *testing.T) {
 	cfg := FaultTreeConfig(faultQuickTree(), 0.01, true)
 	cfg.FaultCrashes = 8
-	cfg.FaultRestartAfter = 5
 	r, err := RunTree(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -236,7 +236,7 @@ func buildInternet(cfg InternetConfig) (*internetRun, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	it := topology.BuildInternet(newSharded(cfg.Context, cfg.Seed, cfg.Shards), cfg.Topology)
+	it := topology.BuildInternet(newSharded(cfg.Context, cfg.Shards), cfg.Topology)
 	cl := it.Cluster
 
 	nh := len(it.HostAS)

@@ -33,8 +33,8 @@ func newSim(ctx context.Context) *des.Simulator {
 
 // newSharded is newSim for the sharded engine at the given width (0 or
 // 1 runs on one shard); it polls ctx.Err once per window barrier.
-func newSharded(ctx context.Context, seed int64, shards int) *des.ShardedSimulator {
-	ss := des.NewSharded(seed, max(shards, 1))
+func newSharded(ctx context.Context, shards int) *des.ShardedSimulator {
+	ss := des.NewSharded(0, max(shards, 1))
 	if ctx != nil {
 		ss.SetInterrupt(ctx.Err)
 	}

@@ -128,7 +128,7 @@ func RunShardedForest(cfg ForestConfig) (*ForestResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ss := newSharded(cfg.Context, cfg.Seed, cfg.Shards)
+	ss := newSharded(cfg.Context, cfg.Shards)
 	place := make([]int, cfg.Parts)
 	for i := range place {
 		place[i] = i % ss.Shards()

@@ -100,6 +100,9 @@ const (
 	pushbackTargetUtil = 1.05
 	// sampleInterval is the throughput sampling period in seconds.
 	sampleInterval = 1
+	// crashDowntime is how long, in seconds, each of FaultCrashes'
+	// routers stays down before it restarts.
+	crashDowntime = 5
 )
 
 // RunTree executes one tree scenario end to end.
@@ -239,12 +242,8 @@ func RunTree(cfg TreeConfig) (*TreeResult, error) {
 		// than stressing the defense.
 		targets := nodeIDs(midTree(tr))
 		if cfg.FaultCrashes > 0 {
-			restart := cfg.FaultRestartAfter
-			if restart <= 0 {
-				restart = 5
-			}
 			plan.Crashes = append(plan.Crashes,
-				faults.RandomCrashes(plan.Seed+7, targets, cfg.FaultCrashes, cfg.AttackStart, cfg.AttackEnd, restart)...)
+				faults.RandomCrashes(plan.Seed+7, targets, cfg.FaultCrashes, cfg.AttackStart, cfg.AttackEnd, crashDowntime)...)
 		}
 		if byzantine {
 			rate := cfg.ByzantineRate

@@ -72,27 +72,3 @@ func TestDrainReclaimsQueuedAndInFlight(t *testing.T) {
 		t.Fatalf("outstanding = %d after post-drain run, want 0", got)
 	}
 }
-
-func TestResetWithoutDrainStrandsPackets(t *testing.T) {
-	// The des.Simulator.Reset teardown leak this accounting exists to
-	// catch: Reset drops in-flight event references without recycling
-	// their packets, so the outstanding gauge stays positive. Drain is
-	// the correct teardown.
-	sim, nw, a, b := buildPair(t)
-	for i := 0; i < 5; i++ {
-		p := nw.NewPacket()
-		p.Src, p.TrueSrc, p.Dst, p.Size, p.Type = a.ID, a.ID, b.ID, 100, Data
-		a.Send(p)
-	}
-	if err := sim.RunUntil(0.6); err != nil {
-		t.Fatal(err)
-	}
-	leaked := nw.PacketsOutstanding()
-	if leaked == 0 {
-		t.Fatal("test needs packets in flight at mid-run")
-	}
-	sim.Reset()
-	if got := nw.PacketsOutstanding(); got != leaked {
-		t.Fatalf("Reset changed outstanding from %d to %d; it must only strand", leaked, got)
-	}
-}

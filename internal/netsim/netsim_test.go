@@ -352,10 +352,10 @@ func TestSpoofedAndClone(t *testing.T) {
 	if !p.Spoofed() {
 		t.Fatal("Src!=TrueSrc should report spoofed")
 	}
-	q := p.Clone()
+	q := *p
 	q.Src = 7
 	if p.Src != 5 {
-		t.Fatal("Clone aliases original")
+		t.Fatal("a value copy aliases the original")
 	}
 	if q.Spoofed() {
 		t.Fatal("clone with Src==TrueSrc reports spoofed")

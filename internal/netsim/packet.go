@@ -63,7 +63,7 @@ const DefaultTTL = 255
 // failure/loss, no route, blocked ingress, crashed node) or after the
 // destination's Handler returns. Handlers and forward hooks therefore
 // must not retain the packet (or its pointer) past the callback; copy
-// the fields or Network.ClonePacket it instead. Allocate packets with
+// the fields (cp := *p) or Network.ClonePacket it instead. Allocate packets with
 // Node.NewPacket / Network.NewPacket to reuse the pool; a literal
 // &Packet{} also works (it simply joins the pool at its terminal
 // point).
@@ -114,15 +114,6 @@ type Packet struct {
 //
 //hbplint:ignore groundtruth this is the definition of the ground-truth accessor itself.
 func (p *Packet) Spoofed() bool { return p.Src != p.TrueSrc }
-
-// Clone returns a shallow copy of the packet. Payloads are shared.
-// The copy is heap-allocated; inside a simulation prefer
-// Network.ClonePacket, which draws from the pool.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.freed = false
-	return &q
-}
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s %d->%d (true %d) size=%d ttl=%d seq=%d",

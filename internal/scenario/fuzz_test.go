@@ -33,6 +33,7 @@ func FuzzCaseSpec(f *testing.F) {
 		`{"name":"fig-bad-scale","figure":{"fig":"follower","scale":"huge"}}`,
 		`{"name":"fig-missing","kind":"figure"}`,
 		`{"name":"fig-as-tree","kind":"tree","figure":{"fig":"6"}}`,
+		`{"name":"fig-max-events","figure":{"fig":"5","scale":"quick"},"max_events":1000}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -22,8 +22,8 @@ type Config struct {
 	// WallDeadline is the default per-attempt wall-clock deadline
 	// (default 2 m).
 	WallDeadline time.Duration
-	// MaxEvents is the default simulated-event deadline; 0 means no
-	// limit.
+	// MaxEvents is the default simulated-event deadline of tree cases;
+	// 0 means no limit.
 	MaxEvents uint64
 	// MaxAttempts is the default attempt cap for retryable faults
 	// (default 3).

@@ -166,8 +166,15 @@ func TestServerBackpressure(t *testing.T) {
 }
 
 // TestServerValidation: malformed specs are rejected up front with
-// 400, not accepted and failed later.
+// 400, not accepted and failed later. A figure case that sets
+// max_events is one: no figure runs under an event budget.
 func TestServerValidation(t *testing.T) {
+	fig := CaseSpec{Name: "x", Figure: &FigureSpec{Fig: "5", Scale: "quick"}}
+	if err := fig.Validate(); err != nil {
+		t.Fatalf("figure case refused: %v", err)
+	}
+	budgeted := fig
+	budgeted.MaxEvents = 1000
 	srv, _ := newTestServer(t, Config{Workers: 1})
 	cases := []SuiteSpec{
 		{Name: ""},
@@ -176,6 +183,7 @@ func TestServerValidation(t *testing.T) {
 		{Name: "bad3", Cases: []CaseSpec{{Name: "x", Figure: &FigureSpec{Fig: "99"}}}},
 		{Name: "dup", Cases: []CaseSpec{{Name: "x", Tree: quickTree(1)}, {Name: "x", Tree: quickTree(2)}}},
 		{Name: "onoff", Cases: []CaseSpec{{Name: "x", Tree: &TreeSpec{OnOff: "0,0"}}}},
+		{Name: "fig-max-events", Cases: []CaseSpec{budgeted}},
 	}
 	for i, spec := range cases {
 		if resp, body := postJSON(t, srv.URL+"/suites", spec); resp.StatusCode != http.StatusBadRequest {

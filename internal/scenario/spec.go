@@ -54,8 +54,8 @@ type CaseSpec struct {
 	// WallDeadlineSec is the wall-clock deadline per attempt; 0 uses
 	// the runner default.
 	WallDeadlineSec float64 `json:"wall_deadline_sec,omitempty"`
-	// MaxEvents is the simulated-event deadline per attempt; 0 uses
-	// the runner default.
+	// MaxEvents is the simulated-event deadline per attempt of a tree
+	// case; 0 uses the runner default. A figure case may not set it.
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// MaxAttempts caps retries of infrastructure faults; 0 uses the
 	// runner default. Panics, deadlines and cancellations are never
@@ -157,6 +157,9 @@ func (c *CaseSpec) Validate() error {
 		}
 		if _, err := figureScale(c.Figure.Scale); err != nil {
 			return fmt.Errorf("case %q: %w", c.Name, err)
+		}
+		if c.MaxEvents != 0 {
+			return fmt.Errorf("case %q: max_events applies to tree cases only", c.Name)
 		}
 	default:
 		return fmt.Errorf("case %q: unknown kind %q", c.Name, c.Kind)

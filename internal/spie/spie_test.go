@@ -81,15 +81,15 @@ func TestBloomValidation(t *testing.T) {
 func TestDigestInvariance(t *testing.T) {
 	p := &netsim.Packet{Src: 5, TrueSrc: 7, Dst: 2, FlowID: 3, Seq: 11, Size: 500, TTL: 250, Mark: 0x7}
 	d1 := Digest(p)
-	q := p.Clone()
+	q := *p
 	q.TTL = 90   // mutates in flight
 	q.Mark = 0x3 // mutates in flight
-	if Digest(q) != d1 {
+	if Digest(&q) != d1 {
 		t.Fatal("digest depends on mutable fields")
 	}
-	q2 := p.Clone()
+	q2 := *p
 	q2.Seq = 12
-	if Digest(q2) == d1 {
+	if Digest(&q2) == d1 {
 		t.Fatal("different packets share a digest deterministically")
 	}
 }

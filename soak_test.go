@@ -90,7 +90,6 @@ func TestSoakChaos(t *testing.T) {
 			Windows: []faults.DownWindow{{Link: 3, Start: 30, End: 40}},
 		}
 		cfg.FaultCrashes = 5
-		cfg.FaultRestartAfter = 4
 		r, err := experiments.RunTree(cfg)
 		if err != nil {
 			t.Fatal(err)
