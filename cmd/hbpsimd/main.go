@@ -144,7 +144,10 @@ func newDaemon(runnerCfg scenario.Config, fleetCfg scenario.CoordinatorConfig, r
 	if runnerCfg.Workers == 0 {
 		c := scenario.NewCoordinator(fleetCfg, recovered)
 		c.Start()
-		return c, fleet.NewServer(c), c.Drain
+		mux := http.NewServeMux()
+		scenario.MountRoutes(mux, c)
+		scenario.MountWorkerRoutes(mux, c)
+		return c, mux, c.Drain
 	}
 	r := scenario.NewRunner(runnerCfg, recovered)
 	r.Start()
@@ -172,7 +175,7 @@ func workerMode(ctx context.Context, coordinator, name string, capacity int, wal
 		Capacity:     capacity,
 		WallDeadline: wallDeadline,
 		MaxEvents:    maxEvents,
-	}, fleet.NewRemoteCoord(coordinator))
+	}, scenario.NewClient(coordinator))
 	log.Printf("worker %q joining fleet at %s (%d slots)", name, coordinator, capacity)
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		log.Print(err)

@@ -1,4 +1,4 @@
-package faults
+package fleet
 
 import (
 	"fmt"
@@ -10,8 +10,8 @@ import (
 // same fate on every call and across plan instances — replayable chaos
 // is the whole point.
 func TestWorkerPlanDeterminism(t *testing.T) {
-	mk := func() *WorkerPlan {
-		return &WorkerPlan{Seed: 99, CrashProb: 0.2, HangProb: 0.2, SlowProb: 0.2}
+	mk := func() *workerPlan {
+		return &workerPlan{Seed: 99, CrashProb: 0.2, HangProb: 0.2, SlowProb: 0.2}
 	}
 	a, b := mk(), mk()
 	for w := 0; w < 4; w++ {
@@ -36,19 +36,19 @@ func TestWorkerPlanDeterminism(t *testing.T) {
 // run would crash on every failover and the attempt budget could never
 // save it.
 func TestWorkerPlanIndependence(t *testing.T) {
-	p := &WorkerPlan{Seed: 7, CrashProb: 0.5}
-	kinds := map[WorkerFaultKind]int{}
+	p := &workerPlan{Seed: 7, CrashProb: 0.5}
+	kinds := map[workerFaultKind]int{}
 	for attempt := 1; attempt <= 64; attempt++ {
 		kinds[p.Draw("w-1", "r-1", attempt).Kind]++
 	}
-	if kinds[WorkerCrash] == 0 || kinds[WorkerHealthy] == 0 {
+	if kinds[workerCrash] == 0 || kinds[workerHealthy] == 0 {
 		t.Fatalf("64 attempts of one run all drew the same fate: %+v", kinds)
 	}
-	kinds = map[WorkerFaultKind]int{}
+	kinds = map[workerFaultKind]int{}
 	for w := 0; w < 64; w++ {
 		kinds[p.Draw(fmt.Sprintf("w-%d", w), "r-1", 1).Kind]++
 	}
-	if kinds[WorkerCrash] == 0 || kinds[WorkerHealthy] == 0 {
+	if kinds[workerCrash] == 0 || kinds[workerHealthy] == 0 {
 		t.Fatalf("64 workers all drew the same fate for one run: %+v", kinds)
 	}
 }
@@ -56,31 +56,31 @@ func TestWorkerPlanIndependence(t *testing.T) {
 // TestWorkerPlanProbabilities: degenerate probabilities behave exactly
 // — zero means never, and the cumulative bands select the right kinds.
 func TestWorkerPlanProbabilities(t *testing.T) {
-	var nilPlan *WorkerPlan
-	if f := nilPlan.Draw("w", "r", 1); f.Kind != WorkerHealthy {
+	var nilPlan *workerPlan
+	if f := nilPlan.Draw("w", "r", 1); f.Kind != workerHealthy {
 		t.Fatalf("nil plan drew %v", f.Kind)
 	}
 	if nilPlan.DropMessage("w", 3) {
 		t.Fatal("nil plan dropped a message")
 	}
-	quiet := &WorkerPlan{Seed: 1}
-	allCrash := &WorkerPlan{Seed: 1, CrashProb: 1}
-	allSlow := &WorkerPlan{Seed: 1, SlowProb: 1, SlowBy: 50 * time.Millisecond}
+	quiet := &workerPlan{Seed: 1}
+	allCrash := &workerPlan{Seed: 1, CrashProb: 1}
+	allSlow := &workerPlan{Seed: 1, SlowProb: 1, SlowBy: 50 * time.Millisecond}
 	for i := 0; i < 100; i++ {
 		run := fmt.Sprintf("r-%d", i)
-		if f := quiet.Draw("w", run, 1); f.Kind != WorkerHealthy {
+		if f := quiet.Draw("w", run, 1); f.Kind != workerHealthy {
 			t.Fatalf("quiet plan drew %v for %s", f.Kind, run)
 		}
-		if f := allCrash.Draw("w", run, 1); f.Kind != WorkerCrash {
+		if f := allCrash.Draw("w", run, 1); f.Kind != workerCrash {
 			t.Fatalf("crash-certain plan drew %v for %s", f.Kind, run)
 		}
 		f := allSlow.Draw("w", run, 1)
-		if f.Kind != WorkerSlow || f.SlowBy != 50*time.Millisecond {
+		if f.Kind != workerSlow || f.SlowBy != 50*time.Millisecond {
 			t.Fatalf("slow-certain plan drew %+v for %s", f, run)
 		}
 	}
 	// Default slow delay is applied when the plan leaves it zero.
-	if f := (&WorkerPlan{Seed: 2, SlowProb: 1}).Draw("w", "r", 1); f.SlowBy <= 0 {
+	if f := (&workerPlan{Seed: 2, SlowProb: 1}).Draw("w", "r", 1); f.SlowBy <= 0 {
 		t.Fatalf("slow fault with no delay: %+v", f)
 	}
 }
@@ -88,9 +88,9 @@ func TestWorkerPlanProbabilities(t *testing.T) {
 // TestPartitionWindows: scheduled windows drop exactly the in-window
 // message sequence numbers of exactly the named worker.
 func TestPartitionWindows(t *testing.T) {
-	p := &WorkerPlan{
+	p := &workerPlan{
 		Seed:       3,
-		Partitions: []PartitionWindow{{Worker: "w-1", From: 5, To: 8}},
+		Partitions: []partitionWindow{{Worker: "w-1", From: 5, To: 8}},
 	}
 	for seq := uint64(0); seq < 12; seq++ {
 		want := seq >= 5 && seq < 8
@@ -106,7 +106,7 @@ func TestPartitionWindows(t *testing.T) {
 // TestBackgroundDrop: DropProb loses some but not all messages, and
 // deterministically so.
 func TestBackgroundDrop(t *testing.T) {
-	p := &WorkerPlan{Seed: 11, DropProb: 0.3}
+	p := &workerPlan{Seed: 11, DropProb: 0.3}
 	dropped := 0
 	for seq := uint64(0); seq < 200; seq++ {
 		a := p.DropMessage("w-1", seq)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,6 +74,21 @@ func waitTerminal(t *testing.T, c *Coordinator, id string) scenario.RunStatus {
 	return scenario.RunStatus{}
 }
 
+// waitLeased polls until the run has been dispatched at least once.
+func waitLeased(t *testing.T, c *Coordinator, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if st, _ := c.GetRun(id); st.Dispatches >= 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run %s never leased", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestFleetHappyPath: a two-worker fleet executes a suite and every
 // fingerprint is bit-identical to a solo run of the same spec.
 func TestFleetHappyPath(t *testing.T) {
@@ -123,24 +139,14 @@ func TestLeaseFailoverSoloIdentical(t *testing.T) {
 	defer c.Stop()
 
 	// Crash-certain worker takes the lease first and dies with it.
-	startWorker(t, c, WorkerConfig{Name: "doomed", Faults: &faults.WorkerPlan{Seed: 5, CrashProb: 1}})
+	startChaosWorker(t, c, WorkerConfig{Name: "doomed"}, &workerPlan{Seed: 5, CrashProb: 1})
 	suite, _ := c.CreateSuite("failover")
 	st, err := c.Submit(suite.ID, quickCase("case", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the doomed worker has burned its dispatch.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		got, _ := c.GetRun(st.ID)
-		if got.Dispatches >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("doomed worker never leased the run")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitLeased(t, c, st.ID)
 	startWorker(t, c, WorkerConfig{Name: "healthy"})
 
 	got := waitTerminal(t, c, st.ID)
@@ -161,6 +167,66 @@ func TestLeaseFailoverSoloIdentical(t *testing.T) {
 	}
 }
 
+// grantWatch counts the worker calls that reach a coordinator after
+// its first granted lease.
+type grantWatch struct {
+	*Coordinator
+	granted atomic.Bool
+	after   atomic.Int64
+}
+
+func (g *grantWatch) count() {
+	if g.granted.Load() {
+		g.after.Add(1)
+	}
+}
+
+func (g *grantWatch) Lease(workerID string) (*scenario.Assignment, error) {
+	g.count()
+	a, err := g.Coordinator.Lease(workerID)
+	if a != nil {
+		g.granted.Store(true)
+	}
+	return a, err
+}
+
+func (g *grantWatch) Heartbeat(workerID, runID string, dispatch int) (scenario.Directive, error) {
+	g.count()
+	return g.Coordinator.Heartbeat(workerID, runID, dispatch)
+}
+
+func (g *grantWatch) Complete(workerID, runID string, dispatch int, out scenario.Outcome) error {
+	g.count()
+	return g.Coordinator.Complete(workerID, runID, dispatch, out)
+}
+
+// TestCrashedWorkerGoesSilent: once a lease draws a crash, the worker
+// is dead to the coordinator — neither of its two slots leases,
+// heartbeats or reports again while the run fails over, and a healthy
+// worker finishes it at the first seed attempt.
+func TestCrashedWorkerGoesSilent(t *testing.T) {
+	c := NewCoordinator(fastCfg(), nil)
+	c.Start()
+	defer c.Stop()
+	watch := &grantWatch{Coordinator: c}
+	startChaosWorker(t, watch, WorkerConfig{Name: "doomed", Capacity: 2}, &workerPlan{Seed: 5, CrashProb: 1})
+	suite, _ := c.CreateSuite("silent")
+	st, err := c.Submit(suite.ID, quickCase("case", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitLeased(t, c, st.ID)
+	startWorker(t, c, WorkerConfig{Name: "healthy"})
+
+	got := waitTerminal(t, c, st.ID)
+	if got.State != scenario.StatePassed || got.SeedAttempt != 1 || got.Dispatches < 2 {
+		t.Fatalf("failover run: %s at seed attempt %d after %d dispatches (%+v)", got.State, got.SeedAttempt, got.Dispatches, got.Error)
+	}
+	if n := watch.after.Load(); n != 0 {
+		t.Fatalf("%d calls of the crashed worker reached the coordinator", n)
+	}
+}
+
 // TestDispatchBudgetWorkerLost: when every dispatch dies, the run
 // terminates with a typed worker-lost failure instead of cycling
 // forever — never lost, never unbounded.
@@ -170,8 +236,8 @@ func TestDispatchBudgetWorkerLost(t *testing.T) {
 	c := NewCoordinator(cfg, nil)
 	c.Start()
 	defer c.Stop()
-	startWorker(t, c, WorkerConfig{Name: "d1", Faults: &faults.WorkerPlan{Seed: 1, CrashProb: 1}})
-	startWorker(t, c, WorkerConfig{Name: "d2", Faults: &faults.WorkerPlan{Seed: 1, CrashProb: 1}})
+	startChaosWorker(t, c, WorkerConfig{Name: "d1"}, &workerPlan{Seed: 1, CrashProb: 1})
+	startChaosWorker(t, c, WorkerConfig{Name: "d2"}, &workerPlan{Seed: 1, CrashProb: 1})
 
 	suite, _ := c.CreateSuite("budget")
 	st, err := c.Submit(suite.ID, quickCase("case", 9))
@@ -251,27 +317,14 @@ func TestSlowWorkerDuplicateCompletion(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 
-	startWorker(t, c, WorkerConfig{
-		Name:   "tortoise",
-		Faults: &faults.WorkerPlan{Seed: 2, SlowProb: 1, SlowBy: 700 * time.Millisecond},
-	})
+	startChaosWorker(t, c, WorkerConfig{Name: "tortoise"}, &workerPlan{Seed: 2, SlowProb: 1, SlowBy: 700 * time.Millisecond})
 	suite, _ := c.CreateSuite("slow")
 	st, err := c.Submit(suite.ID, quickCase("case", 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the tortoise to take the lease, then add the hare.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		got, _ := c.GetRun(st.ID)
-		if got.Worker != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tortoise never leased the run")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitLeased(t, c, st.ID)
 	startWorker(t, c, WorkerConfig{Name: "hare"})
 
 	got := waitTerminal(t, c, st.ID)
@@ -282,7 +335,7 @@ func TestSlowWorkerDuplicateCompletion(t *testing.T) {
 		t.Fatalf("fingerprint %s != solo %s", got.Result.Fingerprint, want)
 	}
 	// Both reports eventually land; exactly one counts.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s := c.Stats()
 		if s.DuplicateCompletions >= 1 {
@@ -318,22 +371,12 @@ func TestCancel(t *testing.T) {
 		t.Fatalf("queued cancel: %s", got.State)
 	}
 
-	startWorker(t, c, WorkerConfig{Name: "wedged", Faults: &faults.WorkerPlan{Seed: 3, HangProb: 1}})
+	startChaosWorker(t, c, WorkerConfig{Name: "wedged"}, &workerPlan{Seed: 3, HangProb: 1})
 	held, err := c.Submit(suite.ID, quickCase("held", 14))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		got, _ := c.GetRun(held.ID)
-		if got.Worker != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hung worker never leased the run")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitLeased(t, c, held.ID)
 	if err := c.Cancel(held.ID); err != nil {
 		t.Fatal(err)
 	}

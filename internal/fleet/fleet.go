@@ -1,10 +1,11 @@
-// Package fleet is the remote half of the scenario service: the
-// /fleet/ worker routes that serve a scenario.Coordinator to hbpsimd
-// worker processes, the HTTP client those workers use (RemoteCoord),
-// and the worker itself. Admission, leases, requeue, dedup, the
-// journal and its replay are scenario.Coordinator's. cmd/hbpsimd
-// serves these routes with -workers 0, and otherwise runs the same
-// coordinator with in-process executors.
+// Package fleet is the worker loop of the scenario service: a Worker
+// registers with a coordinator, leases its runs, executes each with
+// the deterministic solo executor, heartbeats while it runs and
+// reports the outcome. The coordinator is scenario.Coordinator, in
+// process or, for hbpsimd -worker, over the wire through
+// scenario.Client (the routes are scenario.MountWorkerRoutes).
+// Admission, leases, requeue, dedup, the journal and its replay are
+// the coordinator's.
 //
 // The contract is exactly-once with solo-identical results: every
 // admitted run either completes exactly once, with a fingerprint
@@ -23,12 +24,17 @@
 //   - Workers outlive coordinators. A worker whose ID a restarted
 //     coordinator no longer knows registers again by itself.
 //
-// The chaos soak (under -race, with internal/faults.WorkerPlan
-// injecting crash/hang/slow/partition faults) holds the exactly-once
-// invariant as its acceptance criterion.
+// The chaos soak (under -race) holds the exactly-once invariant as its
+// acceptance criterion. Its faults are test code: a Coord decorator
+// plays crashes, hangs, slow reports, partitions and message loss from
+// the coordinator's side of the wire.
 package fleet
 
-import "repro/internal/scenario"
+import (
+	"net/http"
+
+	"repro/internal/scenario"
+)
 
 // The coordinator and its wire and journal types live in
 // internal/scenario. These aliases keep the names cmd/hbpbench
@@ -63,3 +69,20 @@ func NewCoordinator(cfg Config, recovered []Entry) *Coordinator {
 
 // OpenJournal goes with ROADMAP item 13.
 func OpenJournal(path string) (*Journal, []Entry, error) { return scenario.OpenJournal(path) }
+
+// NewServer returns a fleet coordinator's routes: the suite/case API
+// and the worker protocol. It goes with ROADMAP item 13.
+func NewServer(c *Coordinator) *http.ServeMux {
+	mux := http.NewServeMux()
+	scenario.MountRoutes(mux, c)
+	scenario.MountWorkerRoutes(mux, c)
+	return mux
+}
+
+// RemoteCoord is a Coord over the wire. It goes with ROADMAP item 13.
+type RemoteCoord struct{ *scenario.Client }
+
+// NewRemoteCoord goes with ROADMAP item 13.
+func NewRemoteCoord(base string) *RemoteCoord {
+	return &RemoteCoord{scenario.NewClient(base)}
+}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/scenario"
 )
 
@@ -80,7 +79,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 
 	// Run 2 is leased by a worker that hangs forever — an in-flight
 	// orphan at crash time.
-	startWorker(t, c1, WorkerConfig{Name: "wedged", Faults: &faults.WorkerPlan{Seed: 4, HangProb: 1}})
+	startChaosWorker(t, c1, WorkerConfig{Name: "wedged"}, &workerPlan{Seed: 4, HangProb: 1})
 	orphan, err := c1.Submit(suite.ID, quickCase("orphaned", 22))
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +177,7 @@ func TestCancelRequestSurvivesRestart(t *testing.T) {
 	}
 	// The run is leased by a worker that hangs forever, so the cancel
 	// request stays pending — the worker never reports.
-	startWorker(t, c1, WorkerConfig{Name: "wedged", Faults: &faults.WorkerPlan{Seed: 4, HangProb: 1}})
+	startChaosWorker(t, c1, WorkerConfig{Name: "wedged"}, &workerPlan{Seed: 4, HangProb: 1})
 	st, err := c1.Submit(suite.ID, quickCase("doomed", 25))
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +340,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 
 	// One listener for both generations: the daemon restarts behind
 	// the address the worker was started with.
-	var current atomic.Pointer[Server]
+	var current atomic.Pointer[http.ServeMux]
 	current.Store(NewServer(c1))
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		current.Load().ServeHTTP(w, r)
@@ -353,7 +352,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// w-1 wedges holding the orphan.
-	startWorker(t, c1, WorkerConfig{Name: "wedged", Faults: &faults.WorkerPlan{Seed: 4, HangProb: 1}})
+	startChaosWorker(t, c1, WorkerConfig{Name: "wedged"}, &workerPlan{Seed: 4, HangProb: 1})
 	orphan, err := c1.Submit(suite.ID, quickCase("orphaned", 31))
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/scenario"
 )
 
@@ -43,31 +42,27 @@ func TestChaosSoak(t *testing.T) {
 	defer c.Stop()
 
 	// The menagerie: every failure mode at once. Chaotic workers talk
-	// through a FaultyCoord that eats control messages; two healthy
-	// workers guarantee the fleet always makes progress even after
-	// every chaotic worker has crashed or wedged.
-	chaos := func(name string, seed int64, partitions []faults.PartitionWindow) (Coord, *faults.WorkerPlan) {
-		plan := &faults.WorkerPlan{
-			Seed:       seed,
+	// through a chaosCoord that crashes, hangs, slows and eats their
+	// control messages; two healthy workers guarantee the fleet always
+	// makes progress even after every chaotic worker has crashed or
+	// wedged.
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("chaotic-%d", i)
+		var parts []partitionWindow
+		if i%2 == 0 {
+			// Scheduled partitions: these workers go dark for a window
+			// of their own control messages.
+			parts = []partitionWindow{{Worker: name, From: 20, To: 32}}
+		}
+		startChaosWorker(t, c, WorkerConfig{Name: name, PollInterval: 15 * time.Millisecond}, &workerPlan{
+			Seed:       int64(100 + i),
 			CrashProb:  0.15,
 			HangProb:   0.10,
 			SlowProb:   0.20,
 			SlowBy:     700 * time.Millisecond,
 			DropProb:   0.05,
-			Partitions: partitions,
-		}
-		return &FaultyCoord{Inner: c, Worker: name, Plan: plan}, plan
-	}
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("chaotic-%d", i)
-		var parts []faults.PartitionWindow
-		if i%2 == 0 {
-			// Scheduled partitions: these workers go dark for a window
-			// of their own control messages.
-			parts = []faults.PartitionWindow{{Worker: name, From: 20, To: 32}}
-		}
-		coord, plan := chaos(name, int64(100+i), parts)
-		startWorker(t, coord, WorkerConfig{Name: name, Faults: plan, PollInterval: 15 * time.Millisecond})
+			Partitions: parts,
+		})
 	}
 	startWorker(t, c, WorkerConfig{Name: "steady-0", Capacity: 2, PollInterval: 15 * time.Millisecond})
 	startWorker(t, c, WorkerConfig{Name: "steady-1", Capacity: 2, PollInterval: 15 * time.Millisecond})

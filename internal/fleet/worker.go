@@ -7,14 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/scenario"
 )
 
 // Coord is the worker's view of a coordinator. The in-process
-// scenario.Coordinator satisfies it directly; over the wire it is the HTTP
-// client; in the chaos soak it is a fault-injecting decorator around
-// the real thing.
+// scenario.Coordinator satisfies it directly; over the wire it is
+// scenario.Client; in the chaos soak it is a fault-injecting decorator
+// around the real thing.
 type Coord interface {
 	Register(info scenario.WorkerInfo) (string, error)
 	Lease(workerID string) (*scenario.Assignment, error)
@@ -38,9 +37,6 @@ type WorkerConfig struct {
 	// WallDeadline is the default per-attempt wall-clock deadline
 	// (default 120 s), the same default the standalone daemon applies.
 	WallDeadline time.Duration
-	// Faults, when non-nil, injects crash/hang/slow faults into this
-	// worker's executions — test-only chaos.
-	Faults *faults.WorkerPlan
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -61,23 +57,19 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // Worker pulls assignments from a coordinator, executes them with the
 // deterministic solo executor, heartbeats while running, and reports
-// the outcome. Crashing is modelled as the context dying: everything
-// the worker holds simply stops, and the coordinator's leases do the
-// recovery.
+// the outcome. A stopping worker (its context done) reports nothing:
+// the coordinator's leases recover what it held.
 type Worker struct {
 	cfg   WorkerConfig
 	coord Coord
 
 	mu sync.Mutex
 	id string // guarded by mu: slots replace it when the coordinator forgets the worker
-
-	crashed chan struct{} // closed by an injected crash; stops the whole worker
-	once    sync.Once
 }
 
 // NewWorker wires a worker to its coordinator.
 func NewWorker(cfg WorkerConfig, coord Coord) *Worker {
-	return &Worker{cfg: cfg.withDefaults(), coord: coord, crashed: make(chan struct{})}
+	return &Worker{cfg: cfg.withDefaults(), coord: coord}
 }
 
 // ID returns the current coordinator-assigned worker ID ("" before Run
@@ -106,26 +98,8 @@ func (w *Worker) register(stale string) error {
 	return err
 }
 
-// crash simulates the process dying: every loop in this worker stops
-// at its next check, nothing further is sent.
-func (w *Worker) crash() {
-	w.once.Do(func() { close(w.crashed) })
-}
-
-func (w *Worker) dead(ctx context.Context) bool {
-	select {
-	case <-ctx.Done():
-		return true
-	case <-w.crashed:
-		return true
-	default:
-		return false
-	}
-}
-
-// Run registers and serves until ctx is cancelled or an injected
-// crash kills the worker. Each capacity slot polls for leases
-// independently.
+// Run registers and serves until ctx is cancelled. Each capacity slot
+// polls for leases independently.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(""); err != nil {
 		return err
@@ -147,7 +121,7 @@ func (w *Worker) slot(ctx context.Context) {
 	t := time.NewTicker(w.cfg.PollInterval)
 	defer t.Stop()
 	for {
-		if w.dead(ctx) {
+		if ctx.Err() != nil {
 			return
 		}
 		id := w.ID()
@@ -165,8 +139,6 @@ func (w *Worker) slot(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-w.crashed:
-			return
 		case <-t.C:
 		}
 	}
@@ -176,26 +148,8 @@ func (w *Worker) slot(ctx context.Context) {
 // holds: a heartbeat loop keeps the lease alive (and watches for
 // DirectiveAbort), the deterministic executor does the work, and the
 // outcome is reported once — all under id, even if the worker has
-// re-registered since. Injected faults divert the flow: crash kills
-// the worker before execution, hang holds the lease forever without
-// heartbeats, slow withholds the completion past the lease.
+// re-registered since.
 func (w *Worker) execute(ctx context.Context, id string, a *scenario.Assignment) {
-	fault := w.cfg.Faults.Draw(w.cfg.Name, a.Run, a.Dispatch)
-	switch fault.Kind {
-	case faults.WorkerCrash:
-		w.crash()
-		return
-	case faults.WorkerHang:
-		// Wedged: never heartbeats, never reports, holds the slot
-		// until the worker dies. The coordinator's lease expiry is the
-		// only way this run comes back.
-		select {
-		case <-ctx.Done():
-		case <-w.crashed:
-		}
-		return
-	}
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -215,9 +169,6 @@ func (w *Worker) execute(ctx context.Context, id string, a *scenario.Assignment)
 		for {
 			select {
 			case <-runCtx.Done():
-				return
-			case <-w.crashed:
-				cancel()
 				return
 			case <-t.C:
 				d, err := w.coord.Heartbeat(id, a.Run, a.Dispatch)
@@ -240,72 +191,8 @@ func (w *Worker) execute(ctx context.Context, id string, a *scenario.Assignment)
 	cancel()
 	hbWG.Wait()
 	out := scenario.NewOutcome(res, err, a.SeedAttempt, ctx.Err() != nil || aborted.Load())
-
-	if fault.Kind == faults.WorkerSlow {
-		// The work is done but the report dawdles — typically past the
-		// lease, so a re-dispatched copy races it and one of the two
-		// becomes a counted duplicate.
-		select {
-		case <-time.After(fault.SlowBy):
-		case <-w.crashed:
-			return
-		}
-	}
-	if w.dead(ctx) {
+	if ctx.Err() != nil {
 		return
 	}
 	w.coord.Complete(id, a.Run, a.Dispatch, out) //nolint:errcheck // a failed report is a lost message; the lease recovers it
-}
-
-// FaultyCoord decorates a Coord with deterministic message loss from a
-// faults.WorkerPlan: each call counts against the worker's message
-// sequence, and dropped messages behave like a network that ate the
-// request (the callee never sees it). Replies cannot be lost
-// separately — dropping the request drops the exchange, which is the
-// conservative model for lease traffic.
-type FaultyCoord struct {
-	Inner Coord
-	// Worker is the plan identity the drops key on (the worker's
-	// *name*, not its coordinator-assigned ID, so plans can be written
-	// before registration).
-	Worker string
-	Plan   *faults.WorkerPlan
-
-	mu  sync.Mutex
-	seq uint64
-}
-
-func (f *FaultyCoord) drop() bool {
-	f.mu.Lock()
-	seq := f.seq
-	f.seq++
-	f.mu.Unlock()
-	return f.Plan.DropMessage(f.Worker, seq)
-}
-
-// Register never drops: a worker that cannot register retries at
-// process level, which is outside the soak's scope.
-func (f *FaultyCoord) Register(info scenario.WorkerInfo) (string, error) {
-	return f.Inner.Register(info)
-}
-
-func (f *FaultyCoord) Lease(workerID string) (*scenario.Assignment, error) {
-	if f.drop() {
-		return nil, nil // lost poll: indistinguishable from "no work"
-	}
-	return f.Inner.Lease(workerID)
-}
-
-func (f *FaultyCoord) Heartbeat(workerID, runID string, dispatch int) (scenario.Directive, error) {
-	if f.drop() {
-		return scenario.DirectiveContinue, nil // lost heartbeat: lease keeps aging
-	}
-	return f.Inner.Heartbeat(workerID, runID, dispatch)
-}
-
-func (f *FaultyCoord) Complete(workerID, runID string, dispatch int, out scenario.Outcome) error {
-	if f.drop() {
-		return nil // lost completion: only lease expiry recovers the run
-	}
-	return f.Inner.Complete(workerID, runID, dispatch, out)
 }

@@ -25,12 +25,13 @@ import (
 //   - capturing it in a function literal that escapes the callback
 //     (passed to a scheduler, assigned, returned).
 //
-// Values that went through Packet.Clone or Network.ClonePacket are
-// owned copies and are safe to retain. Copying fields (p.Src, *pp) is
+// Values that went through netsim's Network.ClonePacket are owned
+// copies and are safe to retain; a call is trusted by its resolved
+// callee, not by its name. Copying fields (p.Src, *pp) is
 // always safe.
 var PacketRetain = &Analyzer{
 	Name: "packetretain",
-	Doc:  "forbid retaining a pooled *netsim.Packet (or its Payload) past a handler/hook callback without Clone",
+	Doc:  "forbid retaining a pooled *netsim.Packet (or its Payload) past a handler/hook callback without ClonePacket",
 	Run:  runPacketRetain,
 }
 
@@ -92,7 +93,7 @@ func checkRetention(pass *Pass, ig *ignores, fn ast.Node, body *ast.BlockStmt, u
 	}
 
 	// First pass: propagate the borrowed set through direct aliases
-	// (q := p) and mark Clone results as owned. A single forward pass
+	// (q := p). A single forward pass
 	// is enough for the simulator's straight-line handler code.
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -125,7 +126,7 @@ func checkRetention(pass *Pass, ig *ignores, fn ast.Node, body *ast.BlockStmt, u
 				switch lhs := lhs.(type) {
 				case *ast.SelectorExpr, *ast.IndexExpr:
 					if expr, what := borrowedIn(info, n.Rhs[i], unsafe); expr != nil {
-						ig.report(expr.Pos(), "%s stored past the handler callback: the packet returns to the pool when the callback ends; Clone/ClonePacket it or copy the fields", what)
+						ig.report(expr.Pos(), "%s stored past the handler callback: the packet returns to the pool when the callback ends; ClonePacket it or copy the fields", what)
 					}
 				case *ast.Ident:
 					// x = append(x, p) is the append rule's finding.
@@ -133,19 +134,19 @@ func checkRetention(pass *Pass, ig *ignores, fn ast.Node, body *ast.BlockStmt, u
 						break
 					}
 					if expr, what := borrowedIn(info, n.Rhs[i], unsafe); expr != nil {
-						ig.report(expr.Pos(), "%s assigned to a variable declared outside the handler callback: the packet returns to the pool when the callback ends; keep a copy (c := *p) or Clone/ClonePacket it", what)
+						ig.report(expr.Pos(), "%s assigned to a variable declared outside the handler callback: the packet returns to the pool when the callback ends; keep a copy (c := *p) or ClonePacket it", what)
 					}
 				}
 			}
 		case *ast.SendStmt:
 			if expr, what := borrowedIn(info, n.Value, unsafe); expr != nil {
-				ig.report(expr.Pos(), "%s sent on a channel from a handler callback: the packet returns to the pool when the callback ends; Clone/ClonePacket it first", what)
+				ig.report(expr.Pos(), "%s sent on a channel from a handler callback: the packet returns to the pool when the callback ends; ClonePacket it first", what)
 			}
 		case *ast.CallExpr:
 			if isAppendCall(info, n) {
 				for _, a := range n.Args[1:] {
 					if expr, what := borrowedIn(info, a, unsafe); expr != nil {
-						ig.report(expr.Pos(), "%s appended to a slice from a handler callback: the packet returns to the pool when the callback ends; Clone/ClonePacket it first", what)
+						ig.report(expr.Pos(), "%s appended to a slice from a handler callback: the packet returns to the pool when the callback ends; ClonePacket it first", what)
 					}
 				}
 				return true
@@ -155,7 +156,7 @@ func checkRetention(pass *Pass, ig *ignores, fn ast.Node, body *ast.BlockStmt, u
 			for _, a := range n.Args {
 				if lit, ok := a.(*ast.FuncLit); ok {
 					if expr, what := capturedBorrowed(info, lit, unsafe); expr != nil {
-						ig.report(expr.Pos(), "%s captured by a function literal that escapes the handler callback; Clone/ClonePacket it or copy the fields before scheduling", what)
+						ig.report(expr.Pos(), "%s captured by a function literal that escapes the handler callback; ClonePacket it or copy the fields before scheduling", what)
 					}
 				}
 			}
@@ -169,9 +170,9 @@ func checkRetention(pass *Pass, ig *ignores, fn ast.Node, body *ast.BlockStmt, u
 // plus a short description. Field reads (p.Src) and dereference
 // copies (*p, *m) do not retain and are skipped.
 func borrowedIn(info *types.Info, e ast.Expr, unsafe map[types.Object]bool) (ast.Expr, string) {
-	// Clone calls produce owned packets.
+	// ClonePacket produces owned packets.
 	if call, ok := e.(*ast.CallExpr); ok {
-		if isCloneCall(call) {
+		if isClonePacket(info, call) {
 			return nil, ""
 		}
 	}
@@ -203,7 +204,7 @@ func borrowedIn(info *types.Info, e ast.Expr, unsafe map[types.Object]bool) (ast
 			// p.Payload.(*Message) retains the payload pointer.
 			walk(n.X, deref)
 		case *ast.CallExpr:
-			if isCloneCall(n) {
+			if isClonePacket(info, n) {
 				return
 			}
 			for _, a := range n.Args {
@@ -274,12 +275,13 @@ func isAppendCall(info *types.Info, e ast.Expr) bool {
 	return isBuiltin && id.Name == "append"
 }
 
-// isCloneCall reports whether call invokes Clone or ClonePacket —
-// the sanctioned ways to keep a packet.
-func isCloneCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+// isClonePacket reports whether call invokes netsim's
+// (*Network).ClonePacket — the sanctioned way to keep a packet.
+func isClonePacket(info *types.Info, call *ast.CallExpr) bool {
+	fn := staticCallee(info, call)
+	if fn == nil || fn.Name() != "ClonePacket" {
 		return false
 	}
-	return sel.Sel.Name == "Clone" || sel.Sel.Name == "ClonePacket"
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && isNetsimNamed(recv.Type(), "Network")
 }

@@ -1,5 +1,5 @@
 // Package netsim is a minimal stub of repro/internal/netsim for the
-// hbplint corpus: just enough surface (Packet, Port, Node, Clone) for
+// hbplint corpus: just enough surface (Packet, Port, Node, ClonePacket) for
 // the analyzers' type checks to resolve.
 package netsim
 
@@ -27,11 +27,6 @@ type Packet struct {
 }
 
 func (p *Packet) Spoofed() bool { return p.Src != p.TrueSrc }
-
-func (p *Packet) Clone() *Packet {
-	q := *p
-	return &q
-}
 
 type Port struct {
 	ID int

@@ -1,10 +1,11 @@
 // Package a exercises the packetretain analyzer: every way a handler
-// can leak a pooled packet, plus the sanctioned Clone paths.
+// can leak a pooled packet, plus the sanctioned ClonePacket paths.
 package a
 
 import "netsim"
 
 type sink struct {
+	nw    *netsim.Network
 	last  *netsim.Packet
 	byID  map[netsim.NodeID]*netsim.Packet
 	pl    any
@@ -55,16 +56,28 @@ func HandleOuter(deliver func(func(p *netsim.Packet, in *netsim.Port))) (*netsim
 	return kept, pl
 }
 
+// keeper's Clone is named like a copy but hands back its argument.
+type keeper struct{}
+
+func (keeper) Clone(p *netsim.Packet) *netsim.Packet { return p }
+
+// HandleFakeClone trusts a method named Clone that keeps the borrowed
+// packet itself.
+func (s *sink) HandleFakeClone(p *netsim.Packet, in *netsim.Port) {
+	var k keeper
+	s.last = k.Clone(p) // want `borrowed \*netsim\.Packet stored past the handler callback`
+}
+
 // HandleClean shows the sanctioned patterns: field copies, value
-// copies, and retaining an owned Clone.
+// copies, and retaining an owned ClonePacket.
 func (s *sink) HandleClean(p *netsim.Packet, in *netsim.Port) {
 	src := p.Src // field copy is safe
 	_ = src
 	v := *p // value copy is safe
 	_ = v
-	s.last = p.Clone() // owned copy is safe to retain
-	globalQueue = append(globalQueue, p.Clone())
-	q := p.Clone()
+	s.last = s.nw.ClonePacket(p) // owned copy is safe to retain
+	globalQueue = append(globalQueue, s.nw.ClonePacket(p))
+	q := s.nw.ClonePacket(p)
 	s.byID[q.Src] = q
 	var kept netsim.Packet
 	func(p *netsim.Packet) {

@@ -29,6 +29,3 @@ func isPacketPtr(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
 	return ok && isNetsimNamed(p.Elem(), "Packet")
 }
-
-// isPort reports whether t is netsim.Port or *netsim.Port.
-func isPort(t types.Type) bool { return isNetsimNamed(t, "Port") }

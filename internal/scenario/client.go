@@ -12,7 +12,8 @@ import (
 )
 
 // Client talks to a scenario daemon (hbpsimd) or a fleet coordinator
-// (hbpsimd -workers 0) — both serve the same suite/case API. It is the polite
+// (hbpsimd -workers 0) — both serve the same suite/case API — and, as
+// a worker process, to the coordinator's worker routes. It is the polite
 // counterpart of the server's admission control: a 503 with
 // Retry-After is backpressure, not failure, so submissions wait out
 // the advertised delay under a capped jittered exponential backoff
@@ -84,8 +85,8 @@ func (e *apiError) Error() string {
 }
 
 // do issues one request and decodes the JSON response into out (when
-// non-nil). Non-2xx statuses come back as *apiError along with any
-// Retry-After the server advertised.
+// non-nil; a 204 leaves it untouched). Non-2xx statuses come back as
+// *apiError along with any Retry-After the server advertised.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) (retryAfter time.Duration, err error) {
 	var body *bytes.Reader
 	if in != nil {
@@ -119,7 +120,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (retr
 		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck // best-effort body
 		return retryAfter, &apiError{Status: resp.StatusCode, Msg: e.Error}
 	}
-	if out != nil {
+	if out != nil && resp.StatusCode != http.StatusNoContent {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return retryAfter, fmt.Errorf("decode %s %s response: %w", method, path, err)
 		}
@@ -223,4 +224,50 @@ func (c *Client) WaitRun(ctx context.Context, id string, poll time.Duration) (Ru
 			return run, ctx.Err()
 		}
 	}
+}
+
+// Register joins the fleet coordinator at Base as a worker
+// (POST /fleet/workers) and returns the worker ID it assigned.
+// Register, Lease, Heartbeat and Complete are Coordinator's worker
+// methods over the wire, so a worker runs against either; like those,
+// they take no context, and none of them retries.
+func (c *Client) Register(info WorkerInfo) (string, error) {
+	var out struct {
+		ID string `json:"id"`
+	}
+	if _, err := c.do(context.TODO(), http.MethodPost, "/fleet/workers", info, &out); err != nil {
+		return "", fmt.Errorf("register as %s: %w", info.Name, err)
+	}
+	return out.ID, nil
+}
+
+// Lease asks for the next assignment: nil when the coordinator had
+// none within its parked wait (204), ErrUnknownWorker when it no
+// longer knows workerID (410).
+func (c *Client) Lease(workerID string) (*Assignment, error) {
+	var a *Assignment
+	if _, err := c.do(context.TODO(), http.MethodPost, "/fleet/workers/"+workerID+"/lease", struct{}{}, &a); err != nil {
+		if ae, ok := err.(*apiError); ok && ae.Status == http.StatusGone {
+			return nil, fmt.Errorf("lease as %s: %w", workerID, ErrUnknownWorker)
+		}
+		return nil, err
+	}
+	return a, nil
+}
+
+// Heartbeat renews a lease; a failed call answers DirectiveAbort.
+func (c *Client) Heartbeat(workerID, runID string, dispatch int) (Directive, error) {
+	var out struct {
+		Directive Directive `json:"directive"`
+	}
+	if _, err := c.do(context.TODO(), http.MethodPost, "/fleet/heartbeat", heartbeatRequest{Worker: workerID, Run: runID, Dispatch: dispatch}, &out); err != nil {
+		return DirectiveAbort, err
+	}
+	return out.Directive, nil
+}
+
+// Complete reports an attempt's outcome.
+func (c *Client) Complete(workerID, runID string, dispatch int, outcome Outcome) error {
+	_, err := c.do(context.TODO(), http.MethodPost, "/fleet/complete", completeRequest{Worker: workerID, Run: runID, Dispatch: dispatch, Outcome: outcome}, nil)
+	return err
 }

@@ -4,14 +4,30 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/jsonl"
 )
 
-// Server is the HTTP face of the runner — the suite/case API
-// cmd/hbpsimd serves and cmd/hbpsim submits to.
+// NewServer returns the HTTP face of the runner: the suite/case API
+// cmd/hbpsimd serves and cmd/hbpsim submits to (MountRoutes).
+func NewServer(r *Runner) *http.ServeMux {
+	mux := http.NewServeMux()
+	MountRoutes(mux, r.Coordinator)
+	return mux
+}
+
+// SuiteStatus is the GET /suites/{id} (and POST /suites) body: the
+// suite plus snapshots of its runs.
+type SuiteStatus struct {
+	Suite Suite       `json:"suite"`
+	Runs  []RunStatus `json:"runs"`
+}
+
+// MountRoutes registers the suite/case API on mux, served from c.
+// Both daemons mount it, so one client speaks to either.
 //
 //	POST   /suites            {"name": ...}            -> suite (optionally with inline "cases")
 //	GET    /suites            list suites
@@ -22,30 +38,6 @@ import (
 //	GET    /healthz           liveness + queue depth
 //	GET    /readyz            schedulability: 200 only when accepting work
 //	GET    /stats             exactly-once accounting counters
-type Server struct {
-	mux *http.ServeMux
-}
-
-// NewServer wires the routes.
-func NewServer(r *Runner) *Server {
-	s := &Server{mux: http.NewServeMux()}
-	MountRoutes(s.mux, r.Coordinator)
-	return s
-}
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	s.mux.ServeHTTP(w, req)
-}
-
-// SuiteStatus is the GET /suites/{id} (and POST /suites) body: the
-// suite plus snapshots of its runs.
-type SuiteStatus struct {
-	Suite Suite       `json:"suite"`
-	Runs  []RunStatus `json:"runs"`
-}
-
-// MountRoutes registers Server's route table on mux, served from c.
-// Both daemons mount it, so one client speaks to either.
 func MountRoutes(mux *http.ServeMux, c *Coordinator) {
 	h := routes{c}
 	mux.HandleFunc("POST /suites", h.createSuite)
@@ -59,11 +51,28 @@ func MountRoutes(mux *http.ServeMux, c *Coordinator) {
 	mux.HandleFunc("GET /stats", h.stats)
 }
 
+// MountWorkerRoutes registers the worker protocol on mux, served from
+// c: what a fleet coordinator (hbpsimd -workers 0) adds to MountRoutes
+// so worker processes can lease its runs. Client's Register, Lease,
+// Heartbeat and Complete speak it.
+//
+//	POST   /fleet/workers             WorkerInfo     -> {"id": ...}
+//	POST   /fleet/workers/{id}/lease  -> Assignment, or 204 after up to LeaseWait with no work
+//	POST   /fleet/heartbeat           heartbeatRequest -> {"directive": ...}
+//	POST   /fleet/complete            completeRequest
+func MountWorkerRoutes(mux *http.ServeMux, c *Coordinator) {
+	h := routes{c}
+	mux.HandleFunc("POST /fleet/workers", h.registerWorker)
+	mux.HandleFunc("POST /fleet/workers/{id}/lease", h.leaseRun)
+	mux.HandleFunc("POST /fleet/heartbeat", h.heartbeat)
+	mux.HandleFunc("POST /fleet/complete", h.complete)
+}
+
 type routes struct{ c *Coordinator }
 
 func (h routes) createSuite(w http.ResponseWriter, req *http.Request) {
 	var spec SuiteSpec
-	if !DecodeBody(w, req, &spec) {
+	if !decodeBody(w, req, &spec) {
 		return
 	}
 	// A bare {"name": ...} creates an empty suite for incremental
@@ -71,11 +80,11 @@ func (h routes) createSuite(w http.ResponseWriter, req *http.Request) {
 	// up front.
 	if len(spec.Cases) > 0 {
 		if err := spec.Validate(); err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 	} else if spec.Name == "" {
-		HTTPError(w, http.StatusBadRequest, errors.New("suite has no name"))
+		httpError(w, http.StatusBadRequest, errors.New("suite has no name"))
 		return
 	}
 	suite, err := h.c.CreateSuite(spec.Name)
@@ -88,30 +97,30 @@ func (h routes) createSuite(w http.ResponseWriter, req *http.Request) {
 			// Partial admission is visible in the suite state; report
 			// the stall so the client can resubmit the remainder.
 			w.Header().Set("Retry-After", "1")
-			HTTPError(w, StatusFor(err), err)
+			httpError(w, statusFor(err), err)
 			return
 		}
 	}
 	got, runs, _ := h.c.GetSuite(suite.ID)
-	WriteJSON(w, http.StatusCreated, SuiteStatus{Suite: got, Runs: runs})
+	writeJSON(w, http.StatusCreated, SuiteStatus{Suite: got, Runs: runs})
 }
 
 func (h routes) listSuites(w http.ResponseWriter, req *http.Request) {
-	WriteJSON(w, http.StatusOK, h.c.Suites())
+	writeJSON(w, http.StatusOK, h.c.Suites())
 }
 
 func (h routes) getSuite(w http.ResponseWriter, req *http.Request) {
 	suite, runs, ok := h.c.GetSuite(req.PathValue("id"))
 	if !ok {
-		HTTPError(w, http.StatusNotFound, errors.New("no such suite"))
+		httpError(w, http.StatusNotFound, errors.New("no such suite"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, SuiteStatus{Suite: suite, Runs: runs})
+	writeJSON(w, http.StatusOK, SuiteStatus{Suite: suite, Runs: runs})
 }
 
 func (h routes) submitCase(w http.ResponseWriter, req *http.Request) {
 	var spec CaseSpec
-	if !DecodeBody(w, req, &spec) {
+	if !decodeBody(w, req, &spec) {
 		return
 	}
 	run, err := h.c.Submit(req.PathValue("id"), spec)
@@ -119,7 +128,7 @@ func (h routes) submitCase(w http.ResponseWriter, req *http.Request) {
 		reject(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, run)
+	writeJSON(w, http.StatusAccepted, run)
 }
 
 func (h routes) getRun(w http.ResponseWriter, req *http.Request) {
@@ -128,7 +137,7 @@ func (h routes) getRun(w http.ResponseWriter, req *http.Request) {
 		h.missing(w, req.PathValue("id"), errors.New("no such run"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, run)
+	writeJSON(w, http.StatusOK, run)
 }
 
 func (h routes) cancelRun(w http.ResponseWriter, req *http.Request) {
@@ -141,22 +150,22 @@ func (h routes) cancelRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	run, _ := h.c.GetRun(req.PathValue("id"))
-	WriteJSON(w, http.StatusOK, run)
+	writeJSON(w, http.StatusOK, run)
 }
 
 // missing answers a run ID the coordinator does not hold: 410 Gone
 // when it was issued and evicted, else 404 with err.
 func (h routes) missing(w http.ResponseWriter, id string, err error) {
 	if h.c.Evicted(id) {
-		HTTPError(w, http.StatusGone, fmt.Errorf("run %s has left the server's bounded run history; its outcome is in the journal", id))
+		httpError(w, http.StatusGone, fmt.Errorf("run %s has left the server's bounded run history; its outcome is in the journal", id))
 		return
 	}
-	HTTPError(w, http.StatusNotFound, err)
+	httpError(w, http.StatusNotFound, err)
 }
 
 func (h routes) healthz(w http.ResponseWriter, req *http.Request) {
 	st := h.c.Health()
-	WriteJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"queue":     st.QueueDepth,
 		"queue_cap": st.QueueCap,
@@ -174,11 +183,81 @@ func (h routes) readyz(w http.ResponseWriter, req *http.Request) {
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	WriteJSON(w, code, st)
+	writeJSON(w, code, st)
 }
 
 func (h routes) stats(w http.ResponseWriter, req *http.Request) {
-	WriteJSON(w, http.StatusOK, h.c.Stats())
+	writeJSON(w, http.StatusOK, h.c.Stats())
+}
+
+func (h routes) registerWorker(w http.ResponseWriter, req *http.Request) {
+	var info WorkerInfo
+	if !decodeBody(w, req, &info) {
+		return
+	}
+	id, err := h.c.Register(info)
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"id": id})
+}
+
+func (h routes) leaseRun(w http.ResponseWriter, req *http.Request) {
+	// Read the (empty) body to its end: only then does the server watch
+	// the connection, so a worker that hangs up cancels req.Context()
+	// and ends the parked lease.
+	io.Copy(io.Discard, http.MaxBytesReader(w, req.Body, jsonl.MaxLine)) //nolint:errcheck // the body carries nothing
+	a, err := h.c.LeaseContext(req.Context(), req.PathValue("id"))
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	if a == nil {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	writeJSON(w, http.StatusOK, a)
+}
+
+// heartbeatRequest identifies the lease being renewed.
+type heartbeatRequest struct {
+	Worker   string `json:"worker"`
+	Run      string `json:"run"`
+	Dispatch int    `json:"dispatch"`
+}
+
+func (h routes) heartbeat(w http.ResponseWriter, req *http.Request) {
+	var hb heartbeatRequest
+	if !decodeBody(w, req, &hb) {
+		return
+	}
+	d, err := h.c.Heartbeat(hb.Worker, hb.Run, hb.Dispatch)
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]Directive{"directive": d})
+}
+
+// completeRequest carries one terminal report.
+type completeRequest struct {
+	Worker   string  `json:"worker"`
+	Run      string  `json:"run"`
+	Dispatch int     `json:"dispatch"`
+	Outcome  Outcome `json:"outcome"`
+}
+
+func (h routes) complete(w http.ResponseWriter, req *http.Request) {
+	var cr completeRequest
+	if !decodeBody(w, req, &cr) {
+		return
+	}
+	if err := h.c.Complete(cr.Worker, cr.Run, cr.Dispatch, cr.Outcome); err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // NewHTTPServer is the http.Server both daemons serve h with. It bounds
@@ -199,19 +278,19 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 // reject answers a refused admission; backpressure and a failing
 // journal also tell the client when to try again.
 func reject(w http.ResponseWriter, err error) {
-	code := StatusFor(err)
+	code := statusFor(err)
 	if code == http.StatusServiceUnavailable && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrJournal)) {
 		w.Header().Set("Retry-After", "1")
 	}
-	HTTPError(w, code, err)
+	httpError(w, code, err)
 }
 
-// DecodeBody decodes a JSON request body into v, reading at most
+// decodeBody decodes a JSON request body into v, reading at most
 // jsonl.MaxLine bytes: a longer body could never be journaled, so it is
 // answered 413 before it is read in full. A malformed body is 400.
-// DecodeBody reports whether v was decoded; when it was not, the
+// decodeBody reports whether v was decoded; when it was not, the
 // answer has been written.
-func DecodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, jsonl.MaxLine)).Decode(v)
 	if err == nil {
 		return true
@@ -221,16 +300,16 @@ func DecodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
 	if errors.As(err, &tooLarge) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	HTTPError(w, code, err)
+	httpError(w, code, err)
 	return false
 }
 
-// StatusFor maps refusals to HTTP statuses: an entry too large to
+// statusFor maps refusals to HTTP statuses: an entry too large to
 // journal is 413 (retrying cannot help); backpressure, shutdown, a
 // failing journal and a full worker registry are 503 (retryable); a
 // forgotten worker or a never-issued run is 410; anything else — a bad
 // spec, an unknown suite — is 400.
-func StatusFor(err error) int {
+func statusFor(err error) int {
 	switch {
 	case errors.Is(err, jsonl.ErrTooLarge):
 		return http.StatusRequestEntityTooLarge
@@ -243,14 +322,14 @@ func StatusFor(err error) int {
 	}
 }
 
-// WriteJSON answers with a JSON body.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON answers with a JSON body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
 }
 
-// HTTPError answers with the {"error": ...} body every route shares.
-func HTTPError(w http.ResponseWriter, code int, err error) {
-	WriteJSON(w, code, map[string]string{"error": err.Error()})
+// httpError answers with the {"error": ...} body every route shares.
+func httpError(w http.ResponseWriter, code int, err error) {
+	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
